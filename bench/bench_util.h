@@ -10,6 +10,7 @@
 #include "expt/experiment.h"
 #include "runner/json_export.h"
 #include "runner/seed.h"
+#include "runner/sweep.h"
 #include "runner/trial_runner.h"
 #include "util/table_printer.h"
 
@@ -17,7 +18,8 @@ namespace flowercdn {
 namespace bench {
 
 /// Minimal command-line knobs shared by the reproduction harnesses:
-///   --hours=N        simulated duration (default 24, as in the paper)
+///   --hours=H        simulated duration, decimal hours allowed (default
+///                    24, as in the paper)
 ///   --population=P   target population (default depends on the bench)
 ///   --seed=S         base RNG seed (default 42)
 ///   --trials=N       independent trials per configuration (default 1);
@@ -43,7 +45,13 @@ struct BenchArgs {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--hours=", 8) == 0) {
-        args.duration = static_cast<SimDuration>(atoll(arg + 8)) * kHour;
+        Result<SimDuration> duration = ParseDuration(arg + 8, kHour);
+        if (!duration.ok()) {
+          std::fprintf(stderr, "--hours: %s\n",
+                       duration.status().message().c_str());
+          std::exit(2);
+        }
+        args.duration = *duration;
       } else if (std::strncmp(arg, "--population=", 13) == 0) {
         args.population = static_cast<size_t>(atoll(arg + 13));
       } else if (std::strncmp(arg, "--seed=", 7) == 0) {
@@ -62,7 +70,7 @@ struct BenchArgs {
         args.quick = true;
       } else {
         std::fprintf(stderr,
-                     "usage: %s [--hours=N] [--population=P] [--seed=S] "
+                     "usage: %s [--hours=H] [--population=P] [--seed=S] "
                      "[--trials=N] [--jobs=J] [--json-out=PATH] "
                      "[--replication=K] [--quick]\n",
                      argv[0]);

@@ -2,17 +2,15 @@
 // substrate retires events, measured two ways.
 //
 //  * micro: a classic "hold model" — P self-rescheduling timers with
-//    uniform delays, no protocol work at all — isolates raw scheduler
-//    push/pop throughput for the heap and ladder kernels.
+//    uniform delays, no protocol work at all — isolates raw ladder-queue
+//    push/pop throughput.
 //  * trials: full Flower-CDN experiments (protocol + network + kernel) at
 //    1k / 10k / 100k peers, reporting wall seconds per trial and events
-//    retired per wall second on each kernel.
+//    retired per wall second.
 //
 // Writes BENCH_kernel.json (schema flowercdn-kernel-bench/v1, documented in
 // EXPERIMENTS.md) with --json-out; --quick shrinks the grid to seconds for
-// CI smoke runs. Determinism note: simulation RESULTS are identical across
-// kernels (see tests/kernel_equivalence_test.cc); only the wall-clock
-// numbers here differ.
+// CI smoke runs.
 
 #include <chrono>
 #include <cstdio>
@@ -25,6 +23,7 @@
 
 #include "expt/experiment.h"
 #include "runner/json_export.h"
+#include "runner/seed.h"
 #include "sim/simulator.h"
 #include "util/random.h"
 #include "util/table_printer.h"
@@ -44,7 +43,6 @@ void ScheduleTick(Simulator* sim, Rng* rng, uint64_t* budget) {
 }
 
 struct MicroResult {
-  KernelKind kernel;
   uint64_t events = 0;
   double wall_seconds = 0;
   double EventsPerSec() const {
@@ -52,8 +50,8 @@ struct MicroResult {
   }
 };
 
-MicroResult RunMicro(KernelKind kernel, size_t timers, uint64_t budget) {
-  Simulator sim(kernel);
+MicroResult RunMicro(size_t timers, uint64_t budget) {
+  Simulator sim;
   Rng rng(99);
   uint64_t remaining = budget;
   for (size_t i = 0; i < timers; ++i) {
@@ -63,7 +61,6 @@ MicroResult RunMicro(KernelKind kernel, size_t timers, uint64_t budget) {
   while (sim.Step()) {
   }
   MicroResult r;
-  r.kernel = kernel;
   r.events = sim.events_processed();
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -74,21 +71,19 @@ MicroResult RunMicro(KernelKind kernel, size_t timers, uint64_t budget) {
 struct TrialPoint {
   size_t population;
   double simulated_hours;
-  KernelKind kernel;
   ExperimentResult result;
 };
 
-TrialPoint RunTrial(size_t population, SimDuration duration,
-                    KernelKind kernel, uint64_t seed) {
+// Trial 0 of `flowercdn-sim --population=P --hours=H --seed=S`, so every
+// committed point can be re-run (and its event count checked) from the CLI.
+TrialPoint RunTrial(size_t population, SimDuration duration, uint64_t seed) {
   ExperimentConfig config;
   config.target_population = population;
   config.duration = duration;
-  config.seed = seed;
-  config.kernel = kernel;
+  config.seed = DeriveTrialSeed(seed, 0);
   TrialPoint p;
   p.population = population;
   p.simulated_hours = static_cast<double>(duration) / kHour;
-  p.kernel = kernel;
   p.result = RunExperiment(config, SystemKind::kFlowerCdn);
   return p;
 }
@@ -118,17 +113,12 @@ int main(int argc, char** argv) {
               "%llu events) ===\n",
               micro_timers,
               static_cast<unsigned long long>(micro_budget));
-  std::vector<MicroResult> micro;
-  for (KernelKind kernel : {KernelKind::kHeap, KernelKind::kLadder}) {
-    micro.push_back(RunMicro(kernel, micro_timers, micro_budget));
-  }
+  const MicroResult micro = RunMicro(micro_timers, micro_budget);
   {
-    TablePrinter table({"kernel", "events", "wall_s", "events/sec"});
-    for (const MicroResult& m : micro) {
-      table.AddRow({KernelKindName(m.kernel), std::to_string(m.events),
-                    FormatDouble(m.wall_seconds, 3),
-                    FormatDouble(m.EventsPerSec(), 0)});
-    }
+    TablePrinter table({"events", "wall_s", "events/sec"});
+    table.AddRow({std::to_string(micro.events),
+                  FormatDouble(micro.wall_seconds, 3),
+                  FormatDouble(micro.EventsPerSec(), 0)});
     table.Print(std::cout);
   }
 
@@ -144,15 +134,13 @@ int main(int argc, char** argv) {
     scales = {{1000, 6 * kHour}, {10000, kHour}, {100000, 15 * kMinute}};
   }
   std::vector<TrialPoint> points;
-  std::printf("\n=== full Flower-CDN trials per kernel ===\n");
+  std::printf("\n=== full Flower-CDN trials ===\n");
   for (const Scale& s : scales) {
-    for (KernelKind kernel : {KernelKind::kHeap, KernelKind::kLadder}) {
-      points.push_back(RunTrial(s.population, s.duration, kernel, 42));
-      const TrialPoint& p = points.back();
-      std::printf("  P=%zu %.2fh %-6s : %8.2f s/trial, %12.0f events/sec\n",
-                  p.population, p.simulated_hours, KernelKindName(p.kernel),
-                  p.result.wall_seconds, p.result.EventsPerWallSecond());
-    }
+    points.push_back(RunTrial(s.population, s.duration, 42));
+    const TrialPoint& p = points.back();
+    std::printf("  P=%zu %.2fh : %8.2f s/trial, %12.0f events/sec\n",
+                p.population, p.simulated_hours, p.result.wall_seconds,
+                p.result.EventsPerWallSecond());
   }
 
   if (!json_out.empty()) {
@@ -167,23 +155,21 @@ int main(int argc, char** argv) {
     w.Key("bench").Value("src/simcore event-kernel throughput");
     w.Key("quick").Value(quick);
     w.Key("micro").BeginArray();
-    for (const MicroResult& m : micro) {
-      w.BeginObject();
-      w.Key("kernel").Value(KernelKindName(m.kernel));
-      w.Key("pattern").Value("hold-uniform");
-      w.Key("timers").Value(static_cast<uint64_t>(micro_timers));
-      w.Key("events").Value(m.events);
-      w.Key("wall_seconds").Value(m.wall_seconds);
-      w.Key("events_per_sec").Value(m.EventsPerSec());
-      w.EndObject();
-    }
+    w.BeginObject();
+    w.Key("kernel").Value("ladder");
+    w.Key("pattern").Value("hold-uniform");
+    w.Key("timers").Value(static_cast<uint64_t>(micro_timers));
+    w.Key("events").Value(micro.events);
+    w.Key("wall_seconds").Value(micro.wall_seconds);
+    w.Key("events_per_sec").Value(micro.EventsPerSec());
+    w.EndObject();
     w.EndArray();
     w.Key("trials").BeginArray();
     for (const TrialPoint& p : points) {
       w.BeginObject();
       w.Key("population").Value(static_cast<uint64_t>(p.population));
       w.Key("simulated_hours").Value(p.simulated_hours);
-      w.Key("kernel").Value(KernelKindName(p.kernel));
+      w.Key("kernel").Value("ladder");
       w.Key("wall_seconds").Value(p.result.wall_seconds);
       w.Key("seconds_per_trial").Value(p.result.wall_seconds);
       w.Key("events_processed").Value(p.result.events_processed);

@@ -1,13 +1,12 @@
-// Google-benchmark micro benchmarks of the substrate components: event
-// queue throughput, RNG/Zipf sampling, Bloom summaries, Chord id math,
-// D-ring key management, and end-to-end simulation event rate.
+// Google-benchmark micro benchmarks of the substrate components: RNG/Zipf
+// sampling, Bloom summaries, Chord id math, D-ring key management, and
+// end-to-end simulation event rate.
 
 #include <benchmark/benchmark.h>
 
 #include "chord/id.h"
 #include "expt/experiment.h"
 #include "flower/dring.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/content_store.h"
 #include "util/bloom_filter.h"
@@ -15,21 +14,6 @@
 
 namespace flowercdn {
 namespace {
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    EventQueue q;
-    for (int i = 0; i < batch; ++i) {
-      q.Push(static_cast<SimTime>(rng.NextBounded(1000000)), [] {});
-    }
-    SimTime when;
-    while (!q.Empty()) q.Pop(&when);
-  }
-  state.SetItemsProcessed(state.iterations() * batch * 2);
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
 void BM_SimulatorEventDispatch(benchmark::State& state) {
   for (auto _ : state) {

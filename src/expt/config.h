@@ -24,10 +24,6 @@ namespace flowercdn {
 struct ExperimentConfig {
   uint64_t seed = 42;
 
-  /// Event-scheduler backend. Ladder (default) and heap produce
-  /// byte-identical results; heap is kept as the cross-check baseline.
-  KernelKind kernel = KernelKind::kLadder;
-
   /// Target steady-state population P (Table 1: 2000/3000/4000/5000).
   size_t target_population = 2000;
   /// Identity universe = target_population * universe_factor (Table 1:

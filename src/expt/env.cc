@@ -20,7 +20,6 @@ ChurnProcess::Params MakeChurnParams(const ExperimentConfig& config) {
 ExperimentEnv::ExperimentEnv(const ExperimentConfig& config)
     : config_(config),
       root_rng_(config.seed),
-      sim_(config.kernel),
       topology_(config.topology),
       network_(&sim_, &topology_),
       catalog_(config.catalog),

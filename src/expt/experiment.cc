@@ -82,7 +82,7 @@ ExperimentResult RunExperiment(
           .count();
 
   // Kernel counters into the registry so they ride the exported counters
-  // array. Both are deterministic (identical across kernels and --jobs);
+  // array. Both are deterministic (identical at any --jobs);
   // the wall-clock rate deliberately stays out of the registry and lives
   // in the (non-exported-by-default) timing fields below.
   env.stats().counter("sim.events_executed")
@@ -93,7 +93,6 @@ ExperimentResult RunExperiment(
   ExperimentResult result;
   result.system = kind;
   result.target_population = config.target_population;
-  result.kernel = config.kernel;
   result.wall_seconds = wall_seconds;
 
   const MetricsCollector& metrics = env.metrics();

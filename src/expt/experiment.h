@@ -63,8 +63,6 @@ struct ExperimentResult {
   uint64_t events_cancelled = 0;
 
   // --- Kernel timing (nondeterministic; never in default JSON) --------------
-  /// Scheduler backend the trial ran on.
-  KernelKind kernel = KernelKind::kLadder;
   /// Wall-clock seconds from environment construction to the last event.
   /// Varies run to run, so json_export only emits it behind --json-timing;
   /// the deterministic outputs (counters, metrics) never depend on it.

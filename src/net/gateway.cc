@@ -154,21 +154,35 @@ void Gateway::OnReadable(uint64_t id) {
 }
 
 void Gateway::MaybeServeNext(uint64_t id) {
+  // Serves the buffered (pipelined) requests in a loop. A synchronous
+  // answer (admin, 404/405/503, petal hit) re-enters here through
+  // Respond -> TryFlush; `serving` turns that re-entry into the next turn
+  // of this loop, so stack depth stays constant however many requests one
+  // connection has buffered. The loop pauses while a query is in flight or
+  // a response is still unwritten; OnQueryDone and TryFlush resume it.
   auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  Conn& conn = it->second;
-  if (conn.busy || conn.close_after_write) return;
-
+  if (it == conns_.end() || it->second.serving) return;
+  it->second.serving = true;
   HttpRequest req;
-  if (!conn.parser.Next(&req)) {
-    if (conn.parser.failed()) {
-      ++stats_counters_.bad_requests;
-      Respond(id, 400, "Bad Request", {}, conn.parser.error(),
-              /*close_after=*/true);
+  bool malformed = false;
+  while (true) {
+    Conn& conn = it->second;
+    if (conn.busy || conn.close_after_write || !conn.out.empty()) break;
+    if (!conn.parser.Next(&req)) {
+      malformed = conn.parser.failed();
+      break;
     }
-    return;
+    ServeRequest(id, req);
+    it = conns_.find(id);
+    if (it == conns_.end()) return;  // closed while answering
   }
-  ServeRequest(id, req);
+  Conn& conn = it->second;
+  conn.serving = false;
+  if (malformed) {
+    ++stats_counters_.bad_requests;
+    Respond(id, 400, "Bad Request", {}, conn.parser.error(),
+            /*close_after=*/true);
+  }
 }
 
 void Gateway::ServeRequest(uint64_t id, const HttpRequest& req) {

@@ -93,6 +93,7 @@ class Gateway {
     std::string out;        // response bytes not yet written
     size_t out_offset = 0;
     bool busy = false;      // a query is in flight for this connection
+    bool serving = false;   // MaybeServeNext's loop is running
     bool want_writable = false;
     bool close_after_write = false;
     int64_t serve_start_us = 0;  // wall clock when the query was submitted

@@ -78,7 +78,6 @@ NodeHost::~NodeHost() {
   // Tear sockets down before the sessions they might call back into.
   gateway_.reset();
   tcp_.reset();
-  udp_.reset();
 }
 
 int NodeHost::OwnerOf(PeerId peer) const {
@@ -161,12 +160,6 @@ bool NodeHost::Setup() {
   Network& network = env_->network();
   switch (options_.transport) {
     case TransportKind::kInProcess:
-      break;
-    case TransportKind::kUdp:
-      FLOWERCDN_CHECK(world() == 1)
-          << "udp-loopback transport is single-process";
-      udp_ = std::make_unique<UdpLoopbackTransport>(&network);
-      network.SetTransport(udp_.get());
       break;
     case TransportKind::kTcp:
       tcp_ = std::make_unique<TcpTransport>(
@@ -351,10 +344,6 @@ void NodeHost::ExportGauges() {
   StatsRegistry& stats = env_->stats();
   stats.Set("net.host.hosted_peers", static_cast<double>(sessions_.size()));
   if (tcp_ != nullptr) tcp_->ExportGauges();
-  if (udp_ != nullptr) {
-    stats.Set("net.udp.open_sockets",
-              static_cast<double>(udp_->open_sockets()));
-  }
   if (gateway_ != nullptr) {
     stats.Set("net.gateway.open_connections",
               static_cast<double>(gateway_->open_connections()));
@@ -367,7 +356,6 @@ std::string NodeHost::StatusJson(double wall_seconds) const {
 
   const char* transport = "in-process";
   if (tcp_ != nullptr) transport = tcp_->name();
-  if (udp_ != nullptr) transport = udp_->name();
 
   std::string out;
   out.reserve(2048 + intervals_.size() * 160);
@@ -425,19 +413,6 @@ std::string NodeHost::StatusJson(double wall_seconds) const {
             static_cast<unsigned long long>(tcp_->backpressure_events()),
             tcp_->peak_queued_bytes(),
             static_cast<unsigned long long>(tcp_->accepted_evicted()));
-  }
-  if (udp_ != nullptr) {
-    AppendF(&out,
-            "  \"udp\": {\n"
-            "    \"datagrams_sent\": %llu,\n"
-            "    \"datagrams_received\": %llu,\n"
-            "    \"datagrams_dropped\": %llu,\n"
-            "    \"socket_bytes_sent\": %llu\n"
-            "  },\n",
-            static_cast<unsigned long long>(udp_->datagrams_sent()),
-            static_cast<unsigned long long>(udp_->datagrams_received()),
-            static_cast<unsigned long long>(udp_->datagrams_dropped()),
-            static_cast<unsigned long long>(udp_->socket_bytes_sent()));
   }
   const Gateway::Stats gw =
       gateway_ != nullptr ? gateway_->stats() : Gateway::Stats{};

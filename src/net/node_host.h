@@ -16,12 +16,11 @@
 #include "net/event_loop.h"
 #include "net/gateway.h"
 #include "net/tcp_transport.h"
-#include "wire/udp_transport.h"
 
 namespace flowercdn {
 
 /// Which backend carries protocol messages out of this process.
-enum class TransportKind { kInProcess, kUdp, kTcp };
+enum class TransportKind { kInProcess, kTcp };
 
 /// How peer identities are assigned to cluster ranks. Every rank computes
 /// the same assignment from the shared config, so there is no membership
@@ -120,7 +119,6 @@ class NodeHost {
 
   EventLoop& loop() { return loop_; }
   TcpTransport* tcp() { return tcp_.get(); }
-  UdpLoopbackTransport* udp() { return udp_.get(); }
   Gateway* gateway() { return gateway_.get(); }
   AdminServer* admin() { return admin_.get(); }
   AdminHandler& admin_handler() { return admin_handler_; }
@@ -146,7 +144,7 @@ class NodeHost {
   void ExportGauges();
 
   /// The node's status document (rank, hosted peers, sim time, network/
-  /// tcp/udp/gateway counters, event-loop health, interval series) as a
+  /// tcp/gateway counters, event-loop health, interval series) as a
   /// JSON object — what /statusz serves and WriteStatsJson persists.
   std::string StatusJson(double wall_seconds) const;
 
@@ -178,7 +176,6 @@ class NodeHost {
   FlowerContext ctx_;
   EventLoop loop_;
 
-  std::unique_ptr<UdpLoopbackTransport> udp_;
   std::unique_ptr<TcpTransport> tcp_;
   std::unique_ptr<Gateway> gateway_;
   AdminHandler admin_handler_;

@@ -47,8 +47,8 @@ struct ClusterMember {
 ///    backpressured (counted + gauge-exported) until it drains below
 ///    `queue_low_watermark`;
 ///  * a message that would push the queue past `queue_hard_cap` is dropped
-///    and accounted through Network::NoteTransportDrop, exactly like a UDP
-///    send-buffer drop — the sender's RPC timeout is the recovery path;
+///    and accounted through Network::NoteTransportDrop, like any lost
+///    message — the sender's RPC timeout is the recovery path;
 ///  * a torn connection keeps its queue (minus the partially-written frame,
 ///    which is resent from its start on the fresh stream) and redials with
 ///    exponential backoff.

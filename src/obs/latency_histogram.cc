@@ -7,15 +7,16 @@ namespace flowercdn {
 
 size_t LatencyHistogram::BucketOf(uint64_t micros) {
   if (micros < kSubBuckets) return static_cast<size_t>(micros);
-  // Decade d holds [2^(d+4), 2^(d+5)) split into kSubBuckets linear slots.
-  int bits = 63 - __builtin_clzll(micros);
-  int decade = bits - 4;  // 2^5 == kSubBuckets
-  if (decade >= kDecades - 1) decade = kDecades - 2;
-  uint64_t base = uint64_t{1} << (decade + 5);
-  uint64_t width = base / kSubBuckets;
-  size_t sub = static_cast<size_t>((micros - base) / width);
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  return static_cast<size_t>(decade + 1) * kSubBuckets + sub;
+  // Decade d >= 1 holds [2^(d+4), 2^(d+5)) split into kSubBuckets linear
+  // slots, so a sample with highest set bit `bits` lands in decade
+  // bits - 4 (2^5 == kSubBuckets) at base 2^bits.
+  const int bits = 63 - __builtin_clzll(micros);
+  const int decade = bits - 4;
+  if (decade >= kDecades) return kDecades * kSubBuckets - 1;  // saturate
+  const uint64_t base = uint64_t{1} << bits;
+  const uint64_t width = base / kSubBuckets;
+  const size_t sub = static_cast<size_t>((micros - base) / width);
+  return static_cast<size_t>(decade) * kSubBuckets + sub;
 }
 
 uint64_t LatencyHistogram::BucketUpperBound(size_t bucket) {

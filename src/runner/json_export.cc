@@ -340,7 +340,6 @@ void WriteTrial(JsonWriter& w, const ExperimentResult& r, uint64_t seed,
     // wall time varies run to run, and the runner's byte-identical
     // guarantee covers only the default document.
     w.Key("timing").BeginObject();
-    w.Key("kernel").Value(KernelKindName(r.kernel));
     w.Key("wall_seconds").Value(r.wall_seconds);
     w.Key("events_per_wall_second").Value(r.EventsPerWallSecond());
     w.EndObject();
@@ -449,7 +448,14 @@ void WriteSweepJson(std::ostream& os, uint64_t base_seed,
     w.Key("system").Value(SystemKindName(cell.kind));
     w.Key("population").Value(
         static_cast<uint64_t>(cell.config.target_population));
-    w.Key("hours").Value(static_cast<uint64_t>(cell.config.duration / kHour));
+    // Whole hours stay integers (the long-standing layout); fractional
+    // runs (--hours=0.25) report the exact decimal instead of truncating.
+    if (cell.config.duration % kHour == 0) {
+      w.Key("hours").Value(static_cast<uint64_t>(cell.config.duration / kHour));
+    } else {
+      w.Key("hours").Value(static_cast<double>(cell.config.duration) /
+                           static_cast<double>(kHour));
+    }
     w.Key("zipf_alpha").Value(cell.config.catalog.zipf_alpha);
     w.Key("mean_uptime_min").Value(
         static_cast<uint64_t>(cell.config.mean_uptime / kMinute));
@@ -458,10 +464,6 @@ void WriteSweepJson(std::ostream& os, uint64_t base_seed,
     w.Key("wire_mode").Value(WireModeName(cell.config.wire_mode));
     w.Key("replication").Value(
         static_cast<uint64_t>(cell.config.flower.replication));
-    // Deliberately no "kernel" key here: the default document must be
-    // byte-identical between --kernel=heap and --kernel=ladder, which is
-    // the cross-check that the ladder queue reproduces heap ordering. The
-    // kernel name appears in the opt-in "timing" block instead.
     w.Key("aggregate");
     WriteAggregate(w, cell.aggregate);
     if (include_trials) {

@@ -51,10 +51,10 @@ class JsonWriter {
 /// aggregate, and (optionally) every per-trial result. Layout documented
 /// in EXPERIMENTS.md ("Runner JSON schema").
 ///
-/// `include_timing` adds a per-trial "timing" object (kernel, wall
-/// seconds, events per wall second). Off by default because wall time is
-/// nondeterministic — with it off, equal simulations yield byte-equal
-/// documents at any --jobs and under either kernel.
+/// `include_timing` adds a per-trial "timing" object (wall seconds, events
+/// per wall second). Off by default because wall time is nondeterministic
+/// — with it off, equal simulations yield byte-equal documents at any
+/// --jobs.
 void WriteSweepJson(std::ostream& os, uint64_t base_seed,
                     const std::vector<CellResult>& cells,
                     bool include_trials, bool include_timing = false);

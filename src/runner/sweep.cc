@@ -1,6 +1,7 @@
 #include "runner/sweep.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "runner/seed.h"
@@ -52,6 +53,23 @@ Result<double> ParseNumber(std::string_view token, std::string_view key) {
 }
 
 }  // namespace
+
+Result<SimDuration> ParseDuration(std::string_view text, SimDuration unit) {
+  std::string buf(text);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (buf.empty() || end != buf.c_str() + buf.size() || errno != 0 ||
+      !std::isfinite(v) || v <= 0) {
+    return Status::InvalidArgument("'" + buf +
+                                   "' is not a positive decimal number");
+  }
+  const double ms = v * static_cast<double>(unit);
+  if (ms < 1 || ms > 1e18) {
+    return Status::InvalidArgument("'" + buf + "' is out of range");
+  }
+  return static_cast<SimDuration>(ms);
+}
 
 Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
                                    const ExperimentConfig& base) {
@@ -156,11 +174,15 @@ Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
       }
       sweep.base_seed = static_cast<uint64_t>(numbers[0]);
     } else if (key == "hours") {
-      if (numbers.size() != 1 || numbers[0] <= 0) {
+      if (values.size() != 1) {
         return Status::InvalidArgument("sweep: hours wants one value > 0");
       }
-      sweep.base.duration = static_cast<SimDuration>(
-          numbers[0] * static_cast<double>(kHour));
+      Result<SimDuration> duration = ParseDuration(values[0], kHour);
+      if (!duration.ok()) {
+        return Status::InvalidArgument("sweep: hours " +
+                                       duration.status().message());
+      }
+      sweep.base.duration = *duration;
     } else if (key == "replication") {
       for (double n : numbers) {
         if (n < 1) return Status::InvalidArgument("sweep: replication < 1");

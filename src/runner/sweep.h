@@ -25,6 +25,11 @@ struct SystemChoice {
 /// Parses a CLI system name; errors on anything else.
 Result<SystemChoice> ParseSystemChoice(std::string_view name);
 
+/// Parses a positive decimal count of `unit` ("0.25" hours, "90" minutes)
+/// into a SimDuration. Errors on empty, non-numeric, non-finite, zero or
+/// negative input, and on anything shorter than one simulated millisecond.
+Result<SimDuration> ParseDuration(std::string_view text, SimDuration unit);
+
 /// A grid of experiment configurations: the cross product of every swept
 /// dimension, times `systems`, times `trials` repetitions per cell. Each
 /// trial's seed derives from (base_seed, trial index) — see seed.h — so a

@@ -1,47 +1,8 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
-#include "simcore/ladder_queue.h"
-#include "sim/event_queue.h"
-
 namespace flowercdn {
 
-namespace {
-
-/// Scheduler adapter over the legacy binary-heap EventQueue, kept as the
-/// `--kernel=heap` reference baseline for the ladder queue.
-class HeapScheduler final : public Scheduler {
- public:
-  EventId Push(SimTime when, EventFn fn, EventGuard guard) override {
-    return queue_.Push(when, std::move(fn), guard);
-  }
-  void Cancel(EventId id) override { queue_.Cancel(id); }
-  bool Empty() override { return queue_.Empty(); }
-  SimTime NextTime() override { return queue_.NextTime(); }
-  bool Pop(FiredEvent* out) override {
-    if (queue_.Empty()) return false;
-    out->fn = queue_.Pop(&out->when, &out->guard);
-    return true;
-  }
-  size_t Size() const override { return queue_.Size(); }
-  uint64_t cancelled_total() const override {
-    return queue_.cancelled_total();
-  }
-
- private:
-  EventQueue queue_;
-};
-
-std::unique_ptr<Scheduler> MakeScheduler(KernelKind kernel) {
-  if (kernel == KernelKind::kHeap) return std::make_unique<HeapScheduler>();
-  return std::make_unique<LadderQueue>();
-}
-
-}  // namespace
-
-Simulator::Simulator(KernelKind kernel)
-    : kernel_(kernel), queue_(MakeScheduler(kernel)) {
+Simulator::Simulator() {
   SetLogTimeSource(
       [](const void* ctx) {
         return static_cast<const Simulator*>(ctx)->now();
@@ -57,7 +18,7 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime until) {
-  while (!queue_->Empty() && queue_->NextTime() <= until) {
+  while (!queue_.Empty() && queue_.NextTime() <= until) {
     Step();
   }
   if (now_ < until) now_ = until;
@@ -65,7 +26,7 @@ void Simulator::RunUntil(SimTime until) {
 
 bool Simulator::Step() {
   FiredEvent event;
-  if (!queue_->Pop(&event)) return false;
+  if (!queue_.Pop(&event)) return false;
   FLOWERCDN_CHECK(event.when >= now_) << "event queue went backwards";
   now_ = event.when;
   ++events_processed_;

@@ -2,10 +2,9 @@
 #define FLOWERCDN_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "simcore/scheduler.h"
+#include "simcore/ladder_queue.h"
 #include "sim/types.h"
 #include "util/logging.h"
 
@@ -15,21 +14,15 @@ namespace flowercdn {
 /// scheduler. All protocol activity (message deliveries, timers, churn)
 /// runs as events; between events no simulated time passes, which is
 /// exactly the PeerSim event-driven model the paper's evaluation uses.
-///
-/// The scheduler backend is selectable: the simcore ladder queue (default)
-/// or the legacy binary heap, kept as a cross-check baseline. Both pop
-/// events in identical (time, insertion) order, so the choice never
-/// changes simulation results — only wall-clock speed.
+/// Events pop from the simcore LadderQueue in (time, insertion) order.
 class Simulator {
  public:
   /// Construction installs this simulator's clock as the thread's log time
   /// source, so log lines carry simulated time while the run is active.
-  explicit Simulator(KernelKind kernel = KernelKind::kLadder);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  KernelKind kernel() const { return kernel_; }
 
   /// Current simulated time.
   SimTime now() const { return now_; }
@@ -37,13 +30,13 @@ class Simulator {
   /// Schedules `fn` to run `delay` (>= 0) after now.
   EventId Schedule(SimDuration delay, EventFn fn) {
     FLOWERCDN_CHECK(delay >= 0) << "negative delay " << delay;
-    return queue_->Push(now_ + delay, std::move(fn), EventGuard{});
+    return queue_.Push(now_ + delay, std::move(fn), EventGuard{});
   }
 
   /// Schedules `fn` at an absolute time (>= now).
   EventId ScheduleAt(SimTime when, EventFn fn) {
     FLOWERCDN_CHECK(when >= now_) << "schedule in the past";
-    return queue_->Push(when, std::move(fn), EventGuard{});
+    return queue_.Push(when, std::move(fn), EventGuard{});
   }
 
   /// Schedules `fn` with a liveness guard evaluated at fire time: when the
@@ -53,11 +46,11 @@ class Simulator {
   /// extra allocation no matter how large `fn`'s captures are.
   EventId ScheduleGuarded(SimDuration delay, EventGuard guard, EventFn fn) {
     FLOWERCDN_CHECK(delay >= 0) << "negative delay " << delay;
-    return queue_->Push(now_ + delay, std::move(fn), guard);
+    return queue_.Push(now_ + delay, std::move(fn), guard);
   }
 
   /// Cancels a scheduled event (no-op if already fired).
-  void Cancel(EventId id) { queue_->Cancel(id); }
+  void Cancel(EventId id) { queue_.Cancel(id); }
 
   /// Processes events in timestamp order until the queue drains.
   void Run();
@@ -73,22 +66,21 @@ class Simulator {
   uint64_t events_processed() const { return events_processed_; }
 
   /// Number of scheduled events cancelled before firing.
-  uint64_t events_cancelled() const { return queue_->cancelled_total(); }
+  uint64_t events_cancelled() const { return queue_.cancelled_total(); }
 
   /// Timestamp of the earliest pending event, or -1 when the queue is
   /// empty. Lets a real-time pacer (src/net NodeHost) sleep in epoll for
   /// exactly the gap until the next due event instead of busy-stepping.
-  SimTime NextEventTime() const {
-    return queue_->Empty() ? -1 : queue_->NextTime();
+  SimTime NextEventTime() {
+    return queue_.Empty() ? -1 : queue_.NextTime();
   }
 
   /// Number of events currently pending.
-  size_t pending_events() const { return queue_->Size(); }
+  size_t pending_events() const { return queue_.Size(); }
 
  private:
   SimTime now_ = 0;
-  KernelKind kernel_;
-  std::unique_ptr<Scheduler> queue_;
+  LadderQueue queue_;
   uint64_t events_processed_ = 0;
 };
 

@@ -12,10 +12,10 @@ namespace flowercdn {
 /// How an accounted, fault-filtered message travels from Network::Send to
 /// its delivery. The network decides *whether* and *when* a message is
 /// delivered (fault hooks, latency, dead-receiver drops); the transport
-/// decides *how* it gets there. The default backend hands the message
-/// straight back to the network's simulated delivery path; the
-/// UdpLoopbackTransport (src/wire) detours it through real sockets as
-/// encoded bytes first.
+/// decides *how* it gets there. There are two backends: the default
+/// InProcessTransport below hands the message straight back to the
+/// network's simulated delivery path, and TcpTransport (src/net) carries it
+/// to the owning cluster rank as an encoded frame on a TCP stream.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -7,28 +7,6 @@
 
 namespace flowercdn {
 
-const char* KernelKindName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kHeap:
-      return "heap";
-    case KernelKind::kLadder:
-      return "ladder";
-  }
-  return "unknown";
-}
-
-bool ParseKernelKind(std::string_view name, KernelKind* out) {
-  if (name == "heap") {
-    *out = KernelKind::kHeap;
-    return true;
-  }
-  if (name == "ladder") {
-    *out = KernelKind::kLadder;
-    return true;
-  }
-  return false;
-}
-
 LadderQueue::LadderQueue() {
   for (auto& level : heads_) {
     for (auto& head : level) head = kNil;

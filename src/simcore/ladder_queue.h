@@ -14,10 +14,10 @@ namespace flowercdn {
 /// slots where level l buckets time by its l-th byte, so the ladder spans
 /// every 64-bit timestamp with no overflow list. Insert and pop are O(1)
 /// amortized (each event cascades down at most 7 times over its lifetime),
-/// versus O(log n) sifts in the binary heap — and a sift swap moves whole
+/// versus O(log n) sifts in a binary heap — and a sift swap moves whole
 /// 64-byte EventFn closures, which dominated kernel profiles.
 ///
-/// Determinism contract (matches the heap kernel exactly):
+/// Determinism contract:
 ///  * events pop in (when, insertion-sequence) order;
 ///  * a level-0 bucket only ever holds events of a single timestamp (events
 ///    land at the level of the highest byte in which their time differs
@@ -30,8 +30,8 @@ namespace flowercdn {
 /// Cancellation is O(1) by handle: an EventId packs (generation << 32) |
 /// slab slot; a stale or double cancel fails the generation check and is a
 /// no-op. Cancelled nodes stay where they are and are reclaimed when the
-/// wheel reaches them, so cancelling a gathered-but-unfired event behaves
-/// identically to the heap's tombstones.
+/// wheel reaches them, so cancelling a gathered-but-unfired event still
+/// suppresses it.
 ///
 /// One escape hatch: peeking (NextTime/Empty) may cascade the horizon past
 /// the caller's clock, and the caller may then push an event EARLIER than
@@ -45,18 +45,35 @@ namespace flowercdn {
 ///
 /// Event nodes live in a SlabArena: schedule/fire churn in steady state is
 /// a freelist pop/push with no malloc traffic.
-class LadderQueue : public Scheduler {
+class LadderQueue {
  public:
   LadderQueue();
-  ~LadderQueue() override = default;
 
-  EventId Push(SimTime when, EventFn fn, EventGuard guard) override;
-  void Cancel(EventId id) override;
-  bool Empty() override;
-  SimTime NextTime() override;
-  bool Pop(FiredEvent* out) override;
-  size_t Size() const override { return live_; }
-  uint64_t cancelled_total() const override { return cancelled_total_; }
+  /// Enqueues `fn` to fire at absolute time `when`. Returns a cancellable
+  /// id (never kInvalidEvent).
+  EventId Push(SimTime when, EventFn fn, EventGuard guard);
+
+  /// Marks an event as cancelled; it is skipped when reached. Cancelling an
+  /// already-fired or unknown id is a no-op.
+  void Cancel(EventId id);
+
+  /// True if no live (non-cancelled) event remains. Empty()/NextTime() may
+  /// cascade the wheel; they are logically-const peeks.
+  bool Empty();
+
+  /// Timestamp of the earliest live event; must not be called when Empty().
+  SimTime NextTime();
+
+  /// Pops the earliest live event into `*out`. Returns false when empty.
+  bool Pop(FiredEvent* out);
+
+  /// Number of live (non-cancelled) events.
+  size_t Size() const { return live_; }
+
+  /// Events effectively cancelled so far (live -> cancelled transitions;
+  /// stale/duplicate cancels are not counted). Deterministic for a given
+  /// run, so it is safe to export in deterministic output.
+  uint64_t cancelled_total() const { return cancelled_total_; }
 
  private:
   static constexpr int kLevels = 8;

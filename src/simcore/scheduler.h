@@ -2,32 +2,18 @@
 #define FLOWERCDN_SIMCORE_SCHEDULER_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "sim/types.h"
 #include "util/function.h"
 
 namespace flowercdn {
 
-/// Handle for a scheduled event; usable to cancel it before it fires.
-/// Shared by every kernel implementation. The encoding is kernel-private —
-/// callers must treat ids as opaque (the heap kernel hands out monotonic
-/// sequence numbers, the ladder kernel packs a slab slot + generation).
+/// Handle for a scheduled event; usable to cancel it before it fires. The
+/// encoding is private to the scheduler (the ladder queue packs a slab slot
+/// + generation) — callers must treat ids as opaque.
 using EventId = uint64_t;
 
 constexpr EventId kInvalidEvent = 0;
-
-/// Which discrete-event scheduler backs a Simulator.
-///  * kHeap: the original binary-heap EventQueue — the reference baseline.
-///  * kLadder: the simcore hierarchical ladder queue — O(1) amortized
-///    insert/pop, slab-allocated event nodes, handle-based cancellation.
-/// Both produce the exact same event order (time, then insertion order), so
-/// same-seed simulations are byte-identical between them.
-enum class KernelKind { kHeap, kLadder };
-
-const char* KernelKindName(KernelKind kind);
-/// Parses "heap" / "ladder"; returns false on anything else.
-bool ParseKernelKind(std::string_view name, KernelKind* out);
 
 /// Liveness guard attached to an event at schedule time. The kernel stores
 /// it out-of-line from the callback, so incarnation-guarded timers (every
@@ -50,43 +36,6 @@ struct FiredEvent {
   SimTime when = 0;
   EventFn fn;
   EventGuard guard;
-};
-
-/// The discrete-event scheduler contract both kernels implement. The
-/// observable ordering contract: events pop in (when, insertion-sequence)
-/// order — FIFO for equal timestamps — regardless of internal structure,
-/// which is what keeps runner output byte-identical across kernels.
-///
-/// Empty()/NextTime() may mutate internal structure (lazy reclamation,
-/// wheel advancement); they are logically-const peeks.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  /// Enqueues `fn` to fire at absolute time `when`. Returns a cancellable
-  /// id (never kInvalidEvent).
-  virtual EventId Push(SimTime when, EventFn fn, EventGuard guard) = 0;
-
-  /// Marks an event as cancelled; it is skipped when reached. Cancelling an
-  /// already-fired or unknown id is a no-op.
-  virtual void Cancel(EventId id) = 0;
-
-  /// True if no live (non-cancelled) event remains.
-  virtual bool Empty() = 0;
-
-  /// Timestamp of the earliest live event; must not be called when Empty().
-  virtual SimTime NextTime() = 0;
-
-  /// Pops the earliest live event into `*out`. Returns false when empty.
-  virtual bool Pop(FiredEvent* out) = 0;
-
-  /// Number of live (non-cancelled) events.
-  virtual size_t Size() const = 0;
-
-  /// Events effectively cancelled so far (live -> cancelled transitions;
-  /// stale/duplicate cancels are not counted). Identical across kernels
-  /// for the same run, so it is safe to export in deterministic output.
-  virtual uint64_t cancelled_total() const = 0;
 };
 
 }  // namespace flowercdn

@@ -29,9 +29,8 @@ namespace flowercdn {
 /// are byte-identical to the pre-extension layout (bit 31 clear), so old
 /// and new peers interoperate as long as tracing stays off.
 ///
-/// The UDP loopback backend ships one frame per datagram; the TCP backend
-/// concatenates frames on a byte stream and reassembles them with
-/// FrameAssembler below.
+/// The TCP backend concatenates frames on a byte stream and reassembles
+/// them with FrameAssembler below.
 constexpr size_t kFrameHeaderBytes = 4 + 8 + 8;
 constexpr size_t kFrameTraceExtBytes = 8 + 8;
 constexpr uint32_t kFrameTraceFlag = 0x80000000u;
@@ -70,8 +69,8 @@ inline size_t EncodeFrame(const Message& msg, uint64_t accounted_bytes,
 /// Parses a frame header (including the trace extension when flagged) from
 /// the start of `data`. Returns false (and sets *error) on input shorter
 /// than the header's wire size or a negative latency. Does not validate
-/// payload_len against a cap — datagram callers check it against the
-/// datagram size, stream callers against kMaxFramePayload.
+/// payload_len against a cap — stream callers check it against
+/// kMaxFramePayload.
 bool ParseFrameHeader(const uint8_t* data, size_t size, FrameHeader* out,
                       std::string* error);
 

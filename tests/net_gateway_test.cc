@@ -11,10 +11,12 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <functional>
 #include <string>
 
 #include "expt/env.h"
@@ -36,6 +38,25 @@ ExperimentConfig ClusterConfig() {
   config.churn_enabled = false;
   config.wire_mode = WireMode::kEncoded;
   return config;
+}
+
+/// Runs `fn` to completion on a thread with a `stack_bytes` stack, so code
+/// whose stack depth grows with its input overflows at test scale.
+void RunOnSmallStack(size_t stack_bytes, std::function<void()> fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  (*static_cast<std::function<void()>*>(arg))();
+                  return nullptr;
+                },
+                &fn),
+            0);
+  pthread_attr_destroy(&attr);
+  pthread_join(thread, nullptr);
 }
 
 class GatewayE2E : public ::testing::Test {
@@ -173,6 +194,55 @@ TEST_F(GatewayE2E, PipelinedRequestsAreServedInOrder) {
     ASSERT_FALSE(parser.failed()) << parser.error();
   }
   EXPECT_EQ(got, 3);
+  ::close(fd);
+}
+
+// Thousands of synchronously answered requests pipelined in one write():
+// the gateway must serve them iteratively and answer every one, in order.
+// A recursive serve loop grows the stack with every buffered request (and
+// crashed live ranks under load); serving on a 256 KiB stack makes that
+// failure show at test scale.
+TEST_F(GatewayE2E, ThousandsOfPipelinedSynchronousRequests) {
+  ASSERT_TRUE(host_->Setup());
+  env_.sim().RunUntil(2 * kMinute);
+
+  // Alternate a 404 (website outside the catalog) with an admin /healthz
+  // 200, so the status sequence proves response order.
+  constexpr int kRequests = 4000;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    burst += BuildHttpRequest(i % 2 == 0 ? "/9/0" : "/healthz");
+  }
+  int fd = Dial();
+  HttpResponseParser parser;
+  int got = 0;
+  RunOnSmallStack(256 * 1024, [&] {
+    size_t written = 0;
+    const int64_t end = MonotonicMillis() + 30000;
+    while (got < kRequests && MonotonicMillis() < end) {
+      if (written < burst.size()) {
+        ssize_t n =
+            ::write(fd, burst.data() + written, burst.size() - written);
+        if (n > 0) written += static_cast<size_t>(n);
+      }
+      host_->loop().PollOnce(0);
+      char buf[16 * 1024];
+      ssize_t n;
+      while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+        parser.Append(buf, static_cast<size_t>(n));
+      }
+      HttpResponse resp;
+      while (parser.Next(&resp)) {
+        ASSERT_EQ(resp.status, got % 2 == 0 ? 404 : 200)
+            << "response " << got;
+        ++got;
+      }
+      ASSERT_FALSE(parser.failed()) << parser.error();
+    }
+  });
+  EXPECT_EQ(got, kRequests);
+  EXPECT_EQ(host_->gateway()->stats().bad_requests,
+            static_cast<uint64_t>(kRequests / 2));
   ::close(fd);
 }
 

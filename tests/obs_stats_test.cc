@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "obs/latency_histogram.h"
 #include "sim/types.h"
 
 namespace flowercdn {
@@ -88,6 +94,83 @@ TEST(StatsRegistryTest, ConvenienceFormsAccumulate) {
   registry.Add("n");
   registry.Add("n", 4);
   EXPECT_EQ(registry.counter("n")->total(), 5u);
+}
+
+// --- LatencyHistogram: quantiles against exact answers on known inputs ---
+
+// The exact quantile under the histogram's rank rule (floor(q * (n-1))).
+uint64_t ExactQuantile(std::vector<uint64_t> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<size_t>(q * static_cast<double>(samples.size() -
+                                                             1))];
+}
+
+// Reported quantiles never under-report and stay within `tolerance`
+// (relative) of the exact value.
+void ExpectQuantilesWithin(const std::vector<uint64_t>& samples,
+                           const std::vector<double>& qs, double tolerance) {
+  LatencyHistogram h;
+  for (uint64_t s : samples) h.Record(s);
+  for (double q : qs) {
+    const uint64_t exact = ExactQuantile(samples, q);
+    const uint64_t got = h.QuantileMicros(q);
+    EXPECT_GE(got, exact) << "q=" << q;
+    EXPECT_LE(static_cast<double>(got - exact),
+              tolerance * static_cast<double>(exact))
+        << "q=" << q << " exact=" << exact << " got=" << got;
+  }
+}
+
+TEST(LatencyHistogramTest, PointMassesWithOutlierReportTheirValue) {
+  // 100 identical samples plus one slow outlier, so the max cap cannot
+  // hide a mis-bucketed median (the old bucketing read 700 us as 2048).
+  for (uint64_t micros : {700u, 1500u, 10000u}) {
+    std::vector<uint64_t> samples(100, micros);
+    samples.push_back(250000);
+    ExpectQuantilesWithin(samples, {0.5, 0.9}, 0.03);
+  }
+}
+
+TEST(LatencyHistogramTest, UniformSpreadQuantiles) {
+  std::vector<uint64_t> samples;
+  for (uint64_t us = 100; us < 20100; ++us) samples.push_back(us);
+  ExpectQuantilesWithin(samples, {0.5, 0.9, 0.99}, 0.03);
+}
+
+TEST(LatencyHistogramTest, TwoModeMixtureQuantiles) {
+  // 90% fast petal hits around 700 us, 10% origin fetches around 10 ms.
+  std::vector<uint64_t> samples;
+  for (int i = 0; i < 900; ++i) samples.push_back(650 + i % 100);
+  for (int i = 0; i < 100; ++i) samples.push_back(9500 + 10 * i);
+  ExpectQuantilesWithin(samples, {0.5, 0.89, 0.95, 0.99}, 0.03);
+}
+
+TEST(LatencyHistogramTest, ErrorBoundHoldsAcrossDecades) {
+  // Geometric spread from 32 us to ~1 s: every percentile is within one
+  // sub-bucket width, i.e. 1/32 of the value.
+  std::vector<uint64_t> samples;
+  for (int i = 0; i < 4000; ++i) {
+    samples.push_back(
+        static_cast<uint64_t>(32.0 * std::pow(1.0026, static_cast<double>(i))));
+  }
+  std::vector<double> qs;
+  for (int p = 1; p < 100; ++p) qs.push_back(p / 100.0);
+  ExpectQuantilesWithin(samples, qs, 1.0 / LatencyHistogram::kSubBuckets);
+}
+
+TEST(LatencyHistogramTest, SmallAndHugeSamples) {
+  LatencyHistogram h;
+  h.Record(0);
+  h.Record(5);
+  h.Record(31);
+  EXPECT_EQ(h.QuantileMicros(0.0), 1u);   // bucket [0, 1)
+  EXPECT_EQ(h.QuantileMicros(0.5), 6u);   // bucket [5, 6)
+  EXPECT_EQ(h.QuantileMicros(1.0), 31u);  // capped at the max
+  // Past the top decade, samples saturate into the last bucket instead of
+  // indexing out of range.
+  h.Record(uint64_t{1} << 40);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.QuantileMicros(1.0), uint64_t{1} << 32);
 }
 
 }  // namespace

@@ -178,6 +178,26 @@ TEST(SweepSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(SweepSpec::Parse("trials=0", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("trials=2,3", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("uptime-min=0", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("hours=0", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("hours=-1", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("hours=nan", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("hours=1,2", base).ok());
+}
+
+TEST(SweepSpecTest, AcceptsFractionalHours) {
+  ExperimentConfig base;
+  Result<SweepSpec> r = SweepSpec::Parse("hours=0.25", base);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->base.duration, 15 * kMinute);
+}
+
+TEST(ParseDurationTest, DecimalUnitsAndRejections) {
+  EXPECT_EQ(*ParseDuration("0.25", kHour), 15 * kMinute);
+  EXPECT_EQ(*ParseDuration("24", kHour), 24 * kHour);
+  EXPECT_EQ(*ParseDuration("1.5", kMinute), 90 * kSecond);
+  for (const char* bad : {"", "0", "-2", "abc", "1h", "nan", "inf", "1e-9"}) {
+    EXPECT_FALSE(ParseDuration(bad, kHour).ok()) << bad;
+  }
 }
 
 TEST(SweepSpecTest, ExpandIsCellMajorWithDerivedSeeds) {
@@ -379,6 +399,28 @@ TEST(TrialRunnerTest, ProgressReportsEveryJobOnce) {
   EXPECT_EQ(cells[0].trials.size(), 3u);
   EXPECT_EQ(cells[0].aggregate.trials, 3u);
   EXPECT_EQ(cells[0].label, "flower");
+}
+
+// A quarter-hour cell (the committed 100k x 0.25 h kernel point) runs and
+// exports its exact duration; whole-hour cells keep the integer layout.
+TEST(TrialRunnerTest, QuarterHourCellRunsAndExportsDecimalHours) {
+  ExperimentConfig base = TinyConfig();
+  Result<SweepSpec> spec = SweepSpec::Parse("hours=0.25", base);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  TrialRunner runner(TrialRunner::Options{1});
+  std::vector<CellResult> cells = RunCells(runner, spec->Expand());
+  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_EQ(cells[0].trials.size(), 1u);
+  EXPECT_EQ(cells[0].config.duration, 15 * kMinute);
+  EXPECT_GT(cells[0].trials[0].events_processed, 0u);
+  EXPECT_GT(cells[0].trials[0].final_population, 0u);
+
+  std::string json = SweepJsonString(spec->base_seed, cells, false);
+  EXPECT_NE(json.find("\"hours\":0.25,"), std::string::npos);
+
+  cells[0].config.duration = 2 * kHour;
+  json = SweepJsonString(spec->base_seed, cells, false);
+  EXPECT_NE(json.find("\"hours\":2,"), std::string::npos);
 }
 
 }  // namespace

@@ -1,20 +1,22 @@
 // Unit and differential coverage for the simcore kernel pieces: the ladder
-// queue's determinism contract (heap-identical pop order, FIFO ties,
-// epoch/byte-boundary rollover, cancellation semantics, pre-horizon pushes
-// after a peek), the slab arena, the intern/memo tables, and the message
-// pool.
+// queue's determinism contract ((when, seq) pop order checked against a
+// reference binary heap, FIFO ties, epoch/byte-boundary rollover,
+// cancellation semantics, pre-horizon pushes after a peek), the slab arena,
+// the intern/memo tables, and the message pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/message.h"
 #include "simcore/intern.h"
 #include "simcore/ladder_queue.h"
@@ -110,9 +112,43 @@ TEST(LadderQueueTest, StaleAndDoubleCancelAreNoOps) {
   EXPECT_EQ(q.cancelled_total(), 1u);
 }
 
+TEST(LadderQueueTest, CancelAfterFireIsNoOp) {
+  LadderQueue q;
+  EventId id = q.Push(1, [] {}, EventGuard{});
+  FiredEvent ev;
+  ASSERT_TRUE(q.Pop(&ev));
+  q.Cancel(id);  // must not corrupt bookkeeping
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.cancelled_total(), 0u);
+  q.Push(2, [] {}, EventGuard{});
+  EXPECT_EQ(q.Size(), 1u);
+}
+
+TEST(LadderQueueTest, CancelUnknownIdIsNoOp) {
+  LadderQueue q;
+  q.Cancel(9999);
+  q.Cancel(kInvalidEvent);
+  q.Cancel((EventId{1} << 32) | 9999);  // slot never allocated
+  EXPECT_TRUE(q.Empty());
+  // A well-formed id naming a live slot with the wrong generation must not
+  // touch the event living there.
+  EventId live = q.Push(5, [] {}, EventGuard{});
+  q.Cancel(live + (EventId{1} << 32));
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.cancelled_total(), 0u);
+}
+
+TEST(LadderQueueTest, NextTimeSkipsCancelled) {
+  LadderQueue q;
+  EventId early = q.Push(5, [] {}, EventGuard{});
+  q.Push(10, [] {}, EventGuard{});
+  q.Cancel(early);
+  EXPECT_EQ(q.NextTime(), 10);
+}
+
 TEST(LadderQueueTest, CancelGatheredButUnfiredEvent) {
   // Cancelling an event after the queue has peeked (gathered its batch)
-  // must still suppress it — heap tombstone semantics.
+  // must still suppress it.
   LadderQueue q;
   bool fired = false;
   EventId a = q.Push(10, [&] { fired = true; }, EventGuard{});
@@ -200,14 +236,58 @@ TEST(LadderQueueTest, StaleCancelledBucketsDoNotRegressOrder) {
   EXPECT_EQ(popped, (std::vector<SimTime>{5000, 5500, 6000}));
 }
 
-// --- Differential: ladder vs heap -------------------------------------------
+// --- Differential: ladder vs a reference heap -------------------------------
 
-// Random churn of pushes, cancels, and pops against both kernels; the
+// The reference scheduler: a binary heap on (when, insertion seq) with
+// tombstoned cancels. Slow and obviously correct; the ladder queue must pop
+// in exactly its order.
+class ReferenceQueue {
+ public:
+  uint64_t Push(SimTime when, std::function<void()> fn) {
+    const uint64_t seq = next_seq_++;
+    heap_.emplace(when, seq);
+    live_.emplace(seq, std::move(fn));
+    return seq;
+  }
+  void Cancel(uint64_t seq) {
+    if (live_.erase(seq) > 0) ++cancelled_total_;
+  }
+  bool Empty() {
+    DropCancelledTop();
+    return heap_.empty();
+  }
+  std::function<void()> Pop(SimTime* when) {
+    DropCancelledTop();
+    const auto [top_when, seq] = heap_.top();
+    heap_.pop();
+    *when = top_when;
+    auto it = live_.find(seq);
+    std::function<void()> fn = std::move(it->second);
+    live_.erase(it);
+    return fn;
+  }
+  uint64_t cancelled_total() const { return cancelled_total_; }
+
+ private:
+  void DropCancelledTop() {
+    while (!heap_.empty() && live_.count(heap_.top().second) == 0) {
+      heap_.pop();
+    }
+  }
+
+  using Entry = std::pair<SimTime, uint64_t>;  // (when, seq)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::unordered_map<uint64_t, std::function<void()>> live_;
+  uint64_t next_seq_ = 1;
+  uint64_t cancelled_total_ = 0;
+};
+
+// Random churn of pushes, cancels, and pops against both queues; the
 // (when, value) pop sequences must match exactly. Monotone-ish times mimic
 // a simulator (pushes land at or after the last popped time).
 TEST(LadderQueueTest, MatchesHeapUnderRandomChurn) {
   Rng rng(42);
-  EventQueue heap;
+  ReferenceQueue heap;
   LadderQueue ladder;
   std::vector<std::pair<EventId, EventId>> cancellable;  // (heap, ladder)
   std::vector<std::pair<SimTime, int>> heap_log, ladder_log;
@@ -263,7 +343,7 @@ TEST(LadderQueueTest, MatchesHeapUnderRandomChurn) {
 // equal — this nails the seq tie-break, not merely timestamp order.
 TEST(LadderQueueTest, MatchesHeapFireSequenceExactly) {
   Rng rng(1234);
-  EventQueue heap;
+  ReferenceQueue heap;
   LadderQueue ladder;
   std::vector<int> heap_fired, ladder_fired;
   SimTime clock = 0;

@@ -1,25 +1,22 @@
 // Transport-equivalence tests: the transport seam must be invisible to the
-// simulation. A run whose messages cross real UDP loopback sockets must
-// produce bit-identical dynamics to the default in-process delivery, and
-// --wire=encoded must change only the byte accounting, never the protocol
-// behaviour.
+// simulation. A run whose messages are framed, encoded and decoded between
+// send and delivery must produce bit-identical dynamics to the default
+// in-process delivery, and --wire=encoded must change only the byte
+// accounting, never the protocol behaviour.
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "chord/messages.h"
 #include "expt/env.h"
-#include "flower/messages.h"
-#include "storage/object_id.h"
 #include "expt/flower_system.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
-#include "sim/topology.h"
+#include "sim/transport.h"
 #include "sim/types.h"
-#include "util/random.h"
-#include "wire/udp_transport.h"
+#include "wire/codec.h"
+#include "wire/frame.h"
 
 namespace flowercdn {
 namespace {
@@ -45,11 +42,8 @@ ExperimentConfig SmallConfig(WireMode wire_mode) {
   return config;
 }
 
-RunOutcome RunOnce(const ExperimentConfig& config, Transport* transport) {
+RunOutcome RunOnce(const ExperimentConfig& config) {
   ExperimentEnv env(config);
-  if (transport != nullptr) {
-    env.network().SetTransport(transport);
-  }
   FlowerSystem system(&env, config.flower);
   system.Setup();
   env.sim().RunUntil(config.duration);
@@ -64,16 +58,60 @@ RunOutcome RunOnce(const ExperimentConfig& config, Transport* transport) {
   return out;
 }
 
-// The UDP loopback backend must reproduce the in-process run exactly:
-// same queries, same hits, same message/byte counters, same event count.
-TEST(WireTransportTest, UdpLoopbackMatchesInProcessExactly) {
+// Carries every message through the full socket-side codec path without
+// a socket: EncodeFrame -> ParseFrameHeader -> WireDecode ->
+// DeliverFromTransport, synchronously, so delivery order matches the
+// in-process backend.
+class CodecLoopbackTransport : public Transport {
+ public:
+  explicit CodecLoopbackTransport(Network* network) : network_(network) {}
+
+  void Carry(PeerId /*src*/, PeerId dst, SimDuration latency,
+             size_t accounted_bytes, MessagePtr msg) override {
+    frame_.clear();
+    EncodeFrame(*msg, accounted_bytes, latency, msg->trace, &frame_);
+    frame_bytes_ += frame_.size();
+    ++frames_;
+
+    FrameHeader header;
+    std::string error;
+    ASSERT_TRUE(ParseFrameHeader(frame_.data(), frame_.size(), &header,
+                                 &error))
+        << error;
+    ASSERT_EQ(header.payload_len, frame_.size() - header.HeaderBytes());
+    Result<MessagePtr> decoded =
+        WireDecode(frame_.data() + header.HeaderBytes(), header.payload_len);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    MessagePtr copy = std::move(decoded).value();
+    copy->trace = header.trace;
+    network_->DeliverFromTransport(dst, header.latency,
+                                   size_t(header.accounted_bytes),
+                                   std::move(copy));
+  }
+
+  const char* name() const override { return "codec-loopback"; }
+
+  uint64_t frames() const { return frames_; }
+  uint64_t frame_bytes() const { return frame_bytes_; }
+
+ private:
+  Network* network_;
+  std::vector<uint8_t> frame_;
+  uint64_t frames_ = 0;
+  uint64_t frame_bytes_ = 0;
+};
+
+// Delivering decoded copies must reproduce the in-process run exactly:
+// same queries, same hits, same message/byte counters, same event count,
+// same final population.
+TEST(WireTransportTest, CodecLoopbackMatchesInProcessExactly) {
   ExperimentConfig config = SmallConfig(WireMode::kEncoded);
 
-  RunOutcome in_process = RunOnce(config, nullptr);
+  RunOutcome in_process = RunOnce(config);
 
   ExperimentEnv env(config);
-  UdpLoopbackTransport udp(&env.network());
-  env.network().SetTransport(&udp);
+  CodecLoopbackTransport codec(&env.network());
+  env.network().SetTransport(&codec);
   FlowerSystem system(&env, config.flower);
   system.Setup();
   env.sim().RunUntil(config.duration);
@@ -85,18 +123,17 @@ TEST(WireTransportTest, UdpLoopbackMatchesInProcessExactly) {
   EXPECT_EQ(env.sim().events_processed(), in_process.events_processed);
   EXPECT_EQ(env.network().alive_count(), in_process.final_population);
 
-  // And traffic really did cross sockets.
-  EXPECT_GT(udp.datagrams_sent(), 0u);
-  EXPECT_EQ(udp.datagrams_sent(), udp.datagrams_received());
-  EXPECT_EQ(udp.datagrams_sent(), in_process.messages_sent);
-  EXPECT_GT(udp.socket_bytes_sent(), 0u);
+  // And every message really did cross the codec.
+  EXPECT_GT(codec.frames(), 0u);
+  EXPECT_EQ(codec.frames(), in_process.messages_sent);
+  EXPECT_GT(codec.frame_bytes(), 0u);
 }
 
 // Encoded sizing changes byte accounting only: the protocol's decisions
 // (queries issued, hits, messages exchanged, events) are unaffected.
 TEST(WireTransportTest, EncodedModeChangesBytesOnly) {
-  RunOutcome modeled = RunOnce(SmallConfig(WireMode::kModeled), nullptr);
-  RunOutcome encoded = RunOnce(SmallConfig(WireMode::kEncoded), nullptr);
+  RunOutcome modeled = RunOnce(SmallConfig(WireMode::kModeled));
+  RunOutcome encoded = RunOnce(SmallConfig(WireMode::kEncoded));
 
   EXPECT_EQ(encoded.queries, modeled.queries);
   EXPECT_EQ(encoded.hits, modeled.hits);
@@ -107,118 +144,6 @@ TEST(WireTransportTest, EncodedModeChangesBytesOnly) {
   EXPECT_GT(modeled.bytes_sent, 0u);
   EXPECT_GT(encoded.bytes_sent, 0u);
   EXPECT_NE(encoded.bytes_sent, modeled.bytes_sent);
-}
-
-// Same seed, same transport => bit-identical run. (Guards against the UDP
-// backend introducing hidden nondeterminism, e.g. arrival-order effects.)
-TEST(WireTransportTest, UdpRunsAreDeterministic) {
-  ExperimentConfig config = SmallConfig(WireMode::kEncoded);
-  config.duration = 30 * kMinute;
-
-  RunOutcome first;
-  RunOutcome second;
-  for (RunOutcome* out : {&first, &second}) {
-    ExperimentEnv env(config);
-    UdpLoopbackTransport udp(&env.network());
-    env.network().SetTransport(&udp);
-    FlowerSystem system(&env, config.flower);
-    system.Setup();
-    env.sim().RunUntil(config.duration);
-    out->queries = env.metrics().total_queries();
-    out->hits = env.metrics().hits();
-    out->messages_sent = env.network().messages_sent();
-    out->bytes_sent = env.network().bytes_sent();
-    out->events_processed = env.sim().events_processed();
-    out->final_population = env.network().alive_count();
-  }
-
-  EXPECT_EQ(first.queries, second.queries);
-  EXPECT_EQ(first.hits, second.hits);
-  EXPECT_EQ(first.messages_sent, second.messages_sent);
-  EXPECT_EQ(first.bytes_sent, second.bytes_sent);
-  EXPECT_EQ(first.events_processed, second.events_processed);
-  EXPECT_EQ(first.final_population, second.final_population);
-}
-
-// A run that touches more identities than the socket cap must recycle
-// sockets instead of holding one fd per peer ever seen — otherwise a long
-// churny run exhausts the process fd limit and socket() CHECK-fails.
-TEST(WireTransportTest, SocketPoolIsCapped) {
-  class SinkNode : public SimNode {
-   public:
-    void HandleMessage(MessagePtr /*msg*/) override {}
-  };
-
-  Simulator sim;
-  Topology topology(Topology::Params{});
-  Network network(&sim, &topology);
-  UdpLoopbackTransport udp(&network);
-  network.SetTransport(&udp);
-
-  constexpr PeerId kPeers = 2 * UdpLoopbackTransport::kMaxOpenSockets + 50;
-  Rng rng(1);
-  std::vector<std::unique_ptr<SinkNode>> nodes;
-  nodes.reserve(kPeers);
-  for (PeerId p = 1; p <= kPeers; ++p) {
-    network.RegisterIdentity(p, topology.PlaceInLocality(0, rng));
-    nodes.push_back(std::make_unique<SinkNode>());
-    network.Attach(p, nodes.back().get());
-  }
-  for (PeerId p = 1; p < kPeers; ++p) {
-    network.Send(p, p + 1, std::make_unique<ChordPingMsg>());
-  }
-  sim.Run();
-
-  EXPECT_EQ(udp.datagrams_sent(), uint64_t(kPeers - 1));
-  EXPECT_EQ(udp.datagrams_received(), udp.datagrams_sent());
-  EXPECT_LE(udp.open_sockets(), UdpLoopbackTransport::kMaxOpenSockets);
-}
-
-// A message whose encoding cannot ride one loopback datagram must become a
-// counted transport drop — visible in both the backend's own counter and
-// the network's transport_drop traffic family — never a crash or a silent
-// loss, and the run must keep going afterwards.
-TEST(WireTransportTest, OversizedEncodingIsACountedDrop) {
-  class SinkNode : public SimNode {
-   public:
-    void HandleMessage(MessagePtr /*msg*/) override { ++received; }
-    int received = 0;
-  };
-
-  Simulator sim;
-  Topology topology(Topology::Params{});
-  Network network(&sim, &topology);
-  UdpLoopbackTransport udp(&network);
-  network.SetTransport(&udp);
-
-  Rng rng(1);
-  SinkNode a, b;
-  network.RegisterIdentity(1, topology.PlaceInLocality(0, rng));
-  network.RegisterIdentity(2, topology.PlaceInLocality(0, rng));
-  network.Attach(1, &a);
-  network.Attach(2, &b);
-
-  // A directory handoff indexing 10k objects encodes to ~80 KB — far past
-  // the 64 KB datagram bound.
-  auto huge = std::make_unique<FlowerDirHandoffMsg>();
-  std::vector<ObjectId> objects;
-  for (uint32_t i = 0; i < 10000; ++i) {
-    objects.push_back(ObjectId{0, i});
-  }
-  huge->index.peers.emplace_back(PeerId{7}, std::move(objects));
-  network.Send(1, 2, std::move(huge));
-  sim.Run();
-
-  EXPECT_EQ(b.received, 0);
-  EXPECT_EQ(udp.datagrams_dropped(), 1u);
-  EXPECT_EQ(network.traffic().transport_drop.messages, 1u);
-  EXPECT_GT(network.traffic().transport_drop.bytes, 0u);
-
-  // The transport is unharmed: a normal message still crosses the socket.
-  network.Send(1, 2, std::make_unique<ChordPingMsg>());
-  sim.Run();
-  EXPECT_EQ(b.received, 1);
-  EXPECT_EQ(udp.datagrams_dropped(), 1u);
 }
 
 }  // namespace

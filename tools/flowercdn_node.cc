@@ -1,11 +1,10 @@
 // flowercdn-node — one live process of a Flower-CDN deployment, built on
-// NodeHost (src/net). Every message leaves the simulator through a real
-// transport:
+// NodeHost (src/net), in one of two modes:
 //
-//  * --transport=udp (default): single process, every datagram crosses a
-//    127.0.0.1 UDP socket in the src/wire binary encoding. CI's live-mode
-//    smoke test: exits 0 iff at least one client query was answered from
-//    the overlay AND every datagram sent was received.
+//  * --transport=inproc (default): single process, in-process delivery,
+//    run as fast as the simulator goes with --wire=encoded byte accounting.
+//    CI's live-mode smoke test: exits 0 iff at least one client query was
+//    answered from the overlay.
 //  * --transport=tcp: one rank of a multi-process cluster. Peer identities
 //    are partitioned across the ranks listed in --cluster; messages to
 //    remote peers travel persistent length-prefixed TCP streams, and an
@@ -13,7 +12,6 @@
 //    a hosted peer. The simulated clock is paced against wall time
 //    (--time-scale sim-ms per wall-ms). Exits 0 iff the run completed
 //    with zero frame-decode errors.
-//  * --transport=inproc: pointer-handoff delivery (debugging baseline).
 
 #include <csignal>
 
@@ -28,9 +26,9 @@
 #include "expt/env.h"
 #include "net/clock.h"
 #include "net/node_host.h"
+#include "runner/sweep.h"
 #include "sim/types.h"
 #include "util/table_printer.h"
-#include "wire/udp_transport.h"
 
 using namespace flowercdn;
 
@@ -40,10 +38,10 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --transport=T      udp | tcp | inproc        (default udp)\n"
+      "  --transport=T      inproc | tcp              (default inproc)\n"
       "  --population=P     sessions across cluster    (default 40)\n"
-      "  --hours=N          simulated duration, hours  (default 2)\n"
-      "  --minutes=N        simulated duration, minutes (overrides --hours)\n"
+      "  --hours=H          simulated duration, hours  (default 2)\n"
+      "  --minutes=M        simulated duration, minutes (overrides --hours)\n"
       "  --seed=S           base RNG seed              (default 42)\n"
       "  --websites=W       catalog websites           (default 2)\n"
       "  --objects=O        objects per website        (default 50)\n"
@@ -72,6 +70,20 @@ void Usage(const char* argv0) {
 volatile sig_atomic_t g_stop_requested = 0;
 
 void OnStopSignal(int) { g_stop_requested = 1; }
+
+/// Parses a --hours/--minutes value (positive decimal) into `*out`; prints
+/// a one-line error and returns false otherwise.
+bool ParseDurationFlag(const char* flag, const char* value, SimDuration unit,
+                       SimDuration* out) {
+  Result<SimDuration> duration = ParseDuration(value, unit);
+  if (!duration.ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag,
+                 duration.status().message().c_str());
+    return false;
+  }
+  *out = *duration;
+  return true;
+}
 
 bool ParseCluster(const char* spec, std::vector<ClusterMember>* out) {
   out->clear();
@@ -115,7 +127,7 @@ int main(int argc, char** argv) {
   config.wire_mode = WireMode::kEncoded;  // charge real encoded lengths
 
   NodeHost::Options host_options;
-  host_options.transport = TransportKind::kUdp;
+  host_options.transport = TransportKind::kInProcess;
   host_options.partition = PartitionScheme::kLocality;
   host_options.time_scale = 20.0;
 
@@ -130,9 +142,7 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--transport=", 12) == 0) {
       const char* v = arg + 12;
-      if (std::strcmp(v, "udp") == 0) {
-        host_options.transport = TransportKind::kUdp;
-      } else if (std::strcmp(v, "tcp") == 0) {
+      if (std::strcmp(v, "tcp") == 0) {
         host_options.transport = TransportKind::kTcp;
       } else if (std::strcmp(v, "inproc") == 0) {
         host_options.transport = TransportKind::kInProcess;
@@ -143,9 +153,14 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--population=", 13) == 0) {
       config.target_population = static_cast<size_t>(atoll(arg + 13));
     } else if (std::strncmp(arg, "--hours=", 8) == 0) {
-      config.duration = atoll(arg + 8) * kHour;
+      if (!ParseDurationFlag("--hours", arg + 8, kHour, &config.duration)) {
+        return 2;
+      }
     } else if (std::strncmp(arg, "--minutes=", 10) == 0) {
-      config.duration = atoll(arg + 10) * kMinute;
+      if (!ParseDurationFlag("--minutes", arg + 10, kMinute,
+                             &config.duration)) {
+        return 2;
+      }
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       config.seed = static_cast<uint64_t>(atoll(arg + 7));
     } else if (std::strncmp(arg, "--websites=", 11) == 0) {
@@ -309,15 +324,6 @@ int main(int argc, char** argv) {
                 std::to_string(host.hosted_directories())});
   table.AddRow({"accounted wire bytes",
                 std::to_string(env.network().bytes_sent())});
-  if (host.udp() != nullptr) {
-    table.AddRow({"transport", host.udp()->name()});
-    table.AddRow({"datagrams sent",
-                  std::to_string(host.udp()->datagrams_sent())});
-    table.AddRow({"datagrams received",
-                  std::to_string(host.udp()->datagrams_received())});
-    table.AddRow({"socket bytes",
-                  std::to_string(host.udp()->socket_bytes_sent())});
-  }
   if (host.tcp() != nullptr) {
     table.AddRow({"transport", host.tcp()->name()});
     table.AddRow({"frames sent", std::to_string(host.tcp()->frames_sent())});
@@ -352,29 +358,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Single-process smoke semantics (CI): the overlay must answer queries,
-  // and with UDP every datagram sent must have been received.
+  // Single-process smoke semantics (CI): the overlay must answer queries.
   if (hits == 0) {
-    std::fprintf(stderr,
-                 "FAIL: no query was answered from the overlay over real "
-                 "sockets\n");
+    std::fprintf(stderr, "FAIL: no query was answered from the overlay\n");
     return 1;
   }
-  if (host.udp() != nullptr) {
-    UdpLoopbackTransport& udp = *host.udp();
-    if (udp.datagrams_received() == 0 ||
-        udp.datagrams_received() != udp.datagrams_sent()) {
-      std::fprintf(stderr,
-                   "FAIL: datagram accounting mismatch (%llu sent, "
-                   "%llu received)\n",
-                   static_cast<unsigned long long>(udp.datagrams_sent()),
-                   static_cast<unsigned long long>(udp.datagrams_received()));
-      return 1;
-    }
-    if (!quiet) {
-      std::printf("OK: %llu queries answered over live UDP loopback\n",
-                  static_cast<unsigned long long>(hits));
-    }
+  if (!quiet) {
+    std::printf("OK: %llu queries answered from the overlay\n",
+                static_cast<unsigned long long>(hits));
   }
   return 0;
 }

@@ -26,7 +26,7 @@ void Usage(const char* argv0) {
                "usage: %s [options]\n"
                "  --system=flower|squirrel|squirrel-homestore   (default flower)\n"
                "  --population=P        target population        (default 2000)\n"
-               "  --hours=N             simulated duration       (default 24)\n"
+               "  --hours=H             simulated hours, e.g. 0.25 (default 24)\n"
                "  --seed=S              base RNG seed            (default 42)\n"
                "  --websites=W          catalog size             (default 100)\n"
                "  --active=A            query-generating sites   (default 6)\n"
@@ -37,9 +37,6 @@ void Usage(const char* argv0) {
                "  --wire=modeled|encoded traffic sizing: SizeBytes()\n"
                "                        estimates or actual src/wire encoded\n"
                "                        lengths (default modeled)\n"
-               "  --kernel=ladder|heap  event-scheduler backend (default\n"
-               "                        ladder; heap is the legacy baseline —\n"
-               "                        results are byte-identical)\n"
                "  --no-churn            disable failures\n"
                "  --no-retain-cache     clear browser caches on re-join\n"
                "  --collab              enable directory collaboration (§3.2)\n"
@@ -62,7 +59,7 @@ void Usage(const char* argv0) {
                "aggregate)\n"
                "  --json-aggregate-only omit per-trial results from the JSON\n"
                "  --json-timing         add a per-trial \"timing\" object\n"
-               "                        (kernel, wall seconds, events/sec) —\n"
+               "                        (wall seconds, events/sec) —\n"
                "                        nondeterministic, so off by default\n"
                "  --trace-out=PATH      record query-lifecycle spans and "
                "write\n"
@@ -182,7 +179,6 @@ void PrintSingleRunTable(const CellResult& cell) {
   table.AddRow({"churn failures", std::to_string(r.churn_failures)});
   table.AddRow({"sim events", std::to_string(r.events_processed)});
   table.AddRow({"sim events cancelled", std::to_string(r.events_cancelled)});
-  table.AddRow({"kernel", KernelKindName(r.kernel)});
   table.AddRow({"trial wall (s)", FormatDouble(r.wall_seconds, 2)});
   table.AddRow({"events/sec (wall)",
                 FormatDouble(r.EventsPerWallSecond(), 0)});
@@ -359,8 +355,14 @@ int main(int argc, char** argv) {
       }
     } else if (ParsePositiveFlag(arg, "--population", &value)) {
       config.target_population = static_cast<size_t>(value);
-    } else if (ParsePositiveFlag(arg, "--hours", &value)) {
-      config.duration = value * kHour;
+    } else if (std::strncmp(arg, "--hours=", 8) == 0) {
+      Result<SimDuration> duration = ParseDuration(arg + 8, kHour);
+      if (!duration.ok()) {
+        std::fprintf(stderr, "--hours: %s\n",
+                     duration.status().message().c_str());
+        return 2;
+      }
+      config.duration = *duration;
     } else if (ParseFlag(arg, "--seed", &value)) {
       config.seed = static_cast<uint64_t>(value);
     } else if (ParseFlag(arg, "--websites", &value)) {
@@ -385,15 +387,6 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
         return 2;
       }
-    } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      KernelKind kernel;
-      if (!ParseKernelKind(arg + 9, &kernel)) {
-        std::fprintf(stderr,
-                     "unknown --kernel value '%s' (expected heap or ladder)\n",
-                     arg + 9);
-        return 2;
-      }
-      config.kernel = kernel;
     } else if (std::strcmp(arg, "--no-churn") == 0) {
       config.churn_enabled = false;
     } else if (std::strcmp(arg, "--no-retain-cache") == 0) {
