@@ -14,7 +14,11 @@ Validates that
     and the per-cell "wire_mode"/"replication" labels (v4 added the
     "nack" traffic family and the wire_mode cell key; v5 added the
     replication cell key and a null — never fake-zero — aggregate
-    replacement latency when no kill was ever replaced), and
+    replacement latency when no kill was ever replaced); every counter's
+    per-bucket series sums to its total, and a Flower-CDN cell's
+    aggregate dir_failures_detected / promotions_triggered are the trial
+    statistics of the flower.dir_failures_detected / flower.promotions
+    counter totals, and
   * a /metrics scrape is Prometheus text exposition carrying the
     promised flowercdn_* families; given two scrapes of the same rank,
     every counter must be monotone between them.
@@ -208,6 +212,9 @@ def check_trial(trial, where):
     for c in counters:
         require(set(c) >= {"name", "total", "per_bucket"},
                 f"runner: {where} counter entry malformed: {c}")
+        require(sum(c["per_bucket"]) == c["total"],
+                f"runner: {where} counter {c['name']}: per-bucket counts "
+                f"do not sum to the total")
 
     overlay = trial.get("overlay")
     require(isinstance(overlay, list), f'runner: {where} lacks "overlay"')
@@ -223,6 +230,34 @@ def check_trial(trial, where):
         check_dist(s["petal_size"], f"{where} overlay petal_size")
 
     return check_chaos(trial, where)
+
+
+# Flower-CDN aggregate metric -> the stats-registry counter it is read from.
+FLOWER_COUNTER_METRICS = {
+    "dir_failures_detected": "flower.dir_failures_detected",
+    "promotions_triggered": "flower.promotions",
+}
+
+
+def check_counter_aggregates(cell, trials, where):
+    """The aggregate protocol counts are the trial mean, min and max of the
+    registry counters they are read from (an absent counter counts 0)."""
+    metrics = cell["aggregate"]["metrics"]
+    for metric, counter in FLOWER_COUNTER_METRICS.items():
+        totals = []
+        for trial in trials:
+            by_name = {c["name"]: c["total"]
+                       for c in trial["overhead"]["counters"]}
+            totals.append(by_name.get(counter, 0))
+        summary = metrics[metric]
+        mean = sum(totals) / len(totals)
+        require(abs(summary["mean"] - mean) <= 1e-9 * max(1.0, abs(mean)) and
+                summary["min"] == min(totals) and
+                summary["max"] == max(totals),
+                f"runner: {where} aggregate {metric} "
+                f"(mean {summary['mean']}, min {summary['min']}, "
+                f"max {summary['max']}) does not match the {counter} "
+                f"totals {totals}")
 
 
 def check_runner(path, expect_chaos=False):
@@ -257,7 +292,10 @@ def check_runner(path, expect_chaos=False):
         for hist in ("lookup_all", "lookup_hits"):
             h = cell["aggregate"]["histograms"][hist]
             require("p99" in h, f"runner: cell {ci} {hist} lacks p99")
-        for ti, trial in enumerate(cell.get("trial_results", [])):
+        trials = cell.get("trial_results", [])
+        if cell.get("system") == "Flower-CDN" and trials:
+            check_counter_aggregates(cell, trials, f"cell {ci}")
+        for ti, trial in enumerate(trials):
             chaotic = check_trial(trial, f"cell {ci} trial {ti}")
             # A labelled cell must run its scenario; the converse is not
             # required (a --chaos file may leave "name" empty).

@@ -21,6 +21,7 @@ ChaosEngine::ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
       probe_(params.probe) {
   FLOWERCDN_CHECK(sim != nullptr);
   FLOWERCDN_CHECK(network != nullptr);
+  FLOWERCDN_CHECK(stats != nullptr);
   Status valid = script_.Validate();
   FLOWERCDN_CHECK(valid.ok()) << valid.ToString();
 }
@@ -72,11 +73,9 @@ void ChaosEngine::SampleProbe() {
   uint64_t queries = 0, hits = 0;
   CaptureTotals(queries, hits);
   probe_.AddSample(sim_->now(), queries, hits);
-  if (stats_ != nullptr) {
-    stats_->Set("chaos.windowed_hit_ratio", probe_.WindowedRatio());
-    stats_->Set("chaos.effective_loss_rate",
-                injector_.EffectiveLossRate(sim_->now()));
-  }
+  stats_->Set("chaos.windowed_hit_ratio", probe_.WindowedRatio());
+  stats_->Set("chaos.effective_loss_rate",
+              injector_.EffectiveLossRate(sim_->now()));
   sim_->Schedule(params_.probe_period, [this]() { SampleProbe(); });
 }
 
@@ -84,8 +83,7 @@ void ChaosEngine::ExecuteAction(const ScenarioAction& action, size_t index) {
   (void)index;
   SimTime now = sim_->now();
   probe_.MarkEventStart(now);
-  ++actions_executed_;
-  if (stats_ != nullptr) stats_->Add("chaos.actions_executed");
+  stats_->Add("chaos.actions_executed");
 
   switch (action.type) {
     case ScenarioAction::Type::kKillDirectory: {
@@ -165,7 +163,7 @@ void ChaosEngine::PollDirectoryReplacement(size_t kill_index) {
   if (hooks_.directory_alive(kill.website, kill.locality)) {
     kill.replacement_latency_ms =
         static_cast<double>(sim_->now() - kill.kill_time);
-    if (stats_ != nullptr) stats_->Add("chaos.directories_replaced");
+    stats_->Add("chaos.directories_replaced");
     return;
   }
   sim_->Schedule(params_.replacement_poll_period,
@@ -182,7 +180,7 @@ ChaosReport ChaosEngine::Finish() {
   ChaosReport report;
   report.enabled = true;
   report.scenario = script_.name;
-  report.actions_executed = actions_executed_;
+  report.actions_executed = stats_->Total("chaos.actions_executed");
   report.faults = injector_.counts();
   report.directory_kills = directory_kills_;
 

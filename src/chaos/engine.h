@@ -53,8 +53,9 @@ class ChaosEngine {
     RecoveryProbe::Params probe;
   };
 
-  /// `churn`, `stats` and any hook may be null; related actions degrade to
-  /// counted no-ops. `script` must Validate().
+  /// `churn` and any hook may be null; related actions degrade to counted
+  /// no-ops. `stats` is required: the engine and its injector count there.
+  /// `script` must Validate().
   ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
               StatsRegistry* stats, Rng rng, ScenarioScript script,
               ChaosHooks hooks, const Params& params);
@@ -95,7 +96,6 @@ class ChaosEngine {
 
   bool started_ = false;
   bool installed_ = false;
-  uint64_t actions_executed_ = 0;
 
   std::vector<ChaosReport::DirectoryKill> directory_kills_;
   struct PartitionTracking {

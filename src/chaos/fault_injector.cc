@@ -13,6 +13,21 @@ FaultInjector::FaultInjector(Network* network, Rng rng, StatsRegistry* stats)
       dup_rng_(rng.Fork("dup")),
       stats_(stats) {
   FLOWERCDN_CHECK(network != nullptr);
+  FLOWERCDN_CHECK(stats != nullptr);
+}
+
+void FaultInjector::Count(StatsCounter*& counter, std::string_view name) {
+  if (counter == nullptr) counter = stats_->counter(name);
+  counter->Add();
+}
+
+FaultInjector::Counts FaultInjector::counts() const {
+  Counts counts;
+  counts.loss_drops = stats_->Total("chaos.loss_drops");
+  counts.partition_drops = stats_->Total("chaos.partition_drops");
+  counts.delayed = stats_->Total("chaos.delayed");
+  counts.dup_copies = stats_->Total("chaos.dup_copies");
+  return counts;
 }
 
 void FaultInjector::SetBaseFaults(double loss_rate, double delay_jitter_ms,
@@ -72,8 +87,7 @@ FaultDecision FaultInjector::OnSend(PeerId src, PeerId dst,
     for (const Partition& p : partitions_) {
       if ((p.a == src_loc && p.b == dst_loc) ||
           (p.a == dst_loc && p.b == src_loc)) {
-        ++counts_.partition_drops;
-        if (stats_ != nullptr) stats_->Add("chaos.partition_drops");
+        Count(partition_drops_, "chaos.partition_drops");
         decision.drop = true;
         return decision;
       }
@@ -82,21 +96,19 @@ FaultDecision FaultInjector::OnSend(PeerId src, PeerId dst,
 
   double loss = EffectiveLossRate(network_->sim()->now());
   if (loss > 0 && loss_rng_.NextBool(loss)) {
-    ++counts_.loss_drops;
-    if (stats_ != nullptr) stats_->Add("chaos.loss_drops");
+    Count(loss_drops_, "chaos.loss_drops");
     decision.drop = true;
     return decision;
   }
 
   if (delay_jitter_ms_ > 0) {
     decision.extra_delay_ms = jitter_rng_.UniformDouble(0, delay_jitter_ms_);
-    ++counts_.delayed;
+    Count(delayed_, "chaos.delayed");
   }
 
   if (duplicate_rate_ > 0 && dup_rng_.NextBool(duplicate_rate_)) {
     decision.duplicates = 1;
-    ++counts_.dup_copies;
-    if (stats_ != nullptr) stats_->Add("chaos.dup_copies");
+    Count(dup_copies_, "chaos.dup_copies");
   }
 
   return decision;

@@ -2,6 +2,7 @@
 #define FLOWERCDN_CHAOS_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "obs/stats.h"
@@ -26,7 +27,7 @@ namespace flowercdn {
 /// every fault class.
 class FaultInjector : public NetworkFaultHook {
  public:
-  /// `stats` may be null (no per-bucket series export).
+  /// Every fault is counted in `stats` (chaos.*), which is required.
   FaultInjector(Network* network, Rng rng, StatsRegistry* stats);
 
   // --- Knobs (driven by the ChaosEngine timeline) --------------------------
@@ -56,7 +57,8 @@ class FaultInjector : public NetworkFaultHook {
     uint64_t delayed = 0;          ///< messages given extra jitter
     uint64_t dup_copies = 0;       ///< duplicate copies injected
   };
-  const Counts& counts() const { return counts_; }
+  /// The chaos.* totals in the stats registry.
+  Counts counts() const;
 
  private:
   struct Partition {
@@ -64,11 +66,20 @@ class FaultInjector : public NetworkFaultHook {
     LocalityId b;
   };
 
+  /// Adds one to `counter`, looking it up by `name` on first use.
+  void Count(StatsCounter*& counter, std::string_view name);
+
   Network* network_;
   Rng loss_rng_;
   Rng jitter_rng_;
   Rng dup_rng_;
   StatsRegistry* stats_;
+  // Looked up on a class's first fault ("delayed" can fire on every
+  // message), so a class that never fires exports no counter.
+  StatsCounter* loss_drops_ = nullptr;
+  StatsCounter* partition_drops_ = nullptr;
+  StatsCounter* delayed_ = nullptr;
+  StatsCounter* dup_copies_ = nullptr;
 
   double base_loss_rate_ = 0;
   double delay_jitter_ms_ = 0;
@@ -79,7 +90,6 @@ class FaultInjector : public NetworkFaultHook {
   SimTime ramp_t1_ = 0;
 
   std::vector<Partition> partitions_;
-  Counts counts_;
 };
 
 }  // namespace flowercdn

@@ -160,7 +160,6 @@ uint64_t ChordNode::RegisterLookup(ChordId key, LookupCallback cb) {
   pl.key = key;
   pl.cb = std::move(cb);
   pending_lookups_.push_back(std::move(pl));
-  ++lookups_started_;
   return lookup_id;
 }
 
@@ -337,7 +336,6 @@ void ChordNode::CompleteLookupWithError(uint64_t lookup_id,
   network_->sim()->Cancel(pl->timeout_event);
   LookupCallback cb = std::move(pl->cb);
   EraseLookup(lookup_id);
-  ++lookups_failed_;
   cb(status, RingPeer{}, 0);
 }
 

@@ -129,8 +129,6 @@ class ChordNode {
   std::vector<RingPeer> DistinctSuccessors(size_t limit) const;
   const FingerTable& fingers() const { return fingers_; }
   const Params& params() const { return params_; }
-  uint64_t lookups_started() const { return lookups_started_; }
-  uint64_t lookups_failed() const { return lookups_failed_; }
   uint64_t stabilize_rounds() const { return stabilize_rounds_; }
 
  private:
@@ -218,8 +216,6 @@ class ChordNode {
   // Flat table: a node rarely has more than a handful of lookups in
   // flight, so a linear scan beats hashing and per-entry node allocation.
   std::vector<PendingLookup> pending_lookups_;
-  uint64_t lookups_started_ = 0;
-  uint64_t lookups_failed_ = 0;
 };
 
 }  // namespace flowercdn

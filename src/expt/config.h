@@ -33,6 +33,8 @@ struct ExperimentConfig {
   SimDuration duration = 24 * kHour;
   /// Mean session uptime m (Table 1: 60 min). Peers always fail abruptly.
   SimDuration mean_uptime = 60 * kMinute;
+  /// When false, peers never fail and arrivals stop once the population
+  /// reaches P (ChurnProcess::Params::enabled).
   bool churn_enabled = true;
   /// When non-zero, overrides the derived Poisson arrival rate (peers/ms).
   /// Lets tests decouple arrivals from uptime (e.g. "everyone joins, nobody

@@ -142,14 +142,6 @@ void FlowerSystem::DestroySession(PeerId peer) {
   auto it = sessions_.find(peer);
   if (it == sessions_.end()) return;
   FlowerPeer* session = it->second.get();
-  dead_queries_issued_ += session->queries_issued();
-  dead_dring_failures_ += session->dring_resolve_failures();
-  dead_vacant_ += session->dir_reply_vacant();
-  dead_dir_timeouts_ += session->dir_query_timeouts();
-  dead_dir_failures_ += session->dir_failures_detected();
-  dead_promotions_ += session->promotions_triggered();
-  dead_summary_hits_ += session->summary_hits();
-  dead_collab_hits_ += session->collaboration_hits();
   if (session->role() == FlowerRole::kDirectoryPeer) {
     max_observed_directory_load_ =
         std::max(max_observed_directory_load_, session->view().size());
@@ -226,27 +218,21 @@ void FlowerSystem::ScheduleLoadSampling() {
 }
 
 FlowerSystem::Stats FlowerSystem::ComputeStats() const {
+  const StatsRegistry& registry = env_->stats();
   Stats stats;
-  stats.queries_issued = dead_queries_issued_;
-  stats.dring_resolve_failures = dead_dring_failures_;
-  stats.dir_reply_vacant = dead_vacant_;
-  stats.dir_query_timeouts = dead_dir_timeouts_;
-  stats.dir_failures_detected = dead_dir_failures_;
-  stats.promotions_triggered = dead_promotions_;
-  stats.summary_hits = dead_summary_hits_;
-  stats.collaboration_hits = dead_collab_hits_;
+  stats.queries_issued = registry.Total("flower.queries_issued");
+  stats.dring_resolve_failures =
+      registry.Total("flower.dring_resolve_failures");
+  stats.dir_reply_vacant = registry.Total("flower.dir_reply_vacant");
+  stats.dir_query_timeouts = registry.Total("flower.dir_query_timeouts");
+  stats.dir_failures_detected = registry.Total("flower.dir_failures_detected");
+  stats.promotions_triggered = registry.Total("flower.promotions");
+  stats.summary_hits = registry.Total("flower.summary_hits");
+  stats.collaboration_hits = registry.Total("flower.collaboration_hits");
   stats.live_sessions = sessions_.size();
   stats.max_observed_directory_load = max_observed_directory_load_;
   stats.max_observed_instance = max_observed_instance_;
   for (const auto& [peer, session] : sessions_) {
-    stats.queries_issued += session->queries_issued();
-    stats.dring_resolve_failures += session->dring_resolve_failures();
-    stats.dir_reply_vacant += session->dir_reply_vacant();
-    stats.dir_query_timeouts += session->dir_query_timeouts();
-    stats.dir_failures_detected += session->dir_failures_detected();
-    stats.promotions_triggered += session->promotions_triggered();
-    stats.summary_hits += session->summary_hits();
-    stats.collaboration_hits += session->collaboration_hits();
     if (session->role() == FlowerRole::kDirectoryPeer) {
       ++stats.live_directories;
       stats.max_observed_directory_load = std::max(

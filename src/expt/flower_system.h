@@ -44,7 +44,8 @@ class FlowerSystem {
   /// One overlay snapshot of the current state; public for tests.
   OverlaySample ProbeOverlay() const;
 
-  /// Aggregate protocol counters (live sessions + departed sessions).
+  /// Protocol totals, read from the env's stats registry (so departed
+  /// sessions' events are included), plus a census of the live sessions.
   struct Stats {
     uint64_t queries_issued = 0;
     uint64_t dring_resolve_failures = 0;
@@ -108,15 +109,7 @@ class FlowerSystem {
   std::vector<PeerId> dir_registry_;
   std::unordered_map<PeerId, size_t> dir_registry_index_;
 
-  // Counters accumulated from departed sessions.
-  uint64_t dead_queries_issued_ = 0;
-  uint64_t dead_dring_failures_ = 0;
-  uint64_t dead_vacant_ = 0;
-  uint64_t dead_dir_timeouts_ = 0;
-  uint64_t dead_dir_failures_ = 0;
-  uint64_t dead_promotions_ = 0;
-  uint64_t dead_summary_hits_ = 0;
-  uint64_t dead_collab_hits_ = 0;
+  // Directory-load maxima of departed sessions and past load samples.
   size_t max_observed_directory_load_ = 0;
   int max_observed_instance_ = 0;
 

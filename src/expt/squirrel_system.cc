@@ -15,6 +15,7 @@ SquirrelSystem::SquirrelSystem(ExperimentEnv* env,
   ctx_.catalog = &env_->catalog();
   ctx_.workload = &env_->workload();
   ctx_.origins = &env_->origins();
+  ctx_.stats = &env_->stats();
   ctx_.pick_bootstrap = [this](PeerId self) { return PickBootstrap(self); };
 }
 
@@ -74,11 +75,6 @@ void SquirrelSystem::OnFailure(PeerId peer) { DestroySession(peer); }
 void SquirrelSystem::DestroySession(PeerId peer) {
   auto it = sessions_.find(peer);
   if (it == sessions_.end()) return;
-  dead_queries_issued_ += it->second->queries_issued();
-  dead_home_redirects_ += it->second->home_redirects();
-  dead_home_empty_ += it->second->home_empty();
-  dead_delegate_failures_ += it->second->delegate_failures();
-  dead_lookup_failures_ += it->second->lookup_failures();
   UntrackAlive(peer);
   if (env_->network().IsAlive(peer)) env_->network().Detach(peer);
   sessions_.erase(it);
@@ -114,19 +110,15 @@ void SquirrelSystem::UntrackAlive(PeerId peer) {
 }
 
 SquirrelSystem::Stats SquirrelSystem::ComputeStats() const {
+  const StatsRegistry& registry = env_->stats();
   Stats stats;
-  stats.queries_issued = dead_queries_issued_;
-  stats.home_redirects = dead_home_redirects_;
-  stats.home_empty = dead_home_empty_;
-  stats.delegate_failures = dead_delegate_failures_;
-  stats.lookup_failures = dead_lookup_failures_;
+  stats.queries_issued = registry.Total("squirrel.queries_issued");
+  stats.home_redirects = registry.Total("squirrel.home_redirects");
+  stats.home_empty = registry.Total("squirrel.home_empty");
+  stats.delegate_failures = registry.Total("squirrel.delegate_failures");
+  stats.lookup_failures = registry.Total("squirrel.lookup_failures");
   stats.live_sessions = sessions_.size();
   for (const auto& [peer, session] : sessions_) {
-    stats.queries_issued += session->queries_issued();
-    stats.home_redirects += session->home_redirects();
-    stats.home_empty += session->home_empty();
-    stats.delegate_failures += session->delegate_failures();
-    stats.lookup_failures += session->lookup_failures();
     if (session->joined()) ++stats.joined_sessions;
   }
   return stats;

@@ -24,6 +24,8 @@ class SquirrelSystem {
   SquirrelPeer* session(PeerId peer);
   size_t live_sessions() const { return sessions_.size(); }
 
+  /// Query-outcome totals, read from the env's stats registry (so departed
+  /// sessions' queries are included), plus a census of the live sessions.
   struct Stats {
     uint64_t queries_issued = 0;
     uint64_t home_redirects = 0;
@@ -55,11 +57,6 @@ class SquirrelSystem {
   std::unordered_map<PeerId, std::unique_ptr<SquirrelPeer>> sessions_;
   std::vector<PeerId> alive_;
   std::unordered_map<PeerId, size_t> alive_index_;
-  uint64_t dead_queries_issued_ = 0;
-  uint64_t dead_home_redirects_ = 0;
-  uint64_t dead_home_empty_ = 0;
-  uint64_t dead_delegate_failures_ = 0;
-  uint64_t dead_lookup_failures_ = 0;
 };
 
 }  // namespace flowercdn

@@ -47,10 +47,12 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
   FLOWERCDN_CHECK(ctx.params != nullptr);
   FLOWERCDN_CHECK(ctx.keyspace != nullptr);
   FLOWERCDN_CHECK(store != nullptr);
-  if (ctx_.stats != nullptr) {
-    gossip_rounds_counter_ = ctx_.stats->counter("flower.gossip.rounds");
-    keepalive_rounds_counter_ = ctx_.stats->counter("flower.keepalive.rounds");
-    push_rounds_counter_ = ctx_.stats->counter("flower.push.rounds");
+  FLOWERCDN_CHECK(ctx.stats != nullptr);
+  // The round counters export a zero before the first round fires.
+  for (std::string_view round :
+       {"flower.gossip.rounds", "flower.keepalive.rounds",
+        "flower.push.rounds"}) {
+    ctx_.stats->counter(round);
   }
 }
 
@@ -104,10 +106,6 @@ void FlowerPeer::TraceSpan(uint64_t trace_id, QueryPhase phase, SimTime start,
   if (ctx_.trace == nullptr || trace_id == 0) return;
   ctx_.trace->AddSpan(trace_id, phase, start, ctx_.network->sim()->now(),
                       target, hops, ok);
-}
-
-void FlowerPeer::CountEvent(std::string_view name) {
-  if (ctx_.stats != nullptr) ctx_.stats->Add(name);
 }
 
 // --- Session entry points ------------------------------------------------------
@@ -219,7 +217,7 @@ void FlowerPeer::IssueQuery() {
   std::optional<ObjectId> object =
       ctx_.workload->NextQuery(website_, *store_, rng_);
   if (!object.has_value()) return;  // interest set exhausted
-  ++queries_issued_;
+  ctx_.stats->Add("flower.queries_issued");
   QueryState q;
   q.object = *object;
   q.has_object = true;
@@ -262,7 +260,7 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
     cb(/*hit=*/true, ServedSource::kPetal, /*latency_ms=*/0);
     return;
   }
-  ++queries_issued_;
+  ctx_.stats->Add("flower.queries_issued");
   QueryState q;
   q.object = object;
   q.has_object = true;
@@ -322,7 +320,7 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
         TraceSpan(q.trace_id, QueryPhase::kDRingResolve, span_start,
                   status.ok() ? owner.peer : bootstrap, hops, status.ok());
         if (!status.ok()) {
-          ++dring_resolve_failures_;
+          ctx_.stats->Add("flower.dring_resolve_failures");
           if (q.dring_attempts < ctx_.params->max_client_lookup_attempts) {
             ResolveViaDRing(q);
           } else if (q.has_object) {
@@ -351,7 +349,7 @@ void FlowerPeer::SendDirQuery(PeerId dir, QueryState q, bool wants_join) {
               TraceSpan(q.trace_id, QueryPhase::kDirQuery, span_start, dir,
                         /*hops=*/-1, status.ok());
               if (!status.ok()) {
-                ++dir_query_timeouts_;
+                ctx_.stats->Add("flower.dir_query_timeouts");
                 if (role_ == FlowerRole::kClient) {
                   if (q.dring_attempts <
                       ctx_.params->max_client_lookup_attempts) {
@@ -411,7 +409,7 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
       SendDirQuery(reply.forward_to, q, wants_join);
       return;
     case DirQueryResult::kVacant:
-      ++dir_reply_vacant_;
+      ctx_.stats->Add("flower.dir_reply_vacant");
       if (role_ == FlowerRole::kClient) {
         // First participant for this petal (or all directories died):
         // claim the position ourselves (§5.2.2 case 2).
@@ -466,7 +464,7 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
               TraceSpan(q.trace_id, QueryPhase::kSummaryProbe, span_start,
                         provider, /*hops=*/-1, served);
               if (served) {
-                ++summary_hits_;
+                ctx_.stats->Add("flower.summary_hits");
                 q.source = ServedSource::kPetal;
                 FinishQuery(q, /*hit=*/true, ctx_.network->sim()->now(),
                             ctx_.network->LatencyMs(self_, provider));
@@ -514,7 +512,7 @@ void FlowerPeer::ResolveAsDirectory(QueryState q) {
                     const auto& reply =
                         MessageCast<FlowerDirProbeReplyMsg>(*resp);
                     if (reply.has_provider && reply.provider != self_) {
-                      ++collaboration_hits_;
+                      ctx_.stats->Add("flower.collaboration_hits");
                       FetchFrom(reply.provider, q);
                       return;
                     }
@@ -630,7 +628,7 @@ void FlowerPeer::ScheduleGossip(SimDuration delay) {
 }
 
 void FlowerPeer::GossipRound() {
-  if (gossip_rounds_counter_ != nullptr) gossip_rounds_counter_->Add();
+  ctx_.stats->Add("flower.gossip.rounds");
   view_.AgeAll();
   ++dir_info_.age;
   std::optional<Contact> partner = view_.Oldest();
@@ -666,7 +664,7 @@ void FlowerPeer::ScheduleKeepalive(SimDuration delay) {
 }
 
 void FlowerPeer::KeepaliveRound() {
-  if (keepalive_rounds_counter_ != nullptr) keepalive_rounds_counter_->Add();
+  ctx_.stats->Add("flower.keepalive.rounds");
   if (dir_info_.dir == kInvalidPeer) {
     AttemptDirectoryClaim(dir_info_.instance);
     return;
@@ -702,7 +700,7 @@ void FlowerPeer::DoPush() {
   if (role_ != FlowerRole::kContentPeer) return;
   if (dir_info_.dir == kInvalidPeer || push_in_flight_) return;
   push_in_flight_ = true;
-  if (push_rounds_counter_ != nullptr) push_rounds_counter_->Add();
+  ctx_.stats->Add("flower.push.rounds");
   auto msg = std::make_unique<FlowerPushMsg>();
   msg->objects = store_->ObjectList();
   rpc_.Call(dir_info_.dir, std::move(msg), ctx_.params->rpc_timeout,
@@ -751,8 +749,7 @@ void FlowerPeer::ReconcileDirInfo(const DirInfo& theirs) {
 }
 
 void FlowerPeer::OnDirectoryUnreachable() {
-  ++dir_failures_detected_;
-  CountEvent("flower.dir_failures_detected");
+  ctx_.stats->Add("flower.dir_failures_detected");
   dir_info_.dir = kInvalidPeer;
   if (ReplicationActive()) {
     // Give the replica failover a head start: a cold vacancy-claim that
@@ -1017,7 +1014,7 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
                         probe_reply.provider != req->src) {
                       reply2->result = DirQueryResult::kProvider;
                       reply2->provider = probe_reply.provider;
-                      ++collaboration_hits_;
+                      ctx_.stats->Add("flower.collaboration_hits");
                     }
                   }
                   rpc_.Respond(*req, std::move(reply2));
@@ -1098,8 +1095,7 @@ void FlowerPeer::TriggerPromotion() {
   std::optional<Contact> candidate = view_.Random(rng_);
   if (!candidate.has_value()) return;
   promotion_triggered_at_ = now;
-  ++promotions_triggered_;
-  CountEvent("flower.promotions");
+  ctx_.stats->Add("flower.promotions");
   auto msg = std::make_unique<FlowerPromoteMsg>();
   msg->website = website_;
   msg->locality = locality_;
@@ -1396,11 +1392,9 @@ void FlowerPeer::SendReplicaSync(PeerId target, uint32_t rank) {
   } else {
     msg->full = true;
     msg->index = index_.TakeSnapshot();
-    ++replica_full_syncs_sent_;
-    CountEvent("flower.replica.full_syncs");
+    ctx_.stats->Add("flower.replica.full_syncs");
   }
-  ++replica_syncs_sent_;
-  CountEvent("flower.replica.syncs");
+  ctx_.stats->Add("flower.replica.syncs");
   rpc_.Call(target, std::move(msg), ctx_.params->rpc_timeout,
             [this, target](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
@@ -1552,8 +1546,7 @@ void FlowerPeer::InitiateReplicaHandover(ReplicaState& state) {
       eligible[std::min<size_t>(
           static_cast<size_t>(state.handover_attempts - 1),
           eligible.size() - 1)];
-  ++replica_handovers_sent_;
-  CountEvent("flower.replica.handovers");
+  ctx_.stats->Add("flower.replica.handovers");
   // Reuse the graceful-leave handoff: the heir restores the replicated
   // index and claims the (now vacant) D-ring position — promotion of a
   // replica's state instead of a cold rebuild.
@@ -1598,8 +1591,7 @@ bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
         reply->provider = eligible[rng_.Index(eligible.size())];
       }
     }
-    ++replica_served_queries_;
-    CountEvent("flower.replica.served_queries");
+    ctx_.stats->Add("flower.replica.served_queries");
     return true;
   }
   return false;

@@ -66,8 +66,8 @@ struct FlowerContext {
   const FlowerParams* params = nullptr;
   /// Query-lifecycle trace sink; nullptr disables span collection.
   TraceCollector* trace = nullptr;
-  /// Named protocol-event counters (gossip rounds, promotions, ...);
-  /// nullptr disables them.
+  /// Where every protocol event is counted (gossip rounds, promotions,
+  /// queries, ...; docs/OBSERVABILITY.md lists them). Required.
   StatsRegistry* stats = nullptr;
   /// Synthetic keyword model for the semantic-search extension.
   KeywordModel keywords;
@@ -154,20 +154,6 @@ class FlowerPeer : public SimNode {
   const DirInfo& dir_info() const { return dir_info_; }
   const ContentStore& store() const { return *store_; }
   ChordNode* chord() { return chord_.get(); }
-  uint64_t queries_issued() const { return queries_issued_; }
-  /// Client-phase D-ring outcome counters (admission diagnosis).
-  uint64_t dring_resolve_failures() const { return dring_resolve_failures_; }
-  uint64_t dir_reply_vacant() const { return dir_reply_vacant_; }
-  uint64_t dir_query_timeouts() const { return dir_query_timeouts_; }
-  uint64_t dir_failures_detected() const { return dir_failures_detected_; }
-  uint64_t promotions_triggered() const { return promotions_triggered_; }
-  uint64_t summary_hits() const { return summary_hits_; }
-  uint64_t collaboration_hits() const { return collaboration_hits_; }
-  // Replication introspection (all zero / empty with --replication=1).
-  uint64_t replica_syncs_sent() const { return replica_syncs_sent_; }
-  uint64_t replica_full_syncs_sent() const { return replica_full_syncs_sent_; }
-  uint64_t replica_handovers_sent() const { return replica_handovers_sent_; }
-  uint64_t replica_served_queries() const { return replica_served_queries_; }
   /// Number of foreign petals this peer holds replica state for.
   size_t replica_petals_held() const { return replicas_.size(); }
   /// Replicated index of petal (ws, loc, instance), or null when this peer
@@ -202,8 +188,6 @@ class FlowerPeer : public SimNode {
   /// query is untraced (trace_id 0).
   void TraceSpan(uint64_t trace_id, QueryPhase phase, SimTime start,
                  PeerId target, int hops = -1, bool ok = true);
-  /// Bumps a named protocol counter when a stats registry is attached.
-  void CountEvent(std::string_view name);
   ChordNode* EnsureChord(ChordId ring_id);
   PeerId PickBootstrap();
   void StartAsDirectoryRetry(int instance, PeerId bootstrap);
@@ -327,14 +311,6 @@ class FlowerPeer : public SimNode {
   ContentStore* store_;
   Rng rng_;
 
-  // Round counters fire once per maintenance period on every content peer,
-  // so the registry's by-name map lookup is cached away up front (counter
-  // pointers are stable for the registry's lifetime). Null when no stats
-  // registry is attached.
-  StatsCounter* gossip_rounds_counter_ = nullptr;
-  StatsCounter* keepalive_rounds_counter_ = nullptr;
-  StatsCounter* push_rounds_counter_ = nullptr;
-
   FlowerRole role_ = FlowerRole::kClient;
   int instance_ = 0;
   std::unique_ptr<ChordNode> chord_;
@@ -359,15 +335,6 @@ class FlowerPeer : public SimNode {
   bool push_in_flight_ = false;
   SimTime promotion_triggered_at_ = -1;
 
-  uint64_t queries_issued_ = 0;
-  uint64_t dring_resolve_failures_ = 0;
-  uint64_t dir_reply_vacant_ = 0;
-  uint64_t dir_query_timeouts_ = 0;
-  uint64_t dir_failures_detected_ = 0;
-  uint64_t promotions_triggered_ = 0;
-  uint64_t summary_hits_ = 0;
-  uint64_t collaboration_hits_ = 0;
-
   // Replication state. All of it stays empty (and no event is ever
   // scheduled) with replication == 1, keeping the default byte-identical.
   // Primary side:
@@ -378,10 +345,6 @@ class FlowerPeer : public SimNode {
   // Replica side, keyed by the petal's D-ring position id:
   std::unordered_map<ChordId, ReplicaState> replicas_;
   bool replica_monitor_scheduled_ = false;
-  uint64_t replica_syncs_sent_ = 0;
-  uint64_t replica_full_syncs_sent_ = 0;
-  uint64_t replica_handovers_sent_ = 0;
-  uint64_t replica_served_queries_ = 0;
 };
 
 }  // namespace flowercdn

@@ -41,7 +41,20 @@ Gateway::Gateway(EventLoop* loop, const WebsiteCatalog* catalog,
       catalog_(catalog),
       picker_(std::move(picker)),
       options_(std::move(options)),
-      stats_(stats) {}
+      stats_(stats) {
+  FLOWERCDN_CHECK(stats != nullptr);
+  requests_ = stats->counter("net.gateway.requests");
+  responses_ = stats->counter("net.gateway.responses");
+  bad_requests_ = stats->counter("net.gateway.bad_requests");
+  unavailable_ = stats->counter("net.gateway.unavailable");
+  served_petal_ = stats->counter("net.gateway.served_petal");
+  served_directory_ = stats->counter("net.gateway.served_directory");
+  served_origin_ = stats->counter("net.gateway.served_origin");
+  body_bytes_petal_ = stats->counter("net.gateway.body_bytes_petal");
+  body_bytes_directory_ = stats->counter("net.gateway.body_bytes_directory");
+  body_bytes_origin_ = stats->counter("net.gateway.body_bytes_origin");
+  slow_requests_ = stats->counter("net.gateway.slow_requests");
+}
 
 Gateway::~Gateway() { CloseAll(); }
 
@@ -179,7 +192,7 @@ void Gateway::MaybeServeNext(uint64_t id) {
   Conn& conn = it->second;
   conn.serving = false;
   if (malformed) {
-    ++stats_counters_.bad_requests;
+    bad_requests_->Add();
     Respond(id, 400, "Bad Request", {}, conn.parser.error(),
             /*close_after=*/true);
   }
@@ -192,7 +205,7 @@ void Gateway::ServeRequest(uint64_t id, const HttpRequest& req) {
   if (options_.admin != nullptr) {
     AdminHandler::Response admin_resp;
     if (options_.admin->Handle(req.target, &admin_resp)) {
-      if (stats_ != nullptr) stats_->Add("net.admin.requests");
+      stats_->Add("net.admin.requests");
       Respond(id, admin_resp.status, admin_resp.reason,
               {{"Content-Type", admin_resp.content_type}}, admin_resp.body,
               /*close_after=*/false);
@@ -200,11 +213,10 @@ void Gateway::ServeRequest(uint64_t id, const HttpRequest& req) {
     }
   }
 
-  ++stats_counters_.requests;
-  if (stats_ != nullptr) stats_->Add("net.gateway.requests");
+  requests_->Add();
 
   if (req.method != "GET") {
-    ++stats_counters_.bad_requests;
+    bad_requests_->Add();
     Respond(id, 405, "Method Not Allowed", {}, "GET only",
             /*close_after=*/false);
     return;
@@ -223,7 +235,7 @@ void Gateway::ServeRequest(uint64_t id, const HttpRequest& req) {
          static_cast<int>(object.object) < catalog_->objects_per_website();
   }
   if (!ok) {
-    ++stats_counters_.bad_requests;
+    bad_requests_->Add();
     Respond(id, 404, "Not Found", {}, "expected /<website>/<object>",
             /*close_after=*/false);
     return;
@@ -231,7 +243,7 @@ void Gateway::ServeRequest(uint64_t id, const HttpRequest& req) {
 
   FlowerPeer* entry = picker_(object.website, id);
   if (entry == nullptr) {
-    ++stats_counters_.unavailable;
+    unavailable_->Add();
     Respond(id, 503, "Service Unavailable", {},
             "no hosted peer for this website", /*close_after=*/false);
     return;
@@ -252,19 +264,16 @@ void Gateway::OnQueryDone(uint64_t id, const ObjectId& object, bool hit,
   size_t body_bytes = ObjectBodyBytes(object);
   switch (source) {
     case ServedSource::kPetal:
-      ++stats_counters_.served_petal;
-      stats_counters_.body_bytes_petal += body_bytes;
-      if (stats_ != nullptr) stats_->Add("net.gateway.served_petal");
+      served_petal_->Add();
+      body_bytes_petal_->Add(body_bytes);
       break;
     case ServedSource::kDirectory:
-      ++stats_counters_.served_directory;
-      stats_counters_.body_bytes_directory += body_bytes;
-      if (stats_ != nullptr) stats_->Add("net.gateway.served_directory");
+      served_directory_->Add();
+      body_bytes_directory_->Add(body_bytes);
       break;
     case ServedSource::kOrigin:
-      ++stats_counters_.served_origin;
-      stats_counters_.body_bytes_origin += body_bytes;
-      if (stats_ != nullptr) stats_->Add("net.gateway.served_origin");
+      served_origin_->Add();
+      body_bytes_origin_->Add(body_bytes);
       break;
   }
 
@@ -277,8 +286,7 @@ void Gateway::OnQueryDone(uint64_t id, const ObjectId& object, bool hit,
   request_latency_.Record(static_cast<uint64_t>(wall_us));
   double wall_ms = static_cast<double>(wall_us) / 1000.0;
   if (options_.slow_request_ms > 0 && wall_ms >= options_.slow_request_ms) {
-    ++slow_requests_;
-    if (stats_ != nullptr) stats_->Add("net.gateway.slow_requests");
+    slow_requests_->Add();
     FLOWERCDN_LOG(kWarning) << "gateway: slow request GET /" << object.website
                             << "/" << object.object << ": " << wall_ms
                             << " ms wall, source="
@@ -306,8 +314,7 @@ void Gateway::Respond(uint64_t id, int status, const char* reason,
   Conn& conn = it->second;
   conn.out.append(BuildHttpResponse(status, reason, headers, body));
   conn.close_after_write = conn.close_after_write || close_after;
-  ++stats_counters_.responses;
-  if (stats_ != nullptr) stats_->Add("net.gateway.responses");
+  responses_->Add();
   TryFlush(id);
 }
 

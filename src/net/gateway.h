@@ -17,6 +17,7 @@
 namespace flowercdn {
 
 class AdminHandler;
+class StatsCounter;
 class StatsRegistry;
 
 /// HTTP/1.1 front door of a cluster node: `GET /<website>/<object>` is
@@ -51,10 +52,10 @@ class Gateway {
   /// load across candidates). Returning nullptr yields a 503.
   using EntryPicker = std::function<FlowerPeer*(WebsiteId, uint64_t salt)>;
 
+  /// Requests, responses, served sources and body bytes are counted in
+  /// `stats` as net.gateway.* (required).
   Gateway(EventLoop* loop, const WebsiteCatalog* catalog, EntryPicker picker,
           Options options, StatsRegistry* stats);
-  Gateway(EventLoop* loop, const WebsiteCatalog* catalog, EntryPicker picker)
-      : Gateway(loop, catalog, std::move(picker), Options(), nullptr) {}
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
   ~Gateway();
@@ -67,24 +68,10 @@ class Gateway {
   /// the id so repeated fetches agree everywhere.
   static size_t ObjectBodyBytes(const ObjectId& id);
 
-  struct Stats {
-    uint64_t requests = 0;
-    uint64_t responses = 0;
-    uint64_t bad_requests = 0;
-    uint64_t unavailable = 0;  // 503: no hosted entry peer
-    uint64_t served_petal = 0;
-    uint64_t served_directory = 0;
-    uint64_t served_origin = 0;
-    uint64_t body_bytes_petal = 0;
-    uint64_t body_bytes_directory = 0;
-    uint64_t body_bytes_origin = 0;
-  };
-  const Stats& stats() const { return stats_counters_; }
   size_t open_connections() const { return conns_.size(); }
   /// Wall-clock latency of every query-served request (request parsed →
   /// response queued), including the event-loop and overlay time.
   const LatencyHistogram& request_latency() const { return request_latency_; }
-  uint64_t slow_requests() const { return slow_requests_; }
 
  private:
   struct Conn {
@@ -116,14 +103,24 @@ class Gateway {
   EntryPicker picker_;
   Options options_;
   StatsRegistry* stats_;
+  // The net.gateway.* counters, looked up once: they count every request.
+  StatsCounter* requests_;
+  StatsCounter* responses_;
+  StatsCounter* bad_requests_;
+  StatsCounter* unavailable_;  // 503: no hosted entry peer
+  StatsCounter* served_petal_;
+  StatsCounter* served_directory_;
+  StatsCounter* served_origin_;
+  StatsCounter* body_bytes_petal_;
+  StatsCounter* body_bytes_directory_;
+  StatsCounter* body_bytes_origin_;
+  StatsCounter* slow_requests_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, Conn> conns_;
-  Stats stats_counters_;
   LatencyHistogram request_latency_;
-  uint64_t slow_requests_ = 0;
 };
 
 }  // namespace flowercdn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <initializer_list>
 #include <utility>
 
 #include "net/clock.h"
@@ -260,8 +261,12 @@ void NodeHost::MaybeSampleInterval(double wall_s, bool force) {
   if (force && dur <= 0) return;
   last_sample_wall_s_ = wall_s;
 
-  const Gateway::Stats cur =
-      gateway_ != nullptr ? gateway_->stats() : Gateway::Stats{};
+  const StatsRegistry& stats = env_->stats();
+  const GatewayTotals cur{stats.Total("net.gateway.requests"),
+                          stats.Total("net.gateway.responses"),
+                          stats.Total("net.gateway.served_petal"),
+                          stats.Total("net.gateway.served_directory"),
+                          stats.Total("net.gateway.served_origin")};
   const LatencyHistogram cur_latency =
       gateway_ != nullptr ? gateway_->request_latency() : LatencyHistogram{};
   LatencyHistogram delta = cur_latency.DeltaSince(prev_request_latency_);
@@ -269,18 +274,17 @@ void NodeHost::MaybeSampleInterval(double wall_s, bool force) {
   IntervalSample s;
   s.t_s = wall_s;
   s.sim_ms = static_cast<long long>(env_->sim().now());
-  s.requests = cur.requests - prev_gateway_stats_.requests;
-  s.responses = cur.responses - prev_gateway_stats_.responses;
+  s.requests = cur.requests - prev_gateway_.requests;
+  s.responses = cur.responses - prev_gateway_.responses;
   s.qps = dur > 0 ? static_cast<double>(s.responses) / dur : 0;
   s.p50_ms = QuantileMs(delta, 0.5);
   s.p99_ms = QuantileMs(delta, 0.99);
-  s.served_petal = cur.served_petal - prev_gateway_stats_.served_petal;
-  s.served_directory =
-      cur.served_directory - prev_gateway_stats_.served_directory;
-  s.served_origin = cur.served_origin - prev_gateway_stats_.served_origin;
+  s.served_petal = cur.served_petal - prev_gateway_.served_petal;
+  s.served_directory = cur.served_directory - prev_gateway_.served_directory;
+  s.served_origin = cur.served_origin - prev_gateway_.served_origin;
   intervals_.push_back(s);
 
-  prev_gateway_stats_ = cur;
+  prev_gateway_ = cur;
   prev_request_latency_ = cur_latency;
 }
 
@@ -353,12 +357,21 @@ void NodeHost::ExportGauges() {
 std::string NodeHost::StatusJson(double wall_seconds) const {
   const Network& network = env_->network();
   const Network::TrafficBreakdown& traffic = network.traffic();
+  const StatsRegistry& stats = env_->stats();
 
   const char* transport = "in-process";
   if (tcp_ != nullptr) transport = tcp_->name();
 
   std::string out;
   out.reserve(2048 + intervals_.size() * 160);
+  // One `"key": total,` line per registry counter `prefix + key`.
+  auto append_totals = [&](const std::string& prefix,
+                           std::initializer_list<const char*> keys) {
+    for (const char* key : keys) {
+      AppendF(&out, "    \"%s\": %llu,\n", key,
+              static_cast<unsigned long long>(stats.Total(prefix + key)));
+    }
+  };
   AppendF(&out,
           "{\n"
           "  \"rank\": %d,\n"
@@ -393,59 +406,33 @@ std::string NodeHost::StatusJson(double wall_seconds) const {
             "    \"frames_sent\": %llu,\n"
             "    \"frames_received\": %llu,\n"
             "    \"bytes_sent\": %llu,\n"
-            "    \"bytes_received\": %llu,\n"
-            "    \"frames_dropped\": %llu,\n"
-            "    \"decode_errors\": %llu,\n"
-            "    \"reconnects\": %llu,\n"
-            "    \"connect_failures\": %llu,\n"
-            "    \"backpressure_events\": %llu,\n"
-            "    \"peak_queued_bytes\": %zu,\n"
-            "    \"accepted_evicted\": %llu\n"
-            "  },\n",
+            "    \"bytes_received\": %llu,\n",
             static_cast<unsigned long long>(tcp_->frames_sent()),
             static_cast<unsigned long long>(tcp_->frames_received()),
             static_cast<unsigned long long>(tcp_->bytes_sent()),
-            static_cast<unsigned long long>(tcp_->bytes_received()),
-            static_cast<unsigned long long>(tcp_->frames_dropped()),
-            static_cast<unsigned long long>(tcp_->decode_errors()),
-            static_cast<unsigned long long>(tcp_->reconnects()),
-            static_cast<unsigned long long>(tcp_->connect_failures()),
-            static_cast<unsigned long long>(tcp_->backpressure_events()),
+            static_cast<unsigned long long>(tcp_->bytes_received()));
+    append_totals("net.tcp.", {"frames_dropped", "decode_errors", "reconnects",
+                               "connect_failures", "backpressure_events"});
+    AppendF(&out,
+            "    \"peak_queued_bytes\": %zu,\n"
+            "    \"accepted_evicted\": %llu\n"
+            "  },\n",
             tcp_->peak_queued_bytes(),
-            static_cast<unsigned long long>(tcp_->accepted_evicted()));
+            static_cast<unsigned long long>(
+                stats.Total("net.tcp.accepted_evicted")));
   }
-  const Gateway::Stats gw =
-      gateway_ != nullptr ? gateway_->stats() : Gateway::Stats{};
   const LatencyHistogram gw_latency =
       gateway_ != nullptr ? gateway_->request_latency() : LatencyHistogram{};
+  out.append("  \"gateway\": {\n");
+  append_totals("net.gateway.",
+                {"requests", "responses", "bad_requests", "unavailable",
+                 "served_petal", "served_directory", "served_origin",
+                 "body_bytes_petal", "body_bytes_directory",
+                 "body_bytes_origin", "slow_requests"});
   AppendF(&out,
-          "  \"gateway\": {\n"
-          "    \"requests\": %llu,\n"
-          "    \"responses\": %llu,\n"
-          "    \"bad_requests\": %llu,\n"
-          "    \"unavailable\": %llu,\n"
-          "    \"served_petal\": %llu,\n"
-          "    \"served_directory\": %llu,\n"
-          "    \"served_origin\": %llu,\n"
-          "    \"body_bytes_petal\": %llu,\n"
-          "    \"body_bytes_directory\": %llu,\n"
-          "    \"body_bytes_origin\": %llu,\n"
-          "    \"slow_requests\": %llu,\n"
           "    \"latency_p50_ms\": %.3f,\n"
           "    \"latency_p99_ms\": %.3f\n"
           "  },\n",
-          static_cast<unsigned long long>(gw.requests),
-          static_cast<unsigned long long>(gw.responses),
-          static_cast<unsigned long long>(gw.bad_requests),
-          static_cast<unsigned long long>(gw.unavailable),
-          static_cast<unsigned long long>(gw.served_petal),
-          static_cast<unsigned long long>(gw.served_directory),
-          static_cast<unsigned long long>(gw.served_origin),
-          static_cast<unsigned long long>(gw.body_bytes_petal),
-          static_cast<unsigned long long>(gw.body_bytes_directory),
-          static_cast<unsigned long long>(gw.body_bytes_origin),
-          static_cast<unsigned long long>(
-              gateway_ != nullptr ? gateway_->slow_requests() : 0),
           QuantileMs(gw_latency, 0.5), QuantileMs(gw_latency, 0.99));
   AppendF(&out,
           "  \"event_loop\": {\n"

@@ -189,7 +189,14 @@ class NodeHost {
   // Interval-sampling state (deltas against the previous sample).
   std::vector<IntervalSample> intervals_;
   double last_sample_wall_s_ = 0;
-  Gateway::Stats prev_gateway_stats_;
+  struct GatewayTotals {
+    uint64_t requests = 0;
+    uint64_t responses = 0;
+    uint64_t served_petal = 0;
+    uint64_t served_directory = 0;
+    uint64_t served_origin = 0;
+  };
+  GatewayTotals prev_gateway_;
   LatencyHistogram prev_request_latency_;
   int64_t run_wall0_ms_ = -1;  // MonotonicMillis at run start (-1: not run)
 };

@@ -51,6 +51,7 @@ TcpTransport::TcpTransport(Network* network, EventLoop* loop, int self_rank,
                   static_cast<size_t>(self_rank_) < members_.size())
       << "self rank " << self_rank_ << " outside cluster of "
       << members_.size();
+  FLOWERCDN_CHECK(stats != nullptr);
   FLOWERCDN_CHECK(options_.queue_low_watermark <=
                   options_.queue_high_watermark)
       << "watermarks inverted";
@@ -59,10 +60,6 @@ TcpTransport::TcpTransport(Network* network, EventLoop* loop, int self_rank,
 }
 
 TcpTransport::~TcpTransport() { CloseAll(); }
-
-void TcpTransport::CountEvent(const char* name, uint64_t n) {
-  if (stats_ != nullptr) stats_->Add(name, n);
-}
 
 void TcpTransport::CloseAll() {
   for (auto& [rank, conn] : outbound_) {
@@ -150,8 +147,7 @@ void TcpTransport::EvictOldestInbound() {
     }
   }
   if (victim == inbound_.end()) return;
-  ++accepted_evicted_;
-  CountEvent("net.tcp.accepted_evicted");
+  stats_->Add("net.tcp.accepted_evicted");
   CloseInbound(victim->first);
 }
 
@@ -189,8 +185,7 @@ void TcpTransport::ReadInbound(int fd) {
       Result<MessagePtr> decoded =
           WireDecode(frame.payload.data(), frame.payload.size());
       if (!decoded.ok()) {
-        ++decode_errors_;
-        CountEvent("net.tcp.decode_errors");
+        stats_->Add("net.tcp.decode_errors");
         FLOWERCDN_LOG(kWarning) << "tcp: undecodable frame payload ("
                                 << frame.payload.size() << " bytes): "
                                 << decoded.status().ToString()
@@ -208,8 +203,7 @@ void TcpTransport::ReadInbound(int fd) {
                                      std::move(msg));
     }
     if (conn.assembler.failed()) {
-      ++decode_errors_;
-      CountEvent("net.tcp.decode_errors");
+      stats_->Add("net.tcp.decode_errors");
       FLOWERCDN_LOG(kWarning) << "tcp: corrupt frame stream: "
                               << conn.assembler.error()
                               << "; closing stream";
@@ -233,8 +227,7 @@ void TcpTransport::SetQueueBytes(OutConn& c, size_t bytes) {
   peak_queued_bytes_ = std::max(peak_queued_bytes_, queued_bytes_total_);
   if (!c.backpressured && bytes > options_.queue_high_watermark) {
     c.backpressured = true;
-    ++backpressure_events_;
-    CountEvent("net.tcp.backpressure_events");
+    stats_->Add("net.tcp.backpressure_events");
   } else if (c.backpressured && bytes <= options_.queue_low_watermark) {
     c.backpressured = false;
   }
@@ -259,8 +252,7 @@ void TcpTransport::Carry(PeerId src, PeerId dst, SimDuration latency,
 
   OutConn& c = Out(owner);
   if (c.queue_bytes + frame_.size() > options_.queue_hard_cap) {
-    ++frames_dropped_;
-    CountEvent("net.tcp.frames_dropped");
+    stats_->Add("net.tcp.frames_dropped");
     network_->NoteTransportDrop(*msg, accounted_bytes);
     return;
   }
@@ -332,8 +324,7 @@ void TcpTransport::HandleConnectResult(int rank) {
   }
   c.state = OutConn::State::kConnected;
   if (c.backoff_ms > 0) {
-    ++reconnects_;
-    CountEvent("net.tcp.reconnects");
+    stats_->Add("net.tcp.reconnects");
   }
   c.backoff_ms = 0;
   TryFlush(rank);
@@ -360,11 +351,9 @@ void TcpTransport::Disconnect(int rank, const char* why) {
     c.fd = -1;
   }
   if (c.state == OutConn::State::kConnected) {
-    ++conn_drops_;
-    CountEvent("net.tcp.conn_drops");
+    stats_->Add("net.tcp.conn_drops");
   } else {
-    ++connect_failures_;
-    CountEvent("net.tcp.connect_failures");
+    stats_->Add("net.tcp.connect_failures");
   }
   // A partially-written front frame cannot be resumed mid-stream; the
   // fresh connection is a fresh stream, so resend it from the top.
@@ -437,7 +426,6 @@ size_t TcpTransport::connected_ranks() const {
 }
 
 void TcpTransport::ExportGauges() {
-  if (stats_ == nullptr) return;
   stats_->Set("net.tcp.queued_bytes", static_cast<double>(queued_bytes_total_));
   stats_->Set("net.tcp.peak_queued_bytes",
               static_cast<double>(peak_queued_bytes_));

@@ -83,15 +83,11 @@ class TcpTransport : public Transport {
   using OwnerFn = std::function<int(PeerId)>;
 
   /// `members[self_rank]` is this process; Listen() binds its port.
-  /// `stats` (optional) receives event counters as they happen; gauges are
-  /// pushed by ExportGauges().
+  /// `stats` (required) receives the net.tcp.* event counters as they
+  /// happen; gauges are pushed by ExportGauges().
   TcpTransport(Network* network, EventLoop* loop, int self_rank,
                std::vector<ClusterMember> members, OwnerFn owner,
                Options options, StatsRegistry* stats);
-  TcpTransport(Network* network, EventLoop* loop, int self_rank,
-               std::vector<ClusterMember> members, OwnerFn owner)
-      : TcpTransport(network, loop, self_rank, std::move(members),
-                     std::move(owner), Options(), nullptr) {}
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
   ~TcpTransport() override;
@@ -120,22 +116,12 @@ class TcpTransport : public Transport {
   void ExportGauges();
 
   // --- Socket-level stats ---------------------------------------------------
+  // Per-frame totals. Rare events (drops, decode errors, reconnects, ...)
+  // are counted only in the stats registry as net.tcp.*.
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t frames_received() const { return frames_received_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
-  /// Frames dropped against the per-connection hard cap (each also counted
-  /// in the network's transport_drop family).
-  uint64_t frames_dropped() const { return frames_dropped_; }
-  /// Inbound streams torn down for framing or payload decode failures.
-  uint64_t decode_errors() const { return decode_errors_; }
-  uint64_t reconnects() const { return reconnects_; }
-  /// Dials that never reached kConnected (synchronous or async failure).
-  uint64_t connect_failures() const { return connect_failures_; }
-  /// Established connections lost (peer closed, reset, write failure).
-  uint64_t conn_drops() const { return conn_drops_; }
-  uint64_t backpressure_events() const { return backpressure_events_; }
-  uint64_t accepted_evicted() const { return accepted_evicted_; }
   /// Total queued-but-unsent bytes across outbound connections.
   size_t queued_bytes() const { return queued_bytes_total_; }
   size_t peak_queued_bytes() const { return peak_queued_bytes_; }
@@ -177,7 +163,6 @@ class TcpTransport : public Transport {
   void EvictOldestInbound();
   void ReadInbound(int fd);
   void CloseInbound(int fd);
-  void CountEvent(const char* name, uint64_t n = 1);
 
   Network* network_;
   EventLoop* loop_;
@@ -198,13 +183,6 @@ class TcpTransport : public Transport {
   uint64_t frames_received_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
-  uint64_t frames_dropped_ = 0;
-  uint64_t decode_errors_ = 0;
-  uint64_t reconnects_ = 0;
-  uint64_t connect_failures_ = 0;
-  uint64_t conn_drops_ = 0;
-  uint64_t backpressure_events_ = 0;
-  uint64_t accepted_evicted_ = 0;
   size_t queued_bytes_total_ = 0;
   size_t peak_queued_bytes_ = 0;
 };

@@ -39,6 +39,11 @@ StatsGauge* StatsRegistry::gauge(std::string_view name) {
   return it->second.get();
 }
 
+uint64_t StatsRegistry::Total(std::string_view name) const {
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->total();
+}
+
 void StatsCounter::Add(uint64_t n) {
   total_ += n;
   size_t bucket = registry_->CurrentBucket();

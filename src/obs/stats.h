@@ -86,6 +86,10 @@ class StatsRegistry {
   void Add(std::string_view name, uint64_t n = 1) { counter(name)->Add(n); }
   void Set(std::string_view name, double value) { gauge(name)->Set(value); }
 
+  /// Total of the counter named `name`; 0 when nothing has counted it yet.
+  /// Reading never creates the counter, so it never changes an export.
+  uint64_t Total(std::string_view name) const;
+
   SimDuration bucket() const { return bucket_; }
   SimTime now() const { return clock_(); }
   /// Index of the bucket the current time falls into.

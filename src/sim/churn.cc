@@ -37,7 +37,7 @@ void ChurnProcess::StartSession(PeerId peer) {
 }
 
 void ChurnProcess::Start() {
-  if (!params_.enabled) return;
+  if (!params_.enabled && params_.arrival_rate_per_ms == 0) return;
   FLOWERCDN_CHECK(params_.arrival_rate_per_ms > 0)
       << "churn enabled but arrival rate is zero";
   ScheduleNextArrival();
@@ -57,6 +57,14 @@ void ChurnProcess::ScheduleNextArrival() {
 }
 
 void ChurnProcess::OnArrivalTick() {
+  // Without failures nothing leaves, so once P peers are online the
+  // population has converged and no further arrival is needed.
+  if (!params_.enabled &&
+      static_cast<double>(online_count_) >=
+          params_.arrival_rate_per_ms *
+              static_cast<double>(params_.mean_uptime)) {
+    return;
+  }
   if (!offline_.empty()) {
     PeerId peer = PopRandomOffline();
     ++total_arrivals_;

@@ -29,8 +29,10 @@ class ChurnProcess {
     SimDuration mean_uptime = 60 * kMinute;
     /// Poisson arrival rate, peers per millisecond (set to P/m).
     double arrival_rate_per_ms = 0.0;
-    /// When false, StartSession never schedules a failure and Start() is a
-    /// no-op — a static network for unit tests.
+    /// When false, sessions never fail, and arrivals stop once
+    /// online_count() reaches the target P = arrival_rate_per_ms *
+    /// mean_uptime: the population grows to P and stays there. With a zero
+    /// arrival rate, Start() is a no-op (a static network for unit tests).
     bool enabled = true;
   };
 
@@ -56,7 +58,8 @@ class ChurnProcess {
   /// Does not invoke the arrival callback.
   void StartSession(PeerId peer);
 
-  /// Begins the arrival process.
+  /// Begins the arrival process (a no-op when the arrival rate is zero and
+  /// churn is disabled).
   void Start();
 
   /// Scales churn intensity for chaos scenarios: future arrival gaps and

@@ -52,6 +52,7 @@ SquirrelPeer::SquirrelPeer(const SquirrelContext& ctx, PeerId self,
       params_(params),
       chord_(ctx.network, self, SquirrelRingId(self), params.chord),
       rpc_(ctx.network, self) {
+  FLOWERCDN_CHECK(ctx.stats != nullptr);
   FLOWERCDN_CHECK(store != nullptr);
 }
 
@@ -117,7 +118,7 @@ void SquirrelPeer::IssueQuery() {
   std::optional<ObjectId> object =
       ctx_.workload->NextQuery(website_, *store_, rng_);
   if (!object.has_value()) return;  // nothing left to ask for
-  ++queries_issued_;
+  ctx_.stats->Add("squirrel.queries_issued");
   SimTime t0 = ctx_.network->sim()->now();
   // Squirrel resolves every query through the object's home node, found by
   // routing hash(url) over the whole DHT.
@@ -132,7 +133,7 @@ void SquirrelPeer::OnHomeResolved(const ObjectId& object, SimTime t0,
                                   const Status& status, RingPeer home) {
   if (!status.ok()) {
     // DHT routing failed outright (heavy churn): the origin saves the day.
-    ++lookup_failures_;
+    ctx_.stats->Add("squirrel.lookup_failures");
     ResolveAtOrigin(object, t0, std::nullopt);
     return;
   }
@@ -143,23 +144,23 @@ void SquirrelPeer::OnHomeResolved(const ObjectId& object, SimTime t0,
       // the home replica lives on this very node — count it as a hit at
       // zero distance only if the replica exists.
       if (home_store_.count(object.Packed()) > 0) {
-        ++home_redirects_;
+        ctx_.stats->Add("squirrel.home_redirects");
         FinishQuery(object, t0, /*hit=*/true, ctx_.network->sim()->now(),
                     0.0);
       } else {
-        ++home_empty_;
+        ctx_.stats->Add("squirrel.home_empty");
         ResolveAtOrigin(object, t0, self_);
       }
       return;
     }
     auto it = directory_.find(object.Packed());
     if (it != directory_.end() && !it->second.empty()) {
-      ++home_redirects_;
+      ctx_.stats->Add("squirrel.home_redirects");
       PeerId delegate = it->second[rng_.Index(it->second.size())];
       FetchFromDelegate(object, t0, self_, delegate,
                         ctx_.network->sim()->now());
     } else {
-      ++home_empty_;
+      ctx_.stats->Add("squirrel.home_empty");
       ResolveAtOrigin(object, t0, self_);
     }
     return;
@@ -175,23 +176,23 @@ void SquirrelPeer::AskHome(const ObjectId& object, SimTime t0,
             [this, object, t0, home](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
                 // Home died between lookup and query.
-                ++lookup_failures_;
+                ctx_.stats->Add("squirrel.lookup_failures");
                 ResolveAtOrigin(object, t0, std::nullopt);
                 return;
               }
               const auto& reply = MessageCast<SquirrelQueryReplyMsg>(*resp);
               if (reply.served_directly) {
                 // Home-store: the home shipped its replica with the reply.
-                ++home_redirects_;
+                ctx_.stats->Add("squirrel.home_redirects");
                 FinishQuery(object, t0, /*hit=*/true,
                             ctx_.network->sim()->now(),
                             ctx_.network->LatencyMs(self_, home.peer));
               } else if (reply.has_delegate) {
-                ++home_redirects_;
+                ctx_.stats->Add("squirrel.home_redirects");
                 FetchFromDelegate(object, t0, home.peer, reply.delegate,
                                   ctx_.network->sim()->now());
               } else {
-                ++home_empty_;
+                ctx_.stats->Add("squirrel.home_empty");
                 ResolveAtOrigin(object, t0, home.peer);
               }
             });
@@ -221,7 +222,7 @@ void SquirrelPeer::FetchFromDelegate(const ObjectId& object, SimTime t0,
                 update->object = object;
                 ctx_.network->Send(self_, home_peer, std::move(update));
               } else {
-                ++delegate_failures_;
+                ctx_.stats->Add("squirrel.delegate_failures");
                 ResolveAtOrigin(object, t0, home_peer);
               }
             });

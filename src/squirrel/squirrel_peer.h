@@ -9,6 +9,7 @@
 
 #include "chord/chord_node.h"
 #include "metrics/metrics.h"
+#include "obs/stats.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/rpc.h"
@@ -41,6 +42,8 @@ struct SquirrelContext {
   const WebsiteCatalog* catalog = nullptr;
   const QueryWorkload* workload = nullptr;
   const OriginServers* origins = nullptr;
+  /// Where the query outcomes are counted (squirrel.*). Required.
+  StatsRegistry* stats = nullptr;
   /// Supplies a live bootstrap peer (!= self), or kInvalidPeer if none.
   std::function<PeerId(PeerId self)> pick_bootstrap;
 };
@@ -83,11 +86,6 @@ class SquirrelPeer : public SimNode {
   bool joined() const { return chord_.active(); }
   size_t directory_entries() const { return directory_.size(); }
   size_t home_store_size() const { return home_store_.size(); }
-  uint64_t queries_issued() const { return queries_issued_; }
-  uint64_t home_redirects() const { return home_redirects_; }
-  uint64_t home_empty() const { return home_empty_; }
-  uint64_t delegate_failures() const { return delegate_failures_; }
-  uint64_t lookup_failures() const { return lookup_failures_; }
 
  private:
   void TryJoin(PeerId bootstrap);
@@ -136,12 +134,6 @@ class SquirrelPeer : public SimNode {
   /// Home-store mode: replicas held because this node is the object's
   /// home. Session-scoped (an in-memory web cache): lost on failure.
   std::unordered_set<uint64_t> home_store_;
-
-  uint64_t queries_issued_ = 0;
-  uint64_t home_redirects_ = 0;
-  uint64_t home_empty_ = 0;
-  uint64_t delegate_failures_ = 0;
-  uint64_t lookup_failures_ = 0;
 };
 
 }  // namespace flowercdn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace flowercdn {
 
@@ -110,24 +109,5 @@ void Histogram::Clear() {
   sum_ = 0;
   min_ = max_ = 0;
 }
-
-void RunningStat::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::Variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::StdDev() const { return std::sqrt(Variance()); }
 
 }  // namespace flowercdn

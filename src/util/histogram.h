@@ -64,22 +64,6 @@ class Histogram {
   double max_ = 0;
 };
 
-/// Streaming mean/min/max/variance accumulator (Welford).
-class RunningStat {
- public:
-  void Add(double x);
-  size_t count() const { return n_; }
-  double Mean() const { return n_ ? mean_ : 0.0; }
-  double Variance() const;
-  double StdDev() const;
-  double Min() const { return n_ ? min_ : 0.0; }
-  double Max() const { return n_ ? max_ : 0.0; }
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0, m2_ = 0, min_ = 0, max_ = 0;
-};
-
 }  // namespace flowercdn
 
 #endif  // FLOWERCDN_UTIL_HISTOGRAM_H_

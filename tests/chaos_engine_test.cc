@@ -6,6 +6,7 @@
 
 #include "chaos/probe.h"
 #include "chaos/scenario.h"
+#include "obs/stats.h"
 #include "sim/churn.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -22,11 +23,12 @@ class ChaosEngineTest : public ::testing::Test {
 
   ChaosEngine MakeEngine(ScenarioScript script, ChaosHooks hooks,
                          ChurnProcess* churn = nullptr) {
-    return ChaosEngine(&sim_, &network_, churn, nullptr, Rng(11),
+    return ChaosEngine(&sim_, &network_, churn, &stats_, Rng(11),
                        std::move(script), std::move(hooks));
   }
 
   Simulator sim_;
+  StatsRegistry stats_{[this] { return sim_.now(); }};
   Topology topology_;
   Network network_;
 };

@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "obs/stats.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
 #include "util/random.h"
@@ -48,13 +49,14 @@ class FaultInjectorTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  StatsRegistry stats_{[this] { return sim_.now(); }};
   Topology topology_;
   Network network_;
   RecorderNode a_, b_, c_;
 };
 
 TEST_F(FaultInjectorTest, PartitionCutsBothDirectionsAndHeals) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   network_.SetFaultHook(&injector);
   injector.AddPartition(0, 1);
 
@@ -75,7 +77,7 @@ TEST_F(FaultInjectorTest, PartitionCutsBothDirectionsAndHeals) {
 }
 
 TEST_F(FaultInjectorTest, CertainLossDropsEverything) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   network_.SetFaultHook(&injector);
   injector.SetBaseFaults(/*loss_rate=*/1.0, 0, 0);
   for (int i = 0; i < 20; ++i) {
@@ -87,7 +89,7 @@ TEST_F(FaultInjectorTest, CertainLossDropsEverything) {
 }
 
 TEST_F(FaultInjectorTest, ZeroKnobsTouchNothing) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   network_.SetFaultHook(&injector);
   for (int i = 0; i < 20; ++i) {
     network_.Send(1, 2, std::make_unique<TestMsg>(i));
@@ -97,10 +99,35 @@ TEST_F(FaultInjectorTest, ZeroKnobsTouchNothing) {
   EXPECT_EQ(injector.counts().loss_drops, 0u);
   EXPECT_EQ(injector.counts().delayed, 0u);
   EXPECT_EQ(injector.counts().dup_copies, 0u);
+  // A fault class that never fired exports no counter at all.
+  EXPECT_TRUE(stats_.SnapshotCounters().empty());
+}
+
+TEST_F(FaultInjectorTest, JitterDelaysEveryMessageSent) {
+  FaultInjector injector(&network_, Rng(7), &stats_);
+  network_.SetFaultHook(&injector);
+  injector.SetBaseFaults(0, /*delay_jitter_ms=*/40.0, 0);
+  for (int i = 0; i < 25; ++i) {
+    network_.Send(1, i % 2 == 0 ? 2 : 3, std::make_unique<TestMsg>(i));
+  }
+  network_.Send(1, 1, std::make_unique<TestMsg>(99));  // local, exempt
+  sim_.Run();
+  EXPECT_EQ(b_.values.size() + c_.values.size(), 25u);
+  EXPECT_EQ(stats_.Total("chaos.delayed"), 25u);
+  EXPECT_EQ(injector.counts().delayed, 25u);
+  // Lost messages are never delayed: delayed == sent - dropped.
+  injector.SetBaseFaults(/*loss_rate=*/0.5, /*delay_jitter_ms=*/40.0, 0);
+  for (int i = 0; i < 40; ++i) {
+    network_.Send(1, 2, std::make_unique<TestMsg>(100 + i));
+  }
+  sim_.Run();
+  const FaultInjector::Counts counts = injector.counts();
+  EXPECT_GT(counts.loss_drops, 0u);
+  EXPECT_EQ(counts.delayed, 25u + 40u - counts.loss_drops);
 }
 
 TEST_F(FaultInjectorTest, EffectiveLossRateRampsLinearly) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   injector.SetLossRamp(/*rate=*/0.2, /*t0=*/1000, /*t1=*/2000);
   EXPECT_DOUBLE_EQ(injector.EffectiveLossRate(0), 0.0);
   EXPECT_DOUBLE_EQ(injector.EffectiveLossRate(1000), 0.0);
@@ -111,14 +138,14 @@ TEST_F(FaultInjectorTest, EffectiveLossRateRampsLinearly) {
 }
 
 TEST_F(FaultInjectorTest, RampAddsToBaseRateCappedAtOne) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   injector.SetBaseFaults(/*loss_rate=*/0.9, 0, 0);
   injector.SetLossRamp(/*rate=*/0.5, 0, 0);
   EXPECT_DOUBLE_EQ(injector.EffectiveLossRate(1000), 1.0);
 }
 
 TEST_F(FaultInjectorTest, SelfSendsAreExempt) {
-  FaultInjector injector(&network_, Rng(7), nullptr);
+  FaultInjector injector(&network_, Rng(7), &stats_);
   network_.SetFaultHook(&injector);
   injector.SetBaseFaults(/*loss_rate=*/1.0, 0, 0);
   network_.Send(1, 1, std::make_unique<TestMsg>(42));
@@ -140,7 +167,8 @@ std::set<int> DeliveredUnder(uint64_t seed, double loss, double jitter,
   RecorderNode a, b;
   network.Attach(1, &a);
   network.Attach(2, &b);
-  FaultInjector injector(&network, Rng(seed), nullptr);
+  StatsRegistry stats([&sim] { return sim.now(); });
+  FaultInjector injector(&network, Rng(seed), &stats);
   network.SetFaultHook(&injector);
   injector.SetBaseFaults(loss, jitter, dup);
   for (int i = 0; i < 200; ++i) {

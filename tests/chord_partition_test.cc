@@ -13,6 +13,7 @@
 
 #include "chaos/fault_injector.h"
 #include "chord/chord_node.h"
+#include "obs/stats.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -82,6 +83,7 @@ class ChordPartitionTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  StatsRegistry stats_{[this] { return sim_.now(); }};
   Topology topology_;
   Network network_;
   std::vector<ChordId> ids_;
@@ -93,7 +95,7 @@ TEST_F(ChordPartitionTest, RingReconvergesAfterPartitionHeals) {
   sim_.RunUntil(10 * kMinute);
   ExpectRingConverged();
 
-  FaultInjector injector(&network_, Rng(17), nullptr);
+  FaultInjector injector(&network_, Rng(17), &stats_);
   network_.SetFaultHook(&injector);
   injector.AddPartition(0, 1);
   SimTime cut_at = sim_.now();
@@ -146,7 +148,7 @@ TEST_F(ChordPartitionTest, LookupsWithinOneSideSurviveTheCut) {
   StartRing(24);
   sim_.RunUntil(10 * kMinute);
 
-  FaultInjector injector(&network_, Rng(17), nullptr);
+  FaultInjector injector(&network_, Rng(17), &stats_);
   network_.SetFaultHook(&injector);
   injector.AddPartition(0, 1);
   sim_.RunUntil(sim_.now() + 5 * kMinute);

@@ -48,6 +48,38 @@ TEST_F(FlowerMaintenanceTest, PushesRebuildTheDirectoryIndex) {
   EXPECT_GT(dir->view().size(), 10u);
 }
 
+// The protocol counters live in the stats registry, not in the sessions, so
+// what a session counted survives its destruction.
+TEST_F(FlowerMaintenanceTest, DepartedSessionsKeepTheirCounts) {
+  ExperimentConfig config = MakeConfig();
+  ExperimentEnv env(config);
+  FlowerSystem system(&env, config.flower);
+  Warmup(env, system, 3 * kHour);
+  // One departure with a detected directory failure behind it.
+  FlowerPeer* dir = system.FindDirectory(0, 0);
+  ASSERT_NE(dir, nullptr);
+  system.InjectFailure(dir->self());
+  env.sim().RunUntil(env.sim().now() + 3 * config.flower.gossip_period);
+  const FlowerSystem::Stats before = system.ComputeStats();
+  ASSERT_GT(before.queries_issued, 0u);
+  ASSERT_GT(before.dir_failures_detected, 0u);
+  for (PeerId peer = 1; peer <= env.universe_size(); ++peer) {
+    system.InjectFailure(peer);
+  }
+  const FlowerSystem::Stats after = system.ComputeStats();
+  EXPECT_EQ(after.live_sessions, 0u);
+  EXPECT_EQ(after.queries_issued, before.queries_issued);
+  EXPECT_EQ(after.dring_resolve_failures, before.dring_resolve_failures);
+  EXPECT_EQ(after.dir_reply_vacant, before.dir_reply_vacant);
+  EXPECT_EQ(after.dir_query_timeouts, before.dir_query_timeouts);
+  EXPECT_EQ(after.dir_failures_detected, before.dir_failures_detected);
+  EXPECT_EQ(after.promotions_triggered, before.promotions_triggered);
+  EXPECT_EQ(after.summary_hits, before.summary_hits);
+  EXPECT_EQ(after.collaboration_hits, before.collaboration_hits);
+  EXPECT_EQ(after.dir_failures_detected,
+            env.stats().Total("flower.dir_failures_detected"));
+}
+
 TEST_F(FlowerMaintenanceTest, DirectoryFailureIsDetectedAndReplaced) {
   ExperimentConfig config = MakeConfig();
   ExperimentEnv env(config);

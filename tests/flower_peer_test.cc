@@ -8,6 +8,7 @@
 
 #include "flower/dring.h"
 #include "metrics/metrics.h"
+#include "obs/stats.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -38,6 +39,7 @@ class FlowerPeerHarness : public ::testing::Test {
     ctx_.origins = &origins_;
     ctx_.keyspace = &keyspace_;
     ctx_.params = &params_;
+    ctx_.stats = &stats_;
     ctx_.pick_dring_bootstrap = [this](PeerId self) {
       for (PeerId p : directory_registry_) {
         if (p != self && network_.IsAlive(p)) return p;
@@ -78,6 +80,7 @@ class FlowerPeerHarness : public ::testing::Test {
   }
 
   Simulator sim_;
+  StatsRegistry stats_{[this] { return sim_.now(); }};
   Topology topology_;
   Network network_;
   MetricsCollector metrics_;
@@ -201,13 +204,15 @@ TEST_F(FlowerPeerHarness, ContentPeerReplacesFailedDirectory) {
   sim_.RunUntil(sim_.now() + 30 * kMinute);
   ASSERT_EQ(member->role(), FlowerRole::kContentPeer);
 
+  EXPECT_EQ(stats_.Total("flower.dir_failures_detected"), 0u);
   Kill(1);
   // The member detects the failure at the next keepalive/query and claims
   // the position (§5.2.1).
   sim_.RunUntil(sim_.now() + 3 * params_.gossip_period);
   EXPECT_EQ(member->role(), FlowerRole::kDirectoryPeer)
       << "content peer did not replace its failed directory";
-  EXPECT_GT(member->dir_failures_detected(), 0u);
+  // The member is the only content peer, so it did all the detecting.
+  EXPECT_GT(stats_.Total("flower.dir_failures_detected"), 0u);
 }
 
 TEST_F(FlowerPeerHarness, GossipSpreadsContactsAndSummaries) {

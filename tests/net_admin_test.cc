@@ -191,7 +191,7 @@ TEST_F(AdminE2E, UnknownAdminPathIs404AndGatewayContentStillServes) {
   HttpResponse obj = Scrape(host_->gateway()->port(), "/0/3");
   EXPECT_EQ(obj.status, 200);
   ASSERT_NE(obj.Header("X-FlowerCDN-Source"), nullptr);
-  EXPECT_EQ(host_->gateway()->stats().requests, 1u);
+  EXPECT_EQ(env_.stats().Total("net.gateway.requests"), 1u);
 }
 
 }  // namespace

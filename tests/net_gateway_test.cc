@@ -143,11 +143,11 @@ TEST_F(GatewayE2E, ServesObjectThenHitsPetalOnRepeat) {
   EXPECT_EQ(*second.Header("X-FlowerCDN-Hit"), "1");
   EXPECT_EQ(second.body.size(), first.body.size());
 
-  const Gateway::Stats& stats = host_->gateway()->stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.responses, 2u);
-  EXPECT_GE(stats.served_petal, 1u);
-  EXPECT_GT(stats.body_bytes_petal, 0u);
+  const StatsRegistry& stats = env_.stats();
+  EXPECT_EQ(stats.Total("net.gateway.requests"), 2u);
+  EXPECT_EQ(stats.Total("net.gateway.responses"), 2u);
+  EXPECT_GE(stats.Total("net.gateway.served_petal"), 1u);
+  EXPECT_GT(stats.Total("net.gateway.body_bytes_petal"), 0u);
   ::close(fd);
 }
 
@@ -164,7 +164,7 @@ TEST_F(GatewayE2E, RejectsUnknownObjectAndBadRequest) {
   EXPECT_EQ(resp.status, 404);
   ::close(fd);
 
-  EXPECT_EQ(host_->gateway()->stats().bad_requests, 2u);
+  EXPECT_EQ(env_.stats().Total("net.gateway.bad_requests"), 2u);
 }
 
 TEST_F(GatewayE2E, PipelinedRequestsAreServedInOrder) {
@@ -241,7 +241,7 @@ TEST_F(GatewayE2E, ThousandsOfPipelinedSynchronousRequests) {
     }
   });
   EXPECT_EQ(got, kRequests);
-  EXPECT_EQ(host_->gateway()->stats().bad_requests,
+  EXPECT_EQ(env_.stats().Total("net.gateway.bad_requests"),
             static_cast<uint64_t>(kRequests / 2));
   ::close(fd);
 }

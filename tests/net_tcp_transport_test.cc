@@ -20,6 +20,7 @@
 #include "chord/messages.h"
 #include "net/clock.h"
 #include "net/event_loop.h"
+#include "obs/stats.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -49,11 +50,12 @@ struct Rank {
     network.RegisterIdentity(2, topology.PlaceInLocality(1, rng));
     transport = std::make_unique<TcpTransport>(
         &network, &loop, self, std::move(members),
-        [](PeerId peer) { return peer == 1 ? 0 : 1; }, options, nullptr);
+        [](PeerId peer) { return peer == 1 ? 0 : 1; }, options, &stats);
     network.SetTransport(transport.get());
   }
 
   Simulator sim;
+  StatsRegistry stats{[this] { return sim.now(); }};
   Topology topology;
   Network network;
   EventLoop loop;
@@ -109,7 +111,7 @@ TEST(NetTcpTransportTest, CarriesFramesBetweenRanks) {
   }
   EXPECT_EQ(a.transport->frames_sent(), 5u);
   EXPECT_EQ(b.transport->frames_received(), 5u);
-  EXPECT_EQ(b.transport->decode_errors(), 0u);
+  EXPECT_EQ(b.stats.Total("net.tcp.decode_errors"), 0u);
 }
 
 TEST(NetTcpTransportTest, LocalDestinationShortCircuits) {
@@ -147,8 +149,9 @@ TEST(NetTcpTransportTest, ReconnectsAfterPeerRestart) {
   // tested from the moment the disconnect is detected.)
   uint16_t port = b1.transport->listen_port();
   b1.transport->CloseAll();
-  ASSERT_TRUE(PumpUntil(&a, nullptr,
-                        [&] { return a.transport->connect_failures() > 0; }));
+  ASSERT_TRUE(PumpUntil(&a, nullptr, [&] {
+    return a.stats.Total("net.tcp.connect_failures") > 0;
+  }));
 
   a.network.Send(1, 2, Ping(2));  // queued: rank 1 is down
 
@@ -164,7 +167,7 @@ TEST(NetTcpTransportTest, ReconnectsAfterPeerRestart) {
   // Both the queued-while-down message and the later one arrive, in order.
   EXPECT_EQ(node2b.received[0]->rpc_id, 2u);
   EXPECT_EQ(node2b.received[1]->rpc_id, 3u);
-  EXPECT_GE(a.transport->reconnects(), 1u);
+  EXPECT_GE(a.stats.Total("net.tcp.reconnects"), 1u);
 }
 
 int DialBlocking(uint16_t port) {
@@ -194,11 +197,12 @@ TEST(NetTcpTransportTest, AcceptedPoolCapEvictsIdleStreams) {
   // Every accept past the cap evicts the least recently active stream, so
   // 4 dials against a pool of 2 must evict (at least) 2.
   int64_t end = MonotonicMillis() + 3000;
-  while (a.transport->accepted_evicted() < 2 && MonotonicMillis() < end) {
+  while (a.stats.Total("net.tcp.accepted_evicted") < 2 &&
+         MonotonicMillis() < end) {
     a.loop.PollOnce(2);
   }
   EXPECT_LE(a.transport->accepted_connections(), options.max_accepted);
-  EXPECT_GE(a.transport->accepted_evicted(), 2u);
+  EXPECT_GE(a.stats.Total("net.tcp.accepted_evicted"), 2u);
   for (int fd : fds) ::close(fd);
 }
 
@@ -215,10 +219,11 @@ TEST(NetTcpTransportTest, OversizedFrameClaimTearsDownStream) {
             static_cast<ssize_t>(sizeof(header)));
 
   int64_t end = MonotonicMillis() + 3000;
-  while (a.transport->decode_errors() == 0 && MonotonicMillis() < end) {
+  while (a.stats.Total("net.tcp.decode_errors") == 0 &&
+         MonotonicMillis() < end) {
     a.loop.PollOnce(2);
   }
-  EXPECT_EQ(a.transport->decode_errors(), 1u);
+  EXPECT_EQ(a.stats.Total("net.tcp.decode_errors"), 1u);
   EXPECT_EQ(a.transport->accepted_connections(), 0u);  // torn down
   ::close(fd);
 }
@@ -238,10 +243,11 @@ TEST(NetTcpTransportTest, GarbagePayloadCountsDecodeError) {
             static_cast<ssize_t>(sizeof(frame)));
 
   int64_t end = MonotonicMillis() + 3000;
-  while (a.transport->decode_errors() == 0 && MonotonicMillis() < end) {
+  while (a.stats.Total("net.tcp.decode_errors") == 0 &&
+         MonotonicMillis() < end) {
     a.loop.PollOnce(2);
   }
-  EXPECT_EQ(a.transport->decode_errors(), 1u);
+  EXPECT_EQ(a.stats.Total("net.tcp.decode_errors"), 1u);
   ::close(fd);
 }
 
@@ -261,10 +267,10 @@ TEST(NetTcpTransportTest, HardCapDropIsCountedAsTransportDrop) {
     a.network.Send(1, 2, Ping(i));
   }
   a.sim.Run();
-  EXPECT_GT(a.transport->frames_dropped(), 0u);
+  EXPECT_GT(a.stats.Total("net.tcp.frames_dropped"), 0u);
   EXPECT_EQ(a.network.traffic().transport_drop.messages,
-            a.transport->frames_dropped());
-  EXPECT_GT(a.transport->backpressure_events(), 0u);
+            a.stats.Total("net.tcp.frames_dropped"));
+  EXPECT_GT(a.stats.Total("net.tcp.backpressure_events"), 0u);
   EXPECT_LE(a.transport->queued_bytes(), options.queue_hard_cap);
 }
 

@@ -69,6 +69,38 @@ TEST(ChurnTest, DisabledChurnNeverFails) {
   EXPECT_EQ(churn.online_count(), 1u);
 }
 
+// --no-churn: nobody fails, and arrivals fill the population up to P and
+// then stop, instead of leaving only the seeded peers online.
+TEST(ChurnTest, DisabledChurnFillsToTargetThenStops) {
+  Simulator sim;
+  ChurnProcess::Params params;
+  params.mean_uptime = 60 * kMinute;
+  const size_t target = 1000;
+  params.arrival_rate_per_ms =
+      static_cast<double>(target) / static_cast<double>(params.mean_uptime);
+  params.enabled = false;
+  ChurnProcess churn(&sim, Rng(8), params);
+  for (PeerId p = 1; p <= 1300; ++p) churn.AddOfflineIdentity(p);
+  // 600 seeded peers, as Flower's initial directories are.
+  for (PeerId p = 1301; p <= 1900; ++p) churn.StartSession(p);
+  int arrivals = 0;
+  int failures = 0;
+  churn.SetHandlers([&](PeerId) { ++arrivals; }, [&](PeerId) { ++failures; });
+  churn.Start();
+  sim.RunUntil(2 * kHour);
+  EXPECT_NEAR(static_cast<double>(churn.online_count()),
+              static_cast<double>(target), 0.05 * target);
+  EXPECT_GT(arrivals, 0);
+  EXPECT_EQ(churn.total_arrivals(), static_cast<uint64_t>(arrivals));
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(churn.total_failures(), 0u);
+  // Converged: no further arrival is scheduled.
+  const size_t online = churn.online_count();
+  sim.RunUntil(24 * kHour);
+  EXPECT_EQ(churn.online_count(), online);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(ChurnTest, SessionsFailWithExponentialLifetimes) {
   Simulator sim;
   ChurnProcess::Params params;

@@ -46,6 +46,31 @@ TEST(SquirrelTest, HomeDirectoriesDriveHits) {
   EXPECT_LT(stats.delegate_failures, stats.home_redirects / 10);
 }
 
+// The outcome counters live in the stats registry, not in the sessions, so
+// a session's queries still count after it is destroyed.
+TEST(SquirrelTest, DepartedSessionsKeepTheirCounts) {
+  ExperimentConfig config = SmallConfig();
+  ExperimentEnv env(config);
+  SquirrelSystem system(&env, config.squirrel);
+  system.Setup();
+  env.sim().RunUntil(3 * kHour);
+  const SquirrelSystem::Stats before = system.ComputeStats();
+  ASSERT_GT(before.queries_issued, 0u);
+  ASSERT_GT(before.home_redirects, 0u);
+  for (PeerId peer = 1; peer <= env.universe_size(); ++peer) {
+    system.InjectFailure(peer);
+  }
+  const SquirrelSystem::Stats after = system.ComputeStats();
+  EXPECT_EQ(after.live_sessions, 0u);
+  EXPECT_EQ(after.queries_issued, before.queries_issued);
+  EXPECT_EQ(after.home_redirects, before.home_redirects);
+  EXPECT_EQ(after.home_empty, before.home_empty);
+  EXPECT_EQ(after.delegate_failures, before.delegate_failures);
+  EXPECT_EQ(after.lookup_failures, before.lookup_failures);
+  EXPECT_EQ(after.queries_issued,
+            env.stats().Total("squirrel.queries_issued"));
+}
+
 TEST(SquirrelTest, HomeFailureAbruptlyLosesDirectory) {
   // The paper's central criticism: kill the home node of a hot object and
   // its directory is gone.

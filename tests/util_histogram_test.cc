@@ -80,23 +80,6 @@ TEST(HistogramTest, ClearResets) {
   EXPECT_EQ(h.bucket_count(1), 0u);
 }
 
-TEST(RunningStatTest, MatchesClosedForm) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
-  EXPECT_NEAR(s.StdDev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.Min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
-TEST(RunningStatTest, SingleValue) {
-  RunningStat s;
-  s.Add(3.5);
-  EXPECT_DOUBLE_EQ(s.Mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.Variance(), 0.0);
-}
-
 TEST(HistogramMergeTest, PoolsCountsAndMoments) {
   Histogram a(10, 3);  // covers [0, 30) + overflow
   for (double v : {5.0, 15.0}) a.Add(v);

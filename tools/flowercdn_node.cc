@@ -315,6 +315,8 @@ int main(int argc, char** argv) {
 
   const uint64_t queries = env.metrics().total_queries();
   const uint64_t hits = env.metrics().hits();
+  const StatsRegistry& stats = env.stats();
+  const uint64_t decode_errors = stats.Total("net.tcp.decode_errors");
 
   TablePrinter table({"metric", "value"});
   table.AddRow({"rank", std::to_string(host.rank()) + "/" +
@@ -331,17 +333,19 @@ int main(int argc, char** argv) {
                   std::to_string(host.tcp()->frames_received())});
     table.AddRow({"tcp bytes sent",
                   std::to_string(host.tcp()->bytes_sent())});
-    table.AddRow({"decode errors",
-                  std::to_string(host.tcp()->decode_errors())});
-    table.AddRow({"reconnects", std::to_string(host.tcp()->reconnects())});
+    table.AddRow({"decode errors", std::to_string(decode_errors)});
+    table.AddRow({"reconnects",
+                  std::to_string(stats.Total("net.tcp.reconnects"))});
   }
   if (host.gateway() != nullptr) {
-    const Gateway::Stats& gw = host.gateway()->stats();
-    table.AddRow({"gateway requests", std::to_string(gw.requests)});
-    table.AddRow({"gateway petal", std::to_string(gw.served_petal)});
+    table.AddRow({"gateway requests",
+                  std::to_string(stats.Total("net.gateway.requests"))});
+    table.AddRow({"gateway petal",
+                  std::to_string(stats.Total("net.gateway.served_petal"))});
     table.AddRow({"gateway directory",
-                  std::to_string(gw.served_directory)});
-    table.AddRow({"gateway origin", std::to_string(gw.served_origin)});
+                  std::to_string(stats.Total("net.gateway.served_directory"))});
+    table.AddRow({"gateway origin",
+                  std::to_string(stats.Total("net.gateway.served_origin"))});
   }
   table.AddRow({"queries", std::to_string(queries)});
   table.AddRow({"overlay hits", std::to_string(hits)});
@@ -349,10 +353,9 @@ int main(int argc, char** argv) {
   if (!quiet) table.Print(std::cout);
 
   if (cluster) {
-    if (host.tcp()->decode_errors() != 0) {
+    if (decode_errors != 0) {
       std::fprintf(stderr, "FAIL: %llu frame decode errors\n",
-                   static_cast<unsigned long long>(
-                       host.tcp()->decode_errors()));
+                   static_cast<unsigned long long>(decode_errors));
       return 1;
     }
     return 0;

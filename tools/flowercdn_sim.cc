@@ -37,7 +37,8 @@ void Usage(const char* argv0) {
                "  --wire=modeled|encoded traffic sizing: SizeBytes()\n"
                "                        estimates or actual src/wire encoded\n"
                "                        lengths (default modeled)\n"
-               "  --no-churn            disable failures\n"
+               "  --no-churn            sessions never fail; arrivals fill the\n"
+               "                        population up to --population, then stop\n"
                "  --no-retain-cache     clear browser caches on re-join\n"
                "  --collab              enable directory collaboration (§3.2)\n"
                "  --no-petalup          disable elastic directory instances\n"
