@@ -7,15 +7,19 @@
 // probe reports the time until a replacement claims the D-ring position;
 // the bench additionally samples the replacement's directory-index until
 // it reaches half the pre-failure size.
+//
+// Usage: maintenance_recovery [--seed=S]   (default seed 42)
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 
-#include "bench/bench_util.h"
 #include "chaos/engine.h"
 #include "chaos/scenario.h"
 #include "expt/env.h"
 #include "expt/flower_system.h"
+#include "runner/sweep.h"
 #include "util/table_printer.h"
 
 using namespace flowercdn;
@@ -94,9 +98,19 @@ RecoveryResult MeasureRecovery(SimDuration gossip_period, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args =
-      bench::BenchArgs::Parse(argc, argv, /*default_population=*/40);
-  (void)args;
+  uint64_t seed = 42;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--seed=", 7) != 0) {
+      std::fprintf(stderr, "usage: %s [--seed=S]\n", argv[0]);
+      return 2;
+    }
+    Result<uint64_t> parsed = ParseWhole(argv[i] + 7, 0, UINT64_MAX);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "--seed: %s\n", parsed.status().message().c_str());
+      return 2;
+    }
+    seed = *parsed;
+  }
 
   std::printf("=== Maintenance ablation: directory recovery vs "
               "gossip/keepalive period ===\n");
@@ -106,7 +120,7 @@ int main(int argc, char** argv) {
        {10 * kMinute, 30 * kMinute, 60 * kMinute, 120 * kMinute}) {
     std::fprintf(stderr, "running period=%lld min...\n",
                  static_cast<long long>(period / kMinute));
-    RecoveryResult r = MeasureRecovery(period, /*seed=*/42);
+    RecoveryResult r = MeasureRecovery(period, seed);
     table.AddRow({std::to_string(period / kMinute),
                   r.replace_minutes < 0 ? "never"
                                         : FormatDouble(r.replace_minutes, 1),
@@ -115,8 +129,6 @@ int main(int argc, char** argv) {
                   std::to_string(r.entries_before)});
   }
   table.Print(std::cout);
-  std::printf("\nCSV:\n");
-  table.PrintCsv(std::cout);
   std::printf(
       "\nExpectation: detection is driven by queries and keepalives, so "
       "recovery happens within minutes even at the paper's 1-hour period; "

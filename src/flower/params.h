@@ -63,7 +63,7 @@ struct FlowerParams {
   /// content of ws" — on a local miss, consult the ring neighbor directory
   /// of the same website (adjacent D-ring id). Off by default: it trades
   /// extra hit ratio for slower misses and blurs the paper's
-  /// locality-aware latency profile; see bench/ablation_collaboration.
+  /// locality-aware latency profile; see EXPERIMENTS.md "Ablations".
   bool enable_dir_collaboration = false;
 
   /// PetalUp-CDN: allow spawning additional directory instances when the

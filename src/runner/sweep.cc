@@ -1,6 +1,7 @@
 #include "runner/sweep.h"
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 
@@ -40,18 +41,6 @@ std::vector<std::string_view> SplitList(std::string_view s, char sep) {
   return out;
 }
 
-Result<double> ParseNumber(std::string_view token, std::string_view key) {
-  std::string buf(token);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (buf.empty() || end != buf.c_str() + buf.size() || errno != 0) {
-    return Status::InvalidArgument("sweep: bad number '" + buf + "' for '" +
-                                   std::string(key) + "'");
-  }
-  return v;
-}
-
 }  // namespace
 
 Result<SimDuration> ParseDuration(std::string_view text, SimDuration unit) {
@@ -69,6 +58,37 @@ Result<SimDuration> ParseDuration(std::string_view text, SimDuration unit) {
     return Status::InvalidArgument("'" + buf + "' is out of range");
   }
   return static_cast<SimDuration>(ms);
+}
+
+Result<uint64_t> ParseWhole(std::string_view text, uint64_t lo, uint64_t hi) {
+  std::string buf(text);
+  if (buf.empty() || buf.find_first_not_of("0123456789") != std::string::npos) {
+    return Status::InvalidArgument("'" + buf + "' is not a whole number");
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(buf.c_str(), nullptr, 10);
+  if (errno != 0 || v < lo || v > hi) {
+    return Status::InvalidArgument("'" + buf + "' is out of range [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  return static_cast<uint64_t>(v);
+}
+
+Result<double> ParseDecimal(std::string_view text, double lo) {
+  std::string buf(text);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (buf.empty() || end != buf.c_str() + buf.size() || errno != 0 ||
+      !std::isfinite(v)) {
+    return Status::InvalidArgument("'" + buf + "' is not a decimal number");
+  }
+  if (v < lo) {
+    return Status::InvalidArgument("'" + buf + "' is below " +
+                                   FormatDouble(lo, 2));
+  }
+  return v;
 }
 
 Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
@@ -139,54 +159,50 @@ Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
       continue;
     }
 
-    std::vector<double> numbers;
-    numbers.reserve(values.size());
-    for (std::string_view v : values) {
-      Result<double> n = ParseNumber(v, key);
-      if (!n.ok()) return n.status();
-      numbers.push_back(*n);
-    }
-
-    if (key == "population") {
-      for (double n : numbers) {
-        if (n < 1) return Status::InvalidArgument("sweep: population < 1");
-        sweep.populations.push_back(static_cast<size_t>(n));
+    // The remaining keys are numeric. Errors name the key and the value.
+    auto keyed = [key](const Status& status) {
+      return Status::InvalidArgument("sweep: " + std::string(key) + " " +
+                                     status.message());
+    };
+    if (key == "population" || key == "replication") {
+      for (std::string_view v : values) {
+        Result<uint64_t> n = ParseWhole(v, 1, INT_MAX);
+        if (!n.ok()) return keyed(n.status());
+        if (key == "population") {
+          sweep.populations.push_back(static_cast<size_t>(*n));
+        } else {
+          sweep.replications.push_back(static_cast<int>(*n));
+        }
       }
     } else if (key == "zipf") {
-      for (double n : numbers) {
-        if (n < 0) return Status::InvalidArgument("sweep: zipf < 0");
-        sweep.zipf_alphas.push_back(n);
+      for (std::string_view v : values) {
+        Result<double> n = ParseDecimal(v, 0);
+        if (!n.ok()) return keyed(n.status());
+        sweep.zipf_alphas.push_back(*n);
       }
     } else if (key == "uptime-min") {
-      for (double n : numbers) {
-        if (n <= 0) return Status::InvalidArgument("sweep: uptime-min <= 0");
-        sweep.mean_uptimes.push_back(
-            static_cast<SimDuration>(n * static_cast<double>(kMinute)));
+      for (std::string_view v : values) {
+        Result<SimDuration> uptime = ParseDuration(v, kMinute);
+        if (!uptime.ok()) return keyed(uptime.status());
+        sweep.mean_uptimes.push_back(*uptime);
       }
-    } else if (key == "trials") {
-      if (numbers.size() != 1 || numbers[0] < 1) {
-        return Status::InvalidArgument("sweep: trials wants one value >= 1");
-      }
-      sweep.trials = static_cast<size_t>(numbers[0]);
-    } else if (key == "seed") {
-      if (numbers.size() != 1) {
-        return Status::InvalidArgument("sweep: seed wants one value");
-      }
-      sweep.base_seed = static_cast<uint64_t>(numbers[0]);
-    } else if (key == "hours") {
+    } else if (key == "trials" || key == "seed" || key == "hours") {
       if (values.size() != 1) {
-        return Status::InvalidArgument("sweep: hours wants one value > 0");
+        return Status::InvalidArgument("sweep: " + std::string(key) +
+                                       " wants one value");
       }
-      Result<SimDuration> duration = ParseDuration(values[0], kHour);
-      if (!duration.ok()) {
-        return Status::InvalidArgument("sweep: hours " +
-                                       duration.status().message());
-      }
-      sweep.base.duration = *duration;
-    } else if (key == "replication") {
-      for (double n : numbers) {
-        if (n < 1) return Status::InvalidArgument("sweep: replication < 1");
-        sweep.replications.push_back(static_cast<int>(n));
+      if (key == "trials") {
+        Result<uint64_t> n = ParseWhole(values[0], 1, INT_MAX);
+        if (!n.ok()) return keyed(n.status());
+        sweep.trials = static_cast<size_t>(*n);
+      } else if (key == "seed") {
+        Result<uint64_t> n = ParseWhole(values[0], 0, UINT64_MAX);
+        if (!n.ok()) return keyed(n.status());
+        sweep.base_seed = *n;
+      } else {
+        Result<SimDuration> duration = ParseDuration(values[0], kHour);
+        if (!duration.ok()) return keyed(duration.status());
+        sweep.base.duration = *duration;
       }
     } else {
       return Status::InvalidArgument(

@@ -30,6 +30,14 @@ Result<SystemChoice> ParseSystemChoice(std::string_view name);
 /// negative input, and on anything shorter than one simulated millisecond.
 Result<SimDuration> ParseDuration(std::string_view text, SimDuration unit);
 
+/// Parses a whole decimal number in [lo, hi] — the full uint64 range for a
+/// seed. Errors on empty, signed, fractional or non-numeric input and on
+/// values outside the range.
+Result<uint64_t> ParseWhole(std::string_view text, uint64_t lo, uint64_t hi);
+
+/// Parses a finite decimal number no smaller than `lo`.
+Result<double> ParseDecimal(std::string_view text, double lo);
+
 /// A grid of experiment configurations: the cross product of every swept
 /// dimension, times `systems`, times `trials` repetitions per cell. Each
 /// trial's seed derives from (base_seed, trial index) — see seed.h — so a

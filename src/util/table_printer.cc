@@ -40,18 +40,6 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ",";
-      os << r[c];
-    }
-    os << "\n";
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

@@ -7,8 +7,8 @@
 
 namespace flowercdn {
 
-/// Right-pads columns and prints an ASCII table — used by the benchmark
-/// harnesses to emit the paper's tables in a readable form, alongside CSV.
+/// Right-pads columns and prints an ASCII table — used by the command-line
+/// tools and benchmark harnesses to print their results readably.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> header);
@@ -18,10 +18,6 @@ class TablePrinter {
 
   /// Renders the table with a header separator.
   void Print(std::ostream& os) const;
-
-  /// Renders rows as CSV (comma-separated, no quoting of commas — callers
-  /// use plain numeric/identifier cells).
-  void PrintCsv(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }
 

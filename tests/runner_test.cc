@@ -182,6 +182,16 @@ TEST(SweepSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(SweepSpec::Parse("hours=-1", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("hours=nan", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("hours=1,2", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("population=2.5", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("seed=-1", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("zipf=-0.1", base).ok());
+}
+
+TEST(SweepSpecTest, SeedTakesFullUint64Range) {
+  ExperimentConfig base;
+  Result<SweepSpec> r = SweepSpec::Parse("seed=17532488217563185893", base);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->base_seed, 17532488217563185893ULL);
 }
 
 TEST(SweepSpecTest, AcceptsFractionalHours) {
@@ -189,6 +199,22 @@ TEST(SweepSpecTest, AcceptsFractionalHours) {
   Result<SweepSpec> r = SweepSpec::Parse("hours=0.25", base);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->base.duration, 15 * kMinute);
+}
+
+TEST(ParseWholeTest, RangeAndRejections) {
+  EXPECT_EQ(*ParseWhole("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(*ParseWhole("10", 1, 10), 10u);
+  for (const char* bad : {"", "0", "11", "-1", "+1", " 1", "1.5", "abc"}) {
+    EXPECT_FALSE(ParseWhole(bad, 1, 10).ok()) << bad;
+  }
+  EXPECT_FALSE(ParseWhole("18446744073709551616", 0, UINT64_MAX).ok());
+}
+
+TEST(ParseDecimalTest, FiniteAndBounded) {
+  EXPECT_DOUBLE_EQ(*ParseDecimal("0.8", 0), 0.8);
+  for (const char* bad : {"", "-0.1", "abc", "nan", "inf", "1x"}) {
+    EXPECT_FALSE(ParseDecimal(bad, 0).ok()) << bad;
+  }
 }
 
 TEST(ParseDurationTest, DecimalUnitsAndRejections) {
@@ -300,8 +326,8 @@ TEST(JsonExportTest, SweepDocumentShape) {
 }
 
 // v5: a chaos cell where no killed directory was ever replaced must export
-// a literal null aggregate latency, never a fake 0 ms summary (the old
-// misleading Squirrel row in bench/chaos_resilience).
+// a literal null aggregate latency, never a fake 0 ms summary, which read
+// as an instant replacement for Squirrel cells (no directories to kill).
 TEST(JsonExportTest, UnreplacedKillExportsNullLatency) {
   CellResult cell;
   cell.label = "squirrel/faults";

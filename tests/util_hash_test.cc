@@ -61,14 +61,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter table({"a", "b"});
-  table.AddRow({"1", "2"});
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinterTest, RaggedRowsRenderSafely) {
   TablePrinter table({"a", "b", "c"});
   table.AddRow({"1"});

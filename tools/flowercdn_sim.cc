@@ -3,6 +3,8 @@
 // parallel, with repeated trials — print the paper's metrics with error
 // bars, and export CSV series or runner JSON for plotting.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +44,9 @@ void Usage(const char* argv0) {
                "  --no-retain-cache     clear browser caches on re-join\n"
                "  --collab              enable directory collaboration (§3.2)\n"
                "  --no-petalup          disable elastic directory instances\n"
+               "  --dir-load=N          content peers one directory manages\n"
+               "                        before PetalUp adds an instance\n"
+               "                        (default 30)\n"
                "  --replication=K       total copies of each directory index\n"
                "                        (primary + K-1 D-ring successor\n"
                "                        replicas; default 1 = no replication)\n"
@@ -76,25 +81,40 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, long long* out) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = atoll(arg + len + 1);
-  return true;
-}
+/// One command-line argument. `Is("--name")` matches `--name=value`; the
+/// typed getters then parse the value with the sweep parser's number rules
+/// and, on a bad or out-of-range value, print a one-line error and exit 2.
+struct Flag {
+  const char* arg;
+  const char* name = nullptr;
+  const char* value = nullptr;
 
-/// Like ParseFlag, but the value must be a positive integer; prints a
-/// one-line error and exits the process otherwise. Guards the flags where
-/// zero or a negative would silently run an empty simulation.
-bool ParsePositiveFlag(const char* arg, const char* name, long long* out) {
-  if (!ParseFlag(arg, name, out)) return false;
-  if (*out < 1) {
-    std::fprintf(stderr, "%s must be a positive integer (got %s)\n", name,
-                 arg + std::strlen(name) + 1);
-    std::exit(2);
+  bool Is(const char* flag) {
+    size_t len = std::strlen(flag);
+    if (std::strncmp(arg, flag, len) != 0 || arg[len] != '=') return false;
+    name = flag;
+    value = arg + len + 1;
+    return true;
   }
-  return true;
-}
+
+  template <typename T>
+  T OrExit(Result<T> parsed) const {
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name,
+                   parsed.status().message().c_str());
+      std::exit(2);
+    }
+    return *parsed;
+  }
+
+  uint64_t Whole(uint64_t lo, uint64_t hi = INT_MAX) const {
+    return OrExit(ParseWhole(value, lo, hi));
+  }
+  double Decimal(double lo) const { return OrExit(ParseDecimal(value, lo)); }
+  SimDuration Duration(SimDuration unit) const {
+    return OrExit(ParseDuration(value, unit));
+  }
+};
 
 void WriteCsv(const std::string& prefix, const ExperimentResult& r) {
   {
@@ -341,45 +361,39 @@ int main(int argc, char** argv) {
   std::string trace_out;
   bool json_include_trials = true;
   bool json_timing = false;
-  long long trials = 1;
-  long long jobs = 0;
+  size_t trials = 1;
+  size_t jobs = 0;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    long long value = 0;
-    if (std::strncmp(arg, "--system=", 9) == 0) {
-      system_name = arg + 9;
+    Flag flag{arg};
+    if (flag.Is("--system")) {
+      system_name = flag.value;
       if (!ParseSystemChoice(system_name).ok()) {
         Usage(argv[0]);
         return 2;
       }
-    } else if (ParsePositiveFlag(arg, "--population", &value)) {
-      config.target_population = static_cast<size_t>(value);
-    } else if (std::strncmp(arg, "--hours=", 8) == 0) {
-      Result<SimDuration> duration = ParseDuration(arg + 8, kHour);
-      if (!duration.ok()) {
-        std::fprintf(stderr, "--hours: %s\n",
-                     duration.status().message().c_str());
-        return 2;
-      }
-      config.duration = *duration;
-    } else if (ParseFlag(arg, "--seed", &value)) {
-      config.seed = static_cast<uint64_t>(value);
-    } else if (ParseFlag(arg, "--websites", &value)) {
-      config.catalog.num_websites = static_cast<int>(value);
-    } else if (ParseFlag(arg, "--active", &value)) {
-      config.catalog.num_active = static_cast<int>(value);
-    } else if (ParseFlag(arg, "--objects", &value)) {
-      config.catalog.objects_per_website = static_cast<int>(value);
-    } else if (ParseFlag(arg, "--localities", &value)) {
-      config.topology.num_localities = static_cast<int>(value);
-    } else if (ParseFlag(arg, "--uptime-min", &value)) {
-      config.mean_uptime = value * kMinute;
-    } else if (std::strncmp(arg, "--zipf=", 7) == 0) {
-      config.catalog.zipf_alpha = atof(arg + 7);
-    } else if (std::strncmp(arg, "--wire=", 7) == 0) {
-      std::string mode = arg + 7;
+    } else if (flag.Is("--population")) {
+      config.target_population = flag.Whole(1);
+    } else if (flag.Is("--hours")) {
+      config.duration = flag.Duration(kHour);
+    } else if (flag.Is("--seed")) {
+      config.seed = flag.Whole(0, UINT64_MAX);
+    } else if (flag.Is("--websites")) {
+      config.catalog.num_websites = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--active")) {
+      config.catalog.num_active = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--objects")) {
+      config.catalog.objects_per_website = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--localities")) {
+      config.topology.num_localities = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--uptime-min")) {
+      config.mean_uptime = flag.Duration(kMinute);
+    } else if (flag.Is("--zipf")) {
+      config.catalog.zipf_alpha = flag.Decimal(0);
+    } else if (flag.Is("--wire")) {
+      std::string mode = flag.value;
       if (mode == "modeled") {
         config.wire_mode = WireMode::kModeled;
       } else if (mode == "encoded") {
@@ -396,43 +410,43 @@ int main(int argc, char** argv) {
       config.flower.enable_dir_collaboration = true;
     } else if (std::strcmp(arg, "--no-petalup") == 0) {
       config.flower.petalup_enabled = false;
-    } else if (ParsePositiveFlag(arg, "--replication", &value)) {
-      config.flower.replication = static_cast<int>(value);
-    } else if (ParsePositiveFlag(arg, "--trials", &value)) {
-      trials = value;
-    } else if (ParseFlag(arg, "--jobs", &value)) {
-      if (value < 0) {
-        Usage(argv[0]);
-        return 2;
-      }
-      jobs = value;
-    } else if (std::strncmp(arg, "--chaos=", 8) == 0) {
-      chaos_file = arg + 8;
-    } else if (std::strncmp(arg, "--sweep=", 8) == 0) {
-      sweep_spec = arg + 8;
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      json_out = arg + 11;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_out = arg + 12;
+    } else if (flag.Is("--dir-load")) {
+      config.flower.max_directory_load = flag.Whole(1);
+    } else if (flag.Is("--replication")) {
+      config.flower.replication = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--trials")) {
+      trials = flag.Whole(1);
+    } else if (flag.Is("--jobs")) {
+      jobs = flag.Whole(0);
+    } else if (flag.Is("--chaos")) {
+      chaos_file = flag.value;
+    } else if (flag.Is("--sweep")) {
+      sweep_spec = flag.value;
+    } else if (flag.Is("--json-out")) {
+      json_out = flag.value;
+    } else if (flag.Is("--trace-out")) {
+      trace_out = flag.value;
       config.collect_traces = true;
-    } else if (ParseFlag(arg, "--stats-interval", &value)) {
-      if (value < 1) {
-        Usage(argv[0]);
-        return 2;
-      }
-      config.stats_interval = value * kMinute;
+    } else if (flag.Is("--stats-interval")) {
+      config.stats_interval =
+          static_cast<SimDuration>(flag.Whole(1)) * kMinute;
     } else if (std::strcmp(arg, "--json-aggregate-only") == 0) {
       json_include_trials = false;
     } else if (std::strcmp(arg, "--json-timing") == 0) {
       json_timing = true;
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      csv_prefix = arg + 6;
+    } else if (flag.Is("--csv")) {
+      csv_prefix = flag.value;
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else {
       Usage(argv[0]);
       return 2;
     }
+  }
+  if (config.catalog.num_active > config.catalog.num_websites) {
+    std::fprintf(stderr, "--active (%d) must not exceed --websites (%d)\n",
+                 config.catalog.num_active, config.catalog.num_websites);
+    return 2;
   }
 
   if (!chaos_file.empty()) {
@@ -452,13 +466,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   SweepSpec sweep = *parsed;
-  if (sweep.trials == 1) sweep.trials = static_cast<size_t>(trials);
+  if (sweep.trials == 1) sweep.trials = trials;
   if (sweep.systems.empty()) {
     sweep.systems.push_back(*ParseSystemChoice(system_name));
   }
 
   std::vector<TrialJob> grid = sweep.Expand();
-  TrialRunner runner(TrialRunner::Options{static_cast<size_t>(jobs)});
+  TrialRunner runner(TrialRunner::Options{jobs});
 
   if (!quiet) {
     std::fprintf(stderr, "%zu cell(s) x %zu trial(s) = %zu run(s) on %zu "
