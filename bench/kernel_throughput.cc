@@ -5,12 +5,16 @@
 //    uniform delays, no protocol work at all — isolates raw ladder-queue
 //    push/pop throughput.
 //  * trials: full Flower-CDN experiments (protocol + network + kernel) at
-//    1k / 10k / 100k peers, reporting wall seconds per trial and events
-//    retired per wall second.
+//    1k / 10k / 100k peers, reporting wall seconds per trial, events
+//    retired per wall second, and heap bytes per live session (glibc
+//    mallinfo2: the heap grown over set-up and run, divided by the
+//    sessions alive at the end).
 //
 // Writes BENCH_kernel.json (schema flowercdn-kernel-bench/v1, documented in
 // EXPERIMENTS.md) with --json-out; --quick shrinks the grid to seconds for
 // CI smoke runs.
+
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
@@ -68,14 +72,22 @@ MicroResult RunMicro(size_t timers, uint64_t budget) {
   return r;
 }
 
+// Bytes the process has allocated and not freed (arena + mmapped chunks).
+double HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
 struct TrialPoint {
   size_t population;
   double simulated_hours;
   ExperimentResult result;
+  double heap_bytes_per_session = 0;
 };
 
 // Trial 0 of `flowercdn-sim --population=P --hours=H --seed=S`, so every
 // committed point can be re-run (and its event count checked) from the CLI.
+// The progress hook reads the heap while the trial is still alive.
 TrialPoint RunTrial(size_t population, SimDuration duration, uint64_t seed) {
   ExperimentConfig config;
   config.target_population = population;
@@ -84,7 +96,17 @@ TrialPoint RunTrial(size_t population, SimDuration duration, uint64_t seed) {
   TrialPoint p;
   p.population = population;
   p.simulated_hours = static_cast<double>(duration) / kHour;
-  p.result = RunExperiment(config, SystemKind::kFlowerCdn);
+  const double heap_before = HeapInUse();
+  double heap_at_end = heap_before;
+  p.result = RunExperiment(config, SystemKind::kFlowerCdn,
+                           [&heap_at_end](SimTime, SimTime) {
+                             heap_at_end = HeapInUse();
+                           });
+  if (p.result.final_population > 0) {
+    p.heap_bytes_per_session =
+        (heap_at_end - heap_before) /
+        static_cast<double>(p.result.final_population);
+  }
   return p;
 }
 
@@ -138,9 +160,10 @@ int main(int argc, char** argv) {
   for (const Scale& s : scales) {
     points.push_back(RunTrial(s.population, s.duration, 42));
     const TrialPoint& p = points.back();
-    std::printf("  P=%zu %.2fh : %8.2f s/trial, %12.0f events/sec\n",
+    std::printf("  P=%zu %.2fh : %8.2f s/trial, %12.0f events/sec, "
+                "%8.0f heap B/session\n",
                 p.population, p.simulated_hours, p.result.wall_seconds,
-                p.result.EventsPerWallSecond());
+                p.result.EventsPerWallSecond(), p.heap_bytes_per_session);
   }
 
   if (!json_out.empty()) {
@@ -175,6 +198,7 @@ int main(int argc, char** argv) {
       w.Key("events_processed").Value(p.result.events_processed);
       w.Key("events_cancelled").Value(p.result.events_cancelled);
       w.Key("events_per_wall_second").Value(p.result.EventsPerWallSecond());
+      w.Key("heap_bytes_per_session").Value(p.heap_bytes_per_session);
       w.EndObject();
     }
     w.EndArray();

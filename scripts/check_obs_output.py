@@ -25,7 +25,7 @@ Validates that
 
   * a BENCH_kernel.json from bench/kernel_throughput follows the
     flowercdn-kernel-bench/v1 schema: ladder-queue rows with positive
-    throughput everywhere.
+    throughput everywhere, and a positive heap_bytes_per_session per trial.
 
 Usage:
   check_obs_output.py --trace trace.json --runner out.json [--chaos]
@@ -339,13 +339,16 @@ def check_kernel(path):
                 f"kernel: trial {i} has kernel {t.get('kernel')!r}")
         for key in ("population", "simulated_hours", "wall_seconds",
                     "seconds_per_trial", "events_processed",
-                    "events_cancelled", "events_per_wall_second"):
+                    "events_cancelled", "events_per_wall_second",
+                    "heap_bytes_per_session"):
             require(key in t, f"kernel: trial {i} lacks {key!r}")
         require(t["population"] > 0 and t["simulated_hours"] > 0,
                 f"kernel: trial {i} workload malformed")
         require(t["events_processed"] > 0 and
                 t["events_per_wall_second"] > 0,
                 f"kernel: trial {i} measured no throughput")
+        require(t["heap_bytes_per_session"] > 0,
+                f"kernel: trial {i} measured no heap per session")
     print(f"check_obs_output: kernel OK ({len(micro)} micro entries, "
           f"{len(trials)} trials)")
 

@@ -93,7 +93,7 @@ void ChordNode::Join(PeerId bootstrap, JoinCallback done) {
                 return;
               }
               successors_.clear();
-              MergeSuccessorCandidates({owner});
+              MergeSuccessorCandidates({&owner, 1});
               state_ = State::kActive;
               // Warm-start the finger table from the successor (Chord's
               // join optimization); failures are harmless — periodic
@@ -371,7 +371,7 @@ void ChordNode::ProbeSuccessor() {
   auto succ = successor();
   if (!succ.has_value()) {
     if (predecessor_.has_value() && predecessor_->peer != self_) {
-      MergeSuccessorCandidates({*predecessor_});
+      MergeSuccessorCandidates({&*predecessor_, 1});
     } else if (on_ring_broken) {
       on_ring_broken();
       return;
@@ -382,7 +382,7 @@ void ChordNode::ProbeSuccessor() {
   if (succ->peer == self_) {
     // Single-node ring (or healing a 2-ring through our predecessor).
     if (predecessor_.has_value() && predecessor_->peer != self_) {
-      MergeSuccessorCandidates({*predecessor_});
+      MergeSuccessorCandidates({&*predecessor_, 1});
       NotifySuccessor();
     }
     return;
@@ -417,10 +417,9 @@ void ChordNode::ProbeSuccessorSoon() {
 void ChordNode::HandleNeighborsReply(const ChordNeighborsReplyMsg& reply,
                                      RingPeer probed) {
   std::optional<RingPeer> before = successor();
-  std::vector<RingPeer> candidates = reply.successors;
-  candidates.push_back(probed);
-  if (reply.has_predecessor) candidates.push_back(reply.predecessor);
-  MergeSuccessorCandidates(candidates);
+  const RingPeer extra[] = {probed, reply.predecessor};
+  MergeSuccessorCandidates(reply.successors,
+                           {extra, reply.has_predecessor ? 2u : 1u});
   NotifySuccessor();
   std::optional<RingPeer> after = successor();
   if (!after.has_value() || after->peer == self_) return;
@@ -456,7 +455,7 @@ void ChordNode::NotifySuccessor() {
                                          ? id_
                                          : successors_.front().id)) {
                 // A closer peer sits between us and our successor.
-                MergeSuccessorCandidates({reply.predecessor});
+                MergeSuccessorCandidates({&reply.predecessor, 1});
                 ProbeSuccessorSoon();
               }
               if (reply.duplicate_id) {
@@ -528,37 +527,43 @@ void ChordNode::PlaceFingerCandidate(const RingPeer& candidate) {
   }
 }
 
-void ChordNode::MergeSuccessorCandidates(
-    const std::vector<RingPeer>& candidates) {
-  std::vector<RingPeer> merged = successors_;
-  merged.insert(merged.end(), candidates.begin(), candidates.end());
-  std::vector<RingPeer> clean;
-  clean.reserve(merged.size());
-  for (const RingPeer& c : merged) {
-    if (c.peer == kInvalidPeer) continue;
-    if (c.peer == self_) continue;       // re-added below if list is empty
-    if (c.id == id_) continue;           // duplicate-position claimant
-    bool dup = false;
-    for (const RingPeer& k : clean) {
-      if (k.peer == c.peer) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) clean.push_back(c);
+void ChordNode::MergeSuccessorCandidates(std::span<const RingPeer> candidates,
+                                         std::span<const RingPeer> more) {
+  // Runs on every stabilization reply, so the merged list is built in a
+  // stack buffer; only successor lists far beyond the default 8 spill to
+  // the heap.
+  constexpr size_t kStackPeers = 32;
+  const size_t capacity = successors_.size() + candidates.size() + more.size();
+  RingPeer stack_buf[kStackPeers];
+  std::vector<RingPeer> spill;
+  RingPeer* clean = stack_buf;
+  if (capacity > kStackPeers) {
+    spill.resize(capacity);
+    clean = spill.data();
   }
-  std::sort(clean.begin(), clean.end(), [this](const RingPeer& a,
-                                               const RingPeer& b) {
+  size_t count = 0;
+  auto consider = [&](const RingPeer& c) {
+    if (c.peer == kInvalidPeer) return;
+    if (c.peer == self_) return;  // re-added below if the list is empty
+    if (c.id == id_) return;      // duplicate-position claimant
+    for (size_t i = 0; i < count; ++i) {
+      if (clean[i].peer == c.peer) return;
+    }
+    clean[count++] = c;
+  };
+  for (const RingPeer& c : successors_) consider(c);
+  for (const RingPeer& c : candidates) consider(c);
+  for (const RingPeer& c : more) consider(c);
+  std::sort(clean, clean + count, [this](const RingPeer& a,
+                                         const RingPeer& b) {
     return RingDistance(id_, a.id) < RingDistance(id_, b.id);
   });
-  if (clean.size() > static_cast<size_t>(params_.successor_list_size)) {
-    clean.resize(params_.successor_list_size);
-  }
-  if (clean.empty()) {
+  count = std::min(count, static_cast<size_t>(params_.successor_list_size));
+  if (count == 0) {
     // Nothing else known: we are our own successor (single-node ring).
-    clean.push_back(RingPeer{self_, id_});
+    clean[count++] = RingPeer{self_, id_};
   }
-  successors_ = std::move(clean);
+  successors_.assign(clean, clean + count);
   // Every live contact is also a finger candidate.
   for (const RingPeer& s : successors_) PlaceFingerCandidate(s);
 }
@@ -677,9 +682,8 @@ void ChordNode::OnGetFingers(const Message& req) {
 
 void ChordNode::OnLeave(const Message& msg) {
   const auto& m = MessageCast<ChordLeaveMsg>(msg);
-  std::vector<RingPeer> candidates = m.successors;
-  if (m.has_predecessor) candidates.push_back(m.predecessor);
-  MergeSuccessorCandidates(candidates);
+  MergeSuccessorCandidates(m.successors,
+                           {&m.predecessor, m.has_predecessor ? 1u : 0u});
   if (predecessor_.has_value() && predecessor_->peer == msg.src) {
     if (m.has_predecessor && m.predecessor.peer != self_) {
       predecessor_ = m.predecessor;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chord/finger_table.h"
@@ -183,9 +184,11 @@ class ChordNode {
   /// Installs `candidate` into any finger slot it improves (closest known
   /// node clockwise of the slot's target).
   void PlaceFingerCandidate(const RingPeer& candidate);
-  /// Merges candidates into the successor list (sorted by clockwise
-  /// distance from self, deduplicated, truncated).
-  void MergeSuccessorCandidates(const std::vector<RingPeer>& candidates);
+  /// Merges candidates (`candidates`, then `more`) into the successor list
+  /// (sorted by clockwise distance from self, deduplicated keeping the
+  /// first occurrence, truncated). Allocation-free at default list sizes.
+  void MergeSuccessorCandidates(std::span<const RingPeer> candidates,
+                                std::span<const RingPeer> more = {});
   void RemoveDeadPeer(PeerId peer);
 
   // Message handlers.

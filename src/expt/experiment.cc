@@ -76,6 +76,9 @@ ExperimentResult RunExperiment(
     if (progress) progress(t, config.duration);
   }
   env.sim().RunUntil(config.duration);
+  if (progress && config.duration % kHour != 0) {
+    progress(config.duration, config.duration);
+  }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

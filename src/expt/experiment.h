@@ -99,7 +99,9 @@ struct ExperimentResult {
 };
 
 /// Runs one full simulated deployment of `kind` under `config`.
-/// `progress`, when set, is invoked after every simulated hour.
+/// `progress`, when set, is invoked after every simulated hour, and once
+/// more at the end when the duration is not a whole number of hours. It
+/// runs while the deployment is still alive.
 ExperimentResult RunExperiment(
     const ExperimentConfig& config, SystemKind kind,
     const std::function<void(SimTime now, SimTime total)>& progress = {});

@@ -17,14 +17,12 @@ void DRingResolver::Bind(Incarnation incarnation) {
 void DRingResolver::Resolve(PeerId via, ChordId key, SimDuration timeout,
                             Callback cb) {
   uint64_t lookup_id = network_->NextRpcId();
-  Pending pending;
-  pending.cb = std::move(cb);
-  pending.timeout_event = network_->SchedulePeer(
+  EventId timeout_event = network_->SchedulePeer(
       self_, incarnation_, timeout, [this, lookup_id]() {
         Complete(lookup_id, Status::TimedOut("D-ring lookup"), RingPeer{},
                  /*hops=*/-1);
       });
-  pending_.emplace(lookup_id, std::move(pending));
+  pending_.push_back(Pending{lookup_id, std::move(cb), timeout_event});
 
   auto req = std::make_unique<ChordFindSuccessorMsg>();
   req->key = key;
@@ -46,7 +44,7 @@ bool DRingResolver::HandleMessage(MessagePtr& msg) {
   if (msg->is_response) return rpc_.HandleResponse(msg);
   if (msg->type != kChordLookupResult) return false;
   const auto& result = MessageCast<ChordLookupResultMsg>(*msg);
-  if (pending_.find(result.lookup_id) == pending_.end()) {
+  if (FindPending(result.lookup_id) == static_cast<size_t>(-1)) {
     return false;  // not one of ours (e.g. the host's ChordNode owns it)
   }
   Complete(result.lookup_id, Status::OK(), result.owner, result.hops);
@@ -55,12 +53,20 @@ bool DRingResolver::HandleMessage(MessagePtr& msg) {
 
 void DRingResolver::Complete(uint64_t lookup_id, const Status& status,
                              RingPeer owner, int hops) {
-  auto it = pending_.find(lookup_id);
-  if (it == pending_.end()) return;
-  network_->sim()->Cancel(it->second.timeout_event);
-  Callback cb = std::move(it->second.cb);
-  pending_.erase(it);
+  size_t i = FindPending(lookup_id);
+  if (i == static_cast<size_t>(-1)) return;
+  network_->sim()->Cancel(pending_[i].timeout_event);
+  Callback cb = std::move(pending_[i].cb);
+  if (i != pending_.size() - 1) pending_[i] = std::move(pending_.back());
+  pending_.pop_back();
   cb(status, owner, hops);
+}
+
+size_t DRingResolver::FindPending(uint64_t lookup_id) const {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].lookup_id == lookup_id) return i;
+  }
+  return static_cast<size_t>(-1);
 }
 
 }  // namespace flowercdn

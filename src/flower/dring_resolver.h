@@ -2,7 +2,7 @@
 #define FLOWERCDN_FLOWER_DRING_RESOLVER_H_
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "chord/messages.h"
 #include "sim/network.h"
@@ -42,16 +42,23 @@ class DRingResolver {
   void Complete(uint64_t lookup_id, const Status& status, RingPeer owner,
                 int hops);
 
+  // A flat vector scanned linearly, like RpcEndpoint's: a session has at
+  // most a few lookups in flight, and a hash map's bucket array would
+  // outlive its entries in every session that ever resolved.
   struct Pending {
+    uint64_t lookup_id;
     Callback cb;
-    EventId timeout_event = kInvalidEvent;
+    EventId timeout_event;
   };
+
+  /// Index of lookup `lookup_id` in pending_, or SIZE_MAX.
+  size_t FindPending(uint64_t lookup_id) const;
 
   Network* network_;
   PeerId self_;
   RpcEndpoint rpc_;
   Incarnation incarnation_ = 0;
-  std::unordered_map<uint64_t, Pending> pending_;
+  std::vector<Pending> pending_;
 };
 
 }  // namespace flowercdn

@@ -34,7 +34,7 @@ const char* ServedSourceName(ServedSource source) {
 FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
                        WebsiteId website, LocalityId locality,
                        ContentStore* store, Rng rng)
-    : ctx_(ctx),
+    : ctx_(&ctx),
       self_(self),
       website_(website),
       locality_(locality),
@@ -52,14 +52,14 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
   for (std::string_view round :
        {"flower.gossip.rounds", "flower.keepalive.rounds",
         "flower.push.rounds"}) {
-    ctx_.stats->counter(round);
+    ctx_->stats->counter(round);
   }
 }
 
 // --- Common plumbing ---------------------------------------------------------
 
 void FlowerPeer::Attach() {
-  incarnation_ = ctx_.network->Attach(self_, this);
+  incarnation_ = ctx_->network->Attach(self_, this);
   rpc_.Bind(incarnation_);
   resolver_.Bind(incarnation_);
 }
@@ -73,14 +73,14 @@ ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
       return nullptr;
     }
   }
-  chord_ = std::make_unique<ChordNode>(ctx_.network, self_, ring_id,
-                                       ctx_.params->chord);
+  chord_ = std::make_unique<ChordNode>(ctx_->network, self_, ring_id,
+                                       ctx_->params->chord);
   chord_->Bind(incarnation_);
   chord_->on_duplicate_id = [this]() { DemoteToContentPeer(); };
   chord_->on_ring_broken = [this]() {
     // All successor candidates lost: rebuild membership asynchronously
     // (we may be deep inside chord internals right now).
-    ctx_.network->SchedulePeer(self_, incarnation_, 1, [this]() {
+    ctx_->network->SchedulePeer(self_, incarnation_, 1, [this]() {
       if (role_ != FlowerRole::kDirectoryPeer || chord_ == nullptr) return;
       PeerId bootstrap = PickBootstrap();
       chord_->Leave();
@@ -97,14 +97,14 @@ ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
 }
 
 PeerId FlowerPeer::PickBootstrap() {
-  return ctx_.pick_dring_bootstrap ? ctx_.pick_dring_bootstrap(self_)
+  return ctx_->pick_dring_bootstrap ? ctx_->pick_dring_bootstrap(self_)
                                    : kInvalidPeer;
 }
 
 void FlowerPeer::TraceSpan(uint64_t trace_id, QueryPhase phase, SimTime start,
                            PeerId target, int hops, bool ok) {
-  if (ctx_.trace == nullptr || trace_id == 0) return;
-  ctx_.trace->AddSpan(trace_id, phase, start, ctx_.network->sim()->now(),
+  if (ctx_->trace == nullptr || trace_id == 0) return;
+  ctx_->trace->AddSpan(trace_id, phase, start, ctx_->network->sim()->now(),
                       target, hops, ok);
 }
 
@@ -113,8 +113,8 @@ void FlowerPeer::TraceSpan(uint64_t trace_id, QueryPhase phase, SimTime start,
 void FlowerPeer::StartAsClient() {
   Attach();
   role_ = FlowerRole::kClient;
-  if (ctx_.on_role_change) ctx_.on_role_change(self_, role_);
-  if (ctx_.catalog->IsActive(website_)) {
+  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  if (ctx_->catalog->IsActive(website_)) {
     // The first query doubles as the petal-admission request.
     StartQueryingIfActive();
   } else {
@@ -123,12 +123,12 @@ void FlowerPeer::StartAsClient() {
     // its arrival", §6.1) and take part in maintenance.
     SimDuration delay = 1 + static_cast<SimDuration>(
                                 rng_.NextBounded(30 * kSecond));
-    ctx_.network->SchedulePeer(self_, incarnation_, delay, [this]() {
+    ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
       if (role_ != FlowerRole::kClient) return;
       QueryState join_only;
       join_only.has_object = false;
       join_only.via_dring = true;
-      join_only.t0 = ctx_.network->sim()->now();
+      join_only.t0 = ctx_->network->sim()->now();
       ResolveViaDRing(join_only);
     });
   }
@@ -139,8 +139,9 @@ void FlowerPeer::StartAsDirectory(int instance,
   Attach();
   role_ = FlowerRole::kDirectoryPeer;  // provisional until the ring accepts
   instance_ = instance;
+  EnsureDirectoryState();
   ChordNode* chord =
-      EnsureChord(ctx_.keyspace->IdOf(website_, locality_, instance));
+      EnsureChord(ctx_->keyspace->IdOf(website_, locality_, instance));
   FLOWERCDN_CHECK(chord != nullptr);
   if (!bootstrap.has_value()) {
     chord->CreateRing();
@@ -155,8 +156,9 @@ void FlowerPeer::StartAsDirectory(int instance,
       return;
     }
     // Initial setup should not race; retry through any live member.
-    ctx_.network->SchedulePeer(
-        self_, incarnation_, ctx_.params->join_retry_delay, [this, instance]() {
+    ctx_->network->SchedulePeer(
+        self_, incarnation_, ctx_->params->join_retry_delay,
+        [this, instance]() {
           PeerId next = PickBootstrap();
           if (next == kInvalidPeer) return;
           StartAsDirectoryRetry(instance, next);
@@ -166,7 +168,7 @@ void FlowerPeer::StartAsDirectory(int instance,
 
 void FlowerPeer::StartAsDirectoryRetry(int instance, PeerId bootstrap) {
   ChordNode* chord =
-      EnsureChord(ctx_.keyspace->IdOf(website_, locality_, instance));
+      EnsureChord(ctx_->keyspace->IdOf(website_, locality_, instance));
   if (chord == nullptr) return;
   chord->Join(bootstrap, [this, instance](const Status& status) {
     if (status.ok()) {
@@ -190,8 +192,8 @@ void FlowerPeer::LeaveGracefully() {
       handoff->locality = locality_;
       handoff->instance = instance_;
       handoff->view = view_.contacts();
-      handoff->index = index_.TakeSnapshot();
-      ctx_.network->Send(self_, heir->peer, std::move(handoff));
+      handoff->index = dir_->index.TakeSnapshot();
+      ctx_->network->Send(self_, heir->peer, std::move(handoff));
     }
     if (chord_ != nullptr) chord_->Leave();
   }
@@ -202,32 +204,32 @@ void FlowerPeer::LeaveGracefully() {
 
 void FlowerPeer::StartQueryingIfActive() {
   if (querying_) return;
-  if (!ctx_.catalog->IsActive(website_)) return;
+  if (!ctx_->catalog->IsActive(website_)) return;
   querying_ = true;
   ScheduleNextQuery();
 }
 
 void FlowerPeer::ScheduleNextQuery() {
-  SimDuration gap = ctx_.workload->NextQueryGap(website_, rng_);
-  ctx_.network->SchedulePeer(self_, incarnation_, gap,
+  SimDuration gap = ctx_->workload->NextQueryGap(website_, rng_);
+  ctx_->network->SchedulePeer(self_, incarnation_, gap,
                              [this]() { IssueQuery(); });
 }
 
 void FlowerPeer::IssueQuery() {
   std::optional<ObjectId> object =
-      ctx_.workload->NextQuery(website_, *store_, rng_);
+      ctx_->workload->NextQuery(website_, *store_, rng_);
   if (!object.has_value()) return;  // interest set exhausted
-  ctx_.stats->Add("flower.queries_issued");
+  ctx_->stats->Add("flower.queries_issued");
   QueryState q;
   q.object = *object;
   q.has_object = true;
-  q.t0 = ctx_.network->sim()->now();
-  if (ctx_.trace != nullptr) {
+  q.t0 = ctx_->network->sim()->now();
+  if (ctx_->trace != nullptr) {
     q.trace_id =
-        ctx_.trace->BeginQuery(self_, q.object.website, q.object.object, q.t0,
+        ctx_->trace->BeginQuery(self_, q.object.website, q.object.object, q.t0,
                                /*from_new_client=*/role_ ==
                                    FlowerRole::kClient);
-    q.tctx.trace_id = ctx_.trace->DistributedIdOf(q.trace_id);
+    q.tctx.trace_id = ctx_->trace->DistributedIdOf(q.trace_id);
     q.tctx.span_id = q.tctx.trace_id;
   }
   switch (role_) {
@@ -251,27 +253,27 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
     // traffic at all — the common case for hot objects once warmed up, and
     // what keeps a loaded gateway off the overlay's hot path.
     QueryRecord record;
-    record.issued_at = ctx_.network->sim()->now();
+    record.issued_at = ctx_->network->sim()->now();
     record.hit = true;
     record.lookup_latency_ms = 0;
     record.transfer_distance_ms = 0;
     record.from_new_client = false;
-    if (ctx_.metrics != nullptr) ctx_.metrics->RecordQuery(record);
+    if (ctx_->metrics != nullptr) ctx_->metrics->RecordQuery(record);
     cb(/*hit=*/true, ServedSource::kPetal, /*latency_ms=*/0);
     return;
   }
-  ctx_.stats->Add("flower.queries_issued");
+  ctx_->stats->Add("flower.queries_issued");
   QueryState q;
   q.object = object;
   q.has_object = true;
-  q.t0 = ctx_.network->sim()->now();
+  q.t0 = ctx_->network->sim()->now();
   q.external_id = next_external_id_++;
   external_queries_.emplace(q.external_id, std::move(cb));
-  if (ctx_.trace != nullptr) {
-    q.trace_id = ctx_.trace->BeginQuery(self_, object.website, object.object,
+  if (ctx_->trace != nullptr) {
+    q.trace_id = ctx_->trace->BeginQuery(self_, object.website, object.object,
                                         q.t0, /*from_new_client=*/role_ ==
                                             FlowerRole::kClient);
-    q.tctx.trace_id = ctx_.trace->DistributedIdOf(q.trace_id);
+    q.tctx.trace_id = ctx_->trace->DistributedIdOf(q.trace_id);
     q.tctx.span_id = q.tctx.trace_id;
   }
   switch (role_) {
@@ -291,7 +293,7 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
 void FlowerPeer::ResolveViaDRing(QueryState q) {
   // Messages issued below (Chord resolve steps, retries from timeout
   // callbacks) carry the query's distributed trace context.
-  NetworkTraceScope trace_scope(ctx_.network, q.tctx);
+  NetworkTraceScope trace_scope(ctx_->network, q.tctx);
   ++q.dring_attempts;
   PeerId bootstrap = PickBootstrap();
   if (bootstrap == kInvalidPeer) {
@@ -299,29 +301,29 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
     // petal admission later.
     if (q.has_object) ResolveAtOrigin(q);
     if (role_ == FlowerRole::kClient) {
-      ctx_.network->SchedulePeer(self_, incarnation_,
-                                 ctx_.params->join_retry_delay, [this]() {
+      ctx_->network->SchedulePeer(self_, incarnation_,
+                                 ctx_->params->join_retry_delay, [this]() {
                                    if (role_ != FlowerRole::kClient) return;
                                    QueryState join_only;
                                    join_only.has_object = false;
                                    join_only.via_dring = true;
-                                   join_only.t0 = ctx_.network->sim()->now();
+                                   join_only.t0 = ctx_->network->sim()->now();
                                    ResolveViaDRing(join_only);
                                  });
     }
     return;
   }
-  ChordId target = ctx_.keyspace->IdOf(website_, locality_, 0);
-  SimTime span_start = ctx_.network->sim()->now();
+  ChordId target = ctx_->keyspace->IdOf(website_, locality_, 0);
+  SimTime span_start = ctx_->network->sim()->now();
   resolver_.Resolve(
-      bootstrap, target, ctx_.params->chord.lookup_timeout,
+      bootstrap, target, ctx_->params->chord.lookup_timeout,
       [this, q, bootstrap, span_start](const Status& status, RingPeer owner,
                                        int hops) mutable {
         TraceSpan(q.trace_id, QueryPhase::kDRingResolve, span_start,
                   status.ok() ? owner.peer : bootstrap, hops, status.ok());
         if (!status.ok()) {
-          ctx_.stats->Add("flower.dring_resolve_failures");
-          if (q.dring_attempts < ctx_.params->max_client_lookup_attempts) {
+          ctx_->stats->Add("flower.dring_resolve_failures");
+          if (q.dring_attempts < ctx_->params->max_client_lookup_attempts) {
             ResolveViaDRing(q);
           } else if (q.has_object) {
             ResolveAtOrigin(q);
@@ -334,7 +336,7 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
 }
 
 void FlowerPeer::SendDirQuery(PeerId dir, QueryState q, bool wants_join) {
-  NetworkTraceScope trace_scope(ctx_.network, q.tctx);
+  NetworkTraceScope trace_scope(ctx_->network, q.tctx);
   auto msg = std::make_unique<FlowerDirQueryMsg>();
   msg->website = website_;
   msg->locality = locality_;
@@ -342,17 +344,17 @@ void FlowerPeer::SendDirQuery(PeerId dir, QueryState q, bool wants_join) {
   if (q.has_object) msg->object = q.object;
   msg->wants_join = wants_join;
   msg->scan_hops = q.scan_hops;
-  SimTime span_start = ctx_.network->sim()->now();
-  rpc_.Call(dir, std::move(msg), ctx_.params->rpc_timeout,
+  SimTime span_start = ctx_->network->sim()->now();
+  rpc_.Call(dir, std::move(msg), ctx_->params->rpc_timeout,
             [this, dir, q, wants_join, span_start](const Status& status,
                                                    MessagePtr resp) mutable {
               TraceSpan(q.trace_id, QueryPhase::kDirQuery, span_start, dir,
                         /*hops=*/-1, status.ok());
               if (!status.ok()) {
-                ctx_.stats->Add("flower.dir_query_timeouts");
+                ctx_->stats->Add("flower.dir_query_timeouts");
                 if (role_ == FlowerRole::kClient) {
                   if (q.dring_attempts <
-                      ctx_.params->max_client_lookup_attempts) {
+                      ctx_->params->max_client_lookup_attempts) {
                     ResolveViaDRing(q);
                   } else if (q.has_object) {
                     ResolveAtOrigin(q);
@@ -389,8 +391,8 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
         // The provider itself confirmed possession (directory forwarding,
         // §3.2): the object is already on its way — done.
         q.source = ServedSource::kDirectory;
-        FinishQuery(q, /*hit=*/true, ctx_.network->sim()->now(),
-                    ctx_.network->LatencyMs(self_, reply.provider));
+        FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
+                    ctx_->network->LatencyMs(self_, reply.provider));
         return;
       }
       FetchFrom(reply.provider, q);
@@ -402,14 +404,14 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
     case DirQueryResult::kForward:
       ++q.scan_hops;
       if (reply.forward_to == kInvalidPeer ||
-          q.scan_hops > ctx_.params->max_scan_hops) {
+          q.scan_hops > ctx_->params->max_scan_hops) {
         if (q.has_object) ResolveAtOrigin(q);
         return;
       }
       SendDirQuery(reply.forward_to, q, wants_join);
       return;
     case DirQueryResult::kVacant:
-      ctx_.stats->Add("flower.dir_reply_vacant");
+      ctx_->stats->Add("flower.dir_reply_vacant");
       if (role_ == FlowerRole::kClient) {
         // First participant for this petal (or all directories died):
         // claim the position ourselves (§5.2.2 case 2).
@@ -437,8 +439,8 @@ void FlowerPeer::ResolveAsContentPeer(QueryState q) {
   }
   rng_.Shuffle(candidates);
   if (candidates.size() >
-      static_cast<size_t>(ctx_.params->max_summary_probes)) {
-    candidates.resize(ctx_.params->max_summary_probes);
+      static_cast<size_t>(ctx_->params->max_summary_probes)) {
+    candidates.resize(ctx_->params->max_summary_probes);
   }
   TrySummaryCandidates(std::move(q), std::move(candidates), 0);
 }
@@ -451,11 +453,11 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
     return;
   }
   PeerId provider = candidates[index];
-  NetworkTraceScope trace_scope(ctx_.network, q.tctx);
+  NetworkTraceScope trace_scope(ctx_->network, q.tctx);
   auto msg = std::make_unique<FlowerFetchMsg>();
   msg->object = q.object;
-  SimTime span_start = ctx_.network->sim()->now();
-  rpc_.Call(provider, std::move(msg), ctx_.params->rpc_timeout,
+  SimTime span_start = ctx_->network->sim()->now();
+  rpc_.Call(provider, std::move(msg), ctx_->params->rpc_timeout,
             [this, q, candidates = std::move(candidates), index, provider,
              span_start](const Status& status, MessagePtr resp) mutable {
               bool served = status.ok() &&
@@ -464,10 +466,10 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
               TraceSpan(q.trace_id, QueryPhase::kSummaryProbe, span_start,
                         provider, /*hops=*/-1, served);
               if (served) {
-                ctx_.stats->Add("flower.summary_hits");
+                ctx_->stats->Add("flower.summary_hits");
                 q.source = ServedSource::kPetal;
-                FinishQuery(q, /*hit=*/true, ctx_.network->sim()->now(),
-                            ctx_.network->LatencyMs(self_, provider));
+                FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
+                            ctx_->network->LatencyMs(self_, provider));
                 return;
               }
               if (!status.ok()) {
@@ -490,20 +492,20 @@ void FlowerPeer::AskOwnDirectory(QueryState q) {
 }
 
 void FlowerPeer::ResolveAsDirectory(QueryState q) {
-  NetworkTraceScope trace_scope(ctx_.network, q.tctx);
+  NetworkTraceScope trace_scope(ctx_->network, q.tctx);
   std::optional<PeerId> provider = FindProviderLocally(q.object, self_);
   if (provider.has_value() && *provider != self_) {
     FetchFrom(*provider, q);
     return;
   }
-  if (ctx_.params->enable_dir_collaboration) {
+  if (ctx_->params->enable_dir_collaboration) {
     std::optional<PeerId> neighbor = SameWebsiteNeighborDir();
     if (neighbor.has_value()) {
       auto probe = std::make_unique<FlowerDirProbeMsg>();
       probe->object = q.object;
       PeerId probed = *neighbor;
-      SimTime span_start = ctx_.network->sim()->now();
-      rpc_.Call(*neighbor, std::move(probe), ctx_.params->rpc_timeout,
+      SimTime span_start = ctx_->network->sim()->now();
+      rpc_.Call(*neighbor, std::move(probe), ctx_->params->rpc_timeout,
                 [this, q, probed, span_start](const Status& status,
                                               MessagePtr resp) mutable {
                   TraceSpan(q.trace_id, QueryPhase::kDirQuery, span_start,
@@ -512,7 +514,7 @@ void FlowerPeer::ResolveAsDirectory(QueryState q) {
                     const auto& reply =
                         MessageCast<FlowerDirProbeReplyMsg>(*resp);
                     if (reply.has_provider && reply.provider != self_) {
-                      ctx_.stats->Add("flower.collaboration_hits");
+                      ctx_->stats->Add("flower.collaboration_hits");
                       FetchFrom(reply.provider, q);
                       return;
                     }
@@ -530,11 +532,11 @@ void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
     ResolveAtOrigin(q);
     return;
   }
-  NetworkTraceScope trace_scope(ctx_.network, q.tctx);
+  NetworkTraceScope trace_scope(ctx_->network, q.tctx);
   auto msg = std::make_unique<FlowerFetchMsg>();
   msg->object = q.object;
-  SimTime span_start = ctx_.network->sim()->now();
-  rpc_.Call(provider, std::move(msg), ctx_.params->rpc_timeout,
+  SimTime span_start = ctx_->network->sim()->now();
+  rpc_.Call(provider, std::move(msg), ctx_->params->rpc_timeout,
             [this, q, provider, span_start](const Status& status,
                                             MessagePtr resp) mutable {
               bool served = status.ok() &&
@@ -544,8 +546,8 @@ void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
                         /*hops=*/-1, served);
               if (served) {
                 q.source = ServedSource::kDirectory;
-                FinishQuery(q, /*hit=*/true, ctx_.network->sim()->now(),
-                            ctx_.network->LatencyMs(self_, provider));
+                FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
+                            ctx_->network->LatencyMs(self_, provider));
               } else {
                 ResolveAtOrigin(q);
               }
@@ -554,13 +556,13 @@ void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
 
 void FlowerPeer::ResolveAtOrigin(QueryState q) {
   if (!q.has_object) return;
-  Coord here = ctx_.network->CoordOf(self_);
-  double distance = ctx_.origins->DistanceMs(here, q.object.website);
+  Coord here = ctx_->network->CoordOf(self_);
+  double distance = ctx_->origins->DistanceMs(here, q.object.website);
   // Origin fetch is modeled as pure distance, not simulated time — the span
   // is zero-length and marks when the overlay gave up.
-  TraceSpan(q.trace_id, QueryPhase::kOrigin, ctx_.network->sim()->now(),
+  TraceSpan(q.trace_id, QueryPhase::kOrigin, ctx_->network->sim()->now(),
             kInvalidPeer);
-  FinishQuery(q, /*hit=*/false, ctx_.network->sim()->now(), distance);
+  FinishQuery(q, /*hit=*/false, ctx_->network->sim()->now(), distance);
 }
 
 void FlowerPeer::FinishQuery(const QueryState& q, bool hit,
@@ -573,9 +575,9 @@ void FlowerPeer::FinishQuery(const QueryState& q, bool hit,
   record.lookup_latency_ms = static_cast<double>(resolved_at - q.t0);
   record.transfer_distance_ms = transfer_distance_ms;
   record.from_new_client = q.via_dring;
-  if (ctx_.metrics != nullptr) ctx_.metrics->RecordQuery(record);
-  if (ctx_.trace != nullptr && q.trace_id != 0) {
-    ctx_.trace->EndQuery(q.trace_id, resolved_at, hit);
+  if (ctx_->metrics != nullptr) ctx_->metrics->RecordQuery(record);
+  if (ctx_->trace != nullptr && q.trace_id != 0) {
+    ctx_->trace->EndQuery(q.trace_id, resolved_at, hit);
   }
   store_->Insert(q.object);
   MaybePush();
@@ -602,9 +604,9 @@ void FlowerPeer::BecomeContentPeer(const DirInfo& info,
   dir_info_ = info;
   dir_info_.age = 0;
   view_.Merge(view_seed, self_);
-  if (ctx_.on_role_change) ctx_.on_role_change(self_, role_);
+  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
   // Desynchronize periodic rounds across the petal.
-  SimDuration period = ctx_.params->gossip_period;
+  SimDuration period = ctx_->params->gossip_period;
   ScheduleGossip(period / 2 +
                  static_cast<SimDuration>(rng_.NextBounded(period / 2 + 1)));
   ScheduleKeepalive(period / 2 +
@@ -619,27 +621,27 @@ void FlowerPeer::BecomeContentPeer(const DirInfo& info,
 void FlowerPeer::ScheduleGossip(SimDuration delay) {
   if (gossip_scheduled_) return;
   gossip_scheduled_ = true;
-  ctx_.network->SchedulePeer(self_, incarnation_, delay, [this]() {
+  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
     gossip_scheduled_ = false;
     if (role_ != FlowerRole::kContentPeer) return;
     GossipRound();
-    ScheduleGossip(ctx_.params->gossip_period);
+    ScheduleGossip(ctx_->params->gossip_period);
   });
 }
 
 void FlowerPeer::GossipRound() {
-  ctx_.stats->Add("flower.gossip.rounds");
+  ctx_->stats->Add("flower.gossip.rounds");
   view_.AgeAll();
   ++dir_info_.age;
   std::optional<Contact> partner = view_.Oldest();
   if (!partner.has_value()) return;
   PeerId q = partner->peer;
   auto msg = std::make_unique<FlowerGossipMsg>();
-  msg->contacts = view_.RandomSubset(ctx_.params->gossip_fanout - 1, rng_, q);
+  msg->contacts = view_.RandomSubset(ctx_->params->gossip_fanout - 1, rng_, q);
   msg->contacts.push_back(Contact{self_, 0});
-  msg->summary = store_->BuildSummary(ctx_.params->summary_fp_rate);
+  msg->summary = store_->BuildSummary(ctx_->params->summary_fp_rate);
   msg->dir_info = dir_info_;
-  rpc_.Call(q, std::move(msg), ctx_.params->rpc_timeout,
+  rpc_.Call(q, std::move(msg), ctx_->params->rpc_timeout,
             [this, q](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
                 // Unavailable gossip partner: drop it from the view.
@@ -655,22 +657,22 @@ void FlowerPeer::GossipRound() {
 void FlowerPeer::ScheduleKeepalive(SimDuration delay) {
   if (keepalive_scheduled_) return;
   keepalive_scheduled_ = true;
-  ctx_.network->SchedulePeer(self_, incarnation_, delay, [this]() {
+  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
     keepalive_scheduled_ = false;
     if (role_ != FlowerRole::kContentPeer) return;
     KeepaliveRound();
-    ScheduleKeepalive(ctx_.params->gossip_period);
+    ScheduleKeepalive(ctx_->params->gossip_period);
   });
 }
 
 void FlowerPeer::KeepaliveRound() {
-  ctx_.stats->Add("flower.keepalive.rounds");
+  ctx_->stats->Add("flower.keepalive.rounds");
   if (dir_info_.dir == kInvalidPeer) {
     AttemptDirectoryClaim(dir_info_.instance);
     return;
   }
   auto msg = std::make_unique<FlowerKeepaliveMsg>();
-  rpc_.Call(dir_info_.dir, std::move(msg), ctx_.params->rpc_timeout,
+  rpc_.Call(dir_info_.dir, std::move(msg), ctx_->params->rpc_timeout,
             [this](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
                 OnDirectoryUnreachable();
@@ -692,7 +694,7 @@ void FlowerPeer::KeepaliveRound() {
 void FlowerPeer::MaybePush() {
   if (role_ != FlowerRole::kContentPeer) return;
   if (push_in_flight_) return;
-  if (store_->ChangeFraction() < ctx_.params->push_threshold) return;
+  if (store_->ChangeFraction() < ctx_->params->push_threshold) return;
   DoPush();
 }
 
@@ -700,10 +702,10 @@ void FlowerPeer::DoPush() {
   if (role_ != FlowerRole::kContentPeer) return;
   if (dir_info_.dir == kInvalidPeer || push_in_flight_) return;
   push_in_flight_ = true;
-  ctx_.stats->Add("flower.push.rounds");
+  ctx_->stats->Add("flower.push.rounds");
   auto msg = std::make_unique<FlowerPushMsg>();
   msg->objects = store_->ObjectList();
-  rpc_.Call(dir_info_.dir, std::move(msg), ctx_.params->rpc_timeout,
+  rpc_.Call(dir_info_.dir, std::move(msg), ctx_->params->rpc_timeout,
             [this](const Status& status, MessagePtr resp) {
               push_in_flight_ = false;
               if (!status.ok()) {
@@ -749,7 +751,7 @@ void FlowerPeer::ReconcileDirInfo(const DirInfo& theirs) {
 }
 
 void FlowerPeer::OnDirectoryUnreachable() {
-  ctx_.stats->Add("flower.dir_failures_detected");
+  ctx_->stats->Add("flower.dir_failures_detected");
   dir_info_.dir = kInvalidPeer;
   if (ReplicationActive()) {
     // Give the replica failover a head start: a cold vacancy-claim that
@@ -758,10 +760,10 @@ void FlowerPeer::OnDirectoryUnreachable() {
     // claim past the failover window; if no heir appeared by then (petal
     // had no live replica), the classic claim still repairs the petal.
     SimDuration grace =
-        static_cast<SimDuration>(ctx_.params->replica_failover_misses + 2) *
-        ctx_.params->replica_sync_period;
+        static_cast<SimDuration>(ctx_->params->replica_failover_misses + 2) *
+        ctx_->params->replica_sync_period;
     int instance = dir_info_.instance;
-    ctx_.network->SchedulePeer(
+    ctx_->network->SchedulePeer(
         self_, incarnation_, grace, [this, instance]() {
           if (role_ == FlowerRole::kDirectoryPeer) return;
           if (dir_info_.dir != kInvalidPeer) return;  // repaired meanwhile
@@ -775,26 +777,26 @@ void FlowerPeer::OnDirectoryUnreachable() {
 void FlowerPeer::AttemptDirectoryClaim(
     int instance, std::optional<FlowerDirHandoffMsg> handoff) {
   if (claim_in_progress_ || role_ == FlowerRole::kDirectoryPeer) return;
-  if (instance < 0 || instance >= ctx_.keyspace->max_instances()) return;
+  if (instance < 0 || instance >= ctx_->keyspace->max_instances()) return;
   PeerId bootstrap = PickBootstrap();
   if (bootstrap == kInvalidPeer) {
     // The bootstrap service knows no live D-ring member: the whole ring is
     // gone. Re-create it — this peer becomes the first directory again.
-    ChordId target = ctx_.keyspace->IdOf(website_, locality_, instance);
+    ChordId target = ctx_->keyspace->IdOf(website_, locality_, instance);
     ChordNode* chord = EnsureChord(target);
     if (chord == nullptr) return;
     chord->CreateRing();
     BecomeDirectory(instance);
     if (handoff.has_value()) {
-      index_.Restore(handoff->index);
+      dir_->index.Restore(handoff->index);
       view_.Merge(handoff->view, self_);
     }
     return;
   }
   claim_in_progress_ = true;
-  ChordId target = ctx_.keyspace->IdOf(website_, locality_, instance);
+  ChordId target = ctx_->keyspace->IdOf(website_, locality_, instance);
   resolver_.Resolve(
-      bootstrap, target, ctx_.params->chord.lookup_timeout,
+      bootstrap, target, ctx_->params->chord.lookup_timeout,
       [this, instance, target, handoff = std::move(handoff)](
           const Status& status, RingPeer owner, int /*hops*/) {
         if (!status.ok()) {
@@ -814,7 +816,7 @@ void FlowerPeer::AttemptDirectoryClaim(
             QueryState join_only;
             join_only.has_object = false;
             join_only.via_dring = true;
-            join_only.t0 = ctx_.network->sim()->now();
+            join_only.t0 = ctx_->network->sim()->now();
             SendDirQuery(owner.peer, join_only, /*wants_join=*/true);
           }
           return;
@@ -837,7 +839,7 @@ void FlowerPeer::AttemptDirectoryClaim(
           }
           BecomeDirectory(instance);
           if (handoff.has_value()) {
-            index_.Restore(handoff->index);
+            dir_->index.Restore(handoff->index);
             view_.Merge(handoff->view, self_);
           }
         });
@@ -847,13 +849,13 @@ void FlowerPeer::AttemptDirectoryClaim(
 void FlowerPeer::DemoteToContentPeer() {
   if (role_ != FlowerRole::kDirectoryPeer) return;
   role_ = FlowerRole::kContentPeer;
-  index_.Clear();
+  dir_->index.Clear();
   ResetReplicaSource();
   dir_info_.dir = kInvalidPeer;
   dir_info_.age = 0;
-  if (ctx_.on_role_change) ctx_.on_role_change(self_, role_);
-  ScheduleGossip(ctx_.params->gossip_period);
-  ScheduleKeepalive(ctx_.params->gossip_period / 2);
+  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  ScheduleGossip(ctx_->params->gossip_period);
+  ScheduleKeepalive(ctx_->params->gossip_period / 2);
 }
 
 // --- Directory-peer machinery ----------------------------------------------------
@@ -864,7 +866,7 @@ void FlowerPeer::BecomeDirectory(int instance) {
   dir_info_.dir = self_;
   dir_info_.instance = instance;
   dir_info_.age = 0;
-  index_.Clear();
+  EnsureDirectoryState().index.Clear();
   promotion_triggered_at_ = -1;
   // The old content-peer view and summaries are deliberately retained: a
   // fresh directory answers its first queries from gossip-learned summaries
@@ -872,18 +874,18 @@ void FlowerPeer::BecomeDirectory(int instance) {
   ScheduleDirectoryMaintenance();
   if (ReplicationActive()) {
     ResetReplicaSource();
-    SimDuration period = ctx_.params->replica_sync_period;
+    SimDuration period = ctx_->params->replica_sync_period;
     ScheduleReplicaSync(period / 2 +
                         static_cast<SimDuration>(rng_.NextBounded(period / 2 +
                                                                   1)));
   }
-  if (ctx_.on_role_change) ctx_.on_role_change(self_, role_);
+  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
 }
 
 void FlowerPeer::ScheduleDirectoryMaintenance() {
   if (dir_maintenance_scheduled_) return;
   dir_maintenance_scheduled_ = true;
-  ctx_.network->SchedulePeer(self_, incarnation_, ctx_.params->gossip_period,
+  ctx_->network->SchedulePeer(self_, incarnation_, ctx_->params->gossip_period,
                              [this]() {
                                dir_maintenance_scheduled_ = false;
                                if (role_ != FlowerRole::kDirectoryPeer) return;
@@ -897,14 +899,14 @@ void FlowerPeer::DirectoryMaintenanceRound() {
   // Expire content peers that stopped sending keepalives/pushes (§5.1).
   std::vector<PeerId> expired;
   for (const Contact& c : view_.contacts()) {
-    if (c.age > ctx_.params->view_entry_expiry_rounds) {
+    if (c.age > ctx_->params->view_entry_expiry_rounds) {
       expired.push_back(c.peer);
     }
   }
   for (PeerId peer : expired) {
     view_.Remove(peer);
     summaries_.erase(peer);
-    index_.RemovePeer(peer);
+    dir_->index.RemovePeer(peer);
     ReplicaRecordRemove(peer);
   }
 }
@@ -931,17 +933,17 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
     rpc_.Respond(*req, std::move(reply));
     return;
   }
-  bool member = view_.Contains(req->src) || index_.ContainsPeer(req->src);
-  bool overloaded = view_.size() >= ctx_.params->max_directory_load;
-  if (overloaded && !member && ctx_.params->petalup_enabled) {
+  bool member = view_.Contains(req->src) || dir_->index.ContainsPeer(req->src);
+  bool overloaded = view_.size() >= ctx_->params->max_directory_load;
+  if (overloaded && !member && ctx_->params->petalup_enabled) {
     std::optional<PeerId> next = NextInstancePeer();
-    if (next.has_value() && req->scan_hops < ctx_.params->max_scan_hops) {
+    if (next.has_value() && req->scan_hops < ctx_->params->max_scan_hops) {
       reply->result = DirQueryResult::kForward;
       reply->forward_to = *next;
       rpc_.Respond(*req, std::move(reply));
       return;
     }
-    if (instance_ + 1 < ctx_.keyspace->max_instances()) {
+    if (instance_ + 1 < ctx_->keyspace->max_instances()) {
       // Final overloaded instance: spawn d^{i+1} (§4) and still process
       // this query ourselves.
       TriggerPromotion();
@@ -956,11 +958,11 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
                                      : std::nullopt);
     reply->admitted = true;
     reply->view_seed =
-        view_.RandomSubset(ctx_.params->view_seed_size, rng_, req->src);
+        view_.RandomSubset(ctx_->params->view_seed_size, rng_, req->src);
   } else if (member) {
     view_.Upsert(Contact{req->src, 0});
     if (req->has_object) {
-      index_.Add(req->src, req->object);
+      dir_->index.Add(req->src, req->object);
       ReplicaRecordAdd(req->src, req->object);
     }
   }
@@ -987,10 +989,10 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
     fwd->instance = reply->instance;
     fwd->view_seed = reply->view_seed;
     fwd->rpc_id = req->rpc_id;
-    ctx_.network->Send(req->src, *provider, std::move(fwd));
+    ctx_->network->Send(req->src, *provider, std::move(fwd));
     return;
   }
-  if (ctx_.params->enable_dir_collaboration) {
+  if (ctx_->params->enable_dir_collaboration) {
     std::optional<PeerId> neighbor = SameWebsiteNeighborDir();
     if (neighbor.has_value()) {
       auto probe = std::make_unique<FlowerDirProbeMsg>();
@@ -1000,7 +1002,7 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
       deferred->instance = reply->instance;
       deferred->admitted = reply->admitted;
       deferred->view_seed = reply->view_seed;
-      rpc_.Call(*neighbor, std::move(probe), ctx_.params->rpc_timeout,
+      rpc_.Call(*neighbor, std::move(probe), ctx_->params->rpc_timeout,
                 [this, req, deferred](const Status& status, MessagePtr resp) {
                   auto reply2 = std::make_unique<FlowerDirQueryReplyMsg>();
                   reply2->instance = deferred->instance;
@@ -1014,7 +1016,7 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
                         probe_reply.provider != req->src) {
                       reply2->result = DirQueryResult::kProvider;
                       reply2->provider = probe_reply.provider;
-                      ctx_.stats->Add("flower.collaboration_hits");
+                      ctx_->stats->Add("flower.collaboration_hits");
                     }
                   }
                   rpc_.Respond(*req, std::move(reply2));
@@ -1032,7 +1034,7 @@ std::optional<PeerId> FlowerPeer::FindProviderLocally(const ObjectId& object,
     // Directory peers cache content like everyone else and may serve it.
     return self_;
   }
-  const std::vector<PeerId>& providers = index_.Providers(object);
+  const std::vector<PeerId>& providers = dir_->index.Providers(object);
   std::vector<PeerId> eligible;
   eligible.reserve(providers.size());
   for (PeerId p : providers) {
@@ -1052,18 +1054,18 @@ void FlowerPeer::AdmitContentPeer(PeerId peer,
                                   std::optional<ObjectId> first_object) {
   view_.Upsert(Contact{peer, 0});
   if (first_object.has_value()) {
-    index_.Add(peer, *first_object);
+    dir_->index.Add(peer, *first_object);
     ReplicaRecordAdd(peer, *first_object);
   }
 }
 
 std::optional<PeerId> FlowerPeer::NextInstancePeer() const {
-  if (chord_ == nullptr || instance_ + 1 >= ctx_.keyspace->max_instances()) {
+  if (chord_ == nullptr || instance_ + 1 >= ctx_->keyspace->max_instances()) {
     return std::nullopt;
   }
   std::optional<RingPeer> succ = chord_->successor();
   if (!succ.has_value() || succ->peer == self_) return std::nullopt;
-  if (succ->id != ctx_.keyspace->IdOf(website_, locality_, instance_ + 1)) {
+  if (succ->id != ctx_->keyspace->IdOf(website_, locality_, instance_ + 1)) {
     return std::nullopt;
   }
   return succ->peer;
@@ -1076,7 +1078,7 @@ std::optional<PeerId> FlowerPeer::SameWebsiteNeighborDir() const {
       return false;
     }
     std::optional<DRingKeyspace::Position> pos =
-        ctx_.keyspace->PositionOf(p->id);
+        ctx_->keyspace->PositionOf(p->id);
     return pos.has_value() && pos->website == website_;
   };
   if (is_same_site_dir(chord_->successor())) return chord_->successor()->peer;
@@ -1087,22 +1089,22 @@ std::optional<PeerId> FlowerPeer::SameWebsiteNeighborDir() const {
 }
 
 void FlowerPeer::TriggerPromotion() {
-  SimTime now = ctx_.network->sim()->now();
+  SimTime now = ctx_->network->sim()->now();
   if (promotion_triggered_at_ >= 0 &&
-      now - promotion_triggered_at_ < ctx_.params->gossip_period) {
+      now - promotion_triggered_at_ < ctx_->params->gossip_period) {
     return;  // a promotion is already underway
   }
   std::optional<Contact> candidate = view_.Random(rng_);
   if (!candidate.has_value()) return;
   promotion_triggered_at_ = now;
-  ctx_.stats->Add("flower.promotions");
+  ctx_->stats->Add("flower.promotions");
   auto msg = std::make_unique<FlowerPromoteMsg>();
   msg->website = website_;
   msg->locality = locality_;
   msg->new_instance = instance_ + 1;
-  ctx_.network->Send(self_, candidate->peer, std::move(msg));
+  ctx_->network->Send(self_, candidate->peer, std::move(msg));
   // §4: "the replacing content peer is removed from the directory-index."
-  index_.RemovePeer(candidate->peer);
+  dir_->index.RemovePeer(candidate->peer);
   ReplicaRecordRemove(candidate->peer);
   view_.Remove(candidate->peer);
   summaries_.erase(candidate->peer);
@@ -1120,7 +1122,7 @@ void FlowerPeer::OnPush(const Message& req) {
   reply->instance = instance_;
   if (role_ == FlowerRole::kDirectoryPeer) {
     reply->accepted = true;
-    index_.ReplacePeerObjects(m.src, m.objects);
+    dir_->index.ReplacePeerObjects(m.src, m.objects);
     ReplicaRecordReplace(m.src, m.objects);
     view_.Upsert(Contact{m.src, 0});
   }
@@ -1141,8 +1143,8 @@ void FlowerPeer::OnGossip(const Message& req) {
   const auto& m = MessageCast<FlowerGossipMsg>(req);
   auto reply = std::make_unique<FlowerGossipReplyMsg>();
   reply->contacts =
-      view_.RandomSubset(ctx_.params->gossip_fanout, rng_, m.src);
-  reply->summary = store_->BuildSummary(ctx_.params->summary_fp_rate);
+      view_.RandomSubset(ctx_->params->gossip_fanout, rng_, m.src);
+  reply->summary = store_->BuildSummary(ctx_->params->summary_fp_rate);
   reply->dir_info = dir_info_;
   rpc_.Respond(req, std::move(reply));
   MergeGossip(m.src, m.contacts, m.summary, m.dir_info);
@@ -1177,11 +1179,11 @@ void FlowerPeer::OnForwardedQuery(const Message& req) {
 std::vector<FlowerPeer::KeywordMatch> FlowerPeer::ResolveKeywordLocally(
     KeywordId keyword, uint32_t max_results) {
   std::vector<KeywordMatch> matches;
-  index_.ForEachObject([&](const ObjectId& object,
+  index().ForEachObject([&](const ObjectId& object,
                            const std::vector<PeerId>& providers) {
     if (matches.size() >= max_results) return;
     if (providers.empty()) return;
-    if (!ctx_.keywords.Matches(object, keyword)) return;
+    if (!ctx_->keywords.Matches(object, keyword)) return;
     KeywordMatch match;
     match.object = object;
     match.provider = providers[rng_.Index(providers.size())];
@@ -1191,7 +1193,7 @@ std::vector<FlowerPeer::KeywordMatch> FlowerPeer::ResolveKeywordLocally(
   if (matches.size() < max_results) {
     for (const ObjectId& object : store_->ObjectsOfWebsite(website_)) {
       if (matches.size() >= max_results) break;
-      if (!ctx_.keywords.Matches(object, keyword)) continue;
+      if (!ctx_->keywords.Matches(object, keyword)) continue;
       bool already = false;
       for (const KeywordMatch& m : matches) {
         if (m.object == object) {
@@ -1218,7 +1220,7 @@ void FlowerPeer::SearchByKeyword(KeywordId keyword, KeywordSearchCallback cb) {
   auto msg = std::make_unique<FlowerKeywordQueryMsg>();
   msg->website = website_;
   msg->keyword = keyword;
-  rpc_.Call(dir_info_.dir, std::move(msg), ctx_.params->rpc_timeout,
+  rpc_.Call(dir_info_.dir, std::move(msg), ctx_->params->rpc_timeout,
             [this, cb = std::move(cb)](const Status& status,
                                        MessagePtr resp) {
               if (!status.ok()) {
@@ -1281,14 +1283,30 @@ void FlowerPeer::OnDirHandoff(const Message& msg) {
 // --- Directory replication -----------------------------------------------------
 
 bool FlowerPeer::ReplicationActive() const {
-  return ctx_.params->replication >= 2;
+  return ctx_->params->replication >= 2;
+}
+
+FlowerPeer::DirectoryState& FlowerPeer::EnsureDirectoryState() {
+  if (dir_ == nullptr) dir_ = std::make_unique<DirectoryState>();
+  return *dir_;
+}
+
+const DirectoryIndex& FlowerPeer::index() const {
+  static const DirectoryIndex kEmpty;
+  return dir_ != nullptr ? dir_->index : kEmpty;
+}
+
+size_t FlowerPeer::replica_petals_held() const {
+  return dir_ != nullptr ? dir_->replicas.size() : 0;
 }
 
 const DirectoryIndex* FlowerPeer::ReplicaIndex(WebsiteId website,
                                                LocalityId locality,
                                                int instance) const {
-  auto it = replicas_.find(ctx_.keyspace->IdOf(website, locality, instance));
-  return it == replicas_.end() ? nullptr : &it->second.index;
+  if (dir_ == nullptr) return nullptr;
+  auto it =
+      dir_->replicas.find(ctx_->keyspace->IdOf(website, locality, instance));
+  return it == dir_->replicas.end() ? nullptr : &it->second.index;
 }
 
 void FlowerPeer::ReplicaRecordReplace(PeerId peer,
@@ -1319,52 +1337,51 @@ void FlowerPeer::ReplicaRecordRemove(PeerId peer) {
 }
 
 void FlowerPeer::AppendReplicaOp(FlowerReplicaSyncMsg::Op op) {
-  ++replica_version_;
-  replica_ops_.push_back(ReplicaOp{replica_version_, std::move(op)});
+  std::deque<ReplicaOp>& ops = dir_->replica_ops;
+  ++dir_->replica_version;
+  ops.push_back(ReplicaOp{dir_->replica_version, std::move(op)});
   // Bounded log: replicas that fall further behind than the cap resync
   // with a full snapshot instead.
-  while (replica_ops_.size() > ctx_.params->replica_max_delta_ops) {
-    replica_ops_.pop_front();
-  }
+  while (ops.size() > ctx_->params->replica_max_delta_ops) ops.pop_front();
 }
 
 void FlowerPeer::ResetReplicaSource() {
-  // replica_version_ is deliberately NOT reset: it stays monotonic across
+  // The replica version is deliberately NOT reset: it stays monotonic across
   // role flaps of this peer, so a replica can never confuse a new
   // directory term with an older one.
-  replica_ops_.clear();
-  replica_acks_.clear();
+  dir_->replica_ops.clear();
+  dir_->replica_acks.clear();
 }
 
 void FlowerPeer::ScheduleReplicaSync(SimDuration delay) {
-  if (replica_sync_scheduled_) return;
-  replica_sync_scheduled_ = true;
-  ctx_.network->SchedulePeer(self_, incarnation_, delay, [this]() {
-    replica_sync_scheduled_ = false;
+  if (dir_->replica_sync_scheduled) return;
+  dir_->replica_sync_scheduled = true;
+  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
+    dir_->replica_sync_scheduled = false;
     if (role_ != FlowerRole::kDirectoryPeer || !ReplicationActive()) return;
     ReplicaSyncRound();
-    ScheduleReplicaSync(ctx_.params->replica_sync_period);
+    ScheduleReplicaSync(ctx_->params->replica_sync_period);
   });
 }
 
 void FlowerPeer::ReplicaSyncRound() {
   if (chord_ == nullptr || !chord_->active()) return;
   std::vector<RingPeer> targets = chord_->DistinctSuccessors(
-      static_cast<size_t>(ctx_.params->replication - 1));
+      static_cast<size_t>(ctx_->params->replication - 1));
   if (targets.empty()) return;
   for (size_t i = 0; i < targets.size(); ++i) {
     SendReplicaSync(targets[i].peer, static_cast<uint32_t>(i + 1));
   }
   // Ops acknowledged by every current replica are never needed again.
-  uint64_t min_acked = replica_version_;
+  DirectoryState& dir = *dir_;
+  uint64_t min_acked = dir.replica_version;
   for (const RingPeer& t : targets) {
-    auto it = replica_acks_.find(t.peer);
-    min_acked = std::min(min_acked,
-                         it == replica_acks_.end() ? uint64_t{0} : it->second);
+    auto it = dir.replica_acks.find(t.peer);
+    min_acked = std::min(
+        min_acked, it == dir.replica_acks.end() ? uint64_t{0} : it->second);
   }
-  while (!replica_ops_.empty() && replica_ops_.front().version <= min_acked) {
-    replica_ops_.pop_front();
-  }
+  std::deque<ReplicaOp>& ops = dir.replica_ops;
+  while (!ops.empty() && ops.front().version <= min_acked) ops.pop_front();
 }
 
 void FlowerPeer::SendReplicaSync(PeerId target, uint32_t rank) {
@@ -1373,29 +1390,31 @@ void FlowerPeer::SendReplicaSync(PeerId target, uint32_t rank) {
   msg->locality = locality_;
   msg->instance = instance_;
   msg->rank = rank;
-  msg->version = replica_version_;
+  const DirectoryState& dir = *dir_;
+  msg->version = dir.replica_version;
   msg->view = view_.contacts();
-  auto ack_it = replica_acks_.find(target);
+  auto ack_it = dir.replica_acks.find(target);
   // A delta only applies if the replica's acknowledged version is still
   // covered by the op log; otherwise (new replica, missed syncs, log
   // trimmed past it) fall back to full-snapshot anti-entropy.
   bool delta_ok =
-      ack_it != replica_acks_.end() && ack_it->second <= replica_version_ &&
-      (replica_ops_.empty()
-           ? ack_it->second == replica_version_
-           : replica_ops_.front().version <= ack_it->second + 1);
+      ack_it != dir.replica_acks.end() &&
+      ack_it->second <= dir.replica_version &&
+      (dir.replica_ops.empty()
+           ? ack_it->second == dir.replica_version
+           : dir.replica_ops.front().version <= ack_it->second + 1);
   if (delta_ok) {
     msg->base_version = ack_it->second;
-    for (const ReplicaOp& logged : replica_ops_) {
+    for (const ReplicaOp& logged : dir.replica_ops) {
       if (logged.version > ack_it->second) msg->ops.push_back(logged.op);
     }
   } else {
     msg->full = true;
-    msg->index = index_.TakeSnapshot();
-    ctx_.stats->Add("flower.replica.full_syncs");
+    msg->index = dir.index.TakeSnapshot();
+    ctx_->stats->Add("flower.replica.full_syncs");
   }
-  ctx_.stats->Add("flower.replica.syncs");
-  rpc_.Call(target, std::move(msg), ctx_.params->rpc_timeout,
+  ctx_->stats->Add("flower.replica.syncs");
+  rpc_.Call(target, std::move(msg), ctx_->params->rpc_timeout,
             [this, target](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
                 // Dead successor: stabilization will rotate it out of the
@@ -1405,11 +1424,11 @@ void FlowerPeer::SendReplicaSync(PeerId target, uint32_t rank) {
               const auto& reply =
                   MessageCast<FlowerReplicaSyncReplyMsg>(*resp);
               if (reply.accepted) {
-                replica_acks_[target] = reply.acked_version;
+                dir_->replica_acks[target] = reply.acked_version;
               } else {
                 // Version gap or primary change on the replica: next round
                 // sends a full snapshot.
-                replica_acks_.erase(target);
+                dir_->replica_acks.erase(target);
               }
             });
 }
@@ -1421,16 +1440,16 @@ void FlowerPeer::OnReplicaSync(const Message& req) {
     rpc_.Respond(req, std::move(reply));
     return;
   }
-  ChordId key = ctx_.keyspace->IdOf(m.website, m.locality, m.instance);
+  ChordId key = ctx_->keyspace->IdOf(m.website, m.locality, m.instance);
   if (m.full) {
-    ReplicaState& state = replicas_[key];
+    ReplicaState& state = EnsureDirectoryState().replicas[key];
     state.primary = m.src;
     state.website = m.website;
     state.locality = m.locality;
     state.instance = m.instance;
     state.rank = m.rank;
     state.version = m.version;
-    state.last_sync = ctx_.network->sim()->now();
+    state.last_sync = ctx_->network->sim()->now();
     state.handover_attempts = 0;
     state.index.Restore(m.index);
     state.view = m.view;
@@ -1440,9 +1459,13 @@ void FlowerPeer::OnReplicaSync(const Message& req) {
     ScheduleReplicaMonitor();
     return;
   }
-  auto it = replicas_.find(key);
-  if (it == replicas_.end() || it->second.primary != m.src ||
-      it->second.version != m.base_version) {
+  ReplicaState* held = nullptr;
+  if (dir_ != nullptr) {
+    auto it = dir_->replicas.find(key);
+    if (it != dir_->replicas.end()) held = &it->second;
+  }
+  if (held == nullptr || held->primary != m.src ||
+      held->version != m.base_version) {
     // Unknown petal, a different (older) primary's delta, or missed syncs:
     // reject so the live primary resyncs with a snapshot. Never apply a
     // delta onto mismatched state — that is how stale replicas would
@@ -1451,7 +1474,7 @@ void FlowerPeer::OnReplicaSync(const Message& req) {
     rpc_.Respond(req, std::move(reply));
     return;
   }
-  ReplicaState& state = it->second;
+  ReplicaState& state = *held;
   for (const FlowerReplicaSyncMsg::Op& op : m.ops) {
     switch (op.kind) {
       case FlowerReplicaSyncMsg::kReplaceObjects:
@@ -1470,7 +1493,7 @@ void FlowerPeer::OnReplicaSync(const Message& req) {
   state.version = m.version;
   state.rank = m.rank;
   state.view = m.view;
-  state.last_sync = ctx_.network->sim()->now();
+  state.last_sync = ctx_->network->sim()->now();
   state.handover_attempts = 0;
   reply->accepted = true;
   reply->acked_version = state.version;
@@ -1479,35 +1502,35 @@ void FlowerPeer::OnReplicaSync(const Message& req) {
 }
 
 void FlowerPeer::ScheduleReplicaMonitor() {
-  if (replica_monitor_scheduled_) return;
-  replica_monitor_scheduled_ = true;
-  ctx_.network->SchedulePeer(
-      self_, incarnation_, ctx_.params->replica_sync_period, [this]() {
-        replica_monitor_scheduled_ = false;
+  if (dir_->replica_monitor_scheduled) return;
+  dir_->replica_monitor_scheduled = true;
+  ctx_->network->SchedulePeer(
+      self_, incarnation_, ctx_->params->replica_sync_period, [this]() {
+        dir_->replica_monitor_scheduled = false;
         if (!ReplicationActive()) return;
         ReplicaMonitorRound();
-        if (!replicas_.empty()) ScheduleReplicaMonitor();
+        if (!dir_->replicas.empty()) ScheduleReplicaMonitor();
       });
 }
 
 void FlowerPeer::ReplicaMonitorRound() {
-  SimTime now = ctx_.network->sim()->now();
-  SimDuration period = ctx_.params->replica_sync_period;
+  SimTime now = ctx_->network->sim()->now();
+  SimDuration period = ctx_->params->replica_sync_period;
   // Sorted key pass: handover messages must fire in a deterministic order,
   // and entries may be erased while iterating.
   std::vector<ChordId> keys;
-  keys.reserve(replicas_.size());
-  for (const auto& [key, state] : replicas_) keys.push_back(key);
+  keys.reserve(dir_->replicas.size());
+  for (const auto& [key, state] : dir_->replicas) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   for (ChordId key : keys) {
-    auto it = replicas_.find(key);
-    if (it == replicas_.end()) continue;
+    auto it = dir_->replicas.find(key);
+    if (it == dir_->replicas.end()) continue;
     ReplicaState& state = it->second;
     // Rank-staggered failover window: rank 1 acts after
     // `replica_failover_misses` silent periods, rank 2 one period later...
     // so replicas do not race each other to install an heir.
     SimDuration timeout =
-        (ctx_.params->replica_failover_misses +
+        (ctx_->params->replica_failover_misses +
          static_cast<SimDuration>(state.rank) - 1) *
         period;
     SimDuration silent = now - state.last_sync;
@@ -1515,7 +1538,7 @@ void FlowerPeer::ReplicaMonitorRound() {
     if (silent > 4 * timeout) {
       // The petal recovered under a new primary that no longer targets us
       // (or it dissolved entirely): the state is stale, drop it.
-      replicas_.erase(it);
+      dir_->replicas.erase(it);
       continue;
     }
     if (state.handover_attempts >= 3) continue;
@@ -1546,7 +1569,7 @@ void FlowerPeer::InitiateReplicaHandover(ReplicaState& state) {
       eligible[std::min<size_t>(
           static_cast<size_t>(state.handover_attempts - 1),
           eligible.size() - 1)];
-  ctx_.stats->Add("flower.replica.handovers");
+  ctx_->stats->Add("flower.replica.handovers");
   // Reuse the graceful-leave handoff: the heir restores the replicated
   // index and claims the (now vacant) D-ring position — promotion of a
   // replica's state instead of a cold rebuild.
@@ -1556,21 +1579,23 @@ void FlowerPeer::InitiateReplicaHandover(ReplicaState& state) {
   handoff->instance = state.instance;
   handoff->view = state.view;
   handoff->index = state.index.TakeSnapshot();
-  ctx_.network->Send(self_, heir.peer, std::move(handoff));
+  ctx_->network->Send(self_, heir.peer, std::move(handoff));
 }
 
 bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
                                       FlowerDirQueryReplyMsg* reply) {
-  if (!ReplicationActive() || replicas_.empty()) return false;
-  SimTime now = ctx_.network->sim()->now();
-  SimDuration period = ctx_.params->replica_sync_period;
-  for (int inst = 0; inst < ctx_.keyspace->max_instances(); ++inst) {
-    auto it =
-        replicas_.find(ctx_.keyspace->IdOf(req.website, req.locality, inst));
-    if (it == replicas_.end()) continue;
+  if (!ReplicationActive() || dir_ == nullptr || dir_->replicas.empty()) {
+    return false;
+  }
+  SimTime now = ctx_->network->sim()->now();
+  SimDuration period = ctx_->params->replica_sync_period;
+  for (int inst = 0; inst < ctx_->keyspace->max_instances(); ++inst) {
+    auto it = dir_->replicas.find(
+        ctx_->keyspace->IdOf(req.website, req.locality, inst));
+    if (it == dir_->replicas.end()) continue;
     const ReplicaState& state = it->second;
     SimDuration timeout =
-        (ctx_.params->replica_failover_misses +
+        (ctx_->params->replica_failover_misses +
          static_cast<SimDuration>(state.rank) - 1) *
         period;
     // Stale replicas must not answer — beyond the failover window a
@@ -1591,7 +1616,7 @@ bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
         reply->provider = eligible[rng_.Index(eligible.size())];
       }
     }
-    ctx_.stats->Add("flower.replica.served_queries");
+    ctx_->stats->Add("flower.replica.served_queries");
     return true;
   }
   return false;
@@ -1620,13 +1645,13 @@ const char* HandleEventName(const Message& msg) {
 }  // namespace
 
 void FlowerPeer::HandleMessage(MessagePtr msg) {
-  if (ctx_.trace != nullptr && msg->trace.active() &&
-      ctx_.trace->LocalIdOf(msg->trace.trace_id) == 0) {
+  if (ctx_->trace != nullptr && msg->trace.active() &&
+      ctx_->trace->LocalIdOf(msg->trace.trace_id) == 0) {
     // Work done here for a query that began on another rank: record an
     // instant carrying the distributed trace id so the merged cluster
     // trace shows this rank's participation.
-    ctx_.trace->AddRemoteSpan(msg->trace.trace_id, HandleEventName(*msg),
-                              ctx_.network->sim()->now(), self_, msg->src);
+    ctx_->trace->AddRemoteSpan(msg->trace.trace_id, HandleEventName(*msg),
+                              ctx_->network->sim()->now(), self_, msg->src);
   }
   if (resolver_.HandleMessage(msg)) return;
   if (chord_ != nullptr && chord_->HandleMessage(msg)) return;

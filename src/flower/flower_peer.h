@@ -55,7 +55,9 @@ enum class ServedSource : uint8_t {
 
 const char* ServedSourceName(ServedSource source);
 
-/// Shared, immutable experiment context handed to every Flower session.
+/// Shared, immutable experiment context handed to every Flower session. The
+/// sessions keep a pointer to it, so it must outlive them (FlowerSystem,
+/// NodeHost and test fixtures own it next to their session maps).
 struct FlowerContext {
   Network* network = nullptr;
   MetricsCollector* metrics = nullptr;
@@ -87,7 +89,8 @@ struct FlowerContext {
 /// replacement, graceful handoff, and join-race resolution.
 class FlowerPeer : public SimNode {
  public:
-  /// `store` is the identity's persistent cache, owned by the driver.
+  /// `store` is the identity's persistent cache, owned by the driver; `ctx`
+  /// is shared by every session and must outlive this one.
   FlowerPeer(const FlowerContext& ctx, PeerId self, WebsiteId website,
              LocalityId locality, ContentStore* store, Rng rng);
   ~FlowerPeer() override = default;
@@ -150,12 +153,13 @@ class FlowerPeer : public SimNode {
   FlowerRole role() const { return role_; }
   int instance() const { return instance_; }
   const PeerView& view() const { return view_; }
-  const DirectoryIndex& index() const { return index_; }
+  /// The directory-index; empty unless this session has been a directory.
+  const DirectoryIndex& index() const;
   const DirInfo& dir_info() const { return dir_info_; }
   const ContentStore& store() const { return *store_; }
   ChordNode* chord() { return chord_.get(); }
   /// Number of foreign petals this peer holds replica state for.
-  size_t replica_petals_held() const { return replicas_.size(); }
+  size_t replica_petals_held() const;
   /// Replicated index of petal (ws, loc, instance), or null when this peer
   /// holds no replica for it.
   const DirectoryIndex* ReplicaIndex(WebsiteId website, LocalityId locality,
@@ -282,6 +286,25 @@ class FlowerPeer : public SimNode {
     FlowerReplicaSyncMsg::Op op;
   };
 
+  /// Directory-role and replica state. Only directory peers and replica
+  /// holders pay for it: it is allocated when a session first takes the
+  /// directory role (StartAsDirectory, BecomeDirectory) or accepts a full
+  /// replica sync, and then kept for the rest of the session, so its
+  /// version counter and scheduled-flags survive role flaps. Invariant:
+  /// role_ == kDirectoryPeer implies dir_ != nullptr.
+  struct DirectoryState {
+    DirectoryIndex index;
+    // Primary side: mutation log + periodic sync to D-ring successors.
+    uint64_t replica_version = 0;
+    std::deque<ReplicaOp> replica_ops;  // version-ascending, bounded
+    std::unordered_map<PeerId, uint64_t> replica_acks;
+    bool replica_sync_scheduled = false;
+    bool replica_monitor_scheduled = false;
+    // Replica side, keyed by the petal's D-ring position id.
+    std::unordered_map<ChordId, ReplicaState> replicas;
+  };
+
+  DirectoryState& EnsureDirectoryState();
   bool ReplicationActive() const;
   // Primary side: mutation log + periodic sync to D-ring successors.
   void ReplicaRecordReplace(PeerId peer, const std::vector<ObjectId>& objects);
@@ -304,7 +327,7 @@ class FlowerPeer : public SimNode {
   bool TryAnswerFromReplica(const FlowerDirQueryMsg& req,
                             FlowerDirQueryReplyMsg* reply);
 
-  FlowerContext ctx_;
+  const FlowerContext* ctx_;
   PeerId self_;
   WebsiteId website_;
   LocalityId locality_;
@@ -321,7 +344,12 @@ class FlowerPeer : public SimNode {
   PeerView view_;  // petal view (unbounded, per Table 1)
   std::unordered_map<PeerId, BloomFilter> summaries_;
   DirInfo dir_info_;
-  DirectoryIndex index_;
+  // Directory index and replication state. Replication (k >= 2) costs
+  // nothing at the default k=1: no replica event is ever scheduled and no
+  // op is logged, so a directory peer pays sizeof(DirectoryState), the
+  // 576 B an empty libstdc++ deque allocates for the op log, and its
+  // index; a client or content peer pays only this null pointer.
+  std::unique_ptr<DirectoryState> dir_;
 
   /// In-flight QueryExternal callbacks, keyed by QueryState::external_id.
   std::unordered_map<uint64_t, ExternalQueryCallback> external_queries_;
@@ -334,17 +362,6 @@ class FlowerPeer : public SimNode {
   bool claim_in_progress_ = false;
   bool push_in_flight_ = false;
   SimTime promotion_triggered_at_ = -1;
-
-  // Replication state. All of it stays empty (and no event is ever
-  // scheduled) with replication == 1, keeping the default byte-identical.
-  // Primary side:
-  uint64_t replica_version_ = 0;
-  std::deque<ReplicaOp> replica_ops_;
-  std::unordered_map<PeerId, uint64_t> replica_acks_;
-  bool replica_sync_scheduled_ = false;
-  // Replica side, keyed by the petal's D-ring position id:
-  std::unordered_map<ChordId, ReplicaState> replicas_;
-  bool replica_monitor_scheduled_ = false;
 };
 
 }  // namespace flowercdn

@@ -24,9 +24,10 @@ Network::Network(Simulator* sim, Topology* topology)
   FLOWERCDN_CHECK(sim != nullptr);
   FLOWERCDN_CHECK(topology != nullptr);
   transport_ = default_transport_.get();
+  sim_->SetGuardCheck(&Network::PeerGuardCheck, this);
 }
 
-Network::~Network() = default;
+Network::~Network() { sim_->SetGuardCheck(nullptr, nullptr); }
 
 void Network::SetTransport(Transport* transport) {
   transport_ = transport != nullptr ? transport : default_transport_.get();
@@ -189,12 +190,11 @@ bool Network::PeerGuardCheck(void* ctx, PeerId peer, Incarnation inc) {
 EventId Network::SchedulePeer(PeerId peer, Incarnation inc, SimDuration delay,
                               EventFn fn) {
   // The liveness check rides in the scheduler node's EventGuard rather
-  // than a wrapping lambda: a 64-byte EventFn capture can't nest inside
-  // another EventFn's inline buffer, so the old wrapper forced a heap
-  // allocation per protocol timer (millions per trial).
-  return sim_->ScheduleGuarded(
-      delay, EventGuard{&Network::PeerGuardCheck, this, peer, inc},
-      std::move(fn));
+  // than a wrapping lambda: a 56-byte EventFn capture can't nest inside
+  // another EventFn's 48-byte inline buffer, so a wrapper would force a
+  // heap allocation per protocol timer (millions per trial).
+  FLOWERCDN_CHECK(peer != kInvalidPeer);
+  return sim_->ScheduleGuarded(delay, EventGuard{peer, inc}, std::move(fn));
 }
 
 }  // namespace flowercdn

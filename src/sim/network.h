@@ -213,7 +213,8 @@ class Network {
   void Deliver(PeerId dst, SimDuration latency, size_t accounted_bytes,
                MessagePtr msg);
 
-  /// EventGuard thunk behind SchedulePeer: ctx is the Network.
+  /// The simulator's GuardCheck behind SchedulePeer (installed by the
+  /// constructor): ctx is the Network.
   static bool PeerGuardCheck(void* ctx, PeerId peer, Incarnation inc);
 
   bool Registered(PeerId peer) const {

@@ -18,8 +18,10 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime until) {
-  while (!queue_.Empty() && queue_.NextTime() <= until) {
-    Step();
+  while (true) {
+    FiredEvent event;  // per event: its closure dies right after it runs
+    if (!queue_.PopUntil(until, &event)) break;
+    Dispatch(event);
   }
   if (now_ < until) now_ = until;
 }
@@ -27,16 +29,19 @@ void Simulator::RunUntil(SimTime until) {
 bool Simulator::Step() {
   FiredEvent event;
   if (!queue_.Pop(&event)) return false;
+  Dispatch(event);
+  return true;
+}
+
+void Simulator::Dispatch(FiredEvent& event) {
   FLOWERCDN_CHECK(event.when >= now_) << "event queue went backwards";
   now_ = event.when;
   ++events_processed_;
   if (event.guard.active() &&
-      !event.guard.check(event.guard.ctx, event.guard.peer,
-                         event.guard.incarnation)) {
-    return true;  // stale guarded timer suppressed
+      !guard_check_(guard_ctx_, event.guard.peer, event.guard.incarnation)) {
+    return;  // stale guarded timer suppressed
   }
   event.fn();
-  return true;
 }
 
 }  // namespace flowercdn

@@ -40,13 +40,24 @@ class Simulator {
   }
 
   /// Schedules `fn` with a liveness guard evaluated at fire time: when the
-  /// guard check fails the callback is silently skipped (it still counts
-  /// as a processed event). The guard lives in the scheduler node, so —
-  /// unlike wrapping `fn` in a checking lambda — guarded timers cost no
-  /// extra allocation no matter how large `fn`'s captures are.
+  /// installed guard check fails the callback is silently skipped (it still
+  /// counts as a processed event). The guard lives in the scheduler node,
+  /// so — unlike wrapping `fn` in a checking lambda — guarded timers cost
+  /// no extra allocation no matter how large `fn`'s captures are.
   EventId ScheduleGuarded(SimDuration delay, EventGuard guard, EventFn fn) {
     FLOWERCDN_CHECK(delay >= 0) << "negative delay " << delay;
+    FLOWERCDN_CHECK(guard_check_ != nullptr) << "no guard check installed";
     return queue_.Push(now_ + delay, std::move(fn), guard);
+  }
+
+  /// Installs the check every guarded event runs at fire time (the Network
+  /// does, once, for its session guards); `check == nullptr` uninstalls.
+  /// One check per simulator: installing over another one is an error.
+  void SetGuardCheck(GuardCheck check, void* ctx) {
+    FLOWERCDN_CHECK(check == nullptr || guard_check_ == nullptr)
+        << "guard check already installed";
+    guard_check_ = check;
+    guard_ctx_ = ctx;
   }
 
   /// Cancels a scheduled event (no-op if already fired).
@@ -79,9 +90,14 @@ class Simulator {
   size_t pending_events() const { return queue_.Size(); }
 
  private:
+  /// Advances the clock to `event` and runs it unless its guard fails.
+  void Dispatch(FiredEvent& event);
+
   SimTime now_ = 0;
   LadderQueue queue_;
   uint64_t events_processed_ = 0;
+  GuardCheck guard_check_ = nullptr;
+  void* guard_ctx_ = nullptr;
 };
 
 }  // namespace flowercdn

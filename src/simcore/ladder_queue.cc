@@ -22,7 +22,8 @@ EventId LadderQueue::Push(SimTime when, EventFn fn, EventGuard guard) {
   n.seq = next_seq_++;
   n.cancelled = false;
   n.fn = std::move(fn);
-  n.guard = guard;
+  n.guard_peer = guard.peer;
+  n.guard_incarnation = guard.incarnation;
   ++live_;
   if (when < horizon_) {
     // Pre-horizon push (peeking cascaded the horizon past the caller's
@@ -67,7 +68,6 @@ void LadderQueue::Cancel(EventId id) {
 void LadderQueue::ReleaseNode(uint32_t slot) {
   Node& n = arena_[slot];
   n.fn = EventFn();
-  n.guard = EventGuard{};
   if (++n.gen == 0) n.gen = 1;  // wrap skips the reserved generation
   arena_.Release(slot);
 }
@@ -180,24 +180,28 @@ SimTime LadderQueue::NextTime() {
   return arena_[serving_[serving_pos_]].when;
 }
 
-bool LadderQueue::Pop(FiredEvent* out) {
+bool LadderQueue::PopUntil(SimTime until, FiredEvent* out) {
+  if (live_ == 0) return false;  // cancelled leftovers reclaim lazily
   PruneEarly();
   uint32_t slot;
   if (!early_.empty()) {
     // Early events precede everything in the wheel (all wheel times are
     // >= horizon, all early times are < horizon).
+    if (arena_[early_.front()].when > until) return false;
     std::pop_heap(early_.begin(), early_.end(),
                   [this](uint32_t a, uint32_t b) { return EarlyAfter(a, b); });
     slot = early_.back();
     early_.pop_back();
   } else {
     if (!PrepareBatch()) return false;
-    slot = serving_[serving_pos_++];
+    slot = serving_[serving_pos_];
+    if (arena_[slot].when > until) return false;
+    ++serving_pos_;
   }
   Node& n = arena_[slot];
   out->when = n.when;
   out->fn = std::move(n.fn);
-  out->guard = n.guard;
+  out->guard = EventGuard{n.guard_peer, n.guard_incarnation};
   --live_;
   ReleaseNode(slot);
   return true;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "simcore/scheduler.h"
@@ -64,8 +65,16 @@ class LadderQueue {
   /// Timestamp of the earliest live event; must not be called when Empty().
   SimTime NextTime();
 
+  /// Pops the earliest live event into `*out` if it is due at or before
+  /// `until`. Returns false when the queue is empty or its earliest event
+  /// is later — one peek per event, where Empty() + NextTime() + Pop()
+  /// would prepare the serving batch three times.
+  bool PopUntil(SimTime until, FiredEvent* out);
+
   /// Pops the earliest live event into `*out`. Returns false when empty.
-  bool Pop(FiredEvent* out);
+  bool Pop(FiredEvent* out) {
+    return PopUntil(std::numeric_limits<SimTime>::max(), out);
+  }
 
   /// Number of live (non-cancelled) events.
   size_t Size() const { return live_; }
@@ -82,15 +91,21 @@ class LadderQueue {
   static constexpr uint32_t kBitmapWords = kSlotsPerLevel / 64;
   static constexpr uint32_t kNil = 0xffffffffu;
 
+  // The guard's two fields sit inline rather than as an EventGuard member,
+  // so the 4-byte incarnation and the flag share one 8-byte word: 40 bytes
+  // of header plus the 56-byte EventFn make 96, and the slab holds every
+  // pending event of a trial.
   struct Node {
     SimTime when = 0;
-    uint64_t seq = 0;      // global insertion sequence; FIFO tie-break
+    uint64_t seq = 0;  // global insertion sequence; FIFO tie-break
+    PeerId guard_peer = kInvalidPeer;
     uint32_t next = kNil;  // bucket chain link
     uint32_t gen = 0;      // bumped on release; 0 means never acquired
+    Incarnation guard_incarnation = 0;
     bool cancelled = false;
     EventFn fn;
-    EventGuard guard;
   };
+  static_assert(sizeof(Node) <= 96, "ladder node grew past 96 bytes");
 
   /// Ladder level for an event time, relative to the serving horizon: the
   /// index of the highest byte in which the two differ (0 when equal).

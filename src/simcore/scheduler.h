@@ -15,21 +15,24 @@ using EventId = uint64_t;
 
 constexpr EventId kInvalidEvent = 0;
 
-/// Liveness guard attached to an event at schedule time. The kernel stores
-/// it out-of-line from the callback, so incarnation-guarded timers (every
-/// protocol timer in the simulation) need no wrapper closure — and thus no
-/// heap allocation for the nested callable. At fire time the simulator
-/// calls `check(ctx, peer, incarnation)`; a false result suppresses the
-/// callback (the event still counts as executed, exactly like the old
-/// wrapper-lambda early-return).
+/// Liveness guard attached to an event at schedule time: the (peer,
+/// incarnation) the event belongs to. The kernel stores it out-of-line from
+/// the callback, so incarnation-guarded timers (every protocol timer in the
+/// simulation) need no wrapper closure — and thus no heap allocation for
+/// the nested callable. The check itself is not stored per event: the
+/// simulator holds one GuardCheck (installed by its Network) and calls it
+/// at fire time; a false result suppresses the callback (the event still
+/// counts as executed, exactly like the old wrapper-lambda early-return).
 struct EventGuard {
-  bool (*check)(void* ctx, PeerId peer, Incarnation incarnation) = nullptr;
-  void* ctx = nullptr;
-  PeerId peer = kInvalidPeer;
+  PeerId peer = kInvalidPeer;  // kInvalidPeer: unguarded
   Incarnation incarnation = 0;
 
-  bool active() const { return check != nullptr; }
+  bool active() const { return peer != kInvalidPeer; }
 };
+
+/// Fire-time liveness check for guarded events: true iff `peer` is still in
+/// session `incarnation`.
+using GuardCheck = bool (*)(void* ctx, PeerId peer, Incarnation incarnation);
 
 /// One popped event: firing time, callback, and (possibly inactive) guard.
 struct FiredEvent {

@@ -28,7 +28,7 @@ class MoveOnlyFn<R(Args...)> {
   MoveOnlyFn(F&& f) {  // NOLINT(runtime/explicit): mirrors std::function
     using Decayed = std::decay_t<F>;
     if constexpr (sizeof(Decayed) <= kInlineSize &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
+                  alignof(Decayed) <= alignof(void*) &&
                   std::is_nothrow_move_constructible_v<Decayed>) {
       new (&storage_) Decayed(std::forward<F>(f));
       ops_ = &InlineOps<Decayed>::kOps;
@@ -114,9 +114,12 @@ class MoveOnlyFn<R(Args...)> {
     }
   }
 
+  // Pointer alignment, not max_align_t: closures capture pointers and
+  // 64-bit ids, and the narrower alignment keeps sizeof at 56 instead of
+  // 64 (an over-aligned closure simply takes the heap path).
   const Ops* ops_ = nullptr;
   union {
-    alignas(std::max_align_t) unsigned char storage_[kInlineSize];
+    alignas(void*) unsigned char storage_[kInlineSize];
     void* heap_;
   };
 };

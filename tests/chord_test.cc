@@ -39,8 +39,7 @@ class ChordRingTest : public ::testing::Test {
         rng_(123) {}
 
   /// Creates `n` nodes with deterministic ids and assembles a ring.
-  void BuildRing(int n) {
-    ChordNode::Params params;
+  void BuildRing(int n, const ChordNode::Params& params = {}) {
     for (int i = 0; i < n; ++i) {
       PeerId peer = static_cast<PeerId>(i + 1);
       network_.RegisterIdentity(peer,
@@ -117,6 +116,28 @@ TEST_F(ChordRingTest, RingPointersConvergeToSortedOrder) {
     ASSERT_TRUE(node->predecessor().has_value());
     EXPECT_EQ(node->predecessor()->peer, sorted[(i + n - 1) % n]->self())
         << "node " << i << " has wrong predecessor";
+  }
+}
+
+TEST_F(ChordRingTest, LongSuccessorListsHoldTheNextNodes) {
+  // A successor list longer than the merge's stack buffer (its merges see
+  // up to 24 + 24 + 2 candidates) still converges to the next nodes in
+  // ring order.
+  const int n = 40;
+  ChordNode::Params params;
+  params.successor_list_size = 24;
+  BuildRing(n, params);
+  std::vector<ChordNode*> sorted;
+  for (auto& h : hosts_) sorted.push_back(&h->chord());
+  std::sort(sorted.begin(), sorted.end(),
+            [](ChordNode* a, ChordNode* b) { return a->id() < b->id(); });
+  for (int i = 0; i < n; ++i) {
+    const std::vector<RingPeer>& list = sorted[i]->successor_list();
+    ASSERT_EQ(list.size(), 24u) << "node " << i;
+    for (int j = 0; j < 24; ++j) {
+      EXPECT_EQ(list[j].peer, sorted[(i + 1 + j) % n]->self())
+          << "node " << i << " successor " << j;
+    }
   }
 }
 

@@ -202,6 +202,33 @@ TEST(LadderQueueTest, PushEarlierThanPeekedHorizonStaysOrdered) {
   EXPECT_EQ(popped, (std::vector<SimTime>{50, 40000, 100000}));
 }
 
+TEST(LadderQueueTest, PopUntilStopsAtTheDeadline) {
+  // PopUntil pops only events due at or before `until`, from the wheel and
+  // from the early heap alike, and leaves later ones queued.
+  LadderQueue q;
+  q.Push(100000, [] {}, EventGuard{});
+  q.Push(20, [] {}, EventGuard{});
+  q.Push(30, [] {}, EventGuard{});
+  FiredEvent ev;
+  ASSERT_TRUE(q.PopUntil(25, &ev));
+  EXPECT_EQ(ev.when, 20);
+  EXPECT_FALSE(q.PopUntil(25, &ev));  // 30 is not due yet
+  EXPECT_EQ(q.Size(), 2u);
+  EXPECT_EQ(q.NextTime(), 30);
+  ASSERT_TRUE(q.PopUntil(30, &ev));
+  EXPECT_EQ(ev.when, 30);
+  EXPECT_EQ(q.NextTime(), 100000);  // horizon now at/near 100000
+  q.Push(50, [] {}, EventGuard{});   // lands in the early heap
+  EXPECT_FALSE(q.PopUntil(49, &ev));
+  ASSERT_TRUE(q.PopUntil(50, &ev));
+  EXPECT_EQ(ev.when, 50);
+  EXPECT_FALSE(q.PopUntil(99999, &ev));
+  ASSERT_TRUE(q.PopUntil(100000, &ev));
+  EXPECT_EQ(ev.when, 100000);
+  EXPECT_FALSE(q.PopUntil(200000, &ev));
+  EXPECT_TRUE(q.Empty());
+}
+
 TEST(LadderQueueTest, CancelledEarlyEventsReclaim) {
   LadderQueue q;
   q.Push(100000, [] {}, EventGuard{});
