@@ -565,7 +565,7 @@ void ChordNode::MergeSuccessorCandidates(std::span<const RingPeer> candidates,
   }
   successors_.assign(clean, clean + count);
   // Every live contact is also a finger candidate.
-  for (const RingPeer& s : successors_) PlaceFingerCandidate(s);
+  fingers_.OfferSorted(successors_, self_);
 }
 
 void ChordNode::RemoveDeadPeer(PeerId peer) {

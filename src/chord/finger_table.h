@@ -2,6 +2,7 @@
 #define FLOWERCDN_CHORD_FINGER_TABLE_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chord/id.h"
@@ -29,6 +30,15 @@ class FingerTable {
   void Set(int j, RingPeer peer) { entries_[j] = peer; }
   void Clear(int j) { entries_[j].reset(); }
   void ClearAll();
+
+  /// Offers each entry of `by_distance`, in order, to every slot: a slot
+  /// takes a candidate when it is empty or the candidate lies strictly
+  /// closer clockwise to its target than the entry it holds, so among
+  /// equally close candidates the held entry, then the first offered, wins.
+  /// `by_distance` must be sorted by clockwise distance from self; entries
+  /// of peer `owner` (the table's own node) or kInvalidPeer are skipped.
+  /// One pass over slots and candidates together, O(size + candidates).
+  void OfferSorted(std::span<const RingPeer> by_distance, PeerId owner);
 
   /// Drops every entry pointing at `peer` (called when the peer is
   /// detected dead). Returns how many entries were cleared.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "chord/finger_table.h"
+#include "util/random.h"
 
 namespace flowercdn {
 namespace {
@@ -141,6 +145,87 @@ TEST(FingerTableTest, ClosestPrecedingIgnoresSelfEntries) {
   FingerTable fingers(self, 8);
   fingers.Set(7, RingPeer{42, self});  // self-position entry
   EXPECT_FALSE(fingers.ClosestPreceding(self + 1000).has_value());
+}
+
+/// The per-candidate placement OfferSorted replaces: every candidate is
+/// compared with every slot, O(size x candidates).
+void OfferEachToEverySlot(FingerTable& fingers,
+                          const std::vector<RingPeer>& candidates,
+                          PeerId owner) {
+  for (const RingPeer& candidate : candidates) {
+    if (candidate.peer == owner || candidate.peer == kInvalidPeer) continue;
+    for (int j = 0; j < fingers.size(); ++j) {
+      ChordId target = fingers.TargetOf(j);
+      const auto& current = fingers.entry(j);
+      if (!current.has_value() ||
+          RingDistance(target, candidate.id) <
+              RingDistance(target, current->id)) {
+        fingers.Set(j, candidate);
+      }
+    }
+  }
+}
+
+TEST(FingerTableTest, OfferSortedMatchesPerCandidatePlacement) {
+  Rng rng(2024);
+  const int kCounts[] = {1, 8, 20, 64};
+  for (int round = 0; round < 4000; ++round) {
+    const ChordId self = rng.Next();
+    const PeerId owner = 1;
+    const int count = kCounts[rng.Index(4)];
+    FingerTable reference(self, count);
+    // Ids clustered round the targets (exactly on, just before, just
+    // past), anywhere on the ring, and repeated under other peers.
+    std::vector<ChordId> ids;
+    auto draw_id = [&]() -> ChordId {
+      switch (rng.Index(4)) {
+        case 0:
+          return rng.Next();
+        case 1: {
+          ChordId offset = static_cast<ChordId>(rng.UniformInt(-2, 2));
+          return reference.TargetOf(static_cast<int>(rng.Index(count))) +
+                 offset;
+        }
+        case 2:
+          return self + rng.NextBounded(1000);
+        default:
+          return ids.empty() ? rng.Next() : ids[rng.Index(ids.size())];
+      }
+    };
+    PeerId next_peer = 2;
+    for (int j = 0; j < count; ++j) {
+      if (rng.NextBool(0.4)) continue;  // empty slot
+      ChordId id = draw_id();
+      ids.push_back(id);
+      reference.Set(j, RingPeer{next_peer++, id});
+    }
+    std::vector<RingPeer> candidates;
+    const size_t n = rng.Index(13);
+    for (size_t i = 0; i < n; ++i) {
+      ChordId id = draw_id();
+      ids.push_back(id);
+      candidates.push_back(RingPeer{next_peer++, id});
+    }
+    if (rng.NextBool(0.3)) candidates.push_back(RingPeer{owner, self});
+    if (rng.NextBool(0.1)) candidates.push_back(RingPeer{kInvalidPeer, 7});
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [self](const RingPeer& a, const RingPeer& b) {
+                       return RingDistance(self, a.id) <
+                              RingDistance(self, b.id);
+                     });
+    FingerTable fast = reference;
+    OfferEachToEverySlot(reference, candidates, owner);
+    fast.OfferSorted(candidates, owner);
+    for (int j = 0; j < count; ++j) {
+      ASSERT_EQ(fast.entry(j).has_value(), reference.entry(j).has_value())
+          << "round " << round << " slot " << j;
+      if (!reference.entry(j).has_value()) continue;
+      EXPECT_EQ(fast.entry(j)->peer, reference.entry(j)->peer)
+          << "round " << round << " slot " << j;
+      EXPECT_EQ(fast.entry(j)->id, reference.entry(j)->id)
+          << "round " << round << " slot " << j;
+    }
+  }
 }
 
 }  // namespace
