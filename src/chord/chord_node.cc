@@ -420,8 +420,13 @@ void ChordNode::HandleNeighborsReply(const ChordNeighborsReplyMsg& reply,
   const RingPeer extra[] = {probed, reply.predecessor};
   MergeSuccessorCandidates(reply.successors,
                            {extra, reply.has_predecessor ? 2u : 1u});
-  NotifySuccessor();
   std::optional<RingPeer> after = successor();
+  const bool acknowledged = reply.has_predecessor &&
+                            reply.predecessor == RingPeer{self_, id_};
+  // A notify to a successor that already names us is a no-op there.
+  if (!acknowledged || !after.has_value() || after->peer != probed.peer) {
+    NotifySuccessor();
+  }
   if (!after.has_value() || after->peer == self_) return;
   if (!before.has_value() || !(*after == *before)) {
     // The successor changed — walk the chain to the true neighbor without
@@ -470,10 +475,15 @@ void ChordNode::NotifySuccessor() {
 }
 
 void ChordNode::CheckPredecessor() {
-  if (!predecessor_.has_value() || predecessor_->peer == self_) return;
+  if (pred_check_pending_ || !predecessor_.has_value() ||
+      predecessor_->peer == self_) {
+    return;
+  }
+  pred_check_pending_ = true;
   PeerId pred = predecessor_->peer;
   rpc_.Call(pred, std::make_unique<ChordPingMsg>(), params_.rpc_timeout,
             [this, pred](const Status& status, MessagePtr) {
+              pred_check_pending_ = false;
               if (status.ok()) return;
               if (predecessor_.has_value() && predecessor_->peer == pred) {
                 predecessor_.reset();
@@ -571,12 +581,15 @@ void ChordNode::MergeSuccessorCandidates(std::span<const RingPeer> candidates,
 void ChordNode::RemoveDeadPeer(PeerId peer) {
   if (peer == self_) return;
   if (fingers_.RemovePeer(peer) > 0) ScheduleFingerRepair();
+  const size_t listed = successors_.size();
   successors_.erase(
       std::remove_if(successors_.begin(), successors_.end(),
                      [peer](const RingPeer& p) { return p.peer == peer; }),
       successors_.end());
+  bool ring_neighbor = successors_.size() != listed;
   if (predecessor_.has_value() && predecessor_->peer == peer) {
     predecessor_.reset();
+    ring_neighbor = true;
   }
   if (successors_.empty()) {
     if (predecessor_.has_value() && predecessor_->peer != self_) {
@@ -586,8 +599,9 @@ void ChordNode::RemoveDeadPeer(PeerId peer) {
       return;
     }
   }
-  // Re-validate the (possibly new) successor promptly.
-  if (state_ == State::kActive) ProbeSuccessorSoon();
+  // Re-validate the (possibly new) successor promptly. A peer that was
+  // only a finger leaves the ring links intact; finger repair covers it.
+  if (ring_neighbor && state_ == State::kActive) ProbeSuccessorSoon();
 }
 
 // --- Message handling --------------------------------------------------------
@@ -645,6 +659,13 @@ void ChordNode::OnGetNeighbors(const Message& req) {
   if (predecessor_.has_value()) reply->predecessor = *predecessor_;
   reply->successors = successors_;
   rpc_.Respond(req, std::move(reply));
+  // Only our predecessor should be probing us. Any other prober sits
+  // between a predecessor that may have crashed and us, and adopts that
+  // predecessor as its successor from the reply; challenge it now rather
+  // than at the next periodic ping, which can be two periods away.
+  if (predecessor_.has_value() && predecessor_->peer != req.src) {
+    CheckPredecessor();
+  }
 }
 
 void ChordNode::OnNotify(const Message& req) {

@@ -22,8 +22,10 @@ namespace flowercdn {
 ///  * recursive lookups with per-hop acknowledgements: a hop that forwards
 ///    a query immediately detects (by ack timeout) that the next hop died,
 ///    prunes it and re-forwards — plus an end-to-end retry at the origin;
-///  * periodic stabilization (successor-list refresh, notify, predecessor
-///    liveness check, round-robin finger repair);
+///  * periodic stabilization (successor-list refresh, predecessor liveness
+///    check, round-robin finger repair) that notifies the successor only
+///    while it does not name this node as its predecessor, and challenges
+///    its own predecessor whenever another node probes it;
 ///  * join with finger warm-start from the successor, including detection
 ///    of an occupied ring position (needed by the D-ring's deterministic
 ///    key placement, paper §5.2.2);
@@ -215,6 +217,8 @@ class ChordNode {
   bool stabilize_scheduled_ = false;
   bool probe_soon_pending_ = false;
   bool finger_repair_pending_ = false;
+  /// A predecessor ping is in flight (at most one at a time).
+  bool pred_check_pending_ = false;
 
   // Flat table: a node rarely has more than a handful of lookups in
   // flight, so a linear scan beats hashing and per-entry node allocation.

@@ -61,15 +61,28 @@ double FlowerPetalMaintenanceRate(SimDuration gossip_period) {
 double ChordMaintenanceRate(const ChordNode::Params& params,
                             size_t ring_size) {
   FLOWERCDN_CHECK(params.stabilize_period > 0);
-  double per_round = 4.0;  // neighbors probe + notify (each req+resp)
+  // A converged ring sends no notify: the successor already names its
+  // prober as predecessor. Each round is one neighbors probe (req+resp).
+  double per_round = 2.0;
   if (params.predecessor_check_stride > 0) {
     per_round += 2.0 / params.predecessor_check_stride;
   }
-  if (params.finger_fix_stride > 0) {
-    // One finger-fix lookup per stride rounds; a lookup costs about
-    // hops forwards + hops acks + 1 result.
-    per_round += (2.0 * ExpectedChordHops(ring_size) + 1.0) /
-                 params.finger_fix_stride;
+  if (params.finger_fix_stride > 0 && ring_size > 1) {
+    // Round-robin finger fixes, one lookup per stride rounds. Finger j's
+    // target lies 2^(64-F+j) clockwise, past about m = (N-1)·2^(j-F)
+    // nodes; it leaves the node only when the successor is nearer than
+    // the target (probability 1 - e^-m), and then costs hops forwards +
+    // hops acks + 1 result, with one hop into the range and, as in
+    // ExpectedChordHops, half of log2(m) more.
+    const int fingers = params.finger_count;
+    double lookup_msgs = 0.0;
+    for (int j = 0; j < fingers; ++j) {
+      double m = static_cast<double>(ring_size - 1) *
+                 std::ldexp(1.0, j - fingers);
+      double hops = 1.0 + std::max(0.0, 0.5 * std::log2(m));
+      lookup_msgs += (1.0 - std::exp(-m)) * (2.0 * hops + 1.0);
+    }
+    per_round += lookup_msgs / fingers / params.finger_fix_stride;
   }
   return per_round / (static_cast<double>(params.stabilize_period) / kSecond);
 }

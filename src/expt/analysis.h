@@ -54,9 +54,10 @@ double PetalHitRatioCeiling(const ZipfDistribution& zipf, double live_peers,
 /// round trip (2 msgs) per gossip period, amortized, ignoring pushes.
 double FlowerPetalMaintenanceRate(SimDuration gossip_period);
 
-/// Expected per-peer maintenance message rate of a Chord ring member:
-/// stabilization (2 msgs), notify (2), amortized predecessor checks and
-/// finger fixes per stabilize period.
+/// Expected per-peer maintenance message rate of a converged Chord ring
+/// member: one successor probe (2 msgs) per stabilize period, plus
+/// amortized predecessor pings and finger-fix lookups (those whose target
+/// lies past the successor). A converged ring sends no notify.
 double ChordMaintenanceRate(const ChordNode::Params& params,
                             size_t ring_size);
 

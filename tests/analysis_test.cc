@@ -102,5 +102,13 @@ TEST(AnalysisTest, MaintenanceRatesFavorFlowerPetals) {
   EXPECT_GT(ring, 10 * petal);
 }
 
+TEST(AnalysisTest, ChordRoundChargesOneProbeNoNotify) {
+  // A lone node: per 30 s round, the successor probe (2 msgs) and half a
+  // predecessor ping (1); its finger lookups never leave it. A converged
+  // ring sends no notify, so the model charges none.
+  ChordNode::Params chord;
+  EXPECT_DOUBLE_EQ(analysis::ChordMaintenanceRate(chord, 1), 3.0 / 30.0);
+}
+
 }  // namespace
 }  // namespace flowercdn

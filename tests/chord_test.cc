@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chord/id.h"
+#include "expt/analysis.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -271,6 +272,47 @@ TEST_F(ChordRingTest, GracefulLeaveHandsOverNeighbors) {
     EXPECT_EQ(alive[i]->successor()->peer,
               alive[(i + 1) % alive.size()]->self());
   }
+}
+
+TEST_F(ChordRingTest, CrashedPredecessorsCauseNoProbeStorm) {
+  // A crashed node stays in its successor's predecessor slot until the
+  // next predecessor ping. Its ring predecessor must not keep re-adopting
+  // it from the successor's probe replies, notifying it and probing it
+  // again every ~100 ms, each send drawing a NACK.
+  BuildRing(100);
+  std::vector<PeerId> crashed;
+  for (int i = 10; i < 100; i += 10) {
+    ASSERT_TRUE(hosts_[i]->chord().predecessor().has_value());
+    crashed.push_back(hosts_[i]->chord().predecessor()->peer);
+  }
+  for (PeerId peer : crashed) network_.Detach(peer);
+  const Network::TrafficBreakdown before = network_.traffic();
+  sim_.RunUntil(sim_.now() + kMinute);
+  const Network::TrafficBreakdown& after = network_.traffic();
+  EXPECT_LE(after.nack.messages - before.nack.messages, 60u);
+  EXPECT_LE(after.chord.messages - before.chord.messages, 850u);
+}
+
+TEST_F(ChordRingTest, SteadyRingSendsWhatTheModelPredicts) {
+  // A converged ring without churn: every round is one successor probe,
+  // every other round a predecessor ping and a finger-fix lookup, and no
+  // notify (the successor already names its prober as predecessor). The
+  // window is one whole finger cycle, because near fingers resolve
+  // locally and far ones cost hops.
+  const int n = 20;
+  BuildRing(n);
+  const ChordNode::Params params;
+  const int rounds = params.finger_count * params.finger_fix_stride;
+  const uint64_t before = network_.traffic().chord.messages;
+  sim_.RunUntil(sim_.now() + rounds * params.stabilize_period);
+  const double sent =
+      static_cast<double>(network_.traffic().chord.messages - before);
+  const double model = analysis::ChordMaintenanceRate(params, n) * n *
+                       rounds *
+                       (static_cast<double>(params.stabilize_period) /
+                        kSecond);
+  EXPECT_NEAR(sent / model, 1.0, 0.15)
+      << "sent " << sent << " Chord messages, model predicts " << model;
 }
 
 }  // namespace
