@@ -102,11 +102,18 @@ void ChordNode::Join(PeerId bootstrap, JoinCallback done) {
               rpc_.Call(owner.peer, std::move(req), params_.rpc_timeout,
                         [this](const Status& s, MessagePtr resp) {
                           if (!s.ok()) return;
-                          const auto& reply =
-                              MessageCast<ChordFingersReplyMsg>(*resp);
-                          for (const RingPeer& f : reply.fingers) {
-                            PlaceFingerCandidate(f);
-                          }
+                          auto& fingers =
+                              MessageCast<ChordFingersReplyMsg>(*resp)
+                                  .fingers;
+                          // Stable, so equally placed candidates are
+                          // offered in the reply's order.
+                          std::stable_sort(
+                              fingers.begin(), fingers.end(),
+                              [this](const RingPeer& a, const RingPeer& b) {
+                                return RingDistance(id_, a.id) <
+                                       RingDistance(id_, b.id);
+                              });
+                          fingers_.OfferSorted(fingers, self_);
                         });
               NotifySuccessor();
               ScheduleStabilize();
@@ -421,12 +428,12 @@ void ChordNode::HandleNeighborsReply(const ChordNeighborsReplyMsg& reply,
   MergeSuccessorCandidates(reply.successors,
                            {extra, reply.has_predecessor ? 2u : 1u});
   std::optional<RingPeer> after = successor();
+  // A successor that already names us as its predecessor would ignore a
+  // notify.
   const bool acknowledged = reply.has_predecessor &&
-                            reply.predecessor == RingPeer{self_, id_};
-  // A notify to a successor that already names us is a no-op there.
-  if (!acknowledged || !after.has_value() || after->peer != probed.peer) {
-    NotifySuccessor();
-  }
+                            reply.predecessor == RingPeer{self_, id_} &&
+                            after.has_value() && after->peer == probed.peer;
+  if (!acknowledged) NotifySuccessor();
   if (!after.has_value() || after->peer == self_) return;
   if (!before.has_value() || !(*after == *before)) {
     // The successor changed — walk the chain to the true neighbor without
@@ -522,19 +529,6 @@ void ChordNode::ScheduleFingerRepair() {
       return;  // one targeted repair at a time
     }
   });
-}
-
-void ChordNode::PlaceFingerCandidate(const RingPeer& candidate) {
-  if (candidate.peer == self_ || candidate.peer == kInvalidPeer) return;
-  for (int j = 0; j < fingers_.size(); ++j) {
-    ChordId target = fingers_.TargetOf(j);
-    const auto& current = fingers_.entry(j);
-    if (!current.has_value() ||
-        RingDistance(target, candidate.id) <
-            RingDistance(target, current->id)) {
-      fingers_.Set(j, candidate);
-    }
-  }
 }
 
 void ChordNode::MergeSuccessorCandidates(std::span<const RingPeer> candidates,

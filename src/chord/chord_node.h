@@ -183,9 +183,6 @@ class ChordNode {
   /// Repairs finger slots emptied by failure pruning with targeted lookups
   /// (one at a time) instead of waiting for the round-robin refresh.
   void ScheduleFingerRepair();
-  /// Installs `candidate` into any finger slot it improves (closest known
-  /// node clockwise of the slot's target).
-  void PlaceFingerCandidate(const RingPeer& candidate);
   /// Merges candidates (`candidates`, then `more`) into the successor list
   /// (sorted by clockwise distance from self, deduplicated keeping the
   /// first occurrence, truncated). Allocation-free at default list sizes.

@@ -1,29 +1,12 @@
-# Runs one flowercdn-sim trial and fails when its transport NACKs (sends
-# to peers that have already died) exceed MAX_PERCENT percent of its Chord
-# messages: the signature of ring maintenance re-probing crashed peers.
+# Runs one flowercdn-sim trial (through run_cli.cmake) and fails when its
+# transport NACKs (sends to peers that have already died) exceed
+# MAX_PERCENT percent of its Chord messages: the signature of ring
+# maintenance re-probing crashed peers.
 #
 #   cmake -DJSON_OUT=file -DMAX_PERCENT=4 -P nack_share.cmake --
-#         flowercdn-sim args...
-#
-# The command must write its runner JSON to JSON_OUT (--json-out).
-set(command)
-set(in_command OFF)
-math(EXPR last "${CMAKE_ARGC} - 1")
-foreach(i RANGE ${last})
-  if(in_command)
-    list(APPEND command "${CMAKE_ARGV${i}}")
-  elseif(CMAKE_ARGV${i} STREQUAL "--")
-    set(in_command ON)
-  endif()
-endforeach()
-
-execute_process(COMMAND ${command}
-                RESULT_VARIABLE status
-                OUTPUT_QUIET
-                ERROR_VARIABLE err)
-if(NOT status STREQUAL 0)
-  message(FATAL_ERROR "exit status ${status}\nstderr: ${err}")
-endif()
+#         flowercdn-sim args... --json-out=file
+set(EXPECT_EXIT 0)
+include(${CMAKE_CURRENT_LIST_DIR}/run_cli.cmake)
 file(READ "${JSON_OUT}" doc)
 string(JSON families GET "${doc}" cells 0 trial_results 0 overhead families)
 string(JSON nacks GET "${families}" nack messages)
