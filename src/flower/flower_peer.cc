@@ -81,7 +81,13 @@ ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
     // All successor candidates lost: rebuild membership asynchronously
     // (we may be deep inside chord internals right now).
     ctx_->network->SchedulePeer(self_, incarnation_, 1, [this]() {
-      if (role_ != FlowerRole::kDirectoryPeer || chord_ == nullptr) return;
+      // Only the first of several reports rebuilds: a second join while
+      // the first is in flight would leave its lookup behind, and the next
+      // Leave would fail it and demote a peer that is back in the ring.
+      if (role_ != FlowerRole::kDirectoryPeer || chord_ == nullptr ||
+          !chord_->active()) {
+        return;
+      }
       PeerId bootstrap = PickBootstrap();
       chord_->Leave();
       if (bootstrap == kInvalidPeer) {
