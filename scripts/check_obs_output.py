@@ -14,8 +14,9 @@ Validates that
     and the per-cell "wire_mode"/"replication" labels (v4 added the
     "nack" traffic family and the wire_mode cell key; v5 added the
     replication cell key and a null — never fake-zero — aggregate
-    replacement latency when no kill was ever replaced); every counter's
-    per-bucket series sums to its total, and a Flower-CDN cell's
+    replacement latency when no kill was ever replaced, and later the
+    "refused" traffic family); every counter's per-bucket series sums to
+    its total, and a Flower-CDN cell's
     aggregate dir_failures_detected / promotions_triggered are the trial
     statistics of the flower.dir_failures_detected / flower.promotions
     counter totals, and
@@ -41,8 +42,8 @@ import argparse
 import json
 import sys
 
-TRAFFIC_FAMILIES = ("chord", "gossip", "flower", "squirrel", "nack", "other",
-                    "dropped", "injected_loss")
+TRAFFIC_FAMILIES = ("chord", "gossip", "flower", "squirrel", "nack",
+                    "refused", "other", "dropped", "injected_loss")
 WIRE_MODES = ("modeled", "encoded")
 PHASE_NAMES = ("dring_resolve", "dir_query", "summary_probe", "fetch",
                "origin")

@@ -162,6 +162,7 @@ void ChordNode::Leave() {
 
 uint64_t ChordNode::RegisterLookup(ChordId key, LookupCallback cb) {
   uint64_t lookup_id = network_->NextRpcId();
+  ++lookups_started_;
   PendingLookup pl;
   pl.id = lookup_id;
   pl.key = key;
@@ -365,7 +366,14 @@ void ChordNode::StabilizeRound() {
   ProbeSuccessor();
   if (params_.predecessor_check_stride > 0 &&
       stabilize_rounds_ % params_.predecessor_check_stride == 0) {
-    CheckPredecessor();
+    // A predecessor that probed or notified us within the check window is
+    // alive; in a converged ring it probes us every round.
+    const bool heard =
+        predecessor_.has_value() &&
+        predecessor_->peer == pred_contact_peer_ &&
+        network_->sim()->now() - pred_contact_at_ <
+            params_.predecessor_check_stride * params_.stabilize_period;
+    if (!heard) CheckPredecessor();
   }
   if (params_.finger_fix_stride > 0 &&
       stabilize_rounds_ % params_.finger_fix_stride == 0) {
@@ -481,6 +489,11 @@ void ChordNode::NotifySuccessor() {
             });
 }
 
+void ChordNode::NotePredecessorContact(PeerId src) {
+  pred_contact_peer_ = src;
+  pred_contact_at_ = network_->sim()->now();
+}
+
 void ChordNode::CheckPredecessor() {
   if (pred_check_pending_ || !predecessor_.has_value() ||
       predecessor_->peer == self_) {
@@ -502,6 +515,13 @@ void ChordNode::FixNextFinger() {
   if (state_ != State::kActive) return;
   int j = next_finger_to_fix_;
   next_finger_to_fix_ = (next_finger_to_fix_ + 1) % fingers_.size();
+  // A target the successor list covers has its answer in the list, and
+  // every merge's OfferSorted keeps that slot right.
+  if (!successors_.empty() &&
+      RingDistance(id_, fingers_.TargetOf(j)) <=
+          RingDistance(id_, successors_.back().id)) {
+    return;
+  }
   Lookup(fingers_.TargetOf(j),
          [this, j](const Status& status, RingPeer owner, int) {
            if (!status.ok()) return;
@@ -518,11 +538,17 @@ void ChordNode::ScheduleFingerRepair() {
   network_->SchedulePeer(self_, incarnation_, 200, [this]() {
     finger_repair_pending_ = false;
     if (state_ != State::kActive) return;
+    // Holes the successor list covers need no lookup.
+    fingers_.OfferSorted(successors_, self_, /*wrap=*/false);
     for (int j = 0; j < fingers_.size(); ++j) {
       if (fingers_.entry(j).has_value()) continue;
-      Lookup(fingers_.TargetOf(j),
-             [this, j](const Status& status, RingPeer owner, int) {
-               if (status.ok()) fingers_.Set(j, owner);
+      const ChordId target = fingers_.TargetOf(j);
+      Lookup(target,
+             [this, j, target](const Status& status, RingPeer owner, int) {
+               if (status.ok()) {
+                 fingers_.Set(j, owner);
+                 fingers_.FillHoles(target, owner);
+               }
                // More holes? Keep repairing.
                ScheduleFingerRepair();
              });
@@ -620,7 +646,15 @@ bool ChordNode::HandleMessage(MessagePtr& msg) {
       OnGetFingers(*msg);
       return true;
     case kChordPing:
-      rpc_.Respond(*msg, std::make_unique<ChordPongMsg>());
+      // Only a member vouches for its ring position. A pong from a node
+      // that left would keep it in its successor's predecessor slot, and
+      // every probe of that successor would hand it back to the node
+      // before it.
+      if (state_ == State::kActive) {
+        rpc_.Respond(*msg, std::make_unique<ChordPongMsg>());
+      } else {
+        rpc_.Refuse(*msg);
+      }
       return true;
     case kChordLeave:
       OnLeave(*msg);
@@ -633,8 +667,9 @@ bool ChordNode::HandleMessage(MessagePtr& msg) {
 void ChordNode::OnFindSuccessor(MessagePtr msg) {
   const auto& req = MessageCast<ChordFindSuccessorMsg>(*msg);
   if (state_ != State::kActive) {
-    // Not routable (joining or left): stay silent so the sender's ack
-    // timeout makes it re-route around us quickly.
+    // Not routable (joining or left): refuse, so the sender prunes us and
+    // re-routes now rather than after its ack timeout.
+    if (req.rpc_id != 0) rpc_.Refuse(req);
     return;
   }
   if (req.rpc_id != 0) {
@@ -653,13 +688,16 @@ void ChordNode::OnGetNeighbors(const Message& req) {
   if (predecessor_.has_value()) reply->predecessor = *predecessor_;
   reply->successors = successors_;
   rpc_.Respond(req, std::move(reply));
+  if (!predecessor_.has_value()) return;
+  if (predecessor_->peer == req.src) {
+    NotePredecessorContact(req.src);
+    return;
+  }
   // Only our predecessor should be probing us. Any other prober sits
   // between a predecessor that may have crashed and us, and adopts that
   // predecessor as its successor from the reply; challenge it now rather
   // than at the next periodic ping, which can be two periods away.
-  if (predecessor_.has_value() && predecessor_->peer != req.src) {
-    CheckPredecessor();
-  }
+  CheckPredecessor();
 }
 
 void ChordNode::OnNotify(const Message& req) {
@@ -678,6 +716,9 @@ void ChordNode::OnNotify(const Message& req) {
     if ((!old.has_value() || old->peer != m.src) && on_predecessor_changed) {
       on_predecessor_changed(old, *predecessor_);
     }
+  }
+  if (predecessor_.has_value() && predecessor_->peer == m.src) {
+    NotePredecessorContact(m.src);
   }
   reply->has_predecessor = predecessor_.has_value();
   if (predecessor_.has_value()) reply->predecessor = *predecessor_;

@@ -23,9 +23,15 @@ namespace flowercdn {
 ///    a query immediately detects (by ack timeout) that the next hop died,
 ///    prunes it and re-forwards — plus an end-to-end retry at the origin;
 ///  * periodic stabilization (successor-list refresh, predecessor liveness
-///    check, round-robin finger repair) that notifies the successor only
-///    while it does not name this node as its predecessor, and challenges
-///    its own predecessor whenever another node probes it;
+///    check, round-robin finger repair) that sends only for what the node
+///    does not already know: it notifies the successor only while it does
+///    not name this node as its predecessor, pings the predecessor only
+///    when it has not probed or notified us lately (and at once whenever
+///    another node probes us), and looks up only fingers aimed past the
+///    successor list, which fills the nearer ones;
+///  * refusal of lookup steps and predecessor pings while not a ring
+///    member, so the forwarder re-routes, and the successor drops this
+///    node as its predecessor, in one round trip;
 ///  * join with finger warm-start from the successor, including detection
 ///    of an occupied ring position (needed by the D-ring's deterministic
 ///    key placement, paper §5.2.2);
@@ -41,8 +47,11 @@ class ChordNode {
     /// order of magnitude; successor-change-triggered probes make the ring
     /// converge much faster than this between periods).
     SimDuration stabilize_period = 30 * kSecond;
-    /// Timeout of one control RPC (ack, neighbors probe, notify...).
-    /// Must exceed the worst-case round trip of the topology.
+    /// Timeout of one control RPC (ack, neighbors probe, notify...). It is
+    /// below the default topology's worst round trip (2 x 500 ms): a
+    /// lookup hop whose ack is late is re-forwarded, a hedge against slow
+    /// hops, but ring neighbours whose round trip exceeds it keep timing
+    /// each other out.
     SimDuration rpc_timeout = 800 * kMillisecond;
     /// End-to-end deadline for one lookup attempt.
     SimDuration lookup_timeout = 6 * kSecond;
@@ -54,9 +63,11 @@ class ChordNode {
     /// Number of (top) fingers maintained; lower fingers collapse onto the
     /// successor for any realistic population.
     int finger_count = 20;
-    /// Fix one finger every this many stabilize rounds.
+    /// Fix one finger every this many stabilize rounds (a finger whose
+    /// target the successor list covers is taken from the list instead).
     int finger_fix_stride = 2;
-    /// Ping the predecessor every this many stabilize rounds.
+    /// Ping the predecessor every this many stabilize rounds, unless it
+    /// probed or notified us within the last this many periods.
     int predecessor_check_stride = 2;
     /// Safety valve against routing loops in a corrupted ring.
     int max_lookup_hops = 96;
@@ -133,6 +144,9 @@ class ChordNode {
   const FingerTable& fingers() const { return fingers_; }
   const Params& params() const { return params_; }
   uint64_t stabilize_rounds() const { return stabilize_rounds_; }
+  /// Lookups registered here: the node's own, delegated and maintenance
+  /// lookups alike.
+  uint64_t lookups_started() const { return lookups_started_; }
 
  private:
   struct PendingLookup {
@@ -178,10 +192,14 @@ class ChordNode {
   void HandleNeighborsReply(const ChordNeighborsReplyMsg& reply,
                             RingPeer probed);
   void NotifySuccessor();
+  /// Records that the recorded predecessor just contacted us (probe or
+  /// notify), which proves it alive until the next predecessor check.
+  void NotePredecessorContact(PeerId src);
   void CheckPredecessor();
   void FixNextFinger();
-  /// Repairs finger slots emptied by failure pruning with targeted lookups
-  /// (one at a time) instead of waiting for the round-robin refresh.
+  /// Repairs finger slots emptied by failure pruning: first from the
+  /// successor list, then with targeted lookups (one at a time) instead of
+  /// waiting for the round-robin refresh.
   void ScheduleFingerRepair();
   /// Merges candidates (`candidates`, then `more`) into the successor list
   /// (sorted by clockwise distance from self, deduplicated keeping the
@@ -211,6 +229,11 @@ class ChordNode {
   FingerTable fingers_;
   int next_finger_to_fix_ = 0;
   uint64_t stabilize_rounds_ = 0;
+  uint64_t lookups_started_ = 0;
+  /// Last contact from the recorded predecessor: who (it may since have
+  /// been replaced) and when.
+  PeerId pred_contact_peer_ = kInvalidPeer;
+  SimTime pred_contact_at_ = 0;
   bool stabilize_scheduled_ = false;
   bool probe_soon_pending_ = false;
   bool finger_repair_pending_ = false;

@@ -19,7 +19,7 @@ void FingerTable::ClearAll() {
 }
 
 void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
-                              PeerId owner) {
+                              PeerId owner, bool wrap) {
   auto skip = [owner](const RingPeer& c) {
     return c.peer == owner || c.peer == kInvalidPeer;
   };
@@ -40,6 +40,7 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
             RingDistance(self_, by_distance[cursor].id) < reach)) {
       ++cursor;
     }
+    if (cursor == by_distance.size() && !wrap) return;
     const RingPeer& best = by_distance[cursor < by_distance.size()
                                            ? cursor
                                            : nearest];
@@ -48,6 +49,15 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
         RingDistance(targets_[j], best.id) <
             RingDistance(targets_[j], current->id)) {
       current = best;
+    }
+  }
+}
+
+void FingerTable::FillHoles(ChordId from, const RingPeer& owner) {
+  const ChordId span = RingDistance(from, owner.id);
+  for (int j = 0; j < size(); ++j) {
+    if (!entries_[j].has_value() && RingDistance(from, targets_[j]) <= span) {
+      entries_[j] = owner;
     }
   }
 }

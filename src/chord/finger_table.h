@@ -37,8 +37,17 @@ class FingerTable {
   /// equally close candidates the held entry, then the first offered, wins.
   /// `by_distance` must be sorted by clockwise distance from self; entries
   /// of peer `owner` (the table's own node) or kInvalidPeer are skipped.
-  /// One pass over slots and candidates together, O(size + candidates).
-  void OfferSorted(std::span<const RingPeer> by_distance, PeerId owner);
+  /// A slot whose target lies past the last candidate is offered the
+  /// nearest one (the closest clockwise, round the ring) when `wrap` is
+  /// set, and left as it is otherwise. One pass over slots and candidates
+  /// together, O(size + candidates).
+  void OfferSorted(std::span<const RingPeer> by_distance, PeerId owner,
+                   bool wrap = true);
+
+  /// Sets every empty slot whose target lies in [from, owner.id] to
+  /// `owner`: when successor(from) is `owner`, it is the successor of
+  /// every point up to it.
+  void FillHoles(ChordId from, const RingPeer& owner);
 
   /// Drops every entry pointing at `peer` (called when the peer is
   /// detected dead). Returns how many entries were cleared.

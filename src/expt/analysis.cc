@@ -61,26 +61,37 @@ double FlowerPetalMaintenanceRate(SimDuration gossip_period) {
 double ChordMaintenanceRate(const ChordNode::Params& params,
                             size_t ring_size) {
   FLOWERCDN_CHECK(params.stabilize_period > 0);
-  // A converged ring sends no notify: the successor already names its
-  // prober as predecessor. Each round is one neighbors probe (req+resp).
+  // A converged ring sends no notify (the successor already names its
+  // prober as predecessor) and no predecessor ping (the predecessor's own
+  // probe proves it alive every round). Each round is one neighbors probe
+  // (req+resp).
   double per_round = 2.0;
-  if (params.predecessor_check_stride > 0) {
-    per_round += 2.0 / params.predecessor_check_stride;
-  }
-  if (params.finger_fix_stride > 0 && ring_size > 1) {
-    // Round-robin finger fixes, one lookup per stride rounds. Finger j's
-    // target lies 2^(64-F+j) clockwise, past about m = (N-1)·2^(j-F)
-    // nodes; it leaves the node only when the successor is nearer than
-    // the target (probability 1 - e^-m), and then costs hops forwards +
-    // hops acks + 1 result, with one hop into the range and, as in
-    // ExpectedChordHops, half of log2(m) more.
+  const size_t others = ring_size > 0 ? ring_size - 1 : 0;
+  const size_t listed = static_cast<size_t>(params.successor_list_size);
+  if (params.finger_fix_stride > 0 && others > listed) {
+    // Round-robin finger fixes, one per stride rounds. Finger j's target
+    // lies 2^(64-F+j) clockwise, past X ~ Binomial(N-1, 2^(j-F)) nodes.
+    // A target within the successor list (X < S) is taken from the list,
+    // and one past every other node (X = N-1) is our own; the rest cost a
+    // lookup of hops forwards + hops acks + 1 result, with one hop into
+    // the range and, as in ExpectedChordHops, half of log2(m) more.
     const int fingers = params.finger_count;
+    const double n = static_cast<double>(others);
     double lookup_msgs = 0.0;
     for (int j = 0; j < fingers; ++j) {
-      double m = static_cast<double>(ring_size - 1) *
-                 std::ldexp(1.0, j - fingers);
-      double hops = 1.0 + std::max(0.0, 0.5 * std::log2(m));
-      lookup_msgs += (1.0 - std::exp(-m)) * (2.0 * hops + 1.0);
+      const double p = std::ldexp(1.0, j - fingers);
+      double within_list = 0.0;  // P(X < S)
+      for (size_t x = 0; x < listed; ++x) {
+        const double k = static_cast<double>(x);
+        within_list += std::exp(std::lgamma(n + 1) - std::lgamma(k + 1) -
+                                std::lgamma(n - k + 1) + k * std::log(p) +
+                                (n - k) * std::log1p(-p));
+      }
+      const double past_list =
+          std::max(0.0, 1.0 - within_list - std::pow(p, n));
+      const double m = n * p;
+      const double hops = 1.0 + std::max(0.0, 0.5 * std::log2(m));
+      lookup_msgs += past_list * (2.0 * hops + 1.0);
     }
     per_round += lookup_msgs / fingers / params.finger_fix_stride;
   }

@@ -56,8 +56,9 @@ double FlowerPetalMaintenanceRate(SimDuration gossip_period);
 
 /// Expected per-peer maintenance message rate of a converged Chord ring
 /// member: one successor probe (2 msgs) per stabilize period, plus
-/// amortized predecessor pings and finger-fix lookups (those whose target
-/// lies past the successor). A converged ring sends no notify.
+/// amortized finger-fix lookups for the targets past the last
+/// successor-list entry. A converged ring sends no notify and no
+/// predecessor ping.
 double ChordMaintenanceRate(const ChordNode::Params& params,
                             size_t ring_size);
 

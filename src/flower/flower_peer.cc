@@ -1636,6 +1636,7 @@ namespace {
 /// message this peer handled on behalf of a foreign-rank query.
 const char* HandleEventName(const Message& msg) {
   if (msg.type == kTransportNack) return "handle_nack";
+  if (msg.type == kRpcRefused) return "handle_refused";
   if (msg.type >= kChordMessageBase && msg.type < kChordMessageBase + 100) {
     return msg.is_response ? "handle_chord_resp" : "handle_chord";
   }
@@ -1661,6 +1662,13 @@ void FlowerPeer::HandleMessage(MessagePtr msg) {
   }
   if (resolver_.HandleMessage(msg)) return;
   if (chord_ != nullptr && chord_->HandleMessage(msg)) return;
+  if (chord_ == nullptr && IsChordMessage(msg->type) && !msg->is_response &&
+      msg->rpc_id != 0) {
+    // Not a ring member (any more): refuse, so the caller re-routes now
+    // instead of after its timeout.
+    rpc_.Refuse(*msg);
+    return;
+  }
   if (msg->is_response) {
     rpc_.HandleResponse(msg);
     return;

@@ -221,6 +221,8 @@ void WriteOverhead(JsonWriter& w, const ExperimentResult& r) {
                      &Network::TrafficBreakdown::other);
   WriteTrafficFamily(w, "nack", r.traffic.nack, r.traffic_series,
                      &Network::TrafficBreakdown::nack);
+  WriteTrafficFamily(w, "refused", r.traffic.refused, r.traffic_series,
+                     &Network::TrafficBreakdown::refused);
   WriteTrafficFamily(w, "dropped", r.traffic.dropped, r.traffic_series,
                      &Network::TrafficBreakdown::dropped);
   WriteTrafficFamily(w, "injected_loss", r.traffic.injected_loss,

@@ -22,6 +22,13 @@ using MessageType = uint32_t;
 /// backstop for peers that die with requests in flight.
 constexpr MessageType kTransportNack = 1;
 
+/// Application-level refusal: a live peer answers an RPC request it cannot
+/// serve (a Chord request to a node that is no longer a ring member) with
+/// this instead of staying silent, so the caller reacts in one round trip
+/// rather than after its timeout. RpcEndpoint reports it like a NACK
+/// (Status::Unavailable).
+constexpr MessageType kRpcRefused = 2;
+
 constexpr MessageType kChordMessageBase = 1000;
 constexpr MessageType kGossipMessageBase = 2000;
 constexpr MessageType kFlowerMessageBase = 3000;
@@ -83,6 +90,13 @@ using MessagePtr = std::unique_ptr<Message>;
 struct TransportNackMsg : Message {
   TransportNackMsg() {
     type = kTransportNack;
+    is_response = true;
+  }
+};
+
+struct RpcRefusedMsg : Message {
+  RpcRefusedMsg() {
+    type = kRpcRefused;
     is_response = true;
   }
 };

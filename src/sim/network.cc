@@ -103,6 +103,8 @@ void Network::Send(PeerId src, PeerId dst, MessagePtr msg) {
   TrafficBreakdown::Family* family = nullptr;
   if (msg->type == kTransportNack) {
     family = &traffic_.nack;
+  } else if (msg->type == kRpcRefused) {
+    family = &traffic_.refused;
   } else if (msg->type >= kChordMessageBase &&
              msg->type < kChordMessageBase + 100) {
     family = &traffic_.chord;

@@ -176,6 +176,10 @@ class Network {
     /// between --wire=modeled and --wire=encoded runs and NACK storms are
     /// visible in the overhead report.
     Family nack;
+    /// RPC refusals (kRpcRefused) from live peers that cannot serve the
+    /// request. Their own family, so `nack` keeps meaning sends to dead
+    /// peers.
+    Family refused;
     /// Messages lost to a dead receiver. Counted at drop time in addition
     /// to the send-time family counters above (a dropped chord message
     /// appears in both `chord` and `dropped`).

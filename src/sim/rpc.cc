@@ -69,6 +69,8 @@ bool RpcEndpoint::HandleResponse(MessagePtr& msg) {
   if (msg->type == kTransportNack) {
     handler(Status::Unavailable("peer unreachable (transport nack)"),
             nullptr);
+  } else if (msg->type == kRpcRefused) {
+    handler(Status::Unavailable("request refused by peer"), nullptr);
   } else {
     handler(Status::OK(), std::move(msg));
   }
@@ -81,6 +83,10 @@ void RpcEndpoint::Respond(const Message& request, MessagePtr response) {
   response->rpc_id = request.rpc_id;
   response->is_response = true;
   network_->Send(self_, request.src, std::move(response));
+}
+
+void RpcEndpoint::Refuse(const Message& request) {
+  Respond(request, std::make_unique<RpcRefusedMsg>());
 }
 
 }  // namespace flowercdn

@@ -61,6 +61,10 @@ class RpcEndpoint {
   /// addresses it back to the requester).
   void Respond(const Message& request, MessagePtr response);
 
+  /// Answers `request` with a refusal (kRpcRefused): the caller's handler
+  /// sees Status::Unavailable at once instead of waiting out its timeout.
+  void Refuse(const Message& request);
+
   size_t pending_calls() const { return pending_.size(); }
   PeerId self() const { return self_; }
 

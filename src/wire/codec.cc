@@ -121,6 +121,8 @@ BloomFilter ReadBloom(WireReader& r) {
 
 void EncodePayload(const TransportNackMsg&, WireWriter&) {}
 void DecodePayload(WireReader&, TransportNackMsg&) {}
+void EncodePayload(const RpcRefusedMsg&, WireWriter&) {}
+void DecodePayload(WireReader&, RpcRefusedMsg&) {}
 
 // --- chord ---
 
@@ -638,6 +640,7 @@ WireRegistry::Entry MakeEntry(const char* name) {
 
 WireRegistry::WireRegistry() {
   Register(kTransportNack, MakeEntry<TransportNackMsg>("transport.nack"));
+  Register(kRpcRefused, MakeEntry<RpcRefusedMsg>("rpc.refused"));
 
   Register(kChordFindSuccessor,
            MakeEntry<ChordFindSuccessorMsg>("chord.find_successor"));

@@ -42,6 +42,7 @@ std::vector<MessagePtr> BuildSampleMessages() {
   std::vector<MessagePtr> msgs;
 
   msgs.push_back(Stamp<TransportNackMsg>(true));
+  msgs.push_back(Stamp<RpcRefusedMsg>(true));
 
   {
     auto m = Stamp<ChordFindSuccessorMsg>(false);

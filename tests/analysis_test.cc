@@ -103,11 +103,12 @@ TEST(AnalysisTest, MaintenanceRatesFavorFlowerPetals) {
 }
 
 TEST(AnalysisTest, ChordRoundChargesOneProbeNoNotify) {
-  // A lone node: per 30 s round, the successor probe (2 msgs) and half a
-  // predecessor ping (1); its finger lookups never leave it. A converged
-  // ring sends no notify, so the model charges none.
+  // A lone node: per 30 s round, the successor probe (2 msgs); its finger
+  // lookups never leave it. A converged ring sends no notify and no
+  // predecessor ping (the predecessor's probe proves it alive), so the
+  // model charges neither.
   ChordNode::Params chord;
-  EXPECT_DOUBLE_EQ(analysis::ChordMaintenanceRate(chord, 1), 3.0 / 30.0);
+  EXPECT_DOUBLE_EQ(analysis::ChordMaintenanceRate(chord, 1), 2.0 / 30.0);
 }
 
 }  // namespace

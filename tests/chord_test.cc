@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -30,6 +31,22 @@ class ChordHost : public SimNode {
 
  private:
   ChordNode chord_;
+};
+
+/// Counts the messages sent by type, and silently drops those `drop`
+/// selects.
+class RecordingHook : public NetworkFaultHook {
+ public:
+  FaultDecision OnSend(PeerId /*src*/, PeerId dst,
+                       const Message& msg) override {
+    ++sent[msg.type];
+    FaultDecision decision;
+    decision.drop = drop && drop(dst, msg);
+    return decision;
+  }
+
+  std::map<MessageType, uint64_t> sent;
+  std::function<bool(PeerId dst, const Message& msg)> drop;
 };
 
 class ChordRingTest : public ::testing::Test {
@@ -313,6 +330,161 @@ TEST_F(ChordRingTest, SteadyRingSendsWhatTheModelPredicts) {
                         kSecond);
   EXPECT_NEAR(sent / model, 1.0, 0.15)
       << "sent " << sent << " Chord messages, model predicts " << model;
+}
+
+TEST_F(ChordRingTest, SteadyRingSendsNoPredecessorPing) {
+  // Each node's predecessor probes it every round, which proves the
+  // predecessor alive: a converged ring never pings one.
+  BuildRing(20);
+  const ChordNode::Params params;
+  RecordingHook hook;
+  network_.SetFaultHook(&hook);
+  sim_.RunUntil(sim_.now() + params.finger_count * params.finger_fix_stride *
+                                 params.stabilize_period);
+  network_.SetFaultHook(nullptr);
+  EXPECT_GT(hook.sent[kChordGetNeighbors], 0u);
+  EXPECT_EQ(hook.sent[kChordPing], 0u);
+}
+
+TEST_F(ChordRingTest, LookupThroughALeftNodeIsRefusedAndRerouted) {
+  // A node that left the ring but is still up refuses the lookup step, so
+  // the forwarder prunes it and re-routes at once instead of waiting out
+  // the ack timeout.
+  ChordNode::Params params;
+  params.rpc_timeout = 4 * kSecond;
+  BuildRing(20, params);
+  ChordNode& leaver = hosts_[5]->chord();
+  leaver.Leave();
+  sim_.RunUntil(sim_.now() + kSecond);  // the hand-off messages land
+  // The key right after the leaver: an origin still holding the leaver as
+  // a finger has it as its best next hop.
+  const ChordId key = leaver.id() + 1;
+  ChordNode* expected = ExpectedOwner(key);
+  ChordNode* origin = nullptr;
+  for (auto& host : hosts_) {
+    ChordNode& c = host->chord();
+    if (&c == &leaver || &c == expected) continue;
+    for (int j = 0; j < c.fingers().size() && origin == nullptr; ++j) {
+      const auto& entry = c.fingers().entry(j);
+      if (entry.has_value() && entry->peer == leaver.self()) origin = &c;
+    }
+    if (origin != nullptr) break;
+  }
+  ASSERT_NE(origin, nullptr);
+  const SimTime start = sim_.now();
+  SimTime done_at = -1;
+  origin->Lookup(key, [&](const Status& status, RingPeer owner, int) {
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(owner.peer, expected->self());
+    done_at = sim_.now();
+  });
+  sim_.RunUntil(start + 2 * params.rpc_timeout);
+  ASSERT_GE(done_at, start) << "lookup never completed";
+  EXPECT_LT(done_at - start, params.rpc_timeout / 2);
+}
+
+TEST_F(ChordRingTest, SuccessorCrashRefillsListedFingersWithoutLookups) {
+  // The fingers that pointed at a crashed successor aim inside the
+  // successor list, so they are refilled from it: no lookup, even when
+  // the repair tick runs before the next successor's probe reply lands.
+  BuildRing(20);
+  ChordNode* node = nullptr;
+  double slowest = 0;
+  for (auto& host : hosts_) {
+    ChordNode& c = host->chord();
+    const double ms = network_.LatencyMs(c.self(), c.successor_list()[1].peer);
+    if (ms > slowest) {
+      slowest = ms;
+      node = &c;
+    }
+  }
+  ASSERT_NE(node, nullptr);
+  const PeerId crashed = node->successor()->peer;
+  network_.Detach(crashed);
+  const SimTime deadline = sim_.now() + 2 * kMinute;
+  while (node->successor()->peer == crashed && sim_.now() < deadline) {
+    sim_.RunUntil(sim_.now() + 10);
+  }
+  ASSERT_NE(node->successor()->peer, crashed) << "crash never detected";
+  const uint64_t lookups = node->lookups_started();
+  sim_.RunUntil(sim_.now() + 5 * kSecond);
+  EXPECT_EQ(node->lookups_started(), lookups);
+  const std::vector<RingPeer>& list = node->successor_list();
+  const ChordId reach = RingDistance(node->id(), list.back().id);
+  int listed = 0;
+  for (int j = 0; j < node->fingers().size(); ++j) {
+    const ChordId target = node->fingers().TargetOf(j);
+    const ChordId distance = RingDistance(node->id(), target);
+    if (distance > reach) continue;
+    ++listed;
+    auto owner = std::find_if(list.begin(), list.end(), [&](const RingPeer& p) {
+      return RingDistance(node->id(), p.id) >= distance;
+    });
+    ASSERT_TRUE(node->fingers().entry(j).has_value()) << "finger " << j;
+    EXPECT_EQ(node->fingers().entry(j)->peer, owner->peer) << "finger " << j;
+  }
+  EXPECT_GT(listed, 0);
+}
+
+TEST_F(ChordRingTest, SilentCrashedPredecessorIsStillCleared) {
+  // A predecessor is pinged only when it has not probed us lately. When
+  // it crashes and no other node probes past it, the node's own check
+  // must still clear it within two check windows and one RPC timeout.
+  BuildRing(20);
+  const ChordNode::Params params;
+  ChordNode& node = hosts_[7]->chord();
+  ASSERT_TRUE(node.predecessor().has_value());
+  const PeerId pred = node.predecessor()->peer;
+  RecordingHook hook;
+  // No request reaches the node: nobody challenges or replaces its
+  // predecessor for it.
+  hook.drop = [&](PeerId dst, const Message& msg) {
+    return dst == node.self() && !msg.is_response;
+  };
+  network_.SetFaultHook(&hook);
+  network_.Detach(pred);
+  const SimTime deadline =
+      sim_.now() + 2 * params.predecessor_check_stride *
+                       params.stabilize_period +
+      params.rpc_timeout;
+  auto holds_crashed = [&]() {
+    return node.predecessor().has_value() && node.predecessor()->peer == pred;
+  };
+  while (holds_crashed() && sim_.now() < deadline) {
+    sim_.RunUntil(sim_.now() + 100);
+  }
+  network_.SetFaultHook(nullptr);
+  EXPECT_FALSE(holds_crashed());
+}
+
+TEST_F(ChordRingTest, PredecessorThatLeftQuietlyIsCleared) {
+  // A node that went idle without its successor hearing of it (here its
+  // leave message is lost) is still up, but refuses the successor's ping,
+  // so it loses the predecessor slot within two check windows and one RPC
+  // timeout instead of being vouched for by its own pongs.
+  BuildRing(20);
+  const ChordNode::Params params;
+  ChordNode& node = hosts_[7]->chord();
+  ASSERT_TRUE(node.predecessor().has_value());
+  const PeerId pred = node.predecessor()->peer;
+  RecordingHook hook;
+  hook.drop = [](PeerId, const Message& msg) {
+    return msg.type == kChordLeave;
+  };
+  network_.SetFaultHook(&hook);
+  hosts_[pred - 1]->chord().Leave();  // peer i + 1 is hosts_[i]
+  const SimTime deadline =
+      sim_.now() + 2 * params.predecessor_check_stride *
+                       params.stabilize_period +
+      params.rpc_timeout;
+  auto holds_leaver = [&]() {
+    return node.predecessor().has_value() && node.predecessor()->peer == pred;
+  };
+  while (holds_leaver() && sim_.now() < deadline) {
+    sim_.RunUntil(sim_.now() + 100);
+  }
+  network_.SetFaultHook(nullptr);
+  EXPECT_FALSE(holds_leaver());
 }
 
 }  // namespace

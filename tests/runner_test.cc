@@ -317,6 +317,8 @@ TEST(JsonExportTest, SweepDocumentShape) {
   // family for transport NACKs.
   EXPECT_NE(json.find("\"wire_mode\":\"modeled\""), std::string::npos);
   EXPECT_NE(json.find("\"nack\":{"), std::string::npos);
+  // Refusals from live peers have their own family beside the NACKs.
+  EXPECT_NE(json.find("\"refused\":{"), std::string::npos);
   // v5 addition: the cell's directory replication factor.
   EXPECT_NE(json.find("\"replication\":1"), std::string::npos);
 

@@ -18,7 +18,7 @@ namespace {
 // codec.cc fails this list, and one added to codec.cc but not here fails
 // the count.
 const MessageType kAllTypes[] = {
-    kTransportNack,
+    kTransportNack, kRpcRefused,
     kChordFindSuccessor, kChordForwardAck, kChordLookupResult,
     kChordGetNeighbors, kChordNeighborsReply, kChordNotify, kChordNotifyReply,
     kChordGetFingers, kChordFingersReply, kChordPing, kChordPong, kChordLeave,

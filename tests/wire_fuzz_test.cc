@@ -52,7 +52,7 @@ TEST(WireFuzzTest, TrailingBytesError) {
 
 TEST(WireFuzzTest, UnknownTypeErrors) {
   std::vector<uint8_t> bytes = WireEncode(*BuildSampleMessages().front());
-  for (uint32_t type : {0u, 2u, 999u, 1999u, 5000u, 0xffffffffu}) {
+  for (uint32_t type : {0u, 3u, 999u, 1999u, 5000u, 0xffffffffu}) {
     PatchU32(bytes, 0, type);
     Result<MessagePtr> r = WireDecode(bytes);
     EXPECT_FALSE(r.ok()) << "accepted unknown type " << type;

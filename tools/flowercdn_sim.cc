@@ -190,6 +190,9 @@ void PrintSingleRunTable(const CellResult& cell) {
   if (r.traffic.nack.messages > 0) {
     family_row("  transport nacks", r.traffic.nack);
   }
+  if (r.traffic.refused.messages > 0) {
+    family_row("  rpc refusals", r.traffic.refused);
+  }
   if (r.traffic.injected_loss.messages > 0) {
     family_row("  injected loss", r.traffic.injected_loss);
   }
