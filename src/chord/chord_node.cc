@@ -62,6 +62,7 @@ std::vector<RingPeer> ChordNode::DistinctSuccessors(size_t limit) const {
 void ChordNode::CreateRing() {
   FLOWERCDN_CHECK(state_ == State::kIdle);
   successors_.assign(1, RingPeer{self_, id_});
+  successors_offered_at_ = kNotOffered;
   predecessor_.reset();
   state_ = State::kActive;
   ScheduleStabilize();
@@ -93,6 +94,7 @@ void ChordNode::Join(PeerId bootstrap, JoinCallback done) {
                 return;
               }
               successors_.clear();
+              successors_offered_at_ = kNotOffered;
               MergeSuccessorCandidates({&owner, 1});
               state_ = State::kActive;
               // Warm-start the finger table from the successor (Chord's
@@ -132,17 +134,18 @@ void ChordNode::Leave() {
     auto msg = std::make_unique<ChordLeaveMsg>();
     msg->has_predecessor = predecessor_.has_value();
     if (predecessor_.has_value()) msg->predecessor = *predecessor_;
-    msg->successors = successors_;
+    msg->successors.assign(successors_.begin(), successors_.end());
     network_->Send(self_, succ->peer, std::move(msg));
   }
   if (predecessor_.has_value() && predecessor_->peer != self_ &&
       (!succ.has_value() || predecessor_->peer != succ->peer)) {
     auto msg = std::make_unique<ChordLeaveMsg>();
-    msg->successors = successors_;
+    msg->successors.assign(successors_.begin(), successors_.end());
     network_->Send(self_, predecessor_->peer, std::move(msg));
   }
   state_ = State::kIdle;
   successors_.clear();
+  successors_offered_at_ = kNotOffered;
   predecessor_.reset();
   fingers_.ClearAll();
   // Fail outstanding lookups now instead of letting them time out.
@@ -482,6 +485,7 @@ void ChordNode::NotifySuccessor() {
                 // We lost a join race for this deterministic position.
                 state_ = State::kIdle;
                 successors_.clear();
+                successors_offered_at_ = kNotOffered;
                 predecessor_.reset();
                 fingers_.ClearAll();
                 if (on_duplicate_id) on_duplicate_id();
@@ -593,9 +597,17 @@ void ChordNode::MergeSuccessorCandidates(std::span<const RingPeer> candidates,
     // Nothing else known: we are our own successor (single-node ring).
     clean[count++] = RingPeer{self_, id_};
   }
+  // Offering the list the table already took, with no entry written since,
+  // would change nothing.
+  if (successors_offered_at_ == fingers_.version() &&
+      std::equal(clean, clean + count, successors_.begin(),
+                 successors_.end())) {
+    return;
+  }
   successors_.assign(clean, clean + count);
   // Every live contact is also a finger candidate.
   fingers_.OfferSorted(successors_, self_);
+  successors_offered_at_ = fingers_.version();
 }
 
 void ChordNode::RemoveDeadPeer(PeerId peer) {
@@ -607,6 +619,7 @@ void ChordNode::RemoveDeadPeer(PeerId peer) {
                      [peer](const RingPeer& p) { return p.peer == peer; }),
       successors_.end());
   bool ring_neighbor = successors_.size() != listed;
+  if (ring_neighbor) successors_offered_at_ = kNotOffered;
   if (predecessor_.has_value() && predecessor_->peer == peer) {
     predecessor_.reset();
     ring_neighbor = true;
@@ -614,6 +627,7 @@ void ChordNode::RemoveDeadPeer(PeerId peer) {
   if (successors_.empty()) {
     if (predecessor_.has_value() && predecessor_->peer != self_) {
       successors_.push_back(*predecessor_);
+      successors_offered_at_ = kNotOffered;
     } else if (state_ == State::kActive && on_ring_broken) {
       on_ring_broken();
       return;
@@ -686,7 +700,7 @@ void ChordNode::OnGetNeighbors(const Message& req) {
   auto reply = std::make_unique<ChordNeighborsReplyMsg>();
   reply->has_predecessor = predecessor_.has_value();
   if (predecessor_.has_value()) reply->predecessor = *predecessor_;
-  reply->successors = successors_;
+  reply->successors.assign(successors_.begin(), successors_.end());
   rpc_.Respond(req, std::move(reply));
   if (!predecessor_.has_value()) return;
   if (predecessor_->peer == req.src) {

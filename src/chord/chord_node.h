@@ -225,6 +225,12 @@ class ChordNode {
 
   State state_ = State::kIdle;
   std::vector<RingPeer> successors_;
+  /// fingers_.version() right after fingers_ was offered successors_ as
+  /// it stands, or kNotOffered once successors_ changed any other way.
+  /// While it matches, a merge that leaves the list as it is has nothing
+  /// to offer.
+  static constexpr uint64_t kNotOffered = UINT64_MAX;
+  uint64_t successors_offered_at_ = kNotOffered;
   std::optional<RingPeer> predecessor_;
   FingerTable fingers_;
   int next_finger_to_fix_ = 0;

@@ -16,6 +16,7 @@ FingerTable::FingerTable(ChordId self, int count) : self_(self) {
 
 void FingerTable::ClearAll() {
   for (auto& e : entries_) e.reset();
+  ++version_;
 }
 
 void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
@@ -49,6 +50,7 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
         RingDistance(targets_[j], best.id) <
             RingDistance(targets_[j], current->id)) {
       current = best;
+      ++version_;
     }
   }
 }
@@ -58,6 +60,7 @@ void FingerTable::FillHoles(ChordId from, const RingPeer& owner) {
   for (int j = 0; j < size(); ++j) {
     if (!entries_[j].has_value() && RingDistance(from, targets_[j]) <= span) {
       entries_[j] = owner;
+      ++version_;
     }
   }
 }
@@ -70,6 +73,7 @@ int FingerTable::RemovePeer(PeerId peer) {
       ++removed;
     }
   }
+  version_ += removed;
   return removed;
 }
 

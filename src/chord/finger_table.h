@@ -1,6 +1,7 @@
 #ifndef FLOWERCDN_CHORD_FINGER_TABLE_H_
 #define FLOWERCDN_CHORD_FINGER_TABLE_H_
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -27,8 +28,18 @@ class FingerTable {
 
   const std::optional<RingPeer>& entry(int j) const { return entries_[j]; }
 
-  void Set(int j, RingPeer peer) { entries_[j] = peer; }
-  void Clear(int j) { entries_[j].reset(); }
+  /// Bumped by every write to an entry, so a caller can tell that the
+  /// table has not changed since it last looked.
+  uint64_t version() const { return version_; }
+
+  void Set(int j, RingPeer peer) {
+    entries_[j] = peer;
+    ++version_;
+  }
+  void Clear(int j) {
+    entries_[j].reset();
+    ++version_;
+  }
   void ClearAll();
 
   /// Offers each entry of `by_distance`, in order, to every slot: a slot
@@ -40,7 +51,8 @@ class FingerTable {
   /// A slot whose target lies past the last candidate is offered the
   /// nearest one (the closest clockwise, round the ring) when `wrap` is
   /// set, and left as it is otherwise. One pass over slots and candidates
-  /// together, O(size + candidates).
+  /// together, O(size + candidates). Offering the same list twice in a row
+  /// changes nothing the second time.
   void OfferSorted(std::span<const RingPeer> by_distance, PeerId owner,
                    bool wrap = true);
 
@@ -65,6 +77,7 @@ class FingerTable {
   ChordId self_;
   std::vector<ChordId> targets_;  // targets_[j] = self + 2^(64 - count + j)
   std::vector<std::optional<RingPeer>> entries_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace flowercdn

@@ -1,10 +1,12 @@
 #ifndef FLOWERCDN_CHORD_MESSAGES_H_
 #define FLOWERCDN_CHORD_MESSAGES_H_
 
+#include <span>
 #include <vector>
 
 #include "chord/id.h"
 #include "sim/message.h"
+#include "util/small_vector.h"
 
 namespace flowercdn {
 
@@ -30,10 +32,16 @@ inline bool IsChordMessage(MessageType t) {
   return t >= kChordMessageBase && t < kChordMessageBase + 100;
 }
 
+/// A successor list as messages carry it: the default list size
+/// (ChordNode::Params::successor_list_size, 8) fits inside the message, so
+/// a stabilization reply makes no allocation of its own; longer lists
+/// spill to the heap.
+using SuccessorList = SmallVector<RingPeer, 8>;
+
 /// Modeled size of the optional-predecessor + successor-list payload
 /// shared by the stabilization reply and the graceful-leave handoff (1-byte
 /// flag + 16-byte RingPeer each).
-inline size_t NeighborListBytes(const std::vector<RingPeer>& successors) {
+inline size_t NeighborListBytes(std::span<const RingPeer> successors) {
   return 17 + 16 * successors.size();
 }
 
@@ -76,7 +84,7 @@ struct ChordNeighborsReplyMsg : Message {
   }
   bool has_predecessor = false;
   RingPeer predecessor;
-  std::vector<RingPeer> successors;
+  SuccessorList successors;
 };
 
 /// "I believe I am your predecessor."
@@ -128,7 +136,7 @@ struct ChordLeaveMsg : Message {
   }
   bool has_predecessor = false;
   RingPeer predecessor;
-  std::vector<RingPeer> successors;
+  SuccessorList successors;
 };
 
 }  // namespace flowercdn

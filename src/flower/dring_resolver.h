@@ -42,9 +42,9 @@ class DRingResolver {
   void Complete(uint64_t lookup_id, const Status& status, RingPeer owner,
                 int hops);
 
-  // A flat vector scanned linearly, like RpcEndpoint's: a session has at
-  // most a few lookups in flight, and a hash map's bucket array would
-  // outlive its entries in every session that ever resolved.
+  // A flat vector scanned linearly: a session has at most a few lookups
+  // in flight, and a hash map's bucket array would outlive its entries in
+  // every session that ever resolved.
   struct Pending {
     uint64_t lookup_id;
     Callback cb;

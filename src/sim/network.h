@@ -8,6 +8,7 @@
 
 #include "sim/message.h"
 #include "sim/node.h"
+#include "sim/rpc.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
 #include "sim/types.h"
@@ -101,6 +102,9 @@ class Network {
 
   /// Hands out process-wide unique RPC correlation ids.
   uint64_t NextRpcId() { return next_rpc_id_++; }
+
+  /// The calls in flight of every RpcEndpoint on this network.
+  RpcCallTable& rpc_calls() { return rpc_calls_; }
 
   // --- Trace-context propagation -------------------------------------------
   // Distributed tracing rides along without touching any protocol code: the
@@ -243,6 +247,7 @@ class Network {
   std::vector<uint8_t> registered_;
   size_t alive_count_ = 0;
   uint64_t next_rpc_id_ = 1;
+  RpcCallTable rpc_calls_;
   uint64_t messages_sent_ = 0;
   uint64_t messages_delivered_ = 0;
   uint64_t messages_dropped_ = 0;

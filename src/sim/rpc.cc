@@ -1,32 +1,141 @@
 #include "sim/rpc.h"
 
+#include <bit>
 #include <utility>
 
+#include "sim/network.h"
 #include "util/logging.h"
 
 namespace flowercdn {
+
+namespace {
+
+// Failures carry fixed statuses: nothing reads their text, and a string
+// built per failure was a heap allocation per timeout and per NACK.
+const Status kCallTimedOut = Status::TimedOut("rpc timed out");
+const Status kPeerUnreachable = Status::Unavailable("peer unreachable");
+const Status kRequestRefused = Status::Unavailable("request refused");
+
+}  // namespace
+
+// --- RpcCallTable ------------------------------------------------------------
+
+size_t RpcCallTable::Home(uint64_t id) const {
+  // Fibonacci hashing: rpc ids are consecutive, and the multiply spreads
+  // them over the top bits.
+  return static_cast<size_t>((id * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+}
+
+void RpcCallTable::Add(uint64_t id, RpcEndpoint* owner, uint32_t* head,
+                       EventId timeout_event, Handler handler) {
+  FLOWERCDN_CHECK(id != 0);
+  uint32_t slot = free_;
+  if (slot != kNone) {
+    free_ = slots_[slot].next;
+  } else {
+    FLOWERCDN_CHECK(slots_.size() < kNone);
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Call& call = slots_[slot];
+  call.id = id;
+  call.owner = owner;
+  call.prev = kNone;
+  call.next = *head;
+  call.timeout_event = timeout_event;
+  call.handler = std::move(handler);
+  if (*head != kNone) slots_[*head].prev = slot;
+  *head = slot;
+  ++live_;
+  if (live_ * 2 > index_.size()) {
+    GrowIndex();  // re-inserts this call too
+  } else {
+    IndexInsert(id, slot);
+  }
+}
+
+uint32_t RpcCallTable::Find(uint64_t id) const {
+  if (index_.empty()) return kNone;
+  const size_t mask = index_.size() - 1;
+  for (size_t b = Home(id);; b = (b + 1) & mask) {
+    if (index_[b].id == id) return index_[b].slot;
+    if (index_[b].id == 0) return kNone;
+  }
+}
+
+RpcCallTable::Handler RpcCallTable::Remove(uint32_t slot, uint32_t* head) {
+  Call& call = slots_[slot];
+  FLOWERCDN_CHECK(call.id != 0) << "removing a free rpc slot";
+  IndexErase(call.id);
+  if (call.prev != kNone) {
+    slots_[call.prev].next = call.next;
+  } else {
+    *head = call.next;
+  }
+  if (call.next != kNone) slots_[call.next].prev = call.prev;
+  Handler handler = std::move(call.handler);
+  call.id = 0;
+  call.next = free_;
+  free_ = slot;
+  --live_;
+  return handler;
+}
+
+void RpcCallTable::GrowIndex() {
+  const size_t size = index_.empty() ? 64 : index_.size() * 2;
+  index_.assign(size, IndexEntry{});
+  index_shift_ = 64 - std::countr_zero(size);
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].id != 0) IndexInsert(slots_[s].id, static_cast<uint32_t>(s));
+  }
+}
+
+void RpcCallTable::IndexInsert(uint64_t id, uint32_t slot) {
+  const size_t mask = index_.size() - 1;
+  size_t b = Home(id);
+  while (index_[b].id != 0) b = (b + 1) & mask;
+  index_[b] = IndexEntry{id, slot};
+}
+
+void RpcCallTable::IndexErase(uint64_t id) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = Home(id);
+  while (index_[hole].id != id) hole = (hole + 1) & mask;
+  // Backward shift: pull later entries of the probe run into the hole
+  // unless that would move one before its home bucket.
+  for (size_t b = (hole + 1) & mask; index_[b].id != 0; b = (b + 1) & mask) {
+    const size_t home = Home(index_[b].id);
+    const bool stays = hole <= b ? (hole < home && home <= b)
+                                 : (hole < home || home <= b);
+    if (stays) continue;
+    index_[hole] = index_[b];
+    hole = b;
+  }
+  index_[hole] = IndexEntry{};
+}
+
+// --- RpcEndpoint -------------------------------------------------------------
 
 RpcEndpoint::RpcEndpoint(Network* network, PeerId self)
     : network_(network), self_(self) {
   FLOWERCDN_CHECK(network != nullptr);
 }
 
-size_t RpcEndpoint::CancelAll() {
-  size_t n = pending_.size();
-  if (n == 0) return 0;
-  for (auto& pending : pending_) {
-    network_->sim()->Cancel(pending.timeout_event);
-  }
-  pending_.clear();
-  network_->NoteRpcCancelled(n);
-  return n;
+RpcEndpoint::ResponseHandler RpcEndpoint::Take(uint32_t slot) {
+  --count_;
+  return network_->rpc_calls().Remove(slot, &head_);
 }
 
-size_t RpcEndpoint::FindPending(uint64_t id) const {
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].id == id) return i;
+size_t RpcEndpoint::CancelAll() {
+  const size_t n = count_;
+  if (n == 0) return 0;
+  RpcCallTable& calls = network_->rpc_calls();
+  while (head_ != RpcCallTable::kNone) {
+    network_->sim()->Cancel(calls.at(head_).timeout_event);
+    Take(head_);  // drops the handler uninvoked
   }
-  return static_cast<size_t>(-1);
+  network_->NoteRpcCancelled(n);
+  return n;
 }
 
 uint64_t RpcEndpoint::Call(PeerId dst, MessagePtr request, SimDuration timeout,
@@ -38,39 +147,36 @@ uint64_t RpcEndpoint::Call(PeerId dst, MessagePtr request, SimDuration timeout,
   request->is_response = false;
 
   EventId timeout_event = network_->SchedulePeer(
-      self_, incarnation_, timeout, [this, id, dst]() {
-        size_t i = FindPending(id);
-        if (i == static_cast<size_t>(-1)) return;  // answered in time
-        ResponseHandler handler = std::move(pending_[i].handler);
-        if (i != pending_.size() - 1) pending_[i] = std::move(pending_.back());
-        pending_.pop_back();
-        handler(Status::TimedOut("rpc to peer " + std::to_string(dst)),
-                nullptr);
+      self_, incarnation_, timeout, [this, id]() {
+        uint32_t slot = network_->rpc_calls().Find(id);
+        if (slot == RpcCallTable::kNone) return;  // answered in time
+        ResponseHandler handler = Take(slot);
+        handler(kCallTimedOut, nullptr);
       });
 
-  pending_.push_back(Pending{id, std::move(handler), timeout_event});
+  network_->rpc_calls().Add(id, this, &head_, timeout_event,
+                            std::move(handler));
+  ++count_;
   network_->Send(self_, dst, std::move(request));
   return id;
 }
 
 bool RpcEndpoint::HandleResponse(MessagePtr& msg) {
   FLOWERCDN_CHECK(msg != nullptr);
-  if (!msg->is_response || msg->rpc_id == 0) return false;
-  size_t i = FindPending(msg->rpc_id);
-  if (i == static_cast<size_t>(-1)) {
+  if (!msg->is_response || msg->rpc_id == 0 || count_ == 0) return false;
+  const RpcCallTable& calls = network_->rpc_calls();
+  uint32_t slot = calls.Find(msg->rpc_id);
+  if (slot == RpcCallTable::kNone || calls.at(slot).owner != this) {
     // Not ours (another endpoint of the host) or late: the caller decides;
     // unclaimed responses are dropped by the host.
     return false;
   }
-  network_->sim()->Cancel(pending_[i].timeout_event);
-  ResponseHandler handler = std::move(pending_[i].handler);
-  if (i != pending_.size() - 1) pending_[i] = std::move(pending_.back());
-  pending_.pop_back();
+  network_->sim()->Cancel(calls.at(slot).timeout_event);
+  ResponseHandler handler = Take(slot);
   if (msg->type == kTransportNack) {
-    handler(Status::Unavailable("peer unreachable (transport nack)"),
-            nullptr);
+    handler(kPeerUnreachable, nullptr);
   } else if (msg->type == kRpcRefused) {
-    handler(Status::Unavailable("request refused by peer"), nullptr);
+    handler(kRequestRefused, nullptr);
   } else {
     handler(Status::OK(), std::move(msg));
   }

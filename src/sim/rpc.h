@@ -1,14 +1,85 @@
 #ifndef FLOWERCDN_SIM_RPC_H_
 #define FLOWERCDN_SIM_RPC_H_
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/message.h"
-#include "sim/network.h"
+#include "sim/types.h"
+#include "simcore/scheduler.h"
+#include "util/function.h"
 #include "util/status.h"
 
 namespace flowercdn {
+
+class Network;
+class RpcEndpoint;
+
+/// The calls in flight on one Network, for every RpcEndpoint on it. A
+/// simulation holds hundreds of thousands of endpoints but only hundreds
+/// of calls in flight at once, so the state of a call lives here, sized to
+/// the live calls, and an endpoint keeps only the head of a list through
+/// its own calls.
+///
+/// Calls sit in a slab of slots; a freed slot is reused by the next call,
+/// so the slab grows only to the peak number of calls in flight. Responses
+/// find their slot through an open-addressing index keyed by rpc id
+/// (linear probing, backward-shift delete, at most half full).
+class RpcCallTable {
+ public:
+  /// `msg` is non-null iff `status.ok()`.
+  using Handler = MoveOnlyFn<void(const Status& status, MessagePtr msg)>;
+
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Call {
+    uint64_t id = 0;  // 0 while the slot is free
+    RpcEndpoint* owner = nullptr;
+    // Links of the owner's list; `next` links the free list while free.
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
+    EventId timeout_event = kInvalidEvent;
+    Handler handler;
+  };
+
+  /// Records call `id` of `owner` at the front of the list that starts at
+  /// `*head`.
+  void Add(uint64_t id, RpcEndpoint* owner, uint32_t* head,
+           EventId timeout_event, Handler handler);
+
+  /// Slot of call `id`, or kNone.
+  uint32_t Find(uint64_t id) const;
+
+  const Call& at(uint32_t slot) const { return slots_[slot]; }
+
+  /// Unlinks `slot` from the list that starts at `*head`, frees it and
+  /// returns its handler.
+  Handler Remove(uint32_t slot, uint32_t* head);
+
+  /// Calls in flight.
+  size_t live() const { return live_; }
+  /// Slots allocated: the most calls ever in flight at once.
+  size_t slots() const { return slots_.size(); }
+
+ private:
+  struct IndexEntry {
+    uint64_t id = 0;  // 0: empty bucket
+    uint32_t slot = kNone;
+  };
+
+  size_t Home(uint64_t id) const;
+  /// Doubles the index and re-inserts every live call.
+  void GrowIndex();
+  void IndexInsert(uint64_t id, uint32_t slot);
+  void IndexErase(uint64_t id);
+
+  std::vector<Call> slots_;
+  uint32_t free_ = kNone;
+  size_t live_ = 0;
+  std::vector<IndexEntry> index_;  // size is zero or a power of two
+  int index_shift_ = 64;           // 64 - log2(index_.size())
+};
 
 /// Request/response correlation with timeouts on top of Network::Send.
 ///
@@ -18,15 +89,17 @@ namespace flowercdn {
 /// react to `Status::TimedOut` by repairing their state (removing the
 /// contact, rerouting, replacing a directory peer, ...).
 ///
+/// The calls themselves live in the Network's RpcCallTable; an endpoint
+/// holds only the head of the list through its own, so an idle session
+/// keeps no RPC state.
+///
 /// One endpoint per live session object. The owner must:
 ///  * call `Bind()` right after Network::Attach (timeouts are
 ///    incarnation-guarded through it), and
 ///  * offer every received `is_response` message to `HandleResponse()`.
 class RpcEndpoint {
  public:
-  /// `msg` is non-null iff `status.ok()`.
-  using ResponseHandler = std::function<void(const Status& status,
-                                             MessagePtr msg)>;
+  using ResponseHandler = RpcCallTable::Handler;
 
   RpcEndpoint(Network* network, PeerId self);
   RpcEndpoint(const RpcEndpoint&) = delete;
@@ -65,27 +138,19 @@ class RpcEndpoint {
   /// sees Status::Unavailable at once instead of waiting out its timeout.
   void Refuse(const Message& request);
 
-  size_t pending_calls() const { return pending_.size(); }
+  size_t pending_calls() const { return count_; }
   PeerId self() const { return self_; }
 
  private:
-  // A peer rarely has more than a handful of calls in flight, so the
-  // pending table is a flat vector scanned linearly — cheaper than a hash
-  // map at these sizes, and erase is swap-with-back (completion order
-  // carries no protocol meaning).
-  struct Pending {
-    uint64_t id;
-    ResponseHandler handler;
-    EventId timeout_event;
-  };
-
-  /// Index of rpc `id` in pending_, or SIZE_MAX.
-  size_t FindPending(uint64_t id) const;
+  /// Removes call `slot` from this endpoint's list and the table; returns
+  /// its handler.
+  ResponseHandler Take(uint32_t slot);
 
   Network* network_;
   PeerId self_;
   Incarnation incarnation_ = 0;
-  std::vector<Pending> pending_;
+  uint32_t head_ = RpcCallTable::kNone;  // this endpoint's calls
+  uint32_t count_ = 0;
 };
 
 }  // namespace flowercdn

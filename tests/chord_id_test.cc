@@ -166,66 +166,126 @@ void OfferEachToEverySlot(FingerTable& fingers,
   }
 }
 
+/// A random finger table of `owner` and candidates sorted by clockwise
+/// distance from it. Ids cluster round the targets (exactly on, just
+/// before, just past), lie anywhere on the ring, and repeat under other
+/// peers.
+struct RandomOffer {
+  FingerTable table;
+  std::vector<RingPeer> candidates;
+};
+
+RandomOffer MakeRandomOffer(Rng& rng, PeerId owner) {
+  const int kCounts[] = {1, 8, 20, 64};
+  const ChordId self = rng.Next();
+  const int count = kCounts[rng.Index(4)];
+  RandomOffer offer{FingerTable(self, count), {}};
+  std::vector<ChordId> ids;
+  auto draw_id = [&]() -> ChordId {
+    switch (rng.Index(4)) {
+      case 0:
+        return rng.Next();
+      case 1: {
+        ChordId offset = static_cast<ChordId>(rng.UniformInt(-2, 2));
+        return offer.table.TargetOf(static_cast<int>(rng.Index(count))) +
+               offset;
+      }
+      case 2:
+        return self + rng.NextBounded(1000);
+      default:
+        return ids.empty() ? rng.Next() : ids[rng.Index(ids.size())];
+    }
+  };
+  PeerId next_peer = owner + 1;
+  for (int j = 0; j < count; ++j) {
+    if (rng.NextBool(0.4)) continue;  // empty slot
+    ChordId id = draw_id();
+    ids.push_back(id);
+    offer.table.Set(j, RingPeer{next_peer++, id});
+  }
+  const size_t n = rng.Index(13);
+  for (size_t i = 0; i < n; ++i) {
+    ChordId id = draw_id();
+    ids.push_back(id);
+    offer.candidates.push_back(RingPeer{next_peer++, id});
+  }
+  if (rng.NextBool(0.3)) offer.candidates.push_back(RingPeer{owner, self});
+  if (rng.NextBool(0.1)) {
+    offer.candidates.push_back(RingPeer{kInvalidPeer, 7});
+  }
+  std::stable_sort(offer.candidates.begin(), offer.candidates.end(),
+                   [self](const RingPeer& a, const RingPeer& b) {
+                     return RingDistance(self, a.id) <
+                            RingDistance(self, b.id);
+                   });
+  return offer;
+}
+
+/// Asserts that `a` and `b` hold the same entry in every slot.
+void ExpectSameSlots(const FingerTable& a, const FingerTable& b, int round) {
+  ASSERT_EQ(a.size(), b.size());
+  for (int j = 0; j < a.size(); ++j) {
+    ASSERT_EQ(a.entry(j).has_value(), b.entry(j).has_value())
+        << "round " << round << " slot " << j;
+    if (!b.entry(j).has_value()) continue;
+    EXPECT_EQ(a.entry(j)->peer, b.entry(j)->peer)
+        << "round " << round << " slot " << j;
+    EXPECT_EQ(a.entry(j)->id, b.entry(j)->id)
+        << "round " << round << " slot " << j;
+  }
+}
+
 TEST(FingerTableTest, OfferSortedMatchesPerCandidatePlacement) {
   Rng rng(2024);
-  const int kCounts[] = {1, 8, 20, 64};
+  const PeerId owner = 1;
   for (int round = 0; round < 4000; ++round) {
-    const ChordId self = rng.Next();
-    const PeerId owner = 1;
-    const int count = kCounts[rng.Index(4)];
-    FingerTable reference(self, count);
-    // Ids clustered round the targets (exactly on, just before, just
-    // past), anywhere on the ring, and repeated under other peers.
-    std::vector<ChordId> ids;
-    auto draw_id = [&]() -> ChordId {
-      switch (rng.Index(4)) {
-        case 0:
-          return rng.Next();
-        case 1: {
-          ChordId offset = static_cast<ChordId>(rng.UniformInt(-2, 2));
-          return reference.TargetOf(static_cast<int>(rng.Index(count))) +
-                 offset;
-        }
-        case 2:
-          return self + rng.NextBounded(1000);
-        default:
-          return ids.empty() ? rng.Next() : ids[rng.Index(ids.size())];
-      }
-    };
-    PeerId next_peer = 2;
-    for (int j = 0; j < count; ++j) {
-      if (rng.NextBool(0.4)) continue;  // empty slot
-      ChordId id = draw_id();
-      ids.push_back(id);
-      reference.Set(j, RingPeer{next_peer++, id});
-    }
-    std::vector<RingPeer> candidates;
-    const size_t n = rng.Index(13);
-    for (size_t i = 0; i < n; ++i) {
-      ChordId id = draw_id();
-      ids.push_back(id);
-      candidates.push_back(RingPeer{next_peer++, id});
-    }
-    if (rng.NextBool(0.3)) candidates.push_back(RingPeer{owner, self});
-    if (rng.NextBool(0.1)) candidates.push_back(RingPeer{kInvalidPeer, 7});
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [self](const RingPeer& a, const RingPeer& b) {
-                       return RingDistance(self, a.id) <
-                              RingDistance(self, b.id);
-                     });
-    FingerTable fast = reference;
-    OfferEachToEverySlot(reference, candidates, owner);
-    fast.OfferSorted(candidates, owner);
-    for (int j = 0; j < count; ++j) {
-      ASSERT_EQ(fast.entry(j).has_value(), reference.entry(j).has_value())
-          << "round " << round << " slot " << j;
-      if (!reference.entry(j).has_value()) continue;
-      EXPECT_EQ(fast.entry(j)->peer, reference.entry(j)->peer)
-          << "round " << round << " slot " << j;
-      EXPECT_EQ(fast.entry(j)->id, reference.entry(j)->id)
-          << "round " << round << " slot " << j;
-    }
+    RandomOffer offer = MakeRandomOffer(rng, owner);
+    FingerTable fast = offer.table;
+    OfferEachToEverySlot(offer.table, offer.candidates, owner);
+    fast.OfferSorted(offer.candidates, owner);
+    ExpectSameSlots(fast, offer.table, round);
   }
+}
+
+// ChordNode skips re-offering an unchanged successor list to an unchanged
+// table; that is exact only if a second offer of the same list is a no-op.
+TEST(FingerTableTest, OfferingTheSameListTwiceChangesNothing) {
+  Rng rng(77);
+  const PeerId owner = 1;
+  for (int round = 0; round < 4000; ++round) {
+    RandomOffer offer = MakeRandomOffer(rng, owner);
+    const bool wrap = rng.NextBool(0.5);
+    offer.table.OfferSorted(offer.candidates, owner, wrap);
+    const FingerTable once = offer.table;
+    offer.table.OfferSorted(offer.candidates, owner, wrap);
+    ExpectSameSlots(offer.table, once, round);
+    EXPECT_EQ(offer.table.version(), once.version()) << "round " << round;
+  }
+}
+
+TEST(FingerTableTest, VersionCountsEveryEntryWrite) {
+  FingerTable fingers(/*self=*/0, /*count=*/4);
+  uint64_t v = fingers.version();
+  fingers.Set(0, RingPeer{2, fingers.TargetOf(0)});
+  EXPECT_GT(fingers.version(), v);
+  v = fingers.version();
+  fingers.FillHoles(fingers.TargetOf(1), RingPeer{3, fingers.TargetOf(3)});
+  EXPECT_GT(fingers.version(), v);
+  v = fingers.version();
+  EXPECT_EQ(fingers.RemovePeer(9), 0);
+  EXPECT_EQ(fingers.version(), v) << "nothing removed, nothing written";
+  EXPECT_EQ(fingers.RemovePeer(3), 3);
+  EXPECT_GT(fingers.version(), v);
+  v = fingers.version();
+  fingers.Clear(0);
+  EXPECT_GT(fingers.version(), v);
+  v = fingers.version();
+  const RingPeer candidate{4, fingers.TargetOf(2)};
+  fingers.OfferSorted({&candidate, 1}, /*owner=*/1);
+  EXPECT_GT(fingers.version(), v);
+  v = fingers.version();
+  fingers.ClearAll();
+  EXPECT_GT(fingers.version(), v);
 }
 
 }  // namespace

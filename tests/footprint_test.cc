@@ -15,11 +15,21 @@
 #include "metrics/metrics.h"
 #include "obs/stats.h"
 #include "sim/network.h"
+#include "sim/rpc.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
 #include "storage/origin.h"
 #include "storage/website.h"
 #include "storage/workload.h"
+
+// The message pool is off under ASan, so messages then allocate.
+#if defined(__SANITIZE_ADDRESS__)
+#define FLOWERCDN_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FLOWERCDN_TEST_ASAN 1
+#endif
+#endif
 
 namespace {
 
@@ -154,6 +164,77 @@ TEST_F(FootprintTest, DirectoryAttachAllocatesItsState) {
 
 TEST(FootprintSizeTest, SessionObjectFitsItsBudget) {
   EXPECT_LE(sizeof(FlowerPeer), 512u);
+  // The calls themselves live in the Network's table.
+  EXPECT_LE(sizeof(RpcEndpoint), 32u);
+}
+
+struct PingMsg : Message {
+  PingMsg() { type = 900; }
+};
+
+/// Answers every request.
+class Responder : public SimNode {
+ public:
+  Responder(Network* network, PeerId self) : rpc_(network, self) {
+    rpc_.Bind(network->Attach(self, this));
+  }
+  void HandleMessage(MessagePtr msg) override {
+    rpc_.Respond(*msg, std::make_unique<PingMsg>());
+  }
+
+ private:
+  RpcEndpoint rpc_;
+};
+
+/// Calls the responder; takes its responses.
+class Caller : public SimNode {
+ public:
+  Caller(Network* network, PeerId self) : rpc_(network, self) {
+    rpc_.Bind(network->Attach(self, this));
+  }
+  void HandleMessage(MessagePtr msg) override { rpc_.HandleResponse(msg); }
+  RpcEndpoint& rpc() { return rpc_; }
+
+ private:
+  RpcEndpoint rpc_;
+};
+
+TEST(RpcFootprintTest, WarmRoundTripMakesNoAllocation) {
+#ifdef FLOWERCDN_TEST_ASAN
+  GTEST_SKIP() << "the message pool is off under ASan";
+#endif
+  Simulator sim;
+  Topology topology(Topology::Params{});
+  Network network(&sim, &topology);
+  Rng place(3);
+  network.RegisterIdentity(1, topology.PlaceInLocality(0, place));
+  network.RegisterIdentity(2, topology.PlaceInLocality(1, place));
+  Caller caller(&network, 1);
+  Responder responder(&network, 2);
+  struct Context {
+    uint64_t a, b, c, d, e;
+  };
+  uint64_t answered = 0;
+  auto round_trip = [&] {
+    auto handler = [&answered, ctx = Context{1, 2, 3, 4, 5}](
+                       const Status& status, MessagePtr resp) {
+      if (status.ok() && resp != nullptr) answered += ctx.a;
+    };
+    static_assert(sizeof(handler) == 48, "the largest inline capture");
+    caller.rpc().Call(2, std::make_unique<PingMsg>(), 5 * kSecond,
+                      std::move(handler));
+    sim.Run();
+  };
+  // Warm-up: the event slab, the message pool, the call table and its
+  // index take their first blocks.
+  round_trip();
+  round_trip();
+  AllocationWindow window;
+  round_trip();
+  window.Stop();
+  EXPECT_EQ(window.allocations(), 0u);
+  EXPECT_EQ(answered, 3u);
+  EXPECT_EQ(caller.rpc().pending_calls(), 0u);
 }
 
 }  // namespace

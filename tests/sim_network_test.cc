@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/rpc.h"
@@ -314,6 +318,190 @@ TEST_F(NetworkTest, LateResponseAfterTimeoutIsIgnored) {
                });
   sim_.Run();
   EXPECT_EQ(calls, 1) << "handler must run exactly once";
+}
+
+// --- Shared call table -------------------------------------------------------
+
+/// A host with two endpoints, as a FlowerPeer holds its own, its Chord
+/// node's and its resolver's: a response goes to the first that claims it.
+class TwoEndpointHost : public SimNode {
+ public:
+  TwoEndpointHost(Network* network, PeerId self)
+      : first_(network, self),
+        second_(std::make_unique<RpcEndpoint>(network, self)) {}
+  void Start(Network* network) {
+    Incarnation inc = network->Attach(first_.self(), this);
+    first_.Bind(inc);
+    second_->Bind(inc);
+  }
+  void HandleMessage(MessagePtr msg) override {
+    ASSERT_TRUE(msg->is_response);
+    if (first_.HandleResponse(msg)) return;
+    if (second_ != nullptr && second_->HandleResponse(msg)) return;
+    ++unclaimed;
+  }
+  RpcEndpoint& first() { return first_; }
+  RpcEndpoint& second() { return *second_; }
+  void DestroySecond() { second_.reset(); }
+
+  int unclaimed = 0;
+
+ private:
+  RpcEndpoint first_;
+  std::unique_ptr<RpcEndpoint> second_;
+};
+
+TEST_F(NetworkTest, TwoEndpointsOnOneHostEachGetTheirOwnResponses) {
+  TwoEndpointHost host(&network_, 1);
+  EchoNode echo(&network_, 2);
+  host.Start(&network_);
+  echo.Start(&network_);
+  int first_answer = 0, second_answer = 0;
+  // The second endpoint's response arrives first and is offered to the
+  // first endpoint while that one still waits for its own.
+  host.second().Call(2, std::make_unique<TestMsg>(20), 5 * kSecond,
+                     [&](const Status& status, MessagePtr resp) {
+                       ASSERT_TRUE(status.ok());
+                       second_answer =
+                           static_cast<const TestMsg&>(*resp).value;
+                     });
+  host.first().Call(2, std::make_unique<TestMsg>(10), 5 * kSecond,
+                    [&](const Status& status, MessagePtr resp) {
+                      ASSERT_TRUE(status.ok());
+                      first_answer = static_cast<const TestMsg&>(*resp).value;
+                    });
+  EXPECT_EQ(host.first().pending_calls(), 1u);
+  EXPECT_EQ(host.second().pending_calls(), 1u);
+  EXPECT_EQ(network_.rpc_calls().live(), 2u);
+  sim_.Run();
+  EXPECT_EQ(first_answer, 11);
+  EXPECT_EQ(second_answer, 21);
+  EXPECT_EQ(host.unclaimed, 0);
+  EXPECT_EQ(host.first().pending_calls(), 0u);
+  EXPECT_EQ(host.second().pending_calls(), 0u);
+  EXPECT_EQ(network_.rpc_calls().live(), 0u);
+}
+
+TEST_F(NetworkTest, ResponseForAnotherEndpointsCallIsRefusedIntact) {
+  TwoEndpointHost host(&network_, 1);
+  host.Start(&network_);
+  network_.Attach(2, &b_);  // silent: the response is built by hand
+  int answer = 0;
+  uint64_t id = host.first().Call(
+      2, std::make_unique<TestMsg>(), 5 * kSecond,
+      [&](const Status& status, MessagePtr resp) {
+        ASSERT_TRUE(status.ok());
+        answer = static_cast<const TestMsg&>(*resp).value;
+      });
+  // The second endpoint waits on a call of its own.
+  host.second().Call(2, std::make_unique<TestMsg>(), 5 * kSecond,
+                     [](const Status&, MessagePtr) {});
+  MessagePtr resp = std::make_unique<TestMsg>(7);
+  resp->rpc_id = id;
+  resp->is_response = true;
+  resp->src = 2;
+  EXPECT_FALSE(host.second().HandleResponse(resp));
+  ASSERT_NE(resp, nullptr) << "a refused response is left untouched";
+  EXPECT_EQ(static_cast<const TestMsg&>(*resp).value, 7);
+  EXPECT_EQ(resp->rpc_id, id);
+  EXPECT_EQ(host.first().pending_calls(), 1u);
+  EXPECT_TRUE(host.first().HandleResponse(resp));
+  EXPECT_EQ(answer, 7);
+  EXPECT_EQ(host.first().pending_calls(), 0u);
+  sim_.Run();  // the cancelled timeout stays silent
+  EXPECT_EQ(answer, 7);
+}
+
+TEST_F(NetworkTest, DestroyingOneEndpointCancelsOnlyItsCalls) {
+  TwoEndpointHost host(&network_, 1);
+  EchoNode echo(&network_, 2);
+  host.Start(&network_);
+  echo.Start(&network_);
+  int answered = 0;
+  for (int i = 0; i < 2; ++i) {
+    host.first().Call(2, std::make_unique<TestMsg>(i), 5 * kSecond,
+                      [&, i](const Status& status, MessagePtr resp) {
+                        ASSERT_TRUE(status.ok());
+                        EXPECT_EQ(static_cast<const TestMsg&>(*resp).value,
+                                  i + 1);
+                        ++answered;
+                      });
+  }
+  for (int i = 0; i < 3; ++i) {
+    host.second().Call(2, std::make_unique<TestMsg>(), 5 * kSecond,
+                       [&](const Status&, MessagePtr) { FAIL(); });
+  }
+  host.DestroySecond();
+  EXPECT_EQ(network_.traffic().rpc_cancelled, 3u);
+  EXPECT_EQ(host.first().pending_calls(), 2u);
+  EXPECT_EQ(network_.rpc_calls().live(), 2u);
+  sim_.Run();
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(host.unclaimed, 3) << "the destroyed endpoint's responses";
+  EXPECT_EQ(network_.traffic().rpc_cancelled, 3u);
+}
+
+TEST(RpcCallTableTest, RandomAddRemoveMatchesReference) {
+  // Many endpoints' lists interleaved in one table, through index growth
+  // and every removal order: each live id finds its slot, each list holds
+  // exactly its endpoint's calls.
+  RpcCallTable table;
+  constexpr int kOwners = 5;
+  RpcEndpoint* owners[kOwners];
+  for (int o = 0; o < kOwners; ++o) {
+    owners[o] = reinterpret_cast<RpcEndpoint*>(uintptr_t{64} * (o + 1));
+  }
+  uint32_t heads[kOwners];
+  std::fill(heads, heads + kOwners, RpcCallTable::kNone);
+  std::vector<std::pair<uint64_t, int>> live;  // (id, owner)
+  Rng rng(5);
+  uint64_t next_id = 1;
+  size_t peak = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Drift up to a few hundred calls in flight, then back down.
+    const bool add = live.empty() || rng.NextBool(step < 10000 ? 0.55 : 0.45);
+    if (add) {
+      const int o = static_cast<int>(rng.Index(kOwners));
+      const uint64_t id = next_id;
+      next_id += 1 + rng.Index(3);
+      table.Add(id, owners[o], &heads[o], /*timeout_event=*/id,
+                [](const Status&, MessagePtr) {});
+      live.emplace_back(id, o);
+    } else {
+      const size_t k = rng.Index(live.size());
+      const auto [id, o] = live[k];
+      const uint32_t slot = table.Find(id);
+      ASSERT_NE(slot, RpcCallTable::kNone) << "step " << step;
+      EXPECT_EQ(table.at(slot).owner, owners[o]);
+      EXPECT_EQ(table.at(slot).timeout_event, id);
+      EXPECT_TRUE(static_cast<bool>(table.Remove(slot, &heads[o])));
+      EXPECT_EQ(table.Find(id), RpcCallTable::kNone) << "step " << step;
+      live[k] = live.back();
+      live.pop_back();
+    }
+    peak = std::max(peak, live.size());
+    ASSERT_EQ(table.live(), live.size());
+    if (step % 997 != 0) continue;
+    for (const auto& [id, o] : live) {
+      const uint32_t slot = table.Find(id);
+      ASSERT_NE(slot, RpcCallTable::kNone);
+      EXPECT_EQ(table.at(slot).id, id);
+    }
+    size_t listed = 0;
+    for (int o = 0; o < kOwners; ++o) {
+      uint32_t prev = RpcCallTable::kNone;
+      for (uint32_t s = heads[o]; s != RpcCallTable::kNone;
+           s = table.at(s).next) {
+        EXPECT_EQ(table.at(s).owner, owners[o]);
+        EXPECT_EQ(table.at(s).prev, prev);
+        prev = s;
+        ++listed;
+      }
+    }
+    EXPECT_EQ(listed, live.size());
+  }
+  EXPECT_GT(peak, 100u);
+  EXPECT_EQ(table.slots(), peak) << "freed slots are reused";
 }
 
 }  // namespace
