@@ -7,24 +7,6 @@
 
 namespace flowercdn {
 
-namespace {
-
-/// Builds a fresh find-successor request (each forward attempt needs its
-/// own message object since the network consumes them).
-std::unique_ptr<ChordFindSuccessorMsg> MakeFindSuccessor(ChordId key,
-                                                         PeerId origin,
-                                                         uint64_t lookup_id,
-                                                         int hops) {
-  auto msg = std::make_unique<ChordFindSuccessorMsg>();
-  msg->key = key;
-  msg->origin = origin;
-  msg->lookup_id = lookup_id;
-  msg->hops = hops;
-  return msg;
-}
-
-}  // namespace
-
 ChordNode::ChordNode(Network* network, PeerId self, ChordId id,
                      const Params& params)
     : network_(network),
@@ -148,110 +130,33 @@ void ChordNode::Leave() {
   successors_offered_at_ = kNotOffered;
   predecessor_.reset();
   fingers_.ClearAll();
-  // Fail outstanding lookups now instead of letting them time out.
-  std::vector<LookupCallback> callbacks;
-  callbacks.reserve(pending_lookups_.size());
-  for (auto& pl : pending_lookups_) {
-    network_->sim()->Cancel(pl.timeout_event);
-    callbacks.push_back(std::move(pl.cb));
-  }
-  pending_lookups_.clear();
-  for (auto& cb : callbacks) {
-    cb(Status::Unavailable("node left the ring"), RingPeer{}, 0);
-  }
+  // Fail outstanding lookups now instead of letting them time out; the
+  // node's other calls run their course.
+  rpc_.FailAwaited(Status::Unavailable("node left the ring"));
 }
 
 // --- Lookups ---------------------------------------------------------------
 
-uint64_t ChordNode::RegisterLookup(ChordId key, LookupCallback cb) {
-  uint64_t lookup_id = network_->NextRpcId();
-  ++lookups_started_;
-  PendingLookup pl;
-  pl.id = lookup_id;
-  pl.key = key;
-  pl.cb = std::move(cb);
-  pending_lookups_.push_back(std::move(pl));
-  return lookup_id;
-}
-
-ChordNode::PendingLookup* ChordNode::FindLookup(uint64_t lookup_id) {
-  for (auto& pl : pending_lookups_) {
-    if (pl.id == lookup_id) return &pl;
-  }
-  return nullptr;
-}
-
-void ChordNode::EraseLookup(uint64_t lookup_id) {
-  for (size_t i = 0; i < pending_lookups_.size(); ++i) {
-    if (pending_lookups_[i].id != lookup_id) continue;
-    if (i != pending_lookups_.size() - 1) {
-      pending_lookups_[i] = std::move(pending_lookups_.back());
-    }
-    pending_lookups_.pop_back();
-    return;
-  }
-}
-
 void ChordNode::Lookup(ChordId key, LookupCallback cb) {
   FLOWERCDN_CHECK(state_ == State::kActive) << "Lookup on inactive node";
-  uint64_t lookup_id = RegisterLookup(key, std::move(cb));
-  StartLookupAttempt(lookup_id);
+  LookupVia(kInvalidPeer, key, std::move(cb));
 }
 
 void ChordNode::LookupVia(PeerId via, ChordId key, LookupCallback cb) {
-  uint64_t lookup_id = RegisterLookup(key, std::move(cb));
-  FindLookup(lookup_id)->via = via;
-  StartLookupAttempt(lookup_id);
+  ++lookups_started_;
+  StartLookup(&rpc_, key,
+              {.via = via,
+               .router = this,
+               .attempt_timeout = params_.lookup_timeout,
+               .ack_timeout = params_.rpc_timeout,
+               .max_attempts = params_.max_lookup_attempts},
+              std::move(cb));
 }
 
-void ChordNode::StartLookupAttempt(uint64_t lookup_id) {
-  PendingLookup* pl = FindLookup(lookup_id);
-  if (pl == nullptr) return;
-  ++pl->attempts;
-  ArmLookupTimeout(lookup_id);
-  if (pl->via.has_value()) {
-    // Delegated lookup (pre-join): ship the query to the bootstrap peer.
-    auto req = MakeFindSuccessor(pl->key, self_, lookup_id, 0);
-    rpc_.Call(*pl->via, std::move(req), params_.rpc_timeout,
-              [this, lookup_id](const Status& status, MessagePtr) {
-                if (status.ok()) return;  // acked; answer will be routed
-                // Unresponsive bootstrap: retry (or fail) immediately
-                // instead of waiting out the full lookup timeout.
-                PendingLookup* pl2 = FindLookup(lookup_id);
-                if (pl2 == nullptr) return;
-                network_->sim()->Cancel(pl2->timeout_event);
-                if (pl2->attempts >= params_.max_lookup_attempts) {
-                  CompleteLookupWithError(
-                      lookup_id,
-                      Status::Unavailable("lookup bootstrap unreachable"));
-                  return;
-                }
-                StartLookupAttempt(lookup_id);
-              });
-    return;
-  }
-  if (state_ != State::kActive) {
-    CompleteLookupWithError(lookup_id,
-                            Status::FailedPrecondition("not in ring"));
-    return;
-  }
-  ProcessLookupStep(pl->key, self_, lookup_id, 0);
-}
-
-void ChordNode::ArmLookupTimeout(uint64_t lookup_id) {
-  PendingLookup* pl = FindLookup(lookup_id);
-  if (pl == nullptr) return;
-  pl->timeout_event = network_->SchedulePeer(
-      self_, incarnation_, params_.lookup_timeout, [this, lookup_id]() {
-        PendingLookup* pl2 = FindLookup(lookup_id);
-        if (pl2 == nullptr) return;
-        if (pl2->attempts >= params_.max_lookup_attempts) {
-          CompleteLookupWithError(
-              lookup_id, Status::TimedOut("lookup exhausted retries"));
-          return;
-        }
-        StartLookupAttempt(lookup_id);
-      });
+bool ChordNode::RouteOwnLookup(ChordId key, uint64_t lookup_id) {
+  if (state_ != State::kActive) return false;
+  ProcessLookupStep(key, self_, lookup_id, 0);
+  return true;
 }
 
 void ChordNode::ProcessLookupStep(ChordId key, PeerId origin,
@@ -320,34 +225,16 @@ void ChordNode::ForwardLookup(ChordId key, PeerId origin, uint64_t lookup_id,
 
 void ChordNode::SendLookupResult(PeerId origin, uint64_t lookup_id,
                                  RingPeer owner, int hops) {
-  if (origin == self_) {
-    CompleteLookup(lookup_id, owner, hops);
-    return;
-  }
   auto msg = std::make_unique<ChordLookupResultMsg>();
   msg->lookup_id = lookup_id;
   msg->owner = owner;
   msg->hops = hops;
+  if (origin == self_) {
+    MessagePtr answer = std::move(msg);
+    ClaimLookupResult(&rpc_, answer);  // a late answer is dropped
+    return;
+  }
   network_->Send(self_, origin, std::move(msg));
-}
-
-void ChordNode::CompleteLookup(uint64_t lookup_id, RingPeer owner, int hops) {
-  PendingLookup* pl = FindLookup(lookup_id);
-  if (pl == nullptr) return;  // duplicate/late result
-  network_->sim()->Cancel(pl->timeout_event);
-  LookupCallback cb = std::move(pl->cb);
-  EraseLookup(lookup_id);
-  cb(Status::OK(), owner, hops);
-}
-
-void ChordNode::CompleteLookupWithError(uint64_t lookup_id,
-                                        const Status& status) {
-  PendingLookup* pl = FindLookup(lookup_id);
-  if (pl == nullptr) return;
-  network_->sim()->Cancel(pl->timeout_event);
-  LookupCallback cb = std::move(pl->cb);
-  EraseLookup(lookup_id);
-  cb(status, RingPeer{}, 0);
 }
 
 // --- Stabilization -----------------------------------------------------------
@@ -648,7 +535,7 @@ bool ChordNode::HandleMessage(MessagePtr& msg) {
       OnFindSuccessor(std::move(msg));
       return true;
     case kChordLookupResult:
-      OnLookupResult(MessageCast<ChordLookupResultMsg>(*msg));
+      ClaimLookupResult(&rpc_, msg);  // late or foreign answers are dropped
       return true;
     case kChordGetNeighbors:
       OnGetNeighbors(*msg);
@@ -690,10 +577,6 @@ void ChordNode::OnFindSuccessor(MessagePtr msg) {
     rpc_.Respond(req, std::make_unique<ChordForwardAckMsg>());
   }
   ProcessLookupStep(req.key, req.origin, req.lookup_id, req.hops);
-}
-
-void ChordNode::OnLookupResult(const ChordLookupResultMsg& msg) {
-  CompleteLookup(msg.lookup_id, msg.owner, msg.hops);
 }
 
 void ChordNode::OnGetNeighbors(const Message& req) {

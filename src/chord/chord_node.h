@@ -8,6 +8,7 @@
 
 #include "chord/finger_table.h"
 #include "chord/id.h"
+#include "chord/lookup.h"
 #include "chord/messages.h"
 #include "sim/network.h"
 #include "sim/rpc.h"
@@ -75,10 +76,6 @@ class ChordNode {
 
   enum class State { kIdle, kJoining, kActive };
 
-  /// `owner` is meaningful iff `status.ok()`; `hops` counts forwarding
-  /// steps taken by the winning attempt.
-  using LookupCallback =
-      std::function<void(const Status& status, RingPeer owner, int hops)>;
   using JoinCallback = std::function<void(const Status& status)>;
 
   ChordNode(Network* network, PeerId self, ChordId id, const Params& params);
@@ -105,8 +102,14 @@ class ChordNode {
   void Lookup(ChordId key, LookupCallback cb);
 
   /// Resolves successor(key) by delegating the query to `via` — used before
-  /// joining, when this node cannot route itself.
+  /// joining, when this node cannot route itself. kInvalidPeer routes it
+  /// from here.
   void LookupVia(PeerId via, ChordId key, LookupCallback cb);
+
+  /// Routes an attempt of lookup `lookup_id`, which this node originated,
+  /// from here (StartLookup's `router`). Returns false, sending nothing,
+  /// when the node is not a ring member.
+  bool RouteOwnLookup(ChordId key, uint64_t lookup_id);
 
   /// Feeds a message to the protocol. Returns true if consumed.
   bool HandleMessage(MessagePtr& msg);
@@ -144,38 +147,18 @@ class ChordNode {
   const FingerTable& fingers() const { return fingers_; }
   const Params& params() const { return params_; }
   uint64_t stabilize_rounds() const { return stabilize_rounds_; }
-  /// Lookups registered here: the node's own, delegated and maintenance
+  /// Lookups started here: the node's own, delegated and maintenance
   /// lookups alike.
   uint64_t lookups_started() const { return lookups_started_; }
 
  private:
-  struct PendingLookup {
-    uint64_t id = 0;
-    ChordId key = 0;
-    LookupCallback cb;
-    /// Set for delegated (pre-join) lookups routed through a bootstrap.
-    std::optional<PeerId> via;
-    int attempts = 0;
-    EventId timeout_event = kInvalidEvent;
-  };
-
-  // Lookup machinery.
-  uint64_t RegisterLookup(ChordId key, LookupCallback cb);
-  /// Entry for an in-flight lookup, or null. Pointers stay valid until the
-  /// next RegisterLookup/EraseLookup.
-  PendingLookup* FindLookup(uint64_t lookup_id);
-  /// Swap-with-back removal; no-op for unknown ids.
-  void EraseLookup(uint64_t lookup_id);
-  void StartLookupAttempt(uint64_t lookup_id);
-  void ArmLookupTimeout(uint64_t lookup_id);
+  // Lookup machinery: the origin side is StartLookup (chord/lookup.h).
   void ProcessLookupStep(ChordId key, PeerId origin, uint64_t lookup_id,
                          int hops);
   void ForwardLookup(ChordId key, PeerId origin, uint64_t lookup_id, int hops,
                      int attempt);
   void SendLookupResult(PeerId origin, uint64_t lookup_id, RingPeer owner,
                         int hops);
-  void CompleteLookup(uint64_t lookup_id, RingPeer owner, int hops);
-  void CompleteLookupWithError(uint64_t lookup_id, const Status& status);
   /// Best next hop strictly preceding `key` (fingers + successor list).
   std::optional<RingPeer> NextHop(ChordId key) const;
 
@@ -214,7 +197,6 @@ class ChordNode {
   void OnNotify(const Message& req);
   void OnGetFingers(const Message& req);
   void OnLeave(const Message& msg);
-  void OnLookupResult(const ChordLookupResultMsg& msg);
 
   Network* network_;
   PeerId self_;
@@ -245,10 +227,6 @@ class ChordNode {
   bool finger_repair_pending_ = false;
   /// A predecessor ping is in flight (at most one at a time).
   bool pred_check_pending_ = false;
-
-  // Flat table: a node rarely has more than a handful of lookups in
-  // flight, so a linear scan beats hashing and per-entry node allocation.
-  std::vector<PendingLookup> pending_lookups_;
 };
 
 }  // namespace flowercdn

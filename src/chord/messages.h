@@ -1,6 +1,7 @@
 #ifndef FLOWERCDN_CHORD_MESSAGES_H_
 #define FLOWERCDN_CHORD_MESSAGES_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,6 +57,18 @@ struct ChordFindSuccessorMsg : Message {
   uint64_t lookup_id = 0;
   int hops = 0;
 };
+
+/// A lookup step to send (the network consumes each message it sends, so
+/// every hop and every attempt builds its own).
+inline std::unique_ptr<ChordFindSuccessorMsg> MakeFindSuccessor(
+    ChordId key, PeerId origin, uint64_t lookup_id, int hops) {
+  auto msg = std::make_unique<ChordFindSuccessorMsg>();
+  msg->key = key;
+  msg->origin = origin;
+  msg->lookup_id = lookup_id;
+  msg->hops = hops;
+  return msg;
+}
 
 /// Per-hop ack for a forwarded ChordFindSuccessorMsg.
 struct ChordForwardAckMsg : Message {

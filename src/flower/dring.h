@@ -4,7 +4,9 @@
 #include <optional>
 
 #include "chord/id.h"
+#include "chord/lookup.h"
 #include "sim/topology.h"
+#include "sim/types.h"
 #include "storage/object_id.h"
 
 namespace flowercdn {
@@ -48,6 +50,19 @@ class DRingKeyspace {
   int max_instances_;
   uint64_t total_;
 };
+
+/// Deadline of a bootstrap's ack: a dead bootstrap fails a resolution at
+/// once instead of after the lookup deadline.
+constexpr SimDuration kDRingAckTimeout = 1500 * kMillisecond;
+
+/// How a peer outside the D-ring resolves a key (paper §3.2: "a client
+/// submits its query to D-ring"): one attempt, delegated to member `via`.
+inline LookupRoute DRingRoute(PeerId via, SimDuration deadline) {
+  return {.via = via,
+          .attempt_timeout = deadline,
+          .ack_timeout = kDRingAckTimeout,
+          .max_attempts = 1};
+}
 
 }  // namespace flowercdn
 

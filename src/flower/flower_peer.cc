@@ -41,7 +41,6 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
       store_(store),
       rng_(rng),
       rpc_(ctx.network, self),
-      resolver_(ctx.network, self),
       view_(/*capacity=*/0) {
   FLOWERCDN_CHECK(ctx.network != nullptr);
   FLOWERCDN_CHECK(ctx.params != nullptr);
@@ -61,7 +60,6 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
 void FlowerPeer::Attach() {
   incarnation_ = ctx_->network->Attach(self_, this);
   rpc_.Bind(incarnation_);
-  resolver_.Bind(incarnation_);
 }
 
 ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
@@ -321,8 +319,9 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
   }
   ChordId target = ctx_->keyspace->IdOf(website_, locality_, 0);
   SimTime span_start = ctx_->network->sim()->now();
-  resolver_.Resolve(
-      bootstrap, target, ctx_->params->chord.lookup_timeout,
+  StartLookup(
+      &rpc_, target,
+      DRingRoute(bootstrap, ctx_->params->chord.lookup_timeout),
       [this, q, bootstrap, span_start](const Status& status, RingPeer owner,
                                        int hops) mutable {
         TraceSpan(q.trace_id, QueryPhase::kDRingResolve, span_start,
@@ -801,8 +800,9 @@ void FlowerPeer::AttemptDirectoryClaim(
   }
   claim_in_progress_ = true;
   ChordId target = ctx_->keyspace->IdOf(website_, locality_, instance);
-  resolver_.Resolve(
-      bootstrap, target, ctx_->params->chord.lookup_timeout,
+  StartLookup(
+      &rpc_, target,
+      DRingRoute(bootstrap, ctx_->params->chord.lookup_timeout),
       [this, instance, target, handoff = std::move(handoff)](
           const Status& status, RingPeer owner, int /*hops*/) {
         if (!status.ok()) {
@@ -918,35 +918,30 @@ void FlowerPeer::DirectoryMaintenanceRound() {
 }
 
 void FlowerPeer::OnDirQuery(MessagePtr msg) {
-  std::shared_ptr<FlowerDirQueryMsg> req(
-      static_cast<FlowerDirQueryMsg*>(msg.release()));
-  AnswerDirQuery(std::move(req));
-}
-
-void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
+  const auto& req = MessageCast<FlowerDirQueryMsg>(*msg);
   auto reply = std::make_unique<FlowerDirQueryReplyMsg>();
   reply->instance = instance_;
-  if (role_ != FlowerRole::kDirectoryPeer || req->website != website_ ||
-      req->locality != locality_) {
+  if (role_ != FlowerRole::kDirectoryPeer || req.website != website_ ||
+      req.locality != locality_) {
     // A fresh replica of the queried petal answers in the primary's stead
     // while a promotion is underway — kVacant here would invite racing
     // vacancy claims that restart with an empty index.
-    if (TryAnswerFromReplica(*req, reply.get())) {
-      rpc_.Respond(*req, std::move(reply));
+    if (TryAnswerFromReplica(req, reply.get())) {
+      rpc_.Respond(req, std::move(reply));
       return;
     }
     reply->result = DirQueryResult::kVacant;
-    rpc_.Respond(*req, std::move(reply));
+    rpc_.Respond(req, std::move(reply));
     return;
   }
-  bool member = view_.Contains(req->src) || dir_->index.ContainsPeer(req->src);
+  bool member = view_.Contains(req.src) || dir_->index.ContainsPeer(req.src);
   bool overloaded = view_.size() >= ctx_->params->max_directory_load;
   if (overloaded && !member && ctx_->params->petalup_enabled) {
     std::optional<PeerId> next = NextInstancePeer();
-    if (next.has_value() && req->scan_hops < ctx_->params->max_scan_hops) {
+    if (next.has_value() && req.scan_hops < ctx_->params->max_scan_hops) {
       reply->result = DirQueryResult::kForward;
       reply->forward_to = *next;
-      rpc_.Respond(*req, std::move(reply));
+      rpc_.Respond(req, std::move(reply));
       return;
     }
     if (instance_ + 1 < ctx_->keyspace->max_instances()) {
@@ -955,83 +950,78 @@ void FlowerPeer::AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req) {
       TriggerPromotion();
     }
   }
-  if (req->wants_join) {
+  if (req.wants_join) {
     // Idempotent admission: re-admitting an already-known peer just
     // refreshes its entry and re-sends the seed (covers clients whose
     // first admission reply raced or was lost).
-    AdmitContentPeer(req->src,
-                     req->has_object ? std::optional<ObjectId>(req->object)
-                                     : std::nullopt);
+    AdmitContentPeer(req.src,
+                     req.has_object ? std::optional<ObjectId>(req.object)
+                                    : std::nullopt);
     reply->admitted = true;
     reply->view_seed =
-        view_.RandomSubset(ctx_->params->view_seed_size, rng_, req->src);
+        view_.RandomSubset(ctx_->params->view_seed_size, rng_, req.src);
   } else if (member) {
-    view_.Upsert(Contact{req->src, 0});
-    if (req->has_object) {
-      dir_->index.Add(req->src, req->object);
-      ReplicaRecordAdd(req->src, req->object);
+    view_.Upsert(Contact{req.src, 0});
+    if (req.has_object) {
+      dir_->index.Add(req.src, req.object);
+      ReplicaRecordAdd(req.src, req.object);
     }
   }
-  if (!req->has_object) {
+  if (!req.has_object) {
     reply->result = DirQueryResult::kMiss;  // pure admission request
-    rpc_.Respond(*req, std::move(reply));
+    rpc_.Respond(req, std::move(reply));
     return;
   }
-  std::optional<PeerId> provider = FindProviderLocally(req->object, req->src);
+  std::optional<PeerId> provider = FindProviderLocally(req.object, req.src);
   if (provider.has_value()) {
     if (*provider == self_) {
       // We hold the object ourselves: confirm possession directly.
       reply->result = DirQueryResult::kProvider;
       reply->provider = self_;
-      rpc_.Respond(*req, std::move(reply));
+      rpc_.Respond(req, std::move(reply));
       return;
     }
     // §3.2: forward the query to the provider; it answers the client
     // directly (the forwarded message carries the client's correlation and
     // return address).
     auto fwd = std::make_unique<FlowerForwardedQueryMsg>();
-    fwd->object = req->object;
+    fwd->object = req.object;
     fwd->admitted = reply->admitted;
     fwd->instance = reply->instance;
     fwd->view_seed = reply->view_seed;
-    fwd->rpc_id = req->rpc_id;
-    ctx_->network->Send(req->src, *provider, std::move(fwd));
+    fwd->rpc_id = req.rpc_id;
+    ctx_->network->Send(req.src, *provider, std::move(fwd));
     return;
   }
   if (ctx_->params->enable_dir_collaboration) {
     std::optional<PeerId> neighbor = SameWebsiteNeighborDir();
     if (neighbor.has_value()) {
       auto probe = std::make_unique<FlowerDirProbeMsg>();
-      probe->object = req->object;
-      // The final answer must keep the admission fields intact.
-      auto deferred = std::make_shared<FlowerDirQueryReplyMsg>();
-      deferred->instance = reply->instance;
-      deferred->admitted = reply->admitted;
-      deferred->view_seed = reply->view_seed;
+      probe->object = req.object;
+      // The query and its reply, admission fields and all, wait for the
+      // neighbour's answer.
       rpc_.Call(*neighbor, std::move(probe), ctx_->params->rpc_timeout,
-                [this, req, deferred](const Status& status, MessagePtr resp) {
-                  auto reply2 = std::make_unique<FlowerDirQueryReplyMsg>();
-                  reply2->instance = deferred->instance;
-                  reply2->admitted = deferred->admitted;
-                  reply2->view_seed = deferred->view_seed;
-                  reply2->result = DirQueryResult::kMiss;
+                [this, msg = std::move(msg), reply = std::move(reply)](
+                    const Status& status, MessagePtr resp) mutable {
+                  const auto& req = MessageCast<FlowerDirQueryMsg>(*msg);
+                  reply->result = DirQueryResult::kMiss;
                   if (status.ok()) {
                     const auto& probe_reply =
                         MessageCast<FlowerDirProbeReplyMsg>(*resp);
                     if (probe_reply.has_provider &&
-                        probe_reply.provider != req->src) {
-                      reply2->result = DirQueryResult::kProvider;
-                      reply2->provider = probe_reply.provider;
+                        probe_reply.provider != req.src) {
+                      reply->result = DirQueryResult::kProvider;
+                      reply->provider = probe_reply.provider;
                       ctx_->stats->Add("flower.collaboration_hits");
                     }
                   }
-                  rpc_.Respond(*req, std::move(reply2));
+                  rpc_.Respond(req, std::move(reply));
                 });
       return;
     }
   }
   reply->result = DirQueryResult::kMiss;
-  rpc_.Respond(*req, std::move(reply));
+  rpc_.Respond(req, std::move(reply));
 }
 
 std::optional<PeerId> FlowerPeer::FindProviderLocally(const ObjectId& object,
@@ -1660,7 +1650,7 @@ void FlowerPeer::HandleMessage(MessagePtr msg) {
     ctx_->trace->AddRemoteSpan(msg->trace.trace_id, HandleEventName(*msg),
                               ctx_->network->sim()->now(), self_, msg->src);
   }
-  if (resolver_.HandleMessage(msg)) return;
+  if (ClaimLookupResult(&rpc_, msg)) return;
   if (chord_ != nullptr && chord_->HandleMessage(msg)) return;
   if (chord_ == nullptr && IsChordMessage(msg->type) && !msg->is_response &&
       msg->rpc_id != 0) {

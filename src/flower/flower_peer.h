@@ -11,7 +11,6 @@
 #include "chord/chord_node.h"
 #include "flower/directory_index.h"
 #include "flower/dring.h"
-#include "flower/dring_resolver.h"
 #include "flower/messages.h"
 #include "flower/params.h"
 #include "gossip/view.h"
@@ -244,7 +243,6 @@ class FlowerPeer : public SimNode {
   void ScheduleDirectoryMaintenance();
   void DirectoryMaintenanceRound();
   void OnDirQuery(MessagePtr msg);
-  void AnswerDirQuery(std::shared_ptr<FlowerDirQueryMsg> req);
   std::optional<PeerId> FindProviderLocally(const ObjectId& object,
                                             PeerId exclude);
   void AdmitContentPeer(PeerId peer, std::optional<ObjectId> first_object);
@@ -337,8 +335,8 @@ class FlowerPeer : public SimNode {
   FlowerRole role_ = FlowerRole::kClient;
   int instance_ = 0;
   std::unique_ptr<ChordNode> chord_;
+  // The session's calls, and its D-ring lookups while outside the ring.
   RpcEndpoint rpc_;
-  DRingResolver resolver_;
   Incarnation incarnation_ = 0;
 
   PeerView view_;  // petal view (unbounded, per Table 1)

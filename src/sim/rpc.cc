@@ -15,6 +15,7 @@ namespace {
 const Status kCallTimedOut = Status::TimedOut("rpc timed out");
 const Status kPeerUnreachable = Status::Unavailable("peer unreachable");
 const Status kRequestRefused = Status::Unavailable("request refused");
+const Status kAwaitTimedOut = Status::TimedOut("awaited answer timed out");
 
 }  // namespace
 
@@ -27,7 +28,8 @@ size_t RpcCallTable::Home(uint64_t id) const {
 }
 
 void RpcCallTable::Add(uint64_t id, RpcEndpoint* owner, uint32_t* head,
-                       EventId timeout_event, Handler handler) {
+                       EventId timeout_event, Handler handler,
+                       bool awaited) {
   FLOWERCDN_CHECK(id != 0);
   uint32_t slot = free_;
   if (slot != kNone) {
@@ -43,6 +45,7 @@ void RpcCallTable::Add(uint64_t id, RpcEndpoint* owner, uint32_t* head,
   call.prev = kNone;
   call.next = *head;
   call.timeout_event = timeout_event;
+  call.awaited = awaited;
   call.handler = std::move(handler);
   if (*head != kNone) slots_[*head].prev = slot;
   *head = slot;
@@ -121,20 +124,33 @@ RpcEndpoint::RpcEndpoint(Network* network, PeerId self)
   FLOWERCDN_CHECK(network != nullptr);
 }
 
+uint32_t RpcEndpoint::FindOwn(uint64_t id, bool awaited) const {
+  const RpcCallTable& calls = network_->rpc_calls();
+  uint32_t slot = calls.Find(id);
+  if (slot == RpcCallTable::kNone || calls.at(slot).owner != this ||
+      calls.at(slot).awaited != awaited) {
+    return RpcCallTable::kNone;
+  }
+  return slot;
+}
+
 RpcEndpoint::ResponseHandler RpcEndpoint::Take(uint32_t slot) {
-  --count_;
-  return network_->rpc_calls().Remove(slot, &head_);
+  RpcCallTable& calls = network_->rpc_calls();
+  --(calls.at(slot).awaited ? awaited_ : count_);
+  return calls.Remove(slot, &head_);
 }
 
 size_t RpcEndpoint::CancelAll() {
+  if (head_ == RpcCallTable::kNone) return 0;
   const size_t n = count_;
-  if (n == 0) return 0;
   RpcCallTable& calls = network_->rpc_calls();
   while (head_ != RpcCallTable::kNone) {
-    network_->sim()->Cancel(calls.at(head_).timeout_event);
+    if (!calls.at(head_).awaited) {
+      network_->sim()->Cancel(calls.at(head_).timeout_event);
+    }
     Take(head_);  // drops the handler uninvoked
   }
-  network_->NoteRpcCancelled(n);
+  if (n > 0) network_->NoteRpcCancelled(n);
   return n;
 }
 
@@ -164,14 +180,13 @@ uint64_t RpcEndpoint::Call(PeerId dst, MessagePtr request, SimDuration timeout,
 bool RpcEndpoint::HandleResponse(MessagePtr& msg) {
   FLOWERCDN_CHECK(msg != nullptr);
   if (!msg->is_response || msg->rpc_id == 0 || count_ == 0) return false;
-  const RpcCallTable& calls = network_->rpc_calls();
-  uint32_t slot = calls.Find(msg->rpc_id);
-  if (slot == RpcCallTable::kNone || calls.at(slot).owner != this) {
+  uint32_t slot = FindOwn(msg->rpc_id, /*awaited=*/false);
+  if (slot == RpcCallTable::kNone) {
     // Not ours (another endpoint of the host) or late: the caller decides;
     // unclaimed responses are dropped by the host.
     return false;
   }
-  network_->sim()->Cancel(calls.at(slot).timeout_event);
+  network_->sim()->Cancel(network_->rpc_calls().at(slot).timeout_event);
   ResponseHandler handler = Take(slot);
   if (msg->type == kTransportNack) {
     handler(kPeerUnreachable, nullptr);
@@ -193,6 +208,56 @@ void RpcEndpoint::Respond(const Message& request, MessagePtr response) {
 
 void RpcEndpoint::Refuse(const Message& request) {
   Respond(request, std::make_unique<RpcRefusedMsg>());
+}
+
+void RpcEndpoint::Await(uint64_t id, SimDuration timeout,
+                        ResponseHandler handler) {
+  FLOWERCDN_CHECK(id != 0);
+  FLOWERCDN_CHECK(timeout > 0);
+  FLOWERCDN_CHECK(handler);
+  // The timeout outlives CancelAll, so it reaches the endpoint only through
+  // an entry that is still in the table.
+  EventId timeout_event = network_->SchedulePeer(
+      self_, incarnation_, timeout, [network = network_, id]() {
+        RpcCallTable& calls = network->rpc_calls();
+        uint32_t slot = calls.Find(id);
+        if (slot == RpcCallTable::kNone) return;  // answered or dropped
+        ResponseHandler handler = calls.at(slot).owner->Take(slot);
+        handler(kAwaitTimedOut, nullptr);
+      });
+  network_->rpc_calls().Add(id, this, &head_, timeout_event,
+                            std::move(handler), /*awaited=*/true);
+  ++awaited_;
+}
+
+bool RpcEndpoint::EndWait(uint64_t id, const Status& status,
+                          MessagePtr* msg) {
+  if (awaited_ == 0) return false;
+  uint32_t slot = FindOwn(id, /*awaited=*/true);
+  if (slot == RpcCallTable::kNone) return false;
+  network_->sim()->Cancel(network_->rpc_calls().at(slot).timeout_event);
+  ResponseHandler handler = Take(slot);
+  handler(status, msg != nullptr ? std::move(*msg) : nullptr);
+  return true;
+}
+
+void RpcEndpoint::FailAwaited(const Status& status) {
+  if (awaited_ == 0) return;
+  RpcCallTable& calls = network_->rpc_calls();
+  // The list runs newest first: find its end, then walk back.
+  uint32_t slot = head_;
+  while (calls.at(slot).next != RpcCallTable::kNone) slot = calls.at(slot).next;
+  std::vector<ResponseHandler> handlers;
+  handlers.reserve(awaited_);
+  while (slot != RpcCallTable::kNone) {
+    const uint32_t prev = calls.at(slot).prev;
+    if (calls.at(slot).awaited) {
+      network_->sim()->Cancel(calls.at(slot).timeout_event);
+      handlers.push_back(Take(slot));
+    }
+    slot = prev;
+  }
+  for (ResponseHandler& handler : handlers) handler(status, nullptr);
 }
 
 }  // namespace flowercdn

@@ -25,7 +25,9 @@ class RpcEndpoint;
 /// Calls sit in a slab of slots; a freed slot is reused by the next call,
 /// so the slab grows only to the peak number of calls in flight. Responses
 /// find their slot through an open-addressing index keyed by rpc id
-/// (linear probing, backward-shift delete, at most half full).
+/// (linear probing, backward-shift delete, at most half full). The same
+/// table holds awaited ids (RpcEndpoint::Await): waits for a one-way answer
+/// that names an id, such as a routed lookup's result.
 class RpcCallTable {
  public:
   /// `msg` is non-null iff `status.ok()`.
@@ -40,13 +42,15 @@ class RpcCallTable {
     uint32_t prev = kNone;
     uint32_t next = kNone;
     EventId timeout_event = kInvalidEvent;
+    /// An awaited id rather than a call.
+    bool awaited = false;
     Handler handler;
   };
 
-  /// Records call `id` of `owner` at the front of the list that starts at
-  /// `*head`.
+  /// Records call (or awaited id) `id` of `owner` at the front of the list
+  /// that starts at `*head`.
   void Add(uint64_t id, RpcEndpoint* owner, uint32_t* head,
-           EventId timeout_event, Handler handler);
+           EventId timeout_event, Handler handler, bool awaited = false);
 
   /// Slot of call `id`, or kNone.
   uint32_t Find(uint64_t id) const;
@@ -106,12 +110,13 @@ class RpcEndpoint {
   RpcEndpoint& operator=(const RpcEndpoint&) = delete;
   ~RpcEndpoint() { CancelAll(); }
 
-  /// Tears down every pending call without invoking its handler: cancels
-  /// the timeout events and reports the count to
+  /// Tears down every pending call and awaited id without invoking its
+  /// handler: cancels the calls' timeout events and reports their count to
   /// Network::TrafficBreakdown::rpc_cancelled. Must run when the owner's
   /// session detaches (the destructor calls it) so stale TimedOut closures
   /// can never outlive the session that created them. Idempotent. Returns
-  /// the number of calls cancelled.
+  /// the number of calls cancelled. An awaited id is not counted, and its
+  /// timeout, guarded by the incarnation, fires and finds no entry.
   size_t CancelAll();
 
   /// Associates the endpoint with the owner's current incarnation.
@@ -138,19 +143,41 @@ class RpcEndpoint {
   /// sees Status::Unavailable at once instead of waiting out its timeout.
   void Refuse(const Message& request);
 
+  /// Waits for a one-way message that answers `id`, a Network::NextRpcId
+  /// value the caller put into a request (a routed lookup's id). `handler`
+  /// runs exactly once: through EndWait or FailAwaited, or with TimedOut
+  /// after `timeout`. The id may be awaited again once its handler has run.
+  void Await(uint64_t id, SimDuration timeout, ResponseHandler handler);
+
+  /// Ends the wait for `id` now: its handler runs with `status` and, when
+  /// `status` is OK, the answer `*msg`. Returns false, leaving `*msg`
+  /// untouched, when this endpoint does not await `id` (a late, duplicate
+  /// or foreign answer).
+  bool EndWait(uint64_t id, const Status& status, MessagePtr* msg = nullptr);
+
+  /// Ends every wait of this endpoint with `status`, oldest first, and
+  /// leaves its calls alone. Waits the handlers start are not ended.
+  void FailAwaited(const Status& status);
+
   size_t pending_calls() const { return count_; }
+  size_t awaited() const { return awaited_; }
   PeerId self() const { return self_; }
+  Network* network() const { return network_; }
 
  private:
-  /// Removes call `slot` from this endpoint's list and the table; returns
-  /// its handler.
+  /// Slot of call (or, if `awaited`, awaited id) `id` of this endpoint, or
+  /// RpcCallTable::kNone.
+  uint32_t FindOwn(uint64_t id, bool awaited) const;
+  /// Removes `slot` from this endpoint's list and the table; returns its
+  /// handler.
   ResponseHandler Take(uint32_t slot);
 
   Network* network_;
   PeerId self_;
   Incarnation incarnation_ = 0;
-  uint32_t head_ = RpcCallTable::kNone;  // this endpoint's calls
-  uint32_t count_ = 0;
+  uint32_t head_ = RpcCallTable::kNone;  // this endpoint's calls and waits
+  uint32_t count_ = 0;                   // calls
+  uint32_t awaited_ = 0;                 // awaited ids
 };
 
 }  // namespace flowercdn

@@ -6,7 +6,8 @@
 
 namespace flowercdn {
 
-/// Thread-local size-class pool behind Message::operator new/delete.
+/// Thread-local size-class pool behind Message::operator new/delete (and
+/// a routed Chord lookup's, which lives as briefly).
 ///
 /// Simulated message objects are small (64–512 bytes), allocated and freed
 /// millions of times per trial, and — because every sim trial runs

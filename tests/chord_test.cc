@@ -117,6 +117,42 @@ TEST_F(ChordRingTest, SingleNodeOwnsEverything) {
   EXPECT_TRUE(done);
 }
 
+TEST_F(ChordRingTest, LeaveFailsLookupsButNotOtherCalls) {
+  BuildRing(16);
+  ChordNode& node = hosts_[0]->chord();
+  const PeerId successor = node.successor()->peer;
+  const size_t live = network_.rpc_calls().live();
+  const uint64_t cancelled = network_.traffic().rpc_cancelled;
+  std::vector<int> failed;
+  Rng keys(5);
+  int started = 0;
+  while (started < 3) {
+    // Only keys the node can neither answer nor hand to its successor: each
+    // lookup is forwarded with an ack call.
+    const ChordId key = keys.Next();
+    const PeerId owner = ExpectedOwner(key)->self();
+    if (owner == node.self() || owner == successor) continue;
+    node.Lookup(key, [&failed, n = started](const Status& status, RingPeer,
+                                            int hops) {
+      EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+      EXPECT_EQ(hops, -1);
+      failed.push_back(n);
+    });
+    ++started;
+  }
+  // Each lookup is an awaited id plus its first hop's ack call, both in the
+  // Network's table; the node keeps no list of its own.
+  EXPECT_EQ(network_.rpc_calls().live(), live + 6);
+  node.Leave();
+  EXPECT_EQ(failed, (std::vector<int>{0, 1, 2}));  // oldest first
+  // The ack calls carry on; nothing was cancelled.
+  EXPECT_EQ(network_.rpc_calls().live(), live + 3);
+  EXPECT_EQ(network_.traffic().rpc_cancelled, cancelled);
+  // The routed answers and the old deadlines find nothing to complete.
+  sim_.RunUntil(sim_.now() + kMinute);
+  EXPECT_EQ(failed.size(), 3u);
+}
+
 TEST_F(ChordRingTest, RingPointersConvergeToSortedOrder) {
   const int n = 16;
   BuildRing(n);

@@ -174,6 +174,77 @@ TEST_F(FlowerPeerHarness, QueryIsServedFromPetalMemberViaDirectory) {
   EXPECT_GT(metrics_.hits(), 0u) << "no query was ever served peer-to-peer";
 }
 
+/// A bare peer that asks directories directly and keeps their replies.
+class QueryingHost : public SimNode {
+ public:
+  QueryingHost(Network* network, PeerId self) : rpc_(network, self) {}
+  void HandleMessage(MessagePtr msg) override { rpc_.HandleResponse(msg); }
+  void Ask(PeerId dir, std::unique_ptr<FlowerDirQueryMsg> query) {
+    rpc_.Call(dir, std::move(query), 5 * kSecond,
+              [this](const Status& status, MessagePtr resp) {
+                ASSERT_TRUE(status.ok()) << status.ToString();
+                replies.push_back(MessageCast<FlowerDirQueryReplyMsg>(*resp));
+              });
+  }
+  RpcEndpoint& rpc() { return rpc_; }
+  std::vector<FlowerDirQueryReplyMsg> replies;
+
+ private:
+  RpcEndpoint rpc_;
+};
+
+TEST_F(FlowerPeerHarness, CollaboratingDirectoryAnswersThroughItsNeighbour) {
+  params_.enable_dir_collaboration = true;
+  // Two directories of website 0, ring neighbours; only the second (in
+  // locality 1) can provide the object, from its own cache.
+  const ObjectId object{0, 3};
+  FlowerPeer* dir = MakePeer(1, 0, 0);
+  FlowerPeer* neighbour = MakePeer(2, 0, 1);
+  stores_[2]->Insert(object);
+  dir->StartAsDirectory(0, std::nullopt);
+  sim_.RunUntil(sim_.now() + 200);
+  neighbour->StartAsDirectory(0, dir->self());
+  sim_.RunUntil(sim_.now() + 5 * kMinute);
+  ASSERT_TRUE(dir->chord()->active());
+  ASSERT_TRUE(neighbour->chord()->active());
+
+  std::vector<std::unique_ptr<QueryingHost>> hosts;
+  for (PeerId id : {PeerId{100}, PeerId{101}}) {
+    network_.RegisterIdentity(id, topology_.PlaceInLocality(0, place_rng_));
+    hosts.push_back(std::make_unique<QueryingHost>(&network_, id));
+    hosts.back()->rpc().Bind(network_.Attach(id, hosts.back().get()));
+  }
+  // The first host joins the petal, so the second one's admission carries
+  // a view seed.
+  auto join = std::make_unique<FlowerDirQueryMsg>();
+  join->website = 0;
+  join->locality = 0;
+  join->wants_join = true;
+  hosts[0]->Ask(dir->self(), std::move(join));
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  ASSERT_EQ(hosts[0]->replies.size(), 1u);
+
+  const uint64_t hits = stats_.Total("flower.collaboration_hits");
+  auto query = std::make_unique<FlowerDirQueryMsg>();
+  query->website = 0;
+  query->locality = 0;
+  query->has_object = true;
+  query->object = object;
+  query->wants_join = true;
+  hosts[1]->Ask(dir->self(), std::move(query));
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  ASSERT_EQ(hosts[1]->replies.size(), 1u);
+  const FlowerDirQueryReplyMsg& reply = hosts[1]->replies[0];
+  EXPECT_EQ(reply.result, DirQueryResult::kProvider);
+  EXPECT_EQ(reply.provider, neighbour->self());
+  EXPECT_EQ(stats_.Total("flower.collaboration_hits"), hits + 1);
+  // The admission fields survive the wait for the neighbour.
+  EXPECT_TRUE(reply.admitted);
+  EXPECT_EQ(reply.instance, 0);
+  ASSERT_EQ(reply.view_seed.size(), 1u);
+  EXPECT_EQ(reply.view_seed[0].peer, PeerId{100});
+}
+
 TEST_F(FlowerPeerHarness, VacantPositionIsClaimedByNewClient) {
   // Only website 1's directory exists; a client of website 0 finds its
   // position vacant and claims it (§5.2.2 case 2).

@@ -163,7 +163,10 @@ TEST_F(FootprintTest, DirectoryAttachAllocatesItsState) {
 }
 
 TEST(FootprintSizeTest, SessionObjectFitsItsBudget) {
-  EXPECT_LE(sizeof(FlowerPeer), 512u);
+  // Two endpoints' worth of RPC state: the session's own and, while it is a
+  // ring member, its ChordNode's. D-ring lookups are ids awaited on the
+  // session's endpoint.
+  EXPECT_LE(sizeof(FlowerPeer), 328u);
   // The calls themselves live in the Network's table.
   EXPECT_LE(sizeof(RpcEndpoint), 32u);
 }

@@ -322,8 +322,8 @@ TEST_F(NetworkTest, LateResponseAfterTimeoutIsIgnored) {
 
 // --- Shared call table -------------------------------------------------------
 
-/// A host with two endpoints, as a FlowerPeer holds its own, its Chord
-/// node's and its resolver's: a response goes to the first that claims it.
+/// A host with two endpoints, as a FlowerPeer holds its own and its Chord
+/// node's: a response goes to the first that claims it.
 class TwoEndpointHost : public SimNode {
  public:
   TwoEndpointHost(Network* network, PeerId self)
