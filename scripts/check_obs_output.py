@@ -28,8 +28,13 @@ Validates that
     flowercdn-kernel-bench/v1 schema: ladder-queue rows with positive
     throughput everywhere, and a positive heap_bytes_per_session per trial.
 
+  * with --max-events-over-median FACTOR, no trial of a runner JSON cell
+    retires more than FACTOR times the median events_processed of the
+    cell's trials (the seed soak's runaway-storm bound).
+
 Usage:
   check_obs_output.py --trace trace.json --runner out.json [--chaos]
+      [--max-events-over-median FACTOR]
   check_obs_output.py --metrics scrape1.txt [scrape2.txt]
   check_obs_output.py --bench-kernel BENCH_kernel.json
 Either file argument may be given alone. --chaos additionally requires
@@ -40,6 +45,7 @@ problem. Stdlib only — runs anywhere CI has a python3.
 
 import argparse
 import json
+import statistics
 import sys
 
 TRAFFIC_FAMILIES = ("chord", "gossip", "flower", "squirrel", "nack",
@@ -261,7 +267,25 @@ def check_counter_aggregates(cell, trials, where):
                 f"totals {totals}")
 
 
-def check_runner(path, expect_chaos=False):
+def check_event_bound(cells, factor):
+    """No trial retires more than `factor` times the median event count of
+    its cell's trials: a trial far above its siblings has run away into a
+    message storm even if it finished."""
+    for ci, cell in enumerate(cells):
+        events = [t["events_processed"] for t in cell.get("trial_results", [])]
+        if not events:
+            continue
+        median = statistics.median(events)
+        for ti, n in enumerate(events):
+            require(n <= factor * median,
+                    f"runner: cell {ci} trial {ti} retired {n} events, "
+                    f"above {factor:g} x the cell median {median:g}")
+        print(f"check_obs_output: cell {ci} events within {factor:g} x "
+              f"median {median:g} (max {max(events)}, "
+              f"{len(events)} trials)")
+
+
+def check_runner(path, expect_chaos=False, max_events_over_median=None):
     with open(path) as f:
         doc = json.load(f)
     require(doc.get("schema") == "flowercdn-runner/v5",
@@ -310,6 +334,8 @@ def check_runner(path, expect_chaos=False):
     if expect_chaos:
         require(n_chaos > 0,
                 "runner: --chaos given but no trial ran with a scenario")
+    if max_events_over_median is not None:
+        check_event_bound(cells, max_events_over_median)
     print(f"check_obs_output: runner OK "
           f"({len(cells)} cells, {n_trials} trials, {n_chaos} with chaos)")
 
@@ -446,6 +472,10 @@ def main():
     parser.add_argument("--runner", help="runner JSON from --json-out")
     parser.add_argument("--chaos", action="store_true",
                         help="require at least one chaos-enabled trial")
+    parser.add_argument("--max-events-over-median", type=float,
+                        metavar="FACTOR",
+                        help="fail when a trial's events_processed exceeds "
+                             "FACTOR x the median of its cell's trials")
     parser.add_argument("--metrics", nargs="+", metavar="SCRAPE",
                         help="one or two /metrics scrapes of the same rank "
                              "(two: counters must be monotone)")
@@ -458,10 +488,16 @@ def main():
                      "--bench-kernel")
     if args.chaos and not args.runner:
         parser.error("--chaos needs --runner")
+    if args.max_events_over_median is not None:
+        if not args.runner:
+            parser.error("--max-events-over-median needs --runner")
+        if args.max_events_over_median <= 0:
+            parser.error("--max-events-over-median must be positive")
     if args.trace:
         check_trace(args.trace)
     if args.runner:
-        check_runner(args.runner, expect_chaos=args.chaos)
+        check_runner(args.runner, expect_chaos=args.chaos,
+                     max_events_over_median=args.max_events_over_median)
     if args.metrics:
         check_metrics(args.metrics)
     if args.bench_kernel:

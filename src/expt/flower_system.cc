@@ -14,7 +14,8 @@ FlowerSystem::FlowerSystem(ExperimentEnv* env, const FlowerParams& params)
       keyspace_(env->config().catalog.num_websites,
                 env->config().topology.num_localities,
                 params.max_instances),
-      rng_(env->MakeRng("flower-system")) {
+      rng_(env->MakeRng("flower-system")),
+      sessions_(env->universe_size() + 1) {
   FLOWERCDN_CHECK(env != nullptr);
   ctx_.network = &env_->network();
   ctx_.metrics = &env_->metrics();
@@ -54,12 +55,7 @@ void FlowerSystem::Setup() {
                        env_->config().initial_join_stagger;
       bool create_ring = launched == 0;
       env_->sim().Schedule(at, [this, peer, create_ring]() {
-        const ExperimentEnv::Identity& identity = env_->identity(peer);
-        auto session = std::make_unique<FlowerPeer>(
-            ctx_, peer, identity.website, identity.locality,
-            &env_->identity(peer).store, env_->MakePeerRng(peer));
-        FlowerPeer* raw = session.get();
-        sessions_.emplace(peer, std::move(session));
+        FlowerPeer* raw = CreateSession(peer);
         env_->churn().StartSession(peer);
         if (create_ring) {
           raw->StartAsDirectory(0, std::nullopt);
@@ -93,12 +89,13 @@ const std::vector<OverlaySample>& FlowerSystem::overlay_samples() const {
 
 OverlaySample FlowerSystem::ProbeOverlay() const {
   OverlaySample sample;
-  sample.alive_peers = sessions_.size();
+  sample.alive_peers = live_sessions_;
   std::vector<uint64_t> dir_loads;
   // Petal sizes keyed by (website, locality); an ordered map is not needed
   // for determinism (DistSummary sorts the values), but costs nothing.
   std::map<std::pair<WebsiteId, LocalityId>, uint64_t> petal_sizes;
-  for (const auto& [peer, session] : sessions_) {
+  for (const auto& session : sessions_) {
+    if (session == nullptr) continue;
     switch (session->role()) {
       case FlowerRole::kClient:
         ++sample.clients;
@@ -123,25 +120,29 @@ OverlaySample FlowerSystem::ProbeOverlay() const {
   return sample;
 }
 
+FlowerPeer* FlowerSystem::CreateSession(PeerId peer) {
+  ExperimentEnv::Identity& identity = env_->identity(peer);
+  std::unique_ptr<FlowerPeer>& slot = sessions_[peer];
+  FLOWERCDN_CHECK(slot == nullptr) << "peer " << peer << " already online";
+  slot = std::make_unique<FlowerPeer>(ctx_, peer, identity.website,
+                                      identity.locality, &identity.store,
+                                      env_->MakePeerRng(peer));
+  ++live_sessions_;
+  return slot.get();
+}
+
 void FlowerSystem::OnArrival(PeerId peer) {
-  const ExperimentEnv::Identity& identity = env_->identity(peer);
   if (!env_->config().retain_cache_on_rejoin) {
     env_->identity(peer).store = ContentStore();
   }
-  auto session = std::make_unique<FlowerPeer>(
-      ctx_, peer, identity.website, identity.locality,
-      &env_->identity(peer).store, env_->MakePeerRng(peer));
-  FlowerPeer* raw = session.get();
-  sessions_.emplace(peer, std::move(session));
-  raw->StartAsClient();
+  CreateSession(peer)->StartAsClient();
 }
 
 void FlowerSystem::OnFailure(PeerId peer) { DestroySession(peer); }
 
 void FlowerSystem::DestroySession(PeerId peer) {
-  auto it = sessions_.find(peer);
-  if (it == sessions_.end()) return;
-  FlowerPeer* session = it->second.get();
+  FlowerPeer* session = this->session(peer);
+  if (session == nullptr) return;
   if (session->role() == FlowerRole::kDirectoryPeer) {
     max_observed_directory_load_ =
         std::max(max_observed_directory_load_, session->view().size());
@@ -150,7 +151,8 @@ void FlowerSystem::DestroySession(PeerId peer) {
   }
   RegistryRemove(peer);
   if (env_->network().IsAlive(peer)) env_->network().Detach(peer);
-  sessions_.erase(it);
+  sessions_[peer].reset();
+  --live_sessions_;
 }
 
 PeerId FlowerSystem::PickDirectoryBootstrap(PeerId self) {
@@ -195,8 +197,11 @@ void FlowerSystem::ScheduleLoadSampling() {
     LoadSample sample;
     sample.time = env_->sim().now();
     size_t total_load = 0;
-    for (const auto& [peer, session] : sessions_) {
-      if (session->role() != FlowerRole::kDirectoryPeer) continue;
+    for (const auto& session : sessions_) {
+      if (session == nullptr ||
+          session->role() != FlowerRole::kDirectoryPeer) {
+        continue;
+      }
       ++sample.directory_count;
       size_t load = session->view().size();
       total_load += load;
@@ -229,11 +234,11 @@ FlowerSystem::Stats FlowerSystem::ComputeStats() const {
   stats.promotions_triggered = registry.Total("flower.promotions");
   stats.summary_hits = registry.Total("flower.summary_hits");
   stats.collaboration_hits = registry.Total("flower.collaboration_hits");
-  stats.live_sessions = sessions_.size();
+  stats.live_sessions = live_sessions_;
   stats.max_observed_directory_load = max_observed_directory_load_;
   stats.max_observed_instance = max_observed_instance_;
-  for (const auto& [peer, session] : sessions_) {
-    if (session->role() == FlowerRole::kDirectoryPeer) {
+  for (const auto& session : sessions_) {
+    if (session != nullptr && session->role() == FlowerRole::kDirectoryPeer) {
       ++stats.live_directories;
       stats.max_observed_directory_load = std::max(
           stats.max_observed_directory_load, session->view().size());
@@ -247,9 +252,8 @@ FlowerSystem::Stats FlowerSystem::ComputeStats() const {
 FlowerPeer* FlowerSystem::FindDirectory(WebsiteId ws, LocalityId loc,
                                         int instance) {
   for (PeerId peer : dir_registry_) {
-    auto it = sessions_.find(peer);
-    if (it == sessions_.end()) continue;
-    FlowerPeer* s = it->second.get();
+    FlowerPeer* s = session(peer);
+    if (s == nullptr) continue;
     if (s->role() == FlowerRole::kDirectoryPeer && s->website() == ws &&
         s->locality() == loc && s->instance() == instance) {
       return s;
@@ -259,8 +263,7 @@ FlowerPeer* FlowerSystem::FindDirectory(WebsiteId ws, LocalityId loc,
 }
 
 FlowerPeer* FlowerSystem::session(PeerId peer) {
-  auto it = sessions_.find(peer);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  return peer < sessions_.size() ? sessions_[peer].get() : nullptr;
 }
 
 void FlowerSystem::InjectFailure(PeerId peer) { DestroySession(peer); }
@@ -277,9 +280,9 @@ bool FlowerSystem::KillDirectory(WebsiteId ws, LocalityId loc) {
 }
 
 void FlowerSystem::InjectGracefulLeave(PeerId peer) {
-  auto it = sessions_.find(peer);
-  if (it == sessions_.end()) return;
-  it->second->LeaveGracefully();
+  FlowerPeer* leaving = session(peer);
+  if (leaving == nullptr) return;
+  leaving->LeaveGracefully();
   DestroySession(peer);
 }
 

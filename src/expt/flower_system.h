@@ -64,7 +64,7 @@ class FlowerSystem {
 
   /// Live session lookup (tests / examples). Null when the peer is offline.
   FlowerPeer* session(PeerId peer);
-  size_t live_sessions() const { return sessions_.size(); }
+  size_t live_sessions() const { return live_sessions_; }
   const DRingKeyspace& keyspace() const { return keyspace_; }
 
   /// Peers currently acting as directory peers (the bootstrap registry).
@@ -89,6 +89,8 @@ class FlowerSystem {
   void InjectGracefulLeave(PeerId peer);
 
  private:
+  /// Creates and registers `peer`'s session (not yet started).
+  FlowerPeer* CreateSession(PeerId peer);
   void OnArrival(PeerId peer);
   void OnFailure(PeerId peer);
   void DestroySession(PeerId peer);
@@ -104,7 +106,11 @@ class FlowerSystem {
   FlowerContext ctx_;
   Rng rng_;
 
-  std::unordered_map<PeerId, std::unique_ptr<FlowerPeer>> sessions_;
+  // Live sessions indexed by PeerId (identities are 1..universe); null
+  // when offline. Every loop over them only counts, takes maxima or feeds
+  // sorted summaries, so visiting them in id order changes no output.
+  std::vector<std::unique_ptr<FlowerPeer>> sessions_;
+  size_t live_sessions_ = 0;
   // Bootstrap registry of live directory peers (O(1) random pick).
   std::vector<PeerId> dir_registry_;
   std::unordered_map<PeerId, size_t> dir_registry_index_;

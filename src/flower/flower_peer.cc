@@ -272,7 +272,11 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
   q.has_object = true;
   q.t0 = ctx_->network->sim()->now();
   q.external_id = next_external_id_++;
-  external_queries_.emplace(q.external_id, std::move(cb));
+  if (external_queries_ == nullptr) {
+    external_queries_ = std::make_unique<
+        std::unordered_map<uint64_t, ExternalQueryCallback>>();
+  }
+  external_queries_->emplace(q.external_id, std::move(cb));
   if (ctx_->trace != nullptr) {
     q.trace_id = ctx_->trace->BeginQuery(self_, object.website, object.object,
                                         q.t0, /*from_new_client=*/role_ ==
@@ -436,10 +440,12 @@ void FlowerPeer::ResolveAsContentPeer(QueryState q) {
   // providers inside the petal.
   uint64_t packed = q.object.Packed();
   std::vector<PeerId> candidates;
-  for (const Contact& c : view_.contacts()) {
-    auto it = summaries_.find(c.peer);
-    if (it != summaries_.end() && it->second.MayContain(packed)) {
-      candidates.push_back(c.peer);
+  if (summaries_ != nullptr) {
+    for (const Contact& c : view_.contacts()) {
+      auto it = summaries_->find(c.peer);
+      if (it != summaries_->end() && it->second.MayContain(packed)) {
+        candidates.push_back(c.peer);
+      }
     }
   }
   rng_.Shuffle(candidates);
@@ -480,7 +486,7 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
               if (!status.ok()) {
                 // Unavailable contact: expel it (bounds the view, §6.1).
                 view_.Remove(provider);
-                summaries_.erase(provider);
+                ForgetSummary(provider);
               }
               TrySummaryCandidates(std::move(q), std::move(candidates),
                                    index + 1);
@@ -589,10 +595,11 @@ void FlowerPeer::FinishQuery(const QueryState& q, bool hit,
   if (q.external_id != 0) {
     // Externally submitted (gateway) query: report the outcome to the
     // driver instead of pacing the workload loop.
-    auto it = external_queries_.find(q.external_id);
-    if (it != external_queries_.end()) {
+    // Only QueryExternal sets external_id, and it allocates the map.
+    auto it = external_queries_->find(q.external_id);
+    if (it != external_queries_->end()) {
       ExternalQueryCallback cb = std::move(it->second);
-      external_queries_.erase(it);
+      external_queries_->erase(it);
       cb(hit, hit ? q.source : ServedSource::kOrigin,
          record.lookup_latency_ms);
     }
@@ -651,7 +658,7 @@ void FlowerPeer::GossipRound() {
               if (!status.ok()) {
                 // Unavailable gossip partner: drop it from the view.
                 view_.Remove(q);
-                summaries_.erase(q);
+                ForgetSummary(q);
                 return;
               }
               const auto& reply = MessageCast<FlowerGossipReplyMsg>(*resp);
@@ -738,8 +745,15 @@ void FlowerPeer::MergeGossip(PeerId from, const std::vector<Contact>& contacts,
   } else if (view_.Contains(from)) {
     view_.Upsert(Contact{from, 0});
   }
-  summaries_[from] = summary;
+  if (summaries_ == nullptr) {
+    summaries_ = std::make_unique<std::unordered_map<PeerId, BloomFilter>>();
+  }
+  (*summaries_)[from] = summary;
   ReconcileDirInfo(their_info);
+}
+
+void FlowerPeer::ForgetSummary(PeerId peer) {
+  if (summaries_ != nullptr) summaries_->erase(peer);
 }
 
 void FlowerPeer::ReconcileDirInfo(const DirInfo& theirs) {
@@ -911,7 +925,7 @@ void FlowerPeer::DirectoryMaintenanceRound() {
   }
   for (PeerId peer : expired) {
     view_.Remove(peer);
-    summaries_.erase(peer);
+    ForgetSummary(peer);
     dir_->index.RemovePeer(peer);
     ReplicaRecordRemove(peer);
   }
@@ -1039,8 +1053,9 @@ std::optional<PeerId> FlowerPeer::FindProviderLocally(const ObjectId& object,
   if (!eligible.empty()) return eligible[rng_.Index(eligible.size())];
   // A freshly promoted/replacement directory can still answer from the
   // content summaries it gossiped as a content peer (§5.2.2).
+  if (summaries_ == nullptr) return std::nullopt;
   uint64_t packed = object.Packed();
-  for (const auto& [peer, summary] : summaries_) {
+  for (const auto& [peer, summary] : *summaries_) {
     if (peer != exclude && summary.MayContain(packed)) return peer;
   }
   return std::nullopt;
@@ -1103,7 +1118,7 @@ void FlowerPeer::TriggerPromotion() {
   dir_->index.RemovePeer(candidate->peer);
   ReplicaRecordRemove(candidate->peer);
   view_.Remove(candidate->peer);
-  summaries_.erase(candidate->peer);
+  ForgetSummary(candidate->peer);
 }
 
 void FlowerPeer::OnPromote(const FlowerPromoteMsg& msg) {

@@ -156,6 +156,9 @@ class FlowerPeer : public SimNode {
   const DirectoryIndex& index() const;
   const DirInfo& dir_info() const { return dir_info_; }
   const ContentStore& store() const { return *store_; }
+  /// Whether this session has ever stored a gossiped content summary (and
+  /// so holds a summary map).
+  bool holds_summaries() const { return summaries_ != nullptr; }
   ChordNode* chord() { return chord_.get(); }
   /// Number of foreign petals this peer holds replica state for.
   size_t replica_petals_held() const;
@@ -226,6 +229,7 @@ class FlowerPeer : public SimNode {
   void DoPush();
   void MergeGossip(PeerId from, const std::vector<Contact>& contacts,
                    const BloomFilter& summary, const DirInfo& their_info);
+  void ForgetSummary(PeerId peer);
   void ReconcileDirInfo(const DirInfo& theirs);
   /// §5.2.1: the directory peer stopped answering — first detector runs the
   /// replacement protocol.
@@ -340,7 +344,11 @@ class FlowerPeer : public SimNode {
   Incarnation incarnation_ = 0;
 
   PeerView view_;  // petal view (unbounded, per Table 1)
-  std::unordered_map<PeerId, BloomFilter> summaries_;
+  // Gossiped content summaries of petal neighbours. Most sessions never
+  // store one, so the map is allocated by the first store and then kept
+  // for the session: an emptied map keeps its buckets, as a member map
+  // would, so iteration order is what it would be without the pointer.
+  std::unique_ptr<std::unordered_map<PeerId, BloomFilter>> summaries_;
   DirInfo dir_info_;
   // Directory index and replication state. Replication (k >= 2) costs
   // nothing at the default k=1: no replica event is ever scheduled and no
@@ -349,8 +357,10 @@ class FlowerPeer : public SimNode {
   // index; a client or content peer pays only this null pointer.
   std::unique_ptr<DirectoryState> dir_;
 
-  /// In-flight QueryExternal callbacks, keyed by QueryState::external_id.
-  std::unordered_map<uint64_t, ExternalQueryCallback> external_queries_;
+  /// In-flight QueryExternal callbacks, keyed by QueryState::external_id;
+  /// allocated by the first QueryExternal and then kept, like summaries_.
+  std::unique_ptr<std::unordered_map<uint64_t, ExternalQueryCallback>>
+      external_queries_;
   uint64_t next_external_id_ = 1;
 
   bool querying_ = false;

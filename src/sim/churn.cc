@@ -77,18 +77,16 @@ void ChurnProcess::OnArrivalTick() {
 PeerId ChurnProcess::PopRandomOffline() {
   size_t idx = rng_.Index(offline_.size());
   PeerId peer = offline_[idx];
-  PeerId moved = offline_.back();
-  offline_[idx] = moved;
-  offline_index_[moved] = idx;
+  offline_[idx] = offline_.back();
   offline_.pop_back();
-  offline_index_.erase(peer);
+  is_offline_[peer] = 0;
   return peer;
 }
 
 void ChurnProcess::PushOffline(PeerId peer) {
-  FLOWERCDN_CHECK(offline_index_.count(peer) == 0)
-      << "peer " << peer << " already offline";
-  offline_index_[peer] = offline_.size();
+  if (peer >= is_offline_.size()) is_offline_.resize(peer + 1, 0);
+  FLOWERCDN_CHECK(!is_offline_[peer]) << "peer " << peer << " already offline";
+  is_offline_[peer] = 1;
   offline_.push_back(peer);
 }
 

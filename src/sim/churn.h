@@ -1,8 +1,8 @@
 #ifndef FLOWERCDN_SIM_CHURN_H_
 #define FLOWERCDN_SIM_CHURN_H_
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -90,7 +90,9 @@ class ChurnProcess {
   FailureFn on_failure_;
 
   std::vector<PeerId> offline_;
-  std::unordered_map<PeerId, size_t> offline_index_;
+  // Per-identity "in offline_" flag, indexed by PeerId; it backs only the
+  // already-offline check, so a flag is all it needs to hold.
+  std::vector<uint8_t> is_offline_;
   size_t online_count_ = 0;
   uint64_t total_arrivals_ = 0;
   uint64_t total_failures_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <limits>
 #include <utility>
 
 #include "sim/transport.h"
@@ -151,10 +152,15 @@ void Network::Send(PeerId src, PeerId dst, MessagePtr msg) {
 
 void Network::Deliver(PeerId dst, SimDuration latency, size_t accounted_bytes,
                       MessagePtr msg) {
+  FLOWERCDN_CHECK(msg->dst == dst) << "delivery to " << dst
+                                    << " of a message for " << msg->dst;
+  // `dst` is read back from the message so the closure stays within
+  // EventFn's 24 inline bytes: every delivery is one event.
   size_t size = accounted_bytes;
   sim_->Schedule(
       latency,
-      [this, dst, size, msg = std::move(msg)]() mutable {
+      [this, size, msg = std::move(msg)]() mutable {
+        const PeerId dst = msg->dst;
         if (!IsAlive(dst)) {
           ++messages_dropped_;  // receiver failed mid-flight
           ++traffic_.dropped.messages;
@@ -192,10 +198,12 @@ bool Network::PeerGuardCheck(void* ctx, PeerId peer, Incarnation inc) {
 EventId Network::SchedulePeer(PeerId peer, Incarnation inc, SimDuration delay,
                               EventFn fn) {
   // The liveness check rides in the scheduler node's EventGuard rather
-  // than a wrapping lambda: a 56-byte EventFn capture can't nest inside
-  // another EventFn's 48-byte inline buffer, so a wrapper would force a
-  // heap allocation per protocol timer (millions per trial).
+  // than a wrapping lambda: an EventFn can't nest inside another EventFn's
+  // inline buffer, so a wrapper would force a heap allocation per protocol
+  // timer (millions per trial). The node stores the peer in 32 bits.
   FLOWERCDN_CHECK(peer != kInvalidPeer);
+  FLOWERCDN_CHECK(peer <= std::numeric_limits<uint32_t>::max())
+      << "peer " << peer << " does not fit an event guard";
   return sim_->ScheduleGuarded(delay, EventGuard{peer, inc}, std::move(fn));
 }
 

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace flowercdn {
 
 LadderQueue::LadderQueue() {
@@ -15,14 +17,14 @@ LadderQueue::LadderQueue() {
 }
 
 EventId LadderQueue::Push(SimTime when, EventFn fn, EventGuard guard) {
+  FLOWERCDN_CHECK(static_cast<bool>(fn)) << "empty event callback";
   uint32_t slot = arena_.Acquire();
   Node& n = arena_[slot];
   if (n.gen == 0) n.gen = 1;  // fresh slot; gen 0 is reserved (id != 0)
   n.when = when;
   n.seq = next_seq_++;
-  n.cancelled = false;
   n.fn = std::move(fn);
-  n.guard_peer = guard.peer;
+  n.guard_peer = static_cast<uint32_t>(guard.peer);
   n.guard_incarnation = guard.incarnation;
   ++live_;
   if (when < horizon_) {
@@ -58,9 +60,8 @@ void LadderQueue::Cancel(EventId id) {
   const uint32_t gen = static_cast<uint32_t>(id >> 32);
   if (gen == 0 || slot >= arena_.size()) return;
   Node& n = arena_[slot];
-  if (n.gen != gen || n.cancelled) return;
-  n.cancelled = true;
-  n.fn = EventFn();  // free the closure (and anything it owns) right away
+  if (n.gen != gen || n.cancelled()) return;
+  n.fn = EventFn();  // cancels, and frees the closure (and what it owns)
   --live_;
   ++cancelled_total_;
 }
@@ -95,7 +96,7 @@ bool LadderQueue::PrepareBatch() {
     // Skip (and reclaim) cancelled events at the serving cursor.
     while (serving_pos_ < serving_.size()) {
       const uint32_t slot = serving_[serving_pos_];
-      if (!arena_[slot].cancelled) return true;
+      if (!arena_[slot].cancelled()) return true;
       ReleaseNode(slot);
       ++serving_pos_;
     }
@@ -118,7 +119,7 @@ bool LadderQueue::PrepareBatch() {
     uint32_t live_head = kNil;
     for (uint32_t s = head; s != kNil;) {
       const uint32_t next = arena_[s].next;
-      if (arena_[s].cancelled) {
+      if (arena_[s].cancelled()) {
         ReleaseNode(s);
       } else {
         arena_[s].next = live_head;
@@ -156,7 +157,7 @@ bool LadderQueue::PrepareBatch() {
 }
 
 void LadderQueue::PruneEarly() {
-  while (!early_.empty() && arena_[early_.front()].cancelled) {
+  while (!early_.empty() && arena_[early_.front()].cancelled()) {
     std::pop_heap(early_.begin(), early_.end(),
                   [this](uint32_t a, uint32_t b) { return EarlyAfter(a, b); });
     ReleaseNode(early_.back());

@@ -91,22 +91,26 @@ class LadderQueue {
   static constexpr uint32_t kBitmapWords = kSlotsPerLevel / 64;
   static constexpr uint32_t kNil = 0xffffffffu;
 
-  // The guard's two fields sit inline rather than as an EventGuard member,
-  // so the 4-byte incarnation and the flag share one 8-byte word: 40 bytes
-  // of header plus the 56-byte EventFn make 96, and the slab holds every
-  // pending event of a trial.
-  struct Node {
+  // One cache line per pending event (a 100k-peer trial holds about 250k):
+  // 32 bytes of header and the 32-byte EventFn. The guard's peer is stored
+  // in 32 bits (Network::SchedulePeer checks that it fits), and an empty
+  // `fn` marks a cancelled node: Push never stores an empty one, and only
+  // Cancel and firing empty it. Public so tests can pin its size.
+ public:
+  struct alignas(64) Node {
     SimTime when = 0;
     uint64_t seq = 0;  // global insertion sequence; FIFO tie-break
-    PeerId guard_peer = kInvalidPeer;
+    uint32_t guard_peer = static_cast<uint32_t>(kInvalidPeer);
+    Incarnation guard_incarnation = 0;
     uint32_t next = kNil;  // bucket chain link
     uint32_t gen = 0;      // bumped on release; 0 means never acquired
-    Incarnation guard_incarnation = 0;
-    bool cancelled = false;
     EventFn fn;
-  };
-  static_assert(sizeof(Node) <= 96, "ladder node grew past 96 bytes");
 
+    bool cancelled() const { return !fn; }
+  };
+  static_assert(sizeof(Node) == 64, "a ladder node is one cache line");
+
+ private:
   /// Ladder level for an event time, relative to the serving horizon: the
   /// index of the highest byte in which the two differ (0 when equal).
   int LevelFor(SimTime when) const {

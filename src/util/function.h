@@ -10,14 +10,15 @@ namespace flowercdn {
 
 /// Move-only type-erased callable with small-buffer optimization — the
 /// event queue's workhorse. Unlike std::function it can hold move-only
-/// captures (unique_ptr messages) and avoids a heap allocation for the
-/// typical small lambda, which matters when a simulation dispatches
-/// hundreds of millions of events.
-template <typename Signature>
+/// captures (unique_ptr messages) and avoids a heap allocation for a
+/// closure of up to `kInlineSize` bytes, which matters when a simulation
+/// dispatches hundreds of millions of events. Larger closures live on the
+/// heap and are relocated by pointer.
+template <typename Signature, size_t kInlineSize = 48>
 class MoveOnlyFn;
 
-template <typename R, typename... Args>
-class MoveOnlyFn<R(Args...)> {
+template <typename R, size_t kInlineSize, typename... Args>
+class MoveOnlyFn<R(Args...), kInlineSize> {
  public:
   MoveOnlyFn() = default;
 
@@ -60,8 +61,6 @@ class MoveOnlyFn<R(Args...)> {
   }
 
  private:
-  static constexpr size_t kInlineSize = 48;
-
   struct Ops {
     R (*invoke)(MoveOnlyFn*, Args&&...);
     void (*destroy)(MoveOnlyFn*);
@@ -115,8 +114,8 @@ class MoveOnlyFn<R(Args...)> {
   }
 
   // Pointer alignment, not max_align_t: closures capture pointers and
-  // 64-bit ids, and the narrower alignment keeps sizeof at 56 instead of
-  // 64 (an over-aligned closure simply takes the heap path).
+  // 64-bit ids, and the narrower alignment keeps sizeof at kInlineSize + 8
+  // (an over-aligned closure simply takes the heap path).
   const Ops* ops_ = nullptr;
   union {
     alignas(void*) unsigned char storage_[kInlineSize];
@@ -124,8 +123,11 @@ class MoveOnlyFn<R(Args...)> {
   };
 };
 
-/// The event callback type used across the simulation kernel.
-using EventFn = MoveOnlyFn<void()>;
+/// The event callback type used across the simulation kernel. 24 inline
+/// bytes hold every closure the steady-state protocols schedule (`this` plus
+/// two words, or a message delivery's `this`, size and message), and make
+/// the 32-byte EventFn that fits a ladder event node into one cache line.
+using EventFn = MoveOnlyFn<void(), 24>;
 
 }  // namespace flowercdn
 

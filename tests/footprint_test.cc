@@ -10,6 +10,7 @@
 #include <new>
 #include <optional>
 
+#include "expt/env.h"
 #include "flower/dring.h"
 #include "flower/flower_peer.h"
 #include "metrics/metrics.h"
@@ -18,6 +19,7 @@
 #include "sim/rpc.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
+#include "simcore/ladder_queue.h"
 #include "storage/origin.h"
 #include "storage/website.h"
 #include "storage/workload.h"
@@ -162,13 +164,45 @@ TEST_F(FootprintTest, DirectoryAttachAllocatesItsState) {
   EXPECT_GT(window.bytes(), sizeof(FlowerPeer) + sizeof(ChordNode));
 }
 
+TEST_F(FootprintTest, ContentPeerHoldsASummaryMapOnlyOnceItStoresOne) {
+  std::unique_ptr<FlowerPeer> first = Make(2);
+  first->StartAsClient();
+  sim_.RunUntil(sim_.now() + 2 * kHour);
+  // Alone in its petal: a content peer with no gossip partner stores no
+  // summary, so it holds no map.
+  ASSERT_EQ(first->role(), FlowerRole::kContentPeer);
+  EXPECT_FALSE(first->holds_summaries());
+
+  // A second content peer gives both a partner; within a gossip period
+  // (1 h) each has stored the other's summary.
+  std::unique_ptr<FlowerPeer> second = Make(3);
+  second->StartAsClient();
+  sim_.RunUntil(sim_.now() + 2 * kHour);
+  ASSERT_EQ(second->role(), FlowerRole::kContentPeer);
+  EXPECT_TRUE(first->holds_summaries());
+  EXPECT_TRUE(second->holds_summaries());
+}
+
 TEST(FootprintSizeTest, SessionObjectFitsItsBudget) {
   // Two endpoints' worth of RPC state: the session's own and, while it is a
   // ring member, its ChordNode's. D-ring lookups are ids awaited on the
-  // session's endpoint.
-  EXPECT_LE(sizeof(FlowerPeer), 328u);
+  // session's endpoint. The gossip-summary and external-query maps are
+  // pointers until first used.
+  EXPECT_LE(sizeof(FlowerPeer), 232u);
   // The calls themselves live in the Network's table.
   EXPECT_LE(sizeof(RpcEndpoint), 32u);
+}
+
+TEST(FootprintSizeTest, PendingEventIsOneCacheLine) {
+  EXPECT_EQ(sizeof(LadderQueue::Node), 64u);
+  EXPECT_EQ(alignof(LadderQueue::Node), 64u);
+  EXPECT_EQ(sizeof(EventFn), 32u);
+}
+
+TEST(FootprintSizeTest, IdentityWithAnEmptyCacheFitsItsBudget) {
+  // An identity that never cached an object holds no hash set.
+  EXPECT_LE(sizeof(ContentStore), 16u);
+  EXPECT_LE(sizeof(ExperimentEnv::Identity), 32u);
 }
 
 struct PingMsg : Message {
@@ -238,6 +272,48 @@ TEST(RpcFootprintTest, WarmRoundTripMakesNoAllocation) {
   EXPECT_EQ(window.allocations(), 0u);
   EXPECT_EQ(answered, 3u);
   EXPECT_EQ(caller.rpc().pending_calls(), 0u);
+}
+
+/// Counts what it receives.
+class Sink : public SimNode {
+ public:
+  Sink(Network* network, PeerId self) { network->Attach(self, this); }
+  void HandleMessage(MessagePtr msg) override {
+    (void)msg;
+    ++received_;
+  }
+  int received() const { return received_; }
+
+ private:
+  int received_ = 0;
+};
+
+TEST(RpcFootprintTest, WarmSendAndDeliverMakeNoAllocation) {
+#ifdef FLOWERCDN_TEST_ASAN
+  GTEST_SKIP() << "the message pool is off under ASan";
+#endif
+  // Every message is one delivery event, so its closure must fit EventFn's
+  // inline buffer.
+  Simulator sim;
+  Topology topology(Topology::Params{});
+  Network network(&sim, &topology);
+  Rng place(5);
+  network.RegisterIdentity(1, topology.PlaceInLocality(0, place));
+  network.RegisterIdentity(2, topology.PlaceInLocality(1, place));
+  Sink a(&network, 1);
+  Sink b(&network, 2);
+  auto exchange = [&] {
+    network.Send(1, 2, std::make_unique<PingMsg>());
+    network.Send(2, 1, std::make_unique<PingMsg>());
+    sim.Run();
+  };
+  exchange();  // warm-up: the event slab and the message pool
+  AllocationWindow window;
+  exchange();
+  window.Stop();
+  EXPECT_EQ(window.allocations(), 0u);
+  EXPECT_EQ(a.received(), 2);
+  EXPECT_EQ(b.received(), 2);
 }
 
 }  // namespace

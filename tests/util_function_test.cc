@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -57,6 +58,63 @@ TEST(MoveOnlyFnTest, LargeCaptureGoesToHeapAndWorks) {
   EXPECT_EQ(fn(), 'x');
   MoveOnlyFn<char()> moved = std::move(fn);
   EXPECT_EQ(moved(), 'x');
+}
+
+/// Counts the moves and the destructions of live (not moved-from) copies.
+struct LifetimeProbe {
+  int* moves;
+  int* destroyed;
+  bool live = true;
+  LifetimeProbe(int* m, int* d) : moves(m), destroyed(d) {}
+  LifetimeProbe(LifetimeProbe&& other) noexcept
+      : moves(other.moves), destroyed(other.destroyed) {
+    other.live = false;
+    ++*moves;
+  }
+  ~LifetimeProbe() {
+    if (live) ++*destroyed;
+  }
+};
+
+TEST(MoveOnlyFnTest, EventFnKeepsCapturesOverTwentyFourBytesOnTheHeap) {
+  int moves = 0;
+  int destroyed = 0;
+  int runs = 0;
+  {
+    auto closure = [probe = LifetimeProbe(&moves, &destroyed),
+                    pad = uint64_t{7}, &runs] { runs += static_cast<int>(pad); };
+    static_assert(sizeof(closure) > 24, "over EventFn's inline bytes");
+    EventFn fn = std::move(closure);
+    const int moves_in = moves;
+    EventFn moved = std::move(fn);
+    EventFn assigned;
+    assigned = std::move(moved);
+    // A heap closure relocates by pointer: moving the EventFn moves no
+    // capture.
+    EXPECT_EQ(moves, moves_in);
+    EXPECT_FALSE(fn);
+    EXPECT_FALSE(moved);
+    assigned();
+    EXPECT_EQ(runs, 7);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(MoveOnlyFnTest, EventFnKeepsCapturesOfTwentyFourBytesInline) {
+  int moves = 0;
+  int destroyed = 0;
+  {
+    auto closure = [probe = LifetimeProbe(&moves, &destroyed)] {};
+    static_assert(sizeof(closure) <= 24, "within EventFn's inline bytes");
+    EventFn fn = std::move(closure);
+    const int moves_in = moves;
+    EventFn moved = std::move(fn);
+    // An inline closure is moved with its EventFn.
+    EXPECT_EQ(moves, moves_in + 1);
+    moved();
+  }
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(MoveOnlyFnTest, DestructorReleasesCapture) {
