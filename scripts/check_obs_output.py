@@ -32,11 +32,17 @@ Validates that
     retires more than FACTOR times the median events_processed of the
     cell's trials (the seed soak's runaway-storm bound).
 
+  * with --same-node-stats A B, two flowercdn-node --stats-out files of
+    the same in-process run agree on every field the simulated schedule
+    decides: the "network" block, hosted_peers, hosted_directories and
+    sim_time_ms. Wall-clock, event-loop and interval fields are ignored.
+
 Usage:
   check_obs_output.py --trace trace.json --runner out.json [--chaos]
       [--max-events-over-median FACTOR]
   check_obs_output.py --metrics scrape1.txt [scrape2.txt]
   check_obs_output.py --bench-kernel BENCH_kernel.json
+  check_obs_output.py --same-node-stats a.json b.json
 Either file argument may be given alone. --chaos additionally requires
 at least one trial to carry an enabled chaos section (use it when the
 run was driven by a --chaos scenario). Exits non-zero on the first
@@ -466,6 +472,30 @@ def check_metrics(paths):
         print(f"check_obs_output: metrics OK ({len(first)} samples)")
 
 
+# Node stats fields fixed by the simulated schedule of an in-process run.
+NODE_DETERMINISTIC_FIELDS = ("network", "hosted_peers", "hosted_directories",
+                             "sim_time_ms")
+
+
+def check_same_node_stats(paths):
+    docs = []
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        for field in NODE_DETERMINISTIC_FIELDS:
+            require(field in doc, f"{path}: missing {field}")
+        require(doc["network"].get("messages_sent", 0) > 0,
+                f"{path}: the run sent no messages")
+        docs.append(doc)
+    first, second = docs
+    for field in NODE_DETERMINISTIC_FIELDS:
+        require(first[field] == second[field],
+                f"node stats: {field} differs between {paths[0]} "
+                f"({first[field]}) and {paths[1]} ({second[field]})")
+    print(f"check_obs_output: node stats OK ({paths[0]} and {paths[1]} "
+          f"agree on {', '.join(NODE_DETERMINISTIC_FIELDS)})")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", help="Chrome trace JSON from --trace-out")
@@ -481,11 +511,14 @@ def main():
                              "(two: counters must be monotone)")
     parser.add_argument("--bench-kernel",
                         help="BENCH_kernel.json from bench/kernel_throughput")
+    parser.add_argument("--same-node-stats", nargs=2, metavar="STATS",
+                        help="two flowercdn-node --stats-out files that "
+                             "must agree on their deterministic fields")
     args = parser.parse_args()
     if not args.trace and not args.runner and not args.metrics \
-            and not args.bench_kernel:
-        parser.error("give --trace, --runner, --metrics and/or "
-                     "--bench-kernel")
+            and not args.bench_kernel and not args.same_node_stats:
+        parser.error("give --trace, --runner, --metrics, --bench-kernel "
+                     "and/or --same-node-stats")
     if args.chaos and not args.runner:
         parser.error("--chaos needs --runner")
     if args.max_events_over_median is not None:
@@ -502,6 +535,8 @@ def main():
         check_metrics(args.metrics)
     if args.bench_kernel:
         check_kernel(args.bench_kernel)
+    if args.same_node_stats:
+        check_same_node_stats(args.same_node_stats)
 
 
 if __name__ == "__main__":

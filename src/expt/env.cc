@@ -71,14 +71,6 @@ const ExperimentEnv::Identity& ExperimentEnv::identity(PeerId id) const {
   return identities_[id - 1];
 }
 
-PeerId ExperimentEnv::InitialDirectoryIdentity(WebsiteId ws,
-                                               LocalityId loc) const {
-  const int k = config_.topology.num_localities;
-  FLOWERCDN_CHECK(static_cast<int>(ws) < config_.catalog.num_websites);
-  FLOWERCDN_CHECK(loc >= 0 && loc < k);
-  return static_cast<PeerId>(static_cast<size_t>(ws) * k + loc + 1);
-}
-
 Rng ExperimentEnv::MakePeerRng(PeerId id) const {
   return root_rng_.Fork("peer-" + std::to_string(id));
 }

@@ -27,8 +27,8 @@ namespace flowercdn {
 /// Identities are fixed for the whole experiment (paper §6.1): each has a
 /// website of interest, a locality, a coordinate near its landmark, and a
 /// persistent browser cache. The first k*|W| identities enumerate every
-/// (website, locality) pair — they seed the initial D-ring in Flower-CDN
-/// runs (and are ordinary peers in Squirrel runs).
+/// (website, locality) pair — identity ws*k + loc + 1 seeds D-ring position
+/// (ws, loc) in Flower-CDN runs (and is an ordinary peer in Squirrel runs).
 class ExperimentEnv {
  public:
   struct Identity {
@@ -63,10 +63,6 @@ class ExperimentEnv {
   Identity& identity(PeerId id);
   const Identity& identity(PeerId id) const;
   std::vector<Identity>& identities() { return identities_; }
-
-  /// Identity seeded for directory position (ws, loc) — among the first
-  /// k*|W| identities.
-  PeerId InitialDirectoryIdentity(WebsiteId ws, LocalityId loc) const;
 
   /// Deterministic per-identity RNG stream.
   Rng MakePeerRng(PeerId id) const;

@@ -4,9 +4,23 @@
 #include <map>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace flowercdn {
+
+FlowerContext MakeFlowerContext(ExperimentEnv* env,
+                                const DRingKeyspace* keyspace,
+                                const FlowerParams* params) {
+  FlowerContext ctx;
+  ctx.network = &env->network();
+  ctx.metrics = &env->metrics();
+  ctx.catalog = &env->catalog();
+  ctx.workload = &env->workload();
+  ctx.origins = &env->origins();
+  ctx.keyspace = keyspace;
+  ctx.params = params;
+  ctx.trace = env->trace_ptr();
+  ctx.stats = &env->stats();
+  return ctx;
+}
 
 FlowerSystem::FlowerSystem(ExperimentEnv* env, const FlowerParams& params)
     : env_(env),
@@ -14,18 +28,10 @@ FlowerSystem::FlowerSystem(ExperimentEnv* env, const FlowerParams& params)
       keyspace_(env->config().catalog.num_websites,
                 env->config().topology.num_localities,
                 params.max_instances),
+      ctx_(MakeFlowerContext(env, &keyspace_, &params_)),
       rng_(env->MakeRng("flower-system")),
-      sessions_(env->universe_size() + 1) {
-  FLOWERCDN_CHECK(env != nullptr);
-  ctx_.network = &env_->network();
-  ctx_.metrics = &env_->metrics();
-  ctx_.catalog = &env_->catalog();
-  ctx_.workload = &env_->workload();
-  ctx_.origins = &env_->origins();
-  ctx_.keyspace = &keyspace_;
-  ctx_.params = &params_;
-  ctx_.trace = env_->trace_ptr();
-  ctx_.stats = &env_->stats();
+      sessions_(env),
+      dir_registry_(&env->network()) {
   ctx_.pick_dring_bootstrap = [this](PeerId self) {
     return PickDirectoryBootstrap(self);
   };
@@ -37,38 +43,19 @@ FlowerSystem::FlowerSystem(ExperimentEnv* env, const FlowerParams& params)
 void FlowerSystem::Setup() {
   ChurnProcess& churn = env_->churn();
   churn.SetHandlers([this](PeerId peer) { OnArrival(peer); },
-                    [this](PeerId peer) { OnFailure(peer); });
+                    [this](PeerId peer) { DestroySession(peer); });
 
-  const int k = env_->config().topology.num_localities;
-  const int num_websites = env_->config().catalog.num_websites;
-  const size_t initial = static_cast<size_t>(num_websites) * k;
-
-  // Launch the initial D-ring: one directory peer per (website, locality),
-  // staggered slightly so the ring assembles without a join storm. Their
-  // sessions have regular (limited) uptimes, per §6.1.
-  size_t launched = 0;
-  for (int ws = 0; ws < num_websites; ++ws) {
-    for (int loc = 0; loc < k; ++loc) {
-      PeerId peer = env_->InitialDirectoryIdentity(
-          static_cast<WebsiteId>(ws), static_cast<LocalityId>(loc));
-      SimDuration at = static_cast<SimDuration>(launched) *
-                       env_->config().initial_join_stagger;
-      bool create_ring = launched == 0;
-      env_->sim().Schedule(at, [this, peer, create_ring]() {
+  // Launch the initial D-ring: identity ws*k + loc + 1 is the directory
+  // peer of (ws, loc), staggered slightly so the ring assembles without a
+  // join storm. Their sessions have regular (limited) uptimes, per §6.1.
+  const size_t initial = sessions_.ScheduleInitialLaunch(
+      AnyPeer, [this](PeerId peer, bool create_ring) {
         FlowerPeer* raw = CreateSession(peer);
         env_->churn().StartSession(peer);
-        if (create_ring) {
-          raw->StartAsDirectory(0, std::nullopt);
-        } else {
-          PeerId bootstrap = PickDirectoryBootstrap(peer);
-          raw->StartAsDirectory(0, bootstrap == kInvalidPeer
-                                       ? std::nullopt
-                                       : std::optional<PeerId>(bootstrap));
-        }
+        raw->StartAsDirectory(
+            0, create_ring ? std::nullopt
+                           : KnownPeer(PickDirectoryBootstrap(peer)));
       });
-      ++launched;
-    }
-  }
 
   // Everyone else starts in the offline pool, joining through churn
   // arrivals.
@@ -89,29 +76,27 @@ const std::vector<OverlaySample>& FlowerSystem::overlay_samples() const {
 
 OverlaySample FlowerSystem::ProbeOverlay() const {
   OverlaySample sample;
-  sample.alive_peers = live_sessions_;
+  sample.alive_peers = sessions_.live();
   std::vector<uint64_t> dir_loads;
   // Petal sizes keyed by (website, locality); an ordered map is not needed
   // for determinism (DistSummary sorts the values), but costs nothing.
   std::map<std::pair<WebsiteId, LocalityId>, uint64_t> petal_sizes;
-  for (const auto& session : sessions_) {
-    if (session == nullptr) continue;
-    switch (session->role()) {
+  sessions_.ForEach([&](const FlowerPeer& session) {
+    switch (session.role()) {
       case FlowerRole::kClient:
         ++sample.clients;
         break;
       case FlowerRole::kContentPeer:
         ++sample.content_peers;
-        ++petal_sizes[{session->website(), session->locality()}];
+        ++petal_sizes[{session.website(), session.locality()}];
         break;
       case FlowerRole::kDirectoryPeer:
         ++sample.directory_peers;
-        dir_loads.push_back(session->view().size());
-        sample.max_instance =
-            std::max(sample.max_instance, session->instance());
+        dir_loads.push_back(session.view().size());
+        sample.max_instance = std::max(sample.max_instance, session.instance());
         break;
     }
-  }
+  });
   std::vector<uint64_t> petals;
   petals.reserve(petal_sizes.size());
   for (const auto& [key, size] : petal_sizes) petals.push_back(size);
@@ -122,13 +107,9 @@ OverlaySample FlowerSystem::ProbeOverlay() const {
 
 FlowerPeer* FlowerSystem::CreateSession(PeerId peer) {
   ExperimentEnv::Identity& identity = env_->identity(peer);
-  std::unique_ptr<FlowerPeer>& slot = sessions_[peer];
-  FLOWERCDN_CHECK(slot == nullptr) << "peer " << peer << " already online";
-  slot = std::make_unique<FlowerPeer>(ctx_, peer, identity.website,
-                                      identity.locality, &identity.store,
-                                      env_->MakePeerRng(peer));
-  ++live_sessions_;
-  return slot.get();
+  return sessions_.Create(peer, ctx_, peer, identity.website,
+                          identity.locality, &identity.store,
+                          env_->MakePeerRng(peer));
 }
 
 void FlowerSystem::OnArrival(PeerId peer) {
@@ -138,10 +119,8 @@ void FlowerSystem::OnArrival(PeerId peer) {
   CreateSession(peer)->StartAsClient();
 }
 
-void FlowerSystem::OnFailure(PeerId peer) { DestroySession(peer); }
-
 void FlowerSystem::DestroySession(PeerId peer) {
-  FlowerPeer* session = this->session(peer);
+  FlowerPeer* session = sessions_.Get(peer);
   if (session == nullptr) return;
   if (session->role() == FlowerRole::kDirectoryPeer) {
     max_observed_directory_load_ =
@@ -149,47 +128,20 @@ void FlowerSystem::DestroySession(PeerId peer) {
     max_observed_instance_ =
         std::max(max_observed_instance_, session->instance());
   }
-  RegistryRemove(peer);
-  if (env_->network().IsAlive(peer)) env_->network().Detach(peer);
-  sessions_[peer].reset();
-  --live_sessions_;
+  dir_registry_.Remove(peer);
+  sessions_.Destroy(peer);
 }
 
 PeerId FlowerSystem::PickDirectoryBootstrap(PeerId self) {
-  // Up to a few tries: the registry is pruned lazily on failures, so every
-  // entry should be alive, but protect against same-event races.
-  for (int attempt = 0; attempt < 5 && !dir_registry_.empty(); ++attempt) {
-    PeerId candidate = dir_registry_[rng_.Index(dir_registry_.size())];
-    if (candidate != self && env_->network().IsAlive(candidate)) {
-      return candidate;
-    }
-  }
-  return kInvalidPeer;
+  return dir_registry_.Pick(rng_, self, AnyPeer);
 }
 
 void FlowerSystem::OnRoleChange(PeerId peer, FlowerRole role) {
   if (role == FlowerRole::kDirectoryPeer) {
-    RegistryAdd(peer);
+    dir_registry_.Add(peer);
   } else {
-    RegistryRemove(peer);
+    dir_registry_.Remove(peer);
   }
-}
-
-void FlowerSystem::RegistryAdd(PeerId peer) {
-  if (dir_registry_index_.count(peer) > 0) return;
-  dir_registry_index_[peer] = dir_registry_.size();
-  dir_registry_.push_back(peer);
-}
-
-void FlowerSystem::RegistryRemove(PeerId peer) {
-  auto it = dir_registry_index_.find(peer);
-  if (it == dir_registry_index_.end()) return;
-  size_t idx = it->second;
-  PeerId moved = dir_registry_.back();
-  dir_registry_[idx] = moved;
-  dir_registry_index_[moved] = idx;
-  dir_registry_.pop_back();
-  dir_registry_index_.erase(peer);
 }
 
 void FlowerSystem::ScheduleLoadSampling() {
@@ -197,18 +149,14 @@ void FlowerSystem::ScheduleLoadSampling() {
     LoadSample sample;
     sample.time = env_->sim().now();
     size_t total_load = 0;
-    for (const auto& session : sessions_) {
-      if (session == nullptr ||
-          session->role() != FlowerRole::kDirectoryPeer) {
-        continue;
-      }
+    sessions_.ForEach([&](const FlowerPeer& session) {
+      if (session.role() != FlowerRole::kDirectoryPeer) return;
       ++sample.directory_count;
-      size_t load = session->view().size();
+      size_t load = session.view().size();
       total_load += load;
       sample.max_load = std::max(sample.max_load, load);
-      sample.max_instance = std::max(sample.max_instance,
-                                     session->instance());
-    }
+      sample.max_instance = std::max(sample.max_instance, session.instance());
+    });
     if (sample.directory_count > 0) {
       sample.mean_load = static_cast<double>(total_load) /
                          static_cast<double>(sample.directory_count);
@@ -234,25 +182,24 @@ FlowerSystem::Stats FlowerSystem::ComputeStats() const {
   stats.promotions_triggered = registry.Total("flower.promotions");
   stats.summary_hits = registry.Total("flower.summary_hits");
   stats.collaboration_hits = registry.Total("flower.collaboration_hits");
-  stats.live_sessions = live_sessions_;
+  stats.live_sessions = sessions_.live();
   stats.max_observed_directory_load = max_observed_directory_load_;
   stats.max_observed_instance = max_observed_instance_;
-  for (const auto& session : sessions_) {
-    if (session != nullptr && session->role() == FlowerRole::kDirectoryPeer) {
-      ++stats.live_directories;
-      stats.max_observed_directory_load = std::max(
-          stats.max_observed_directory_load, session->view().size());
-      stats.max_observed_instance =
-          std::max(stats.max_observed_instance, session->instance());
-    }
-  }
+  sessions_.ForEach([&](const FlowerPeer& session) {
+    if (session.role() != FlowerRole::kDirectoryPeer) return;
+    ++stats.live_directories;
+    stats.max_observed_directory_load =
+        std::max(stats.max_observed_directory_load, session.view().size());
+    stats.max_observed_instance =
+        std::max(stats.max_observed_instance, session.instance());
+  });
   return stats;
 }
 
 FlowerPeer* FlowerSystem::FindDirectory(WebsiteId ws, LocalityId loc,
                                         int instance) {
-  for (PeerId peer : dir_registry_) {
-    FlowerPeer* s = session(peer);
+  for (PeerId peer : dir_registry_.peers()) {
+    FlowerPeer* s = sessions_.Get(peer);
     if (s == nullptr) continue;
     if (s->role() == FlowerRole::kDirectoryPeer && s->website() == ws &&
         s->locality() == loc && s->instance() == instance) {
@@ -260,10 +207,6 @@ FlowerPeer* FlowerSystem::FindDirectory(WebsiteId ws, LocalityId loc,
     }
   }
   return nullptr;
-}
-
-FlowerPeer* FlowerSystem::session(PeerId peer) {
-  return peer < sessions_.size() ? sessions_[peer].get() : nullptr;
 }
 
 void FlowerSystem::InjectFailure(PeerId peer) { DestroySession(peer); }
@@ -280,7 +223,7 @@ bool FlowerSystem::KillDirectory(WebsiteId ws, LocalityId loc) {
 }
 
 void FlowerSystem::InjectGracefulLeave(PeerId peer) {
-  FlowerPeer* leaving = session(peer);
+  FlowerPeer* leaving = sessions_.Get(peer);
   if (leaving == nullptr) return;
   leaving->LeaveGracefully();
   DestroySession(peer);

@@ -2,15 +2,22 @@
 #define FLOWERCDN_EXPT_FLOWER_SYSTEM_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "expt/env.h"
+#include "expt/session_host.h"
 #include "flower/dring.h"
 #include "flower/flower_peer.h"
 #include "obs/sampler.h"
 
 namespace flowercdn {
+
+/// The context every Flower session in `env` shares, wired to the env's
+/// network, sinks and content models. `keyspace` and `params` must outlive
+/// the sessions; the driver sets the bootstrap and role-change callbacks.
+FlowerContext MakeFlowerContext(ExperimentEnv* env,
+                                const DRingKeyspace* keyspace,
+                                const FlowerParams* params);
 
 /// Drives a full Flower-CDN / PetalUp-CDN deployment inside an
 /// ExperimentEnv: seeds the initial D-ring (one directory peer per
@@ -63,13 +70,13 @@ class FlowerSystem {
   Stats ComputeStats() const;
 
   /// Live session lookup (tests / examples). Null when the peer is offline.
-  FlowerPeer* session(PeerId peer);
-  size_t live_sessions() const { return live_sessions_; }
+  FlowerPeer* session(PeerId peer) { return sessions_.Get(peer); }
+  size_t live_sessions() const { return sessions_.live(); }
   const DRingKeyspace& keyspace() const { return keyspace_; }
 
   /// Peers currently acting as directory peers (the bootstrap registry).
   const std::vector<PeerId>& live_directories() const {
-    return dir_registry_;
+    return dir_registry_.peers();
   }
 
   /// The live directory of petal (ws, loc, instance), if any.
@@ -92,12 +99,9 @@ class FlowerSystem {
   /// Creates and registers `peer`'s session (not yet started).
   FlowerPeer* CreateSession(PeerId peer);
   void OnArrival(PeerId peer);
-  void OnFailure(PeerId peer);
   void DestroySession(PeerId peer);
   PeerId PickDirectoryBootstrap(PeerId self);
   void OnRoleChange(PeerId peer, FlowerRole role);
-  void RegistryAdd(PeerId peer);
-  void RegistryRemove(PeerId peer);
   void ScheduleLoadSampling();
 
   ExperimentEnv* env_;
@@ -106,14 +110,9 @@ class FlowerSystem {
   FlowerContext ctx_;
   Rng rng_;
 
-  // Live sessions indexed by PeerId (identities are 1..universe); null
-  // when offline. Every loop over them only counts, takes maxima or feeds
-  // sorted summaries, so visiting them in id order changes no output.
-  std::vector<std::unique_ptr<FlowerPeer>> sessions_;
-  size_t live_sessions_ = 0;
-  // Bootstrap registry of live directory peers (O(1) random pick).
-  std::vector<PeerId> dir_registry_;
-  std::unordered_map<PeerId, size_t> dir_registry_index_;
+  SessionHost<FlowerPeer> sessions_;
+  // Bootstrap registry of live directory peers.
+  PeerSet dir_registry_;
 
   // Directory-load maxima of departed sessions and past load samples.
   size_t max_observed_directory_load_ = 0;

@@ -1,11 +1,8 @@
 #ifndef FLOWERCDN_EXPT_SQUIRREL_SYSTEM_H_
 #define FLOWERCDN_EXPT_SQUIRREL_SYSTEM_H_
 
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
 #include "expt/env.h"
+#include "expt/session_host.h"
 #include "squirrel/squirrel_peer.h"
 
 namespace flowercdn {
@@ -21,8 +18,8 @@ class SquirrelSystem {
   /// Creates the initial population and starts churn.
   void Setup();
 
-  SquirrelPeer* session(PeerId peer);
-  size_t live_sessions() const { return sessions_.size(); }
+  SquirrelPeer* session(PeerId peer) { return sessions_.Get(peer); }
+  size_t live_sessions() const { return sessions_.live(); }
 
   /// Query-outcome totals, read from the env's stats registry (so departed
   /// sessions' queries are included), plus a census of the live sessions.
@@ -43,20 +40,17 @@ class SquirrelSystem {
  private:
   void StartSessionFor(PeerId peer, bool create_ring);
   void OnArrival(PeerId peer);
-  void OnFailure(PeerId peer);
   void DestroySession(PeerId peer);
   PeerId PickBootstrap(PeerId self);
-  void TrackAlive(PeerId peer);
-  void UntrackAlive(PeerId peer);
 
   ExperimentEnv* env_;
   SquirrelPeer::Params params_;
   SquirrelContext ctx_;
   Rng rng_;
 
-  std::unordered_map<PeerId, std::unique_ptr<SquirrelPeer>> sessions_;
-  std::vector<PeerId> alive_;
-  std::unordered_map<PeerId, size_t> alive_index_;
+  SessionHost<SquirrelPeer> sessions_;
+  // Bootstrap registry of live sessions, in their own add/remove order.
+  PeerSet alive_;
 };
 
 }  // namespace flowercdn

@@ -55,8 +55,9 @@ enum class ServedSource : uint8_t {
 const char* ServedSourceName(ServedSource source);
 
 /// Shared, immutable experiment context handed to every Flower session. The
-/// sessions keep a pointer to it, so it must outlive them (FlowerSystem,
-/// NodeHost and test fixtures own it next to their session maps).
+/// sessions keep a pointer to it, so it must outlive them (FlowerSystem and
+/// NodeHost build it with MakeFlowerContext and declare it before their
+/// SessionHost; test fixtures own it next to their sessions).
 struct FlowerContext {
   Network* network = nullptr;
   MetricsCollector* metrics = nullptr;

@@ -51,8 +51,9 @@ NodeHost::NodeHost(ExperimentEnv* env, const FlowerParams& params,
       options_(std::move(options)),
       keyspace_(env->config().catalog.num_websites,
                 env->config().topology.num_localities,
-                params.max_instances) {
-  FLOWERCDN_CHECK(env != nullptr);
+                params.max_instances),
+      ctx_(MakeFlowerContext(env, &keyspace_, &params_)),
+      sessions_(env) {
   FLOWERCDN_CHECK(!options_.members.empty()) << "empty cluster";
   FLOWERCDN_CHECK(options_.rank >= 0 &&
                   static_cast<size_t>(options_.rank) <
@@ -61,15 +62,6 @@ NodeHost::NodeHost(ExperimentEnv* env, const FlowerParams& params,
       << options_.members.size();
   FLOWERCDN_CHECK(options_.time_scale > 0) << "time_scale must be positive";
 
-  ctx_.network = &env_->network();
-  ctx_.metrics = &env_->metrics();
-  ctx_.catalog = &env_->catalog();
-  ctx_.workload = &env_->workload();
-  ctx_.origins = &env_->origins();
-  ctx_.keyspace = &keyspace_;
-  ctx_.params = &params_;
-  ctx_.trace = env_->trace_ptr();
-  ctx_.stats = &env_->stats();
   ctx_.pick_dring_bootstrap = [this](PeerId self) {
     return PickClusterBootstrap(self);
   };
@@ -96,15 +88,10 @@ int NodeHost::OwnerOf(PeerId peer) const {
 
 size_t NodeHost::hosted_directories() const {
   size_t n = 0;
-  for (const auto& [peer, session] : sessions_) {
-    if (session->role() == FlowerRole::kDirectoryPeer) ++n;
-  }
+  sessions_.ForEach([&n](const FlowerPeer& session) {
+    if (session.role() == FlowerRole::kDirectoryPeer) ++n;
+  });
   return n;
-}
-
-FlowerPeer* NodeHost::session(PeerId peer) {
-  auto it = sessions_.find(peer);
-  return it == sessions_.end() ? nullptr : it->second.get();
 }
 
 FlowerPeer* NodeHost::PeerForWebsite(WebsiteId website, uint64_t salt) {
@@ -131,30 +118,12 @@ PeerId NodeHost::PickClusterBootstrap(PeerId self) const {
 }
 
 FlowerPeer* NodeHost::CreateSession(PeerId peer) {
-  const ExperimentEnv::Identity& identity = env_->identity(peer);
-  auto session = std::make_unique<FlowerPeer>(
-      ctx_, peer, identity.website, identity.locality,
-      &env_->identity(peer).store, env_->MakePeerRng(peer));
-  FlowerPeer* raw = session.get();
-  sessions_.emplace(peer, std::move(session));
-  website_peers_[identity.website].push_back(raw);
-  return raw;
-}
-
-void NodeHost::LaunchDirectory(PeerId peer, bool create_ring) {
-  FlowerPeer* session = CreateSession(peer);
-  if (create_ring) {
-    session->StartAsDirectory(0, std::nullopt);
-    return;
-  }
-  PeerId bootstrap = PickClusterBootstrap(peer);
-  session->StartAsDirectory(0, bootstrap == kInvalidPeer
-                                   ? std::nullopt
-                                   : std::optional<PeerId>(bootstrap));
-}
-
-void NodeHost::LaunchClient(PeerId peer) {
-  CreateSession(peer)->StartAsClient();
+  ExperimentEnv::Identity& identity = env_->identity(peer);
+  FlowerPeer* session =
+      sessions_.Create(peer, ctx_, peer, identity.website, identity.locality,
+                       &identity.store, env_->MakePeerRng(peer));
+  website_peers_[identity.website].push_back(session);
+  return session;
 }
 
 bool NodeHost::Setup() {
@@ -172,36 +141,22 @@ bool NodeHost::Setup() {
       break;
   }
 
-  const ExperimentConfig& config = env_->config();
-  const int k = config.topology.num_localities;
-  const int num_websites = config.catalog.num_websites;
-  initial_directories_ =
-      static_cast<size_t>(num_websites) * static_cast<size_t>(k);
+  // The initial D-ring: every rank schedules the same global launch
+  // timeline and skips the identities it does not own, so launch times
+  // agree across the cluster without coordination.
+  initial_directories_ = sessions_.ScheduleInitialLaunch(
+      [this](PeerId peer) { return OwnerOf(peer) == options_.rank; },
+      [this](PeerId peer, bool create_ring) {
+        CreateSession(peer)->StartAsDirectory(
+            0, create_ring ? std::nullopt
+                           : KnownPeer(PickClusterBootstrap(peer)));
+      });
 
+  const ExperimentConfig& config = env_->config();
   size_t population =
       options_.population > 0 ? options_.population : config.target_population;
   population = std::max(population, initial_directories_);
   population = std::min(population, env_->universe_size());
-
-  // The initial D-ring: every rank schedules the same global launch
-  // timeline and skips the identities it does not own, so launch times
-  // agree across the cluster without coordination.
-  size_t global_index = 0;
-  for (int ws = 0; ws < num_websites; ++ws) {
-    for (int loc = 0; loc < k; ++loc) {
-      PeerId peer = env_->InitialDirectoryIdentity(
-          static_cast<WebsiteId>(ws), static_cast<LocalityId>(loc));
-      if (OwnerOf(peer) == options_.rank) {
-        SimDuration at = static_cast<SimDuration>(global_index) *
-                         config.initial_join_stagger;
-        bool create_ring = global_index == 0;
-        env_->sim().Schedule(at, [this, peer, create_ring]() {
-          LaunchDirectory(peer, create_ring);
-        });
-      }
-      ++global_index;
-    }
-  }
 
   // The rest of the population joins as clients, spread over a window
   // after the directory launch completes.
@@ -217,7 +172,8 @@ bool NodeHost::Setup() {
                          (static_cast<uint64_t>(options_.client_join_spread) *
                           i) /
                          std::max<size_t>(num_clients, 1));
-    env_->sim().Schedule(at, [this, peer]() { LaunchClient(peer); });
+    env_->sim().Schedule(
+        at, [this, peer]() { CreateSession(peer)->StartAsClient(); });
   }
 
   // The admin plane: wired into the gateway's port (path interception)
@@ -346,7 +302,7 @@ void NodeHost::RunFast(SimDuration sim_duration, SimDuration chunk,
 
 void NodeHost::ExportGauges() {
   StatsRegistry& stats = env_->stats();
-  stats.Set("net.host.hosted_peers", static_cast<double>(sessions_.size()));
+  stats.Set("net.host.hosted_peers", static_cast<double>(sessions_.live()));
   if (tcp_ != nullptr) tcp_->ExportGauges();
   if (gateway_ != nullptr) {
     stats.Set("net.gateway.open_connections",
@@ -382,7 +338,7 @@ std::string NodeHost::StatusJson(double wall_seconds) const {
           "  \"sim_time_ms\": %lld,\n"
           "  \"wall_seconds\": %.3f,\n"
           "  \"time_scale\": %.3f,\n",
-          options_.rank, world(), transport, sessions_.size(),
+          options_.rank, world(), transport, sessions_.live(),
           hosted_directories(), static_cast<long long>(env_->sim().now()),
           wall_seconds, options_.time_scale);
   AppendF(&out,

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "expt/env.h"
+#include "expt/flower_system.h"
+#include "expt/session_host.h"
 #include "flower/dring.h"
 #include "flower/flower_peer.h"
 #include "net/admin.h"
@@ -109,9 +111,9 @@ class NodeHost {
   int OwnerOf(PeerId peer) const;
   size_t world() const { return options_.members.size(); }
   int rank() const { return options_.rank; }
-  size_t hosted_peers() const { return sessions_.size(); }
+  size_t hosted_peers() const { return sessions_.live(); }
   size_t hosted_directories() const;
-  FlowerPeer* session(PeerId peer);
+  FlowerPeer* session(PeerId peer) { return sessions_.Get(peer); }
   /// Hosted entry peer interested in `website` (stable per salt, so one
   /// client connection keeps warming the same surrogate's cache), or
   /// nullptr when this rank hosts no peer of that website.
@@ -158,8 +160,6 @@ class NodeHost {
   bool WriteStatsJson(const std::string& path, double wall_seconds) const;
 
  private:
-  void LaunchDirectory(PeerId peer, bool create_ring);
-  void LaunchClient(PeerId peer);
   PeerId PickClusterBootstrap(PeerId self) const;
   FlowerPeer* CreateSession(PeerId peer);
   /// Honors Options::stop_flag (signal-handler shutdown request).
@@ -181,7 +181,7 @@ class NodeHost {
   AdminHandler admin_handler_;
   std::unique_ptr<AdminServer> admin_;
 
-  std::unordered_map<PeerId, std::unique_ptr<FlowerPeer>> sessions_;
+  SessionHost<FlowerPeer> sessions_;
   std::unordered_map<WebsiteId, std::vector<FlowerPeer*>> website_peers_;
   size_t initial_directories_ = 0;  // k * |W| (global, not per-rank)
   bool stop_ = false;

@@ -24,7 +24,7 @@ TEST(ExperimentEnvTest, IdentityLayoutSeedsInitialDirectories) {
   // First k*|W| identities enumerate every (website, locality) pair.
   for (int ws = 0; ws < config.catalog.num_websites; ++ws) {
     for (int loc = 0; loc < k; ++loc) {
-      PeerId id = env.InitialDirectoryIdentity(ws, loc);
+      PeerId id = static_cast<PeerId>(ws * k + loc + 1);
       const auto& identity = env.identity(id);
       EXPECT_EQ(identity.website, static_cast<WebsiteId>(ws));
       EXPECT_EQ(identity.locality, loc);
