@@ -47,11 +47,14 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
   FLOWERCDN_CHECK(ctx.keyspace != nullptr);
   FLOWERCDN_CHECK(store != nullptr);
   FLOWERCDN_CHECK(ctx.stats != nullptr);
-  // The round counters export a zero before the first round fires.
-  for (std::string_view round :
+  // The round and claim counters export a zero before they first count.
+  for (std::string_view name :
        {"flower.gossip.rounds", "flower.keepalive.rounds",
-        "flower.push.rounds"}) {
-    ctx_->stats->counter(round);
+        "flower.push.rounds", "flower.claim.joined", "flower.claim.adopted",
+        "flower.claim.join_failed", "flower.claim.duplicate_demotions",
+        "flower.claim.ring_rebuilds", "flower.claim.rebuild_demotions",
+        "flower.claim.seed_stranded"}) {
+    ctx_->stats->counter(name);
   }
 }
 
@@ -74,30 +77,64 @@ ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
   chord_ = std::make_unique<ChordNode>(ctx_->network, self_, ring_id,
                                        ctx_->params->chord);
   chord_->Bind(incarnation_);
-  chord_->on_duplicate_id = [this]() { DemoteToContentPeer(); };
+  chord_->on_duplicate_id = [this]() {
+    ctx_->stats->Add("flower.claim.duplicate_demotions");
+    DemoteToContentPeer();
+  };
   chord_->on_ring_broken = [this]() {
-    // All successor candidates lost: rebuild membership asynchronously
-    // (we may be deep inside chord internals right now).
-    ctx_->network->SchedulePeer(self_, incarnation_, 1, [this]() {
-      // Only the first of several reports rebuilds: a second join while
-      // the first is in flight would leave its lookup behind, and the next
-      // Leave would fail it and demote a peer that is back in the ring.
-      if (role_ != FlowerRole::kDirectoryPeer || chord_ == nullptr ||
-          !chord_->active()) {
-        return;
-      }
-      PeerId bootstrap = PickBootstrap();
-      chord_->Leave();
-      if (bootstrap == kInvalidPeer) {
-        DemoteToContentPeer();
-        return;
-      }
-      chord_->Join(bootstrap, [this](const Status& status) {
-        if (!status.ok()) DemoteToContentPeer();
-      });
-    });
+    // Rebuild asynchronously: we may be deep inside chord internals.
+    ctx_->network->SchedulePeer(self_, incarnation_, 1,
+                               [this]() { RejoinBrokenRing(); });
   };
   return chord_.get();
+}
+
+void FlowerPeer::RejoinBrokenRing() {
+  // Only the first of several reports rebuilds: a second join while the
+  // first is in flight would leave its lookup behind, and the next Leave
+  // would fail it and demote a peer that is back in the ring.
+  if (role_ != FlowerRole::kDirectoryPeer || chord_ == nullptr ||
+      !chord_->active()) {
+    return;
+  }
+  ctx_->stats->Add("flower.claim.ring_rebuilds");
+  PeerId bootstrap = PickBootstrap();
+  chord_->Leave();
+  auto demote = [this]() {
+    ctx_->stats->Add("flower.claim.rebuild_demotions");
+    DemoteToContentPeer();
+  };
+  if (bootstrap == kInvalidPeer) {
+    demote();
+    return;
+  }
+  chord_->Join(bootstrap, [demote](const Status& status) {
+    if (!status.ok()) demote();
+  });
+}
+
+void FlowerPeer::EnterPosition(int instance, PeerId bootstrap,
+                               std::function<void(bool held)> done) {
+  // Any claim ends before BecomeDirectory announces the role.
+  auto settle = [this, instance, done = std::move(done)](bool held) {
+    claim_in_progress_ = false;
+    if (held) BecomeDirectory(instance);
+    done(held);
+  };
+  ChordNode* chord =
+      EnsureChord(ctx_->keyspace->IdOf(website_, locality_, instance));
+  if (chord == nullptr) {
+    settle(false);
+    return;
+  }
+  if (bootstrap == kInvalidPeer) {
+    chord->CreateRing();
+    settle(true);
+    return;
+  }
+  chord->Join(bootstrap, [settle = std::move(settle)](const Status& status) {
+    settle(status.ok());
+  });
 }
 
 PeerId FlowerPeer::PickBootstrap() {
@@ -128,12 +165,7 @@ void FlowerPeer::StartAsClient() {
     SimDuration delay = 1 + static_cast<SimDuration>(
                                 rng_.NextBounded(30 * kSecond));
     ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
-      if (role_ != FlowerRole::kClient) return;
-      QueryState join_only;
-      join_only.has_object = false;
-      join_only.via_dring = true;
-      join_only.t0 = ctx_->network->sim()->now();
-      ResolveViaDRing(join_only);
+      if (role_ == FlowerRole::kClient) ResolveViaDRing(PetalJoinRequest());
     });
   }
 }
@@ -144,42 +176,33 @@ void FlowerPeer::StartAsDirectory(int instance,
   role_ = FlowerRole::kDirectoryPeer;  // provisional until the ring accepts
   instance_ = instance;
   EnsureDirectoryState();
-  ChordNode* chord =
-      EnsureChord(ctx_->keyspace->IdOf(website_, locality_, instance));
-  FLOWERCDN_CHECK(chord != nullptr);
-  if (!bootstrap.has_value()) {
-    chord->CreateRing();
-    BecomeDirectory(instance);
-    StartQueryingIfActive();
-    return;
-  }
-  chord->Join(*bootstrap, [this, instance](const Status& status) {
-    if (status.ok()) {
-      BecomeDirectory(instance);
-      StartQueryingIfActive();
-      return;
-    }
-    // Initial setup should not race; retry through any live member.
-    ctx_->network->SchedulePeer(
-        self_, incarnation_, ctx_->params->join_retry_delay,
-        [this, instance]() {
-          PeerId next = PickBootstrap();
-          if (next == kInvalidPeer) return;
-          StartAsDirectoryRetry(instance, next);
-        });
-  });
-}
-
-void FlowerPeer::StartAsDirectoryRetry(int instance, PeerId bootstrap) {
-  ChordNode* chord =
-      EnsureChord(ctx_->keyspace->IdOf(website_, locality_, instance));
-  if (chord == nullptr) return;
-  chord->Join(bootstrap, [this, instance](const Status& status) {
-    if (status.ok()) {
-      BecomeDirectory(instance);
-      StartQueryingIfActive();
-    }
-  });
+  FLOWERCDN_CHECK(chord_ == nullptr);  // so EnterPosition can make one
+  EnterPosition(
+      instance, bootstrap.value_or(kInvalidPeer), [this, instance](bool held) {
+        if (held) {
+          StartQueryingIfActive();
+          return;
+        }
+        // Initial setup should not race; retry once through any live member.
+        ctx_->network->SchedulePeer(
+            self_, incarnation_, ctx_->params->join_retry_delay,
+            [this, instance]() {
+              auto settle = [this](bool held) {
+                if (held) {
+                  StartQueryingIfActive();
+                } else {
+                  // A stranded seed: see StartAsDirectory in the header.
+                  ctx_->stats->Add("flower.claim.seed_stranded");
+                }
+              };
+              PeerId next = PickBootstrap();
+              if (next == kInvalidPeer) {
+                settle(false);
+                return;
+              }
+              EnterPosition(instance, next, settle);
+            });
+      });
 }
 
 void FlowerPeer::LeaveGracefully() {
@@ -217,6 +240,13 @@ void FlowerPeer::ScheduleNextQuery() {
   SimDuration gap = ctx_->workload->NextQueryGap(website_, rng_);
   ctx_->network->SchedulePeer(self_, incarnation_, gap,
                              [this]() { IssueQuery(); });
+}
+
+FlowerPeer::QueryState FlowerPeer::PetalJoinRequest() const {
+  QueryState q;  // no object: a pure petal-join request
+  q.via_dring = true;
+  q.t0 = ctx_->network->sim()->now();
+  return q;
 }
 
 void FlowerPeer::IssueQuery() {
@@ -311,12 +341,9 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
     if (role_ == FlowerRole::kClient) {
       ctx_->network->SchedulePeer(self_, incarnation_,
                                  ctx_->params->join_retry_delay, [this]() {
-                                   if (role_ != FlowerRole::kClient) return;
-                                   QueryState join_only;
-                                   join_only.has_object = false;
-                                   join_only.via_dring = true;
-                                   join_only.t0 = ctx_->network->sim()->now();
-                                   ResolveViaDRing(join_only);
+                                   if (role_ == FlowerRole::kClient) {
+                                     ResolveViaDRing(PetalJoinRequest());
+                                   }
                                  });
     }
     return;
@@ -427,8 +454,7 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
         AttemptDirectoryClaim(0);
       } else if (role_ == FlowerRole::kContentPeer &&
                  dir == dir_info_.dir) {
-        dir_info_.dir = kInvalidPeer;
-        AttemptDirectoryClaim(dir_info_.instance);
+        ClaimOwnPosition();
       }
       if (q.has_object) ResolveAtOrigin(q);
       return;
@@ -495,7 +521,7 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
 
 void FlowerPeer::AskOwnDirectory(QueryState q) {
   if (dir_info_.dir == kInvalidPeer) {
-    AttemptDirectoryClaim(dir_info_.instance);
+    ClaimOwnPosition();
     if (q.has_object) ResolveAtOrigin(q);
     return;
   }
@@ -680,7 +706,7 @@ void FlowerPeer::ScheduleKeepalive(SimDuration delay) {
 void FlowerPeer::KeepaliveRound() {
   ctx_->stats->Add("flower.keepalive.rounds");
   if (dir_info_.dir == kInvalidPeer) {
-    AttemptDirectoryClaim(dir_info_.instance);
+    ClaimOwnPosition();
     return;
   }
   auto msg = std::make_unique<FlowerKeepaliveMsg>();
@@ -693,8 +719,7 @@ void FlowerPeer::KeepaliveRound() {
               const auto& reply =
                   MessageCast<FlowerKeepaliveReplyMsg>(*resp);
               if (!reply.accepted) {
-                dir_info_.dir = kInvalidPeer;
-                AttemptDirectoryClaim(dir_info_.instance);
+                ClaimOwnPosition();
                 return;
               }
               dir_info_.age = 0;
@@ -726,8 +751,7 @@ void FlowerPeer::DoPush() {
               }
               const auto& reply = MessageCast<FlowerPushReplyMsg>(*resp);
               if (!reply.accepted) {
-                dir_info_.dir = kInvalidPeer;
-                AttemptDirectoryClaim(dir_info_.instance);
+                ClaimOwnPosition();
                 return;
               }
               dir_info_.age = 0;
@@ -771,8 +795,8 @@ void FlowerPeer::ReconcileDirInfo(const DirInfo& theirs) {
 
 void FlowerPeer::OnDirectoryUnreachable() {
   ctx_->stats->Add("flower.dir_failures_detected");
-  dir_info_.dir = kInvalidPeer;
   if (ReplicationActive()) {
+    dir_info_.dir = kInvalidPeer;
     // Give the replica failover a head start: a cold vacancy-claim that
     // wins the race installs an empty index at the position, and the warm
     // heir then merely adopts it — the replicated state is lost. Defer the
@@ -790,6 +814,11 @@ void FlowerPeer::OnDirectoryUnreachable() {
         });
     return;
   }
+  ClaimOwnPosition();
+}
+
+void FlowerPeer::ClaimOwnPosition() {
+  dir_info_.dir = kInvalidPeer;
   AttemptDirectoryClaim(dir_info_.instance);
 }
 
@@ -797,19 +826,24 @@ void FlowerPeer::AttemptDirectoryClaim(
     int instance, std::optional<FlowerDirHandoffMsg> handoff) {
   if (claim_in_progress_ || role_ == FlowerRole::kDirectoryPeer) return;
   if (instance < 0 || instance >= ctx_->keyspace->max_instances()) return;
-  PeerId bootstrap = PickBootstrap();
-  if (bootstrap == kInvalidPeer) {
-    // The bootstrap service knows no live D-ring member: the whole ring is
-    // gone. Re-create it — this peer becomes the first directory again.
-    ChordId target = ctx_->keyspace->IdOf(website_, locality_, instance);
-    ChordNode* chord = EnsureChord(target);
-    if (chord == nullptr) return;
-    chord->CreateRing();
-    BecomeDirectory(instance);
+  auto settle = [this, handoff = std::move(handoff)](bool held) {
+    if (!held) {
+      // Lost the race (§5.2.2): the winner is discovered through the next
+      // keepalive/query resolution.
+      ctx_->stats->Add("flower.claim.join_failed");
+      return;
+    }
+    ctx_->stats->Add("flower.claim.joined");
     if (handoff.has_value()) {
       dir_->index.Restore(handoff->index);
       view_.Merge(handoff->view, self_);
     }
+  };
+  PeerId bootstrap = PickBootstrap();
+  if (bootstrap == kInvalidPeer) {
+    // The bootstrap service knows no live D-ring member: the whole ring is
+    // gone. Re-create it — this peer becomes the first directory again.
+    EnterPosition(instance, kInvalidPeer, std::move(settle));
     return;
   }
   claim_in_progress_ = true;
@@ -817,52 +851,34 @@ void FlowerPeer::AttemptDirectoryClaim(
   StartLookup(
       &rpc_, target,
       DRingRoute(bootstrap, ctx_->params->chord.lookup_timeout),
-      [this, instance, target, handoff = std::move(handoff)](
-          const Status& status, RingPeer owner, int /*hops*/) {
-        if (!status.ok()) {
-          claim_in_progress_ = false;
-          return;  // retried at the next keepalive round
-        }
-        if (owner.id == target && owner.peer != self_) {
-          // Somebody already replaced the directory: adopt it and
-          // re-register our content.
-          claim_in_progress_ = false;
-          if (role_ == FlowerRole::kContentPeer) {
-            dir_info_.dir = owner.peer;
-            dir_info_.instance = instance;
-            dir_info_.age = 0;
-            DoPush();
-          } else if (role_ == FlowerRole::kClient) {
-            QueryState join_only;
-            join_only.has_object = false;
-            join_only.via_dring = true;
-            join_only.t0 = ctx_->network->sim()->now();
-            SendDirQuery(owner.peer, join_only, /*wants_join=*/true);
-          }
+      [this, instance, target, settle = std::move(settle)](
+          const Status& status, RingPeer owner, int /*hops*/) mutable {
+        bool held_by_other =
+            status.ok() && owner.id == target && owner.peer != self_;
+        // Vacant: join through the answering (live) directory peer.
+        // EnsureChord runs before the owner checks, even when they end the
+        // claim.
+        bool vacant = status.ok() && !held_by_other &&
+                      EnsureChord(target) != nullptr && owner.peer != self_ &&
+                      owner.peer != kInvalidPeer;
+        if (vacant) {
+          EnterPosition(instance, owner.peer, std::move(settle));
           return;
         }
-        // Vacant: join the D-ring at the deterministic position, using the
-        // answering (live) directory peer as bootstrap.
-        ChordNode* chord = EnsureChord(target);
-        if (chord == nullptr || owner.peer == self_ ||
-            owner.peer == kInvalidPeer) {
-          claim_in_progress_ = false;
-          return;
+        // The claim ends; a failed lookup retries at the next keepalive.
+        claim_in_progress_ = false;
+        if (!held_by_other) return;
+        // Somebody already replaced the directory: adopt it and re-register
+        // our content.
+        ctx_->stats->Add("flower.claim.adopted");
+        if (role_ == FlowerRole::kContentPeer) {
+          dir_info_.dir = owner.peer;
+          dir_info_.instance = instance;
+          dir_info_.age = 0;
+          DoPush();
+        } else if (role_ == FlowerRole::kClient) {
+          SendDirQuery(owner.peer, PetalJoinRequest(), /*wants_join=*/true);
         }
-        chord->Join(owner.peer, [this, instance, handoff = std::move(handoff)](
-                                    const Status& join_status) {
-          claim_in_progress_ = false;
-          if (!join_status.ok()) {
-            // Lost the race (§5.2.2): the winner is discovered through the
-            // next keepalive/query resolution.
-            return;
-          }
-          BecomeDirectory(instance);
-          if (handoff.has_value()) {
-            dir_->index.Restore(handoff->index);
-            view_.Merge(handoff->view, self_);
-          }
-        });
       });
 }
 
@@ -1282,13 +1298,7 @@ void FlowerPeer::OnDirHandoff(const Message& msg) {
       (ReplicationActive() && role_ == FlowerRole::kClient);
   if (!eligible_role) return;
   if (m.website != website_ || m.locality != locality_) return;
-  FlowerDirHandoffMsg copy;
-  copy.website = m.website;
-  copy.locality = m.locality;
-  copy.instance = m.instance;
-  copy.view = m.view;
-  copy.index = m.index;
-  AttemptDirectoryClaim(m.instance, std::move(copy));
+  AttemptDirectoryClaim(m.instance, m);
 }
 
 // --- Directory replication -----------------------------------------------------

@@ -103,6 +103,12 @@ class FlowerPeer : public SimNode {
   /// Attaches directly as directory peer d^instance(ws, loc) — used to
   /// seed the initial D-ring population. The first such peer creates the
   /// ring (`bootstrap` empty); the rest join through any existing member.
+  /// The session counts as a directory while its join is in flight. A
+  /// failed join is retried once, after `join_retry_delay`, through a fresh
+  /// bootstrap pick. If that fails too the session is a *stranded seed*
+  /// (counted as `flower.claim.seed_stranded`): it keeps the directory role
+  /// with an idle ring node, so it never claims, rebuilds, registers or
+  /// queries for the rest of its life.
   void StartAsDirectory(int instance, std::optional<PeerId> bootstrap);
 
   /// Graceful departure (§5.2.2): a directory peer hands its view and
@@ -197,11 +203,19 @@ class FlowerPeer : public SimNode {
                  PeerId target, int hops = -1, bool ok = true);
   ChordNode* EnsureChord(ChordId ring_id);
   PeerId PickBootstrap();
-  void StartAsDirectoryRetry(int instance, PeerId bootstrap);
+  /// The one way into D-ring position (ws, loc, instance): creates the ring
+  /// if `bootstrap` is kInvalidPeer, else joins through it; ends any claim,
+  /// and calls BecomeDirectory if held before reporting `held` to `done`.
+  void EnterPosition(int instance, PeerId bootstrap,
+                     std::function<void(bool held)> done);
+  /// All ring links died (on_ring_broken): rejoin through a live bootstrap
+  /// keeping role, index and view, or demote if none is found or it fails.
+  void RejoinBrokenRing();
 
   // --- Query client machinery ------------------------------------------------
   void StartQueryingIfActive();
   void ScheduleNextQuery();
+  QueryState PetalJoinRequest() const;
   void IssueQuery();
   void ResolveViaDRing(QueryState q);
   void SendDirQuery(PeerId dir, QueryState q, bool wants_join);
@@ -235,12 +249,19 @@ class FlowerPeer : public SimNode {
   /// §5.2.1: the directory peer stopped answering — first detector runs the
   /// replacement protocol.
   void OnDirectoryUnreachable();
-  /// Resolve-then-claim of directory position (ws, loc, instance); used for
-  /// failure replacement, vacancy claims and PetalUp promotions. Restores
-  /// handoff state when provided.
+  /// Claims directory position (ws, loc, instance) for failure
+  /// replacement, vacancy claims, PetalUp promotions and handoffs. Does
+  /// nothing while a claim is in progress or the session is a directory.
+  /// With no live D-ring member it re-creates the ring at the position;
+  /// otherwise it resolves the position, adopts a holder it finds, or
+  /// enters the vacant position through the answering peer. It never
+  /// retries: the next keepalive does. A held position restores the
+  /// handoff's index and view when one is given.
   void AttemptDirectoryClaim(
       int instance,
       std::optional<FlowerDirHandoffMsg> handoff = std::nullopt);
+  /// Forgets the directory this content peer knew and claims its instance.
+  void ClaimOwnPosition();
   void DemoteToContentPeer();
 
   // --- Directory-peer machinery -------------------------------------------------
@@ -291,7 +312,8 @@ class FlowerPeer : public SimNode {
 
   /// Directory-role and replica state. Only directory peers and replica
   /// holders pay for it: it is allocated when a session first takes the
-  /// directory role (StartAsDirectory, BecomeDirectory) or accepts a full
+  /// directory role (the provisional role of a seeded start, or
+  /// BecomeDirectory when EnterPosition takes a position) or accepts a full
   /// replica sync, and then kept for the rest of the session, so its
   /// version counter and scheduled-flags survive role flaps. Invariant:
   /// role_ == kDirectoryPeer implies dir_ != nullptr.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -71,6 +73,15 @@ class FlowerPeerHarness : public ::testing::Test {
     FlowerPeer* raw = peer.get();
     peers_[id] = std::move(peer);
     return raw;
+  }
+
+  /// Runs the simulation until `counter` reaches `value`, at most `limit`.
+  void RunUntilCount(std::string_view counter, uint64_t value,
+                     SimDuration limit) {
+    const SimTime end = sim_.now() + limit;
+    while (stats_.Total(counter) < value && sim_.now() < end) {
+      sim_.RunUntil(sim_.now() + kSecond);
+    }
   }
 
   void Kill(PeerId id) {
@@ -284,6 +295,243 @@ TEST_F(FlowerPeerHarness, ContentPeerReplacesFailedDirectory) {
       << "content peer did not replace its failed directory";
   // The member is the only content peer, so it did all the detecting.
   EXPECT_GT(stats_.Total("flower.dir_failures_detected"), 0u);
+}
+
+// --- Directory claims: every way into and out of a D-ring position ---------
+
+TEST_F(FlowerPeerHarness, SeededDirectoryRetriesThroughALivePick) {
+  FlowerPeer* first = MakePeer(1, 0, 0);
+  first->StartAsDirectory(0, std::nullopt);
+  sim_.RunUntil(kMinute);
+  // Identity 99 exists but never attaches: the seeded join through it fails.
+  network_.RegisterIdentity(99, topology_.PlaceInLocality(0, place_rng_));
+  FlowerPeer* seed = MakePeer(2, 1, 0);
+  const SimTime start = sim_.now();
+  seed->StartAsDirectory(0, PeerId{99});
+  // The session counts as a directory while its join is in flight.
+  EXPECT_EQ(seed->role(), FlowerRole::kDirectoryPeer);
+  sim_.RunUntil(start + params_.join_retry_delay);
+  ASSERT_NE(seed->chord(), nullptr);
+  EXPECT_FALSE(seed->chord()->active());
+  EXPECT_EQ(directory_registry_.size(), 1u);
+  EXPECT_TRUE(seed->store().empty());
+
+  // The retry picks the live directory and takes the position.
+  sim_.RunUntil(sim_.now() + kMinute);
+  EXPECT_EQ(seed->role(), FlowerRole::kDirectoryPeer);
+  EXPECT_TRUE(seed->chord()->active());
+  EXPECT_EQ(seed->chord()->id(), keyspace_.IdOf(1, 0, 0));
+  EXPECT_EQ(directory_registry_.size(), 2u);
+  // Held, it starts querying: answered queries fill its cache.
+  sim_.RunUntil(sim_.now() + 2 * kHour);
+  EXPECT_FALSE(seed->store().empty());
+  EXPECT_EQ(stats_.Total("flower.claim.seed_stranded"), 0u);
+  EXPECT_EQ(stats_.Total("flower.claim.joined"), 0u);
+}
+
+TEST_F(FlowerPeerHarness, SeededDirectoryWithNoLiveMemberIsStranded) {
+  network_.RegisterIdentity(99, topology_.PlaceInLocality(0, place_rng_));
+  FlowerPeer* seed = MakePeer(2, 1, 0);
+  seed->StartAsDirectory(0, PeerId{99});
+  sim_.RunUntil(2 * kHour);
+  // The first join and its retry both failed. The session keeps the
+  // directory role with an idle ring node, never registers and never
+  // queries.
+  EXPECT_EQ(seed->role(), FlowerRole::kDirectoryPeer);
+  ASSERT_NE(seed->chord(), nullptr);
+  EXPECT_FALSE(seed->chord()->active());
+  EXPECT_TRUE(directory_registry_.empty());
+  EXPECT_TRUE(seed->store().empty());
+  EXPECT_EQ(stats_.Total("flower.claim.seed_stranded"), 1u);
+}
+
+TEST_F(FlowerPeerHarness, ClaimOfAHeldPositionAdoptsItsOwner) {
+  FlowerPeer* dir = MakePeer(1, 0, 0);
+  dir->StartAsDirectory(0, std::nullopt);
+  FlowerPeer* next = MakePeer(2, 0, 0);
+  sim_.RunUntil(kMinute);
+  next->StartAsDirectory(1, dir->self());
+  sim_.RunUntil(sim_.now() + kMinute);
+  ASSERT_TRUE(next->chord()->active());
+
+  FlowerPeer* member = MakePeer(100, 0, 0);
+  stores_[100]->Insert({0, 1});
+  member->StartAsClient();
+  sim_.RunUntil(sim_.now() + 30 * kMinute);
+  ASSERT_EQ(member->role(), FlowerRole::kContentPeer);
+  ASSERT_EQ(member->dir_info().dir, dir->self());
+  ASSERT_FALSE(next->index().ContainsPeer(100));
+
+  // A PetalUp promotion names instance 1, which `next` already holds.
+  const uint64_t pushes = stats_.Total("flower.push.rounds");
+  auto promote = std::make_unique<FlowerPromoteMsg>();
+  promote->website = 0;
+  promote->locality = 0;
+  promote->new_instance = 1;
+  network_.Send(dir->self(), member->self(), std::move(promote));
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  EXPECT_EQ(member->role(), FlowerRole::kContentPeer);
+  EXPECT_EQ(member->dir_info().dir, next->self());
+  EXPECT_EQ(member->dir_info().instance, 1);
+  // The adoption pushes the member's cache to its new directory.
+  EXPECT_EQ(stats_.Total("flower.push.rounds"), pushes + 1);
+  EXPECT_TRUE(next->index().ContainsPeer(100));
+  EXPECT_EQ(stats_.Total("flower.claim.adopted"), 1u);
+  EXPECT_EQ(stats_.Total("flower.claim.joined"), 0u);
+}
+
+TEST_F(FlowerPeerHarness, ClaimWhoseJoinFailsKeepsTheContentRole) {
+  FlowerPeer* dir = MakePeer(1, 0, 0);
+  FlowerPeer* other = MakePeer(2, 1, 0);
+  dir->StartAsDirectory(0, std::nullopt);
+  sim_.RunUntil(sim_.now() + 200);
+  other->StartAsDirectory(0, dir->self());
+  sim_.RunUntil(sim_.now() + kMinute);
+  FlowerPeer* member = MakePeer(100, 0, 0);
+  member->StartAsClient();
+  sim_.RunUntil(sim_.now() + 30 * kMinute);
+  ASSERT_EQ(member->role(), FlowerRole::kContentPeer);
+
+  auto promote = std::make_unique<FlowerPromoteMsg>();
+  promote->website = 0;
+  promote->locality = 0;
+  promote->new_instance = 1;
+  network_.Send(dir->self(), member->self(), std::move(promote));
+  // The claim resolved instance 1 as vacant and its join is under way:
+  // the whole ring dies before the join is answered.
+  const SimTime deadline = sim_.now() + kMinute;
+  while (sim_.now() < deadline &&
+         (member->chord() == nullptr ||
+          member->chord()->state() != ChordNode::State::kJoining)) {
+    sim_.RunUntil(sim_.now() + 1);
+  }
+  ASSERT_NE(member->chord(), nullptr);
+  ASSERT_EQ(member->chord()->state(), ChordNode::State::kJoining);
+  Kill(1);
+  Kill(2);
+  RunUntilCount("flower.claim.join_failed", 1, kMinute);
+  EXPECT_EQ(stats_.Total("flower.claim.join_failed"), 1u);
+  EXPECT_EQ(stats_.Total("flower.claim.joined"), 0u);
+  EXPECT_EQ(member->role(), FlowerRole::kContentPeer);
+  EXPECT_EQ(member->chord()->state(), ChordNode::State::kIdle);
+  EXPECT_TRUE(directory_registry_.empty());
+}
+
+TEST_F(FlowerPeerHarness, SimultaneousClaimsDemoteOneHolderAsADuplicate) {
+  FlowerPeer* dir = MakePeer(1, 0, 0);
+  dir->StartAsDirectory(0, std::nullopt);
+  sim_.RunUntil(kMinute);
+  FlowerPeer* x = MakePeer(100, 0, 0);
+  FlowerPeer* y = MakePeer(101, 0, 0);
+  x->StartAsClient();
+  y->StartAsClient();
+  sim_.RunUntil(sim_.now() + 30 * kMinute);
+  ASSERT_EQ(x->role(), FlowerRole::kContentPeer);
+  ASSERT_EQ(y->role(), FlowerRole::kContentPeer);
+
+  // Both are promoted to instance 1 at the same instant: both resolve the
+  // position as vacant and both join.
+  for (FlowerPeer* p : {x, y}) {
+    auto promote = std::make_unique<FlowerPromoteMsg>();
+    promote->website = 0;
+    promote->locality = 0;
+    promote->new_instance = 1;
+    network_.Send(dir->self(), p->self(), std::move(promote));
+  }
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  EXPECT_EQ(stats_.Total("flower.claim.joined"), 2u);
+  EXPECT_EQ(stats_.Total("flower.claim.join_failed"), 0u);
+  // The second notifier of the shared successor learns it is a duplicate.
+  // It had two notifies in flight (the join's and the first probe's), and
+  // both replies report the duplicate: the counter counts reports, and the
+  // second finds the session already demoted.
+  EXPECT_EQ(stats_.Total("flower.claim.duplicate_demotions"), 2u);
+  FlowerPeer* winner = x->role() == FlowerRole::kDirectoryPeer ? x : y;
+  FlowerPeer* loser = winner == x ? y : x;
+  ASSERT_EQ(winner->role(), FlowerRole::kDirectoryPeer);
+  ASSERT_EQ(loser->role(), FlowerRole::kContentPeer);
+  EXPECT_EQ(loser->index().num_peers(), 0u);
+  EXPECT_EQ(loser->dir_info().dir, kInvalidPeer);
+  EXPECT_EQ(loser->chord()->state(), ChordNode::State::kIdle);
+  EXPECT_EQ(std::count(directory_registry_.begin(), directory_registry_.end(),
+                       loser->self()),
+            0);
+
+  // Its keepalive resumes; at the latest the next one finds instance 1
+  // held and adopts the winner.
+  const uint64_t keepalives = stats_.Total("flower.keepalive.rounds");
+  sim_.RunUntil(sim_.now() + params_.gossip_period + kMinute);
+  EXPECT_GT(stats_.Total("flower.keepalive.rounds"), keepalives);
+  EXPECT_EQ(loser->role(), FlowerRole::kContentPeer);
+  EXPECT_EQ(loser->dir_info().dir, winner->self());
+  EXPECT_EQ(loser->dir_info().instance, 1);
+  EXPECT_EQ(stats_.Total("flower.claim.adopted"), 1u);
+}
+
+/// Three directories on one ring, plus a content peer of the third that
+/// has pushed its cache there.
+class RingBreakHarness : public FlowerPeerHarness {
+ protected:
+  void SetUp() override {
+    FlowerPeer* a = MakePeer(1, 1, 0);
+    FlowerPeer* b = MakePeer(2, 1, 1);
+    dir_ = MakePeer(3, 0, 0);
+    a->StartAsDirectory(0, std::nullopt);
+    sim_.RunUntil(sim_.now() + 200);
+    b->StartAsDirectory(0, a->self());
+    sim_.RunUntil(sim_.now() + 200);
+    dir_->StartAsDirectory(0, a->self());
+    sim_.RunUntil(sim_.now() + 5 * kMinute);
+    ASSERT_TRUE(dir_->chord()->active());
+
+    FlowerPeer* member = MakePeer(100, 0, 0);
+    stores_[100]->Insert({0, 1});
+    member->StartAsClient();
+    sim_.RunUntil(sim_.now() + 30 * kMinute);
+    ASSERT_EQ(member->dir_info().dir, dir_->self());
+    ASSERT_TRUE(dir_->index().ContainsPeer(100));
+  }
+
+  FlowerPeer* dir_ = nullptr;
+};
+
+TEST_F(RingBreakHarness, DirectoryRejoinsThroughALiveBootstrapWithItsIndex) {
+  Kill(1);
+  Kill(2);
+  // A ring the broken one does not know: the only live bootstrap.
+  FlowerPeer* fresh = MakePeer(4, 1, 2);
+  fresh->StartAsDirectory(0, std::nullopt);
+  RunUntilCount("flower.claim.ring_rebuilds", 1, 10 * kMinute);
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  EXPECT_EQ(stats_.Total("flower.claim.ring_rebuilds"), 1u);
+  EXPECT_EQ(stats_.Total("flower.claim.rebuild_demotions"), 0u);
+  EXPECT_EQ(dir_->role(), FlowerRole::kDirectoryPeer);
+  EXPECT_TRUE(dir_->chord()->active());
+  ASSERT_TRUE(dir_->chord()->successor().has_value());
+  EXPECT_EQ(dir_->chord()->successor()->peer, fresh->self());
+  // The rebuild keeps the role, so it keeps the index.
+  EXPECT_TRUE(dir_->index().ContainsPeer(100));
+}
+
+TEST_F(RingBreakHarness, DirectoryWithNoLiveBootstrapDemotes) {
+  Kill(1);
+  Kill(2);
+  RunUntilCount("flower.claim.ring_rebuilds", 1, 10 * kMinute);
+  EXPECT_EQ(stats_.Total("flower.claim.ring_rebuilds"), 1u);
+  EXPECT_EQ(stats_.Total("flower.claim.rebuild_demotions"), 1u);
+  EXPECT_EQ(dir_->role(), FlowerRole::kContentPeer);
+  EXPECT_EQ(dir_->chord()->state(), ChordNode::State::kIdle);
+  EXPECT_EQ(dir_->index().num_peers(), 0u);
+  EXPECT_TRUE(directory_registry_.empty());
+
+  // With the whole ring gone, the next claim of position (0, 0, 0)
+  // creates a new ring.
+  sim_.RunUntil(sim_.now() + params_.gossip_period + kMinute);
+  ASSERT_EQ(directory_registry_.size(), 1u);
+  FlowerPeer* holder = peers_.at(directory_registry_[0]).get();
+  EXPECT_EQ(holder->chord()->id(), keyspace_.IdOf(0, 0, 0));
+  EXPECT_TRUE(holder->chord()->active());
+  EXPECT_EQ(stats_.Total("flower.claim.joined"), 1u);
 }
 
 TEST_F(FlowerPeerHarness, GossipSpreadsContactsAndSummaries) {
