@@ -1,7 +1,8 @@
 // Google-benchmark micro bench of the src/wire codec: encode and decode
 // throughput per protocol family (messages/s and bytes/s), plus the
-// round-trip and the WireEncodedSize path used by --wire=encoded sizing.
-// The committed baseline lives in BENCH_wire.json.
+// round-trip and Message::WireSize(), the size walk the network's traffic
+// accounting runs once per message. The committed baseline lives in
+// BENCH_wire.json.
 
 #include <benchmark/benchmark.h>
 
@@ -51,7 +52,7 @@ void BM_WireEncode(benchmark::State& state) {
   std::vector<MessagePtr> samples = SamplesFor(FamilyName(state.range(0)));
   std::vector<uint8_t> scratch;
   size_t bytes_per_pass = 0;
-  for (const MessagePtr& msg : samples) bytes_per_pass += WireEncodedSize(*msg);
+  for (const MessagePtr& msg : samples) bytes_per_pass += msg->WireSize();
   for (auto _ : state) {
     for (const MessagePtr& msg : samples) {
       scratch.clear();
@@ -87,7 +88,7 @@ BENCHMARK(BM_WireDecode)->DenseRange(0, 4);
 void BM_WireRoundTrip(benchmark::State& state) {
   std::vector<MessagePtr> samples = SamplesFor("all");
   size_t bytes_per_pass = 0;
-  for (const MessagePtr& msg : samples) bytes_per_pass += WireEncodedSize(*msg);
+  for (const MessagePtr& msg : samples) bytes_per_pass += msg->WireSize();
   for (auto _ : state) {
     for (const MessagePtr& msg : samples) {
       Result<MessagePtr> decoded = WireDecode(WireEncode(*msg));
@@ -99,18 +100,18 @@ void BM_WireRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_WireRoundTrip);
 
-// The --wire=encoded hot path: Network::Send calls WireEncodedSize once per
-// message, so this per-call cost is the sizing mode's entire overhead.
-void BM_WireEncodedSize(benchmark::State& state) {
+// The traffic-accounting hot path: Network::Send calls WireSize() once per
+// message; the size walk adds up field widths and writes nothing.
+void BM_WireSizeWalk(benchmark::State& state) {
   std::vector<MessagePtr> samples = SamplesFor("all");
   for (auto _ : state) {
     for (const MessagePtr& msg : samples) {
-      benchmark::DoNotOptimize(WireEncodedSize(*msg));
+      benchmark::DoNotOptimize(msg->WireSize());
     }
   }
   state.SetItemsProcessed(state.iterations() * samples.size());
 }
-BENCHMARK(BM_WireEncodedSize);
+BENCHMARK(BM_WireSizeWalk);
 
 }  // namespace
 }  // namespace flowercdn

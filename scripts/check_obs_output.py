@@ -9,13 +9,14 @@ Validates that
     single-process export (pid 1) and a cluster rank's export (pid
     rank+1, may carry zero-duration "remote" spans tagged with a
     trace_id), and
-  * a --json-out file follows the flowercdn-runner/v5 schema, in
+  * a --json-out file follows the flowercdn-runner/v6 schema, in
     particular the per-trial "overhead", "overlay" and "chaos" sections
-    and the per-cell "wire_mode"/"replication" labels (v4 added the
-    "nack" traffic family and the wire_mode cell key; v5 added the
-    replication cell key and a null — never fake-zero — aggregate
-    replacement latency when no kill was ever replaced, and later the
-    "refused" traffic family); every counter's per-bucket series sums to
+    and the per-cell "replication" label (v4 added the "nack" traffic
+    family; v5 added the replication cell key and a null — never
+    fake-zero — aggregate replacement latency when no kill was ever
+    replaced, and later the "refused" traffic family; v6 dropped the
+    "wire_mode" cell key: bytes are always encoded lengths, so a cell
+    carrying the key is rejected); every counter's per-bucket series sums to
     its total, and a Flower-CDN cell's
     aggregate dir_failures_detected / promotions_triggered are the trial
     statistics of the flower.dir_failures_detected / flower.promotions
@@ -56,7 +57,6 @@ import sys
 
 TRAFFIC_FAMILIES = ("chord", "gossip", "flower", "squirrel", "nack",
                     "refused", "other", "dropped", "injected_loss")
-WIRE_MODES = ("modeled", "encoded")
 PHASE_NAMES = ("dring_resolve", "dir_query", "summary_probe", "fetch",
                "origin")
 
@@ -294,9 +294,9 @@ def check_event_bound(cells, factor):
 def check_runner(path, expect_chaos=False, max_events_over_median=None):
     with open(path) as f:
         doc = json.load(f)
-    require(doc.get("schema") == "flowercdn-runner/v5",
+    require(doc.get("schema") == "flowercdn-runner/v6",
             f"runner: schema is {doc.get('schema')!r}, "
-            f"want flowercdn-runner/v5")
+            f"want flowercdn-runner/v6")
     cells = doc.get("cells")
     require(isinstance(cells, list) and cells, "runner: no cells")
     n_trials = 0
@@ -304,9 +304,8 @@ def check_runner(path, expect_chaos=False, max_events_over_median=None):
     for ci, cell in enumerate(cells):
         require(isinstance(cell.get("scenario"), str),
                 f'runner: cell {ci} lacks the "scenario" label')
-        require(cell.get("wire_mode") in WIRE_MODES,
-                f'runner: cell {ci} "wire_mode" must be one of '
-                f"{WIRE_MODES}, got {cell.get('wire_mode')!r}")
+        require("wire_mode" not in cell,
+                f'runner: cell {ci} carries the pre-v6 "wire_mode" key')
         require(isinstance(cell.get("replication"), int) and
                 cell["replication"] >= 1,
                 f'runner: cell {ci} "replication" must be an int >= 1, '

@@ -264,9 +264,30 @@ Result<double> GetNumber(const JsonValue& obj, const std::string& key,
   return v->number;
 }
 
-SimTime MinToMs(double minutes) {
+// A time field: finite minutes in [0, kMaxScenarioMinutes], as ms.
+Result<SimTime> GetMinutes(const JsonValue& obj, const std::string& key,
+                           bool required) {
+  FLOWERCDN_ASSIGN_OR_RETURN(double minutes, GetNumber(obj, key, required));
+  if (!(minutes >= 0 && minutes <= kMaxScenarioMinutes)) {
+    return Status::InvalidArgument(
+        "scenario JSON: field \"" + key + "\" must be minutes in [0, " +
+        std::to_string(static_cast<int64_t>(kMaxScenarioMinutes)) + "]");
+  }
   return static_cast<SimTime>(std::llround(minutes * kMinute));
 }
+
+// A website or locality field: a non-negative integer up to `max`.
+Result<uint32_t> GetIndex(const JsonValue& obj, const std::string& key,
+                          uint32_t max) {
+  FLOWERCDN_ASSIGN_OR_RETURN(double v, GetNumber(obj, key, true));
+  if (!(v >= 0 && v <= max && v == std::floor(v))) {
+    return Status::InvalidArgument("scenario JSON: field \"" + key +
+                                   "\" must be a non-negative integer");
+  }
+  return static_cast<uint32_t>(v);
+}
+
+constexpr uint32_t kMaxLocality = INT32_MAX;
 
 Result<ScenarioAction> ParseAction(const JsonValue& obj) {
   if (obj.kind != JsonValue::Kind::kObject) {
@@ -283,57 +304,52 @@ Result<ScenarioAction> ParseAction(const JsonValue& obj) {
     FLOWERCDN_RETURN_NOT_OK(
         CheckKeys(obj, {"type", "website", "locality", "t_min"}));
     action.type = ScenarioAction::Type::kKillDirectory;
-    FLOWERCDN_ASSIGN_OR_RETURN(double ws, GetNumber(obj, "website", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double loc, GetNumber(obj, "locality", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t, GetNumber(obj, "t_min", true));
-    action.website = static_cast<WebsiteId>(ws);
+    FLOWERCDN_ASSIGN_OR_RETURN(action.website,
+                               GetIndex(obj, "website", UINT32_MAX));
+    FLOWERCDN_ASSIGN_OR_RETURN(uint32_t loc,
+                               GetIndex(obj, "locality", kMaxLocality));
     action.loc_a = static_cast<ScenarioLocality>(loc);
-    action.t = MinToMs(t);
+    FLOWERCDN_ASSIGN_OR_RETURN(action.t, GetMinutes(obj, "t_min", true));
   } else if (tag == "partition") {
     FLOWERCDN_RETURN_NOT_OK(
         CheckKeys(obj, {"type", "loc_a", "loc_b", "t_min", "duration_min"}));
     action.type = ScenarioAction::Type::kPartition;
-    FLOWERCDN_ASSIGN_OR_RETURN(double a, GetNumber(obj, "loc_a", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double b, GetNumber(obj, "loc_b", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t, GetNumber(obj, "t_min", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double dur,
-                               GetNumber(obj, "duration_min", true));
+    FLOWERCDN_ASSIGN_OR_RETURN(uint32_t a,
+                               GetIndex(obj, "loc_a", kMaxLocality));
+    FLOWERCDN_ASSIGN_OR_RETURN(uint32_t b,
+                               GetIndex(obj, "loc_b", kMaxLocality));
     action.loc_a = static_cast<ScenarioLocality>(a);
     action.loc_b = static_cast<ScenarioLocality>(b);
-    action.t = MinToMs(t);
-    action.duration = MinToMs(dur);
+    FLOWERCDN_ASSIGN_OR_RETURN(action.t, GetMinutes(obj, "t_min", true));
+    FLOWERCDN_ASSIGN_OR_RETURN(action.duration,
+                               GetMinutes(obj, "duration_min", true));
   } else if (tag == "loss_ramp") {
     FLOWERCDN_RETURN_NOT_OK(
         CheckKeys(obj, {"type", "rate", "t0_min", "t1_min"}));
     action.type = ScenarioAction::Type::kLossRamp;
     FLOWERCDN_ASSIGN_OR_RETURN(action.rate, GetNumber(obj, "rate", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t0, GetNumber(obj, "t0_min", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t1, GetNumber(obj, "t1_min", true));
-    action.t = MinToMs(t0);
-    action.duration = MinToMs(t1) - action.t;
+    FLOWERCDN_ASSIGN_OR_RETURN(action.t, GetMinutes(obj, "t0_min", true));
+    FLOWERCDN_ASSIGN_OR_RETURN(SimTime t1, GetMinutes(obj, "t1_min", true));
+    action.duration = t1 - action.t;
   } else if (tag == "churn_spike") {
     FLOWERCDN_RETURN_NOT_OK(
         CheckKeys(obj, {"type", "factor", "t_min", "duration_min"}));
     action.type = ScenarioAction::Type::kChurnSpike;
     FLOWERCDN_ASSIGN_OR_RETURN(action.factor, GetNumber(obj, "factor", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t, GetNumber(obj, "t_min", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double dur,
-                               GetNumber(obj, "duration_min", true));
-    action.t = MinToMs(t);
-    action.duration = MinToMs(dur);
+    FLOWERCDN_ASSIGN_OR_RETURN(action.t, GetMinutes(obj, "t_min", true));
+    FLOWERCDN_ASSIGN_OR_RETURN(action.duration,
+                               GetMinutes(obj, "duration_min", true));
   } else if (tag == "flash_crowd") {
     FLOWERCDN_RETURN_NOT_OK(CheckKeys(
         obj, {"type", "website", "t_min", "multiplier", "duration_min"}));
     action.type = ScenarioAction::Type::kFlashCrowd;
-    FLOWERCDN_ASSIGN_OR_RETURN(double ws, GetNumber(obj, "website", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double t, GetNumber(obj, "t_min", true));
+    FLOWERCDN_ASSIGN_OR_RETURN(action.website,
+                               GetIndex(obj, "website", UINT32_MAX));
+    FLOWERCDN_ASSIGN_OR_RETURN(action.t, GetMinutes(obj, "t_min", true));
     FLOWERCDN_ASSIGN_OR_RETURN(action.factor,
                                GetNumber(obj, "multiplier", true));
-    FLOWERCDN_ASSIGN_OR_RETURN(double dur,
-                               GetNumber(obj, "duration_min", false, 0));
-    action.website = static_cast<WebsiteId>(ws);
-    action.t = MinToMs(t);
-    action.duration = MinToMs(dur);
+    FLOWERCDN_ASSIGN_OR_RETURN(action.duration,
+                               GetMinutes(obj, "duration_min", false));
   } else {
     return Status::InvalidArgument("scenario JSON: unknown action type \"" +
                                    tag + "\"");
@@ -437,8 +453,8 @@ Status ScenarioScript::Validate() const {
   };
   FLOWERCDN_RETURN_NOT_OK(check_rate(loss_rate, "loss_rate"));
   FLOWERCDN_RETURN_NOT_OK(check_rate(duplicate_rate, "duplicate_rate"));
-  if (delay_jitter_ms < 0) {
-    return Status::InvalidArgument("delay_jitter_ms must be >= 0");
+  if (!(delay_jitter_ms >= 0 && std::isfinite(delay_jitter_ms))) {
+    return Status::InvalidArgument("delay_jitter_ms must be finite and >= 0");
   }
   for (const ScenarioAction& a : actions) {
     if (a.t < 0) {
@@ -453,10 +469,10 @@ Status ScenarioScript::Validate() const {
         break;
       case ScenarioAction::Type::kChurnSpike:
       case ScenarioAction::Type::kFlashCrowd:
-        if (a.factor <= 0) {
+        if (!(a.factor > 0 && std::isfinite(a.factor))) {
           return Status::InvalidArgument(
               std::string(ScenarioAction::TypeName(a.type)) +
-              " factor must be > 0");
+              " factor must be finite and > 0");
         }
         break;
       case ScenarioAction::Type::kPartition:
@@ -467,6 +483,20 @@ Status ScenarioScript::Validate() const {
         break;
       case ScenarioAction::Type::kKillDirectory:
         break;
+    }
+  }
+  return Status::OK();
+}
+
+Status ScenarioScript::CheckWebsites(int num_websites) const {
+  for (const ScenarioAction& a : actions) {
+    bool names_website = a.type == ScenarioAction::Type::kKillDirectory ||
+                         a.type == ScenarioAction::Type::kFlashCrowd;
+    if (names_website && a.website >= static_cast<WebsiteId>(num_websites)) {
+      return Status::InvalidArgument(
+          std::string("scenario: ") + ScenarioAction::TypeName(a.type) +
+          " website " + std::to_string(a.website) + " is outside the " +
+          std::to_string(num_websites) + "-website catalog");
     }
   }
   return Status::OK();

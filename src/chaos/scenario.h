@@ -14,6 +14,10 @@ namespace flowercdn {
 // every scenario user is unnecessary; it is a plain int there.
 using ScenarioLocality = int;
 
+/// Largest time a scenario field may name, in minutes (about 1.9 years of
+/// simulated time). Scenario times are finite minutes in [0, this].
+constexpr double kMaxScenarioMinutes = 1e6;
+
 /// One timed fault action of a chaos scenario. A tagged union kept as a
 /// plain struct (only the fields of the active `type` are meaningful) so
 /// scripts stay trivially copyable and serializable.
@@ -86,6 +90,10 @@ struct ScenarioScript {
 
   /// Validates ranges (rates in [0,1], factors > 0, durations >= 0).
   Status Validate() const;
+
+  /// Rejects a kill_directory or flash_crowd website outside a catalog of
+  /// `num_websites` sites (ids 0 .. num_websites - 1).
+  Status CheckWebsites(int num_websites) const;
 
   /// Canonical JSON form (deterministic field order; parseable back).
   std::string ToJson() const;

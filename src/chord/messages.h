@@ -2,7 +2,6 @@
 #define FLOWERCDN_CHORD_MESSAGES_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "chord/id.h"
@@ -39,19 +38,24 @@ inline bool IsChordMessage(MessageType t) {
 /// spill to the heap.
 using SuccessorList = SmallVector<RingPeer, 8>;
 
-/// Modeled size of the optional-predecessor + successor-list payload
-/// shared by the stabilization reply and the graceful-leave handoff (1-byte
-/// flag + 16-byte RingPeer each).
-inline size_t NeighborListBytes(std::span<const RingPeer> successors) {
-  return 17 + 16 * successors.size();
-}
+/// Wire layout of a RingPeer: peer u64, id u64.
+inline constexpr auto kRingPeerWalk = [](auto& v, auto& p) {
+  v.U64(p.peer);
+  v.U64(p.id);
+};
 
 /// Recursive lookup step: forwarded hop by hop toward successor(key). The
 /// receiving hop immediately acks (failure detection) and either answers
 /// the origin directly or forwards further.
-struct ChordFindSuccessorMsg : Message {
+struct ChordFindSuccessorMsg : WireMessage<ChordFindSuccessorMsg> {
   ChordFindSuccessorMsg() { type = kChordFindSuccessor; }
-  size_t SizeBytes() const override { return kHeaderBytes + 28; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U64(m.key);
+    v.U64(m.origin);
+    v.U64(m.lookup_id);
+    v.U32(m.hops);
+  }
   ChordId key = 0;
   PeerId origin = kInvalidPeer;
   uint64_t lookup_id = 0;
@@ -76,9 +80,14 @@ struct ChordForwardAckMsg : Message {
 };
 
 /// Final answer of a lookup, sent directly to the origin.
-struct ChordLookupResultMsg : Message {
+struct ChordLookupResultMsg : WireMessage<ChordLookupResultMsg> {
   ChordLookupResultMsg() { type = kChordLookupResult; }
-  size_t SizeBytes() const override { return kHeaderBytes + 28; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U64(m.lookup_id);
+    kRingPeerWalk(v, m.owner);
+    v.U32(m.hops);
+  }
   uint64_t lookup_id = 0;
   RingPeer owner;
   int hops = 0;
@@ -90,10 +99,13 @@ struct ChordGetNeighborsMsg : Message {
   ChordGetNeighborsMsg() { type = kChordGetNeighbors; }
 };
 
-struct ChordNeighborsReplyMsg : Message {
+struct ChordNeighborsReplyMsg : WireMessage<ChordNeighborsReplyMsg> {
   ChordNeighborsReplyMsg() { type = kChordNeighborsReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + NeighborListBytes(successors);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_predecessor);
+    kRingPeerWalk(v, m.predecessor);
+    v.List(m.successors, kRingPeerWalk);
   }
   bool has_predecessor = false;
   RingPeer predecessor;
@@ -101,13 +113,23 @@ struct ChordNeighborsReplyMsg : Message {
 };
 
 /// "I believe I am your predecessor."
-struct ChordNotifyMsg : Message {
+struct ChordNotifyMsg : WireMessage<ChordNotifyMsg> {
   ChordNotifyMsg() { type = kChordNotify; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U64(m.notifier_id);
+  }
   ChordId notifier_id = 0;
 };
 
-struct ChordNotifyReplyMsg : Message {
+struct ChordNotifyReplyMsg : WireMessage<ChordNotifyReplyMsg> {
   ChordNotifyReplyMsg() { type = kChordNotifyReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.duplicate_id);
+    v.Bool(m.has_predecessor);
+    kRingPeerWalk(v, m.predecessor);
+  }
   /// Set when the notifier's ring id equals the receiver's: two peers
   /// claimed the same deterministic D-ring position (the join race of
   /// §5.2.2); the notifier must abort its join.
@@ -124,10 +146,11 @@ struct ChordGetFingersMsg : Message {
   ChordGetFingersMsg() { type = kChordGetFingers; }
 };
 
-struct ChordFingersReplyMsg : Message {
+struct ChordFingersReplyMsg : WireMessage<ChordFingersReplyMsg> {
   ChordFingersReplyMsg() { type = kChordFingersReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + 16 * fingers.size();
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.fingers, kRingPeerWalk);
   }
   std::vector<RingPeer> fingers;  // populated entries only
 };
@@ -142,10 +165,13 @@ struct ChordPongMsg : Message {
 
 /// Graceful departure: hands neighbors the leaver's links so the ring heals
 /// without waiting for timeouts.
-struct ChordLeaveMsg : Message {
+struct ChordLeaveMsg : WireMessage<ChordLeaveMsg> {
   ChordLeaveMsg() { type = kChordLeave; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + NeighborListBytes(successors);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_predecessor);
+    kRingPeerWalk(v, m.predecessor);
+    v.List(m.successors, kRingPeerWalk);
   }
   bool has_predecessor = false;
   RingPeer predecessor;

@@ -73,12 +73,6 @@ struct ExperimentConfig {
   /// engine existed.
   ScenarioScript chaos;
 
-  /// How traffic is sized: modeled SizeBytes() estimates (default, the
-  /// historical behavior) or actual src/wire encoded lengths. Only the
-  /// reported byte counters change — delivery timing and protocol behavior
-  /// are identical in both modes.
-  WireMode wire_mode = WireMode::kModeled;
-
   /// Arrival rate (peers per ms): the override when set, else the rate
   /// P/m that keeps the population at P.
   double ArrivalRatePerMs() const {

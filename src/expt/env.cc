@@ -32,9 +32,6 @@ ExperimentEnv::ExperimentEnv(const ExperimentConfig& config)
   if (config_.collect_traces) {
     trace_ = std::make_shared<TraceCollector>(config_.trace_max_queries);
   }
-  if (config_.wire_mode == WireMode::kEncoded) {
-    network_.SetMessageSizer(&WireEncodedSize);
-  }
   const size_t universe = config_.UniverseSize();
   const int k = config_.topology.num_localities;
   const int num_websites = config_.catalog.num_websites;

@@ -49,19 +49,33 @@ struct DirInfo {
   uint32_t age = 0;
 };
 
-/// Modeled size of the symmetric gossip payload (contacts + content
-/// summary + dir-info) — one helper instead of per-message copies, so the
-/// estimate stays testable against the src/wire encoded length.
-inline size_t GossipPayloadBytes(const std::vector<Contact>& contacts,
-                                 const BloomFilter& summary) {
-  return 16 + ContactsBytes(contacts) + summary.SizeBytes();
-}
+/// Wire layout of a DirInfo: dir u64, instance u32, age u32.
+inline constexpr auto kDirInfoWalk = [](auto& v, auto& d) {
+  v.U64(d.dir);
+  v.U32(d.instance);
+  v.U32(d.age);
+};
+
+/// Wire layout of one directory-index entry: peer u64, then its objects.
+inline constexpr auto kIndexEntryWalk = [](auto& v, auto& entry) {
+  v.U64(entry.first);
+  v.List(entry.second, kPackedWalk);
+};
 
 /// Client -> directory peer: resolve a query and/or admit me to the petal.
 /// Routed to d^0(ws, loc) over the D-ring for new clients; sent directly
 /// (dir-info) by content peers.
-struct FlowerDirQueryMsg : Message {
+struct FlowerDirQueryMsg : WireMessage<FlowerDirQueryMsg> {
   FlowerDirQueryMsg() { type = kFlowerDirQuery; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U32(m.website);
+    v.U32(m.locality);
+    v.Bool(m.has_object);
+    v.Packed(m.object);
+    v.Bool(m.wants_join);
+    v.U32(m.scan_hops);
+  }
   WebsiteId website = 0;
   LocalityId locality = 0;
   bool has_object = false;
@@ -85,10 +99,16 @@ enum class DirQueryResult : uint8_t {
   kForward,
 };
 
-struct FlowerDirQueryReplyMsg : Message {
+struct FlowerDirQueryReplyMsg : WireMessage<FlowerDirQueryReplyMsg> {
   FlowerDirQueryReplyMsg() { type = kFlowerDirQueryReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + 24 + ContactsBytes(view_seed);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Enum(m.result, DirQueryResult::kForward, "bad DirQueryResult");
+    v.U64(m.provider);
+    v.U64(m.forward_to);
+    v.Bool(m.admitted);
+    v.U32(m.instance);
+    v.List(m.view_seed, kContactWalk);
   }
   DirQueryResult result = DirQueryResult::kMiss;
   PeerId provider = kInvalidPeer;
@@ -103,32 +123,46 @@ struct FlowerDirQueryReplyMsg : Message {
 };
 
 /// Peer-to-peer content request inside (or across) petals.
-struct FlowerFetchMsg : Message {
+struct FlowerFetchMsg : WireMessage<FlowerFetchMsg> {
   FlowerFetchMsg() { type = kFlowerFetch; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+  }
   ObjectId object;
 };
 
-struct FlowerFetchReplyMsg : Message {
+struct FlowerFetchReplyMsg : WireMessage<FlowerFetchReplyMsg> {
   FlowerFetchReplyMsg() { type = kFlowerFetchReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_object);
+  }
   bool has_object = false;
 };
 
 /// Petal gossip exchange (§3.1): contacts, the sender's content summary and
 /// its dir-info, answered symmetrically.
-struct FlowerGossipMsg : Message {
+struct FlowerGossipMsg : WireMessage<FlowerGossipMsg> {
   FlowerGossipMsg() { type = kFlowerGossip; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + GossipPayloadBytes(contacts, summary);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.contacts, kContactWalk);
+    v.Bloom(m.summary);
+    kDirInfoWalk(v, m.dir_info);
   }
   std::vector<Contact> contacts;
   BloomFilter summary;
   DirInfo dir_info;
 };
 
-struct FlowerGossipReplyMsg : Message {
+struct FlowerGossipReplyMsg : WireMessage<FlowerGossipReplyMsg> {
   FlowerGossipReplyMsg() { type = kFlowerGossipReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + GossipPayloadBytes(contacts, summary);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.contacts, kContactWalk);
+    v.Bloom(m.summary);
+    kDirInfoWalk(v, m.dir_info);
   }
   std::vector<Contact> contacts;
   BloomFilter summary;
@@ -140,8 +174,13 @@ struct FlowerKeepaliveMsg : Message {
   FlowerKeepaliveMsg() { type = kFlowerKeepalive; }
 };
 
-struct FlowerKeepaliveReplyMsg : Message {
+struct FlowerKeepaliveReplyMsg : WireMessage<FlowerKeepaliveReplyMsg> {
   FlowerKeepaliveReplyMsg() { type = kFlowerKeepaliveReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.accepted);
+    v.U32(m.instance);
+  }
   /// False when the receiver is no longer a directory peer — the sender
   /// must run the replacement protocol.
   bool accepted = false;
@@ -151,16 +190,22 @@ struct FlowerKeepaliveReplyMsg : Message {
 
 /// Content peer -> directory peer: full stored-object list after the push
 /// threshold tripped (§5.1).
-struct FlowerPushMsg : Message {
+struct FlowerPushMsg : WireMessage<FlowerPushMsg> {
   FlowerPushMsg() { type = kFlowerPush; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + 8 * objects.size();
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.objects, kPackedWalk);
   }
   std::vector<ObjectId> objects;
 };
 
-struct FlowerPushReplyMsg : Message {
+struct FlowerPushReplyMsg : WireMessage<FlowerPushReplyMsg> {
   FlowerPushReplyMsg() { type = kFlowerPushReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.accepted);
+    v.U32(m.instance);
+  }
   /// False when the receiver is no longer a directory peer.
   bool accepted = false;
   int instance = 0;
@@ -168,8 +213,14 @@ struct FlowerPushReplyMsg : Message {
 
 /// PetalUp (§4): overloaded final instance d^i orders one of its content
 /// peers to join the D-ring as d^{i+1}.
-struct FlowerPromoteMsg : Message {
+struct FlowerPromoteMsg : WireMessage<FlowerPromoteMsg> {
   FlowerPromoteMsg() { type = kFlowerPromote; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U32(m.website);
+    v.U32(m.locality);
+    v.U32(m.new_instance);
+  }
   WebsiteId website = 0;
   LocalityId locality = 0;
   int new_instance = 0;
@@ -177,14 +228,15 @@ struct FlowerPromoteMsg : Message {
 
 /// Voluntary directory leave (§5.2.2): the departing directory transfers a
 /// copy of its view and directory-index to its replacement.
-struct FlowerDirHandoffMsg : Message {
+struct FlowerDirHandoffMsg : WireMessage<FlowerDirHandoffMsg> {
   FlowerDirHandoffMsg() { type = kFlowerDirHandoff; }
-  size_t SizeBytes() const override {
-    size_t index_bytes = 0;
-    for (const auto& [peer, objects] : index.peers) {
-      index_bytes += 8 + 8 * objects.size();
-    }
-    return kHeaderBytes + 12 + ContactsBytes(view) + index_bytes;
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U32(m.website);
+    v.U32(m.locality);
+    v.U32(m.instance);
+    v.List(m.view, kContactWalk);
+    v.List(m.index.peers, kIndexEntryWalk);
   }
   WebsiteId website = 0;
   LocalityId locality = 0;
@@ -199,10 +251,14 @@ struct FlowerDirHandoffMsg : Message {
 /// is addressed *from* the client), so the provider's answer — a
 /// FlowerDirQueryReplyMsg confirming possession — flows straight back to
 /// the client, saving a redirect round trip.
-struct FlowerForwardedQueryMsg : Message {
+struct FlowerForwardedQueryMsg : WireMessage<FlowerForwardedQueryMsg> {
   FlowerForwardedQueryMsg() { type = kFlowerForwardedQuery; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + 16 + ContactsBytes(view_seed);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+    v.Bool(m.admitted);
+    v.U32(m.instance);
+    v.List(m.view_seed, kContactWalk);
   }
   ObjectId object;
   /// Admission state decided by the directory, relayed to the client.
@@ -214,18 +270,29 @@ struct FlowerForwardedQueryMsg : Message {
 /// Content peer -> directory peer: semantic search (the paper's §7 future
 /// work) — "which indexed objects of our website carry this keyword, and
 /// who provides them?"
-struct FlowerKeywordQueryMsg : Message {
+struct FlowerKeywordQueryMsg : WireMessage<FlowerKeywordQueryMsg> {
   FlowerKeywordQueryMsg() { type = kFlowerKeywordQuery; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U32(m.website);
+    v.U32(m.keyword);
+    v.U32(m.max_results);
+  }
   WebsiteId website = 0;
   KeywordId keyword = 0;
   /// Cap on returned matches.
   uint32_t max_results = 16;
 };
 
-struct FlowerKeywordReplyMsg : Message {
+struct FlowerKeywordReplyMsg : WireMessage<FlowerKeywordReplyMsg> {
   FlowerKeywordReplyMsg() { type = kFlowerKeywordReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + 16 * matches.size();
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.accepted);
+    v.List(m.matches, [](auto& v, auto& match) {
+      v.Packed(match.object);
+      v.U64(match.provider);
+    });
   }
   /// False when the receiver is not a directory peer.
   bool accepted = false;
@@ -242,7 +309,7 @@ struct FlowerKeywordReplyMsg : Message {
 /// operations accumulated since the receiver's acknowledged version. The
 /// petal view rides along in both forms so a promoting replica always
 /// hands over fresh (age-reconciled) contacts.
-struct FlowerReplicaSyncMsg : Message {
+struct FlowerReplicaSyncMsg : WireMessage<FlowerReplicaSyncMsg> {
   FlowerReplicaSyncMsg() { type = kFlowerReplicaSync; }
 
   enum OpKind : uint8_t {
@@ -261,13 +328,22 @@ struct FlowerReplicaSyncMsg : Message {
     std::vector<ObjectId> objects;  // empty for kRemovePeer
   };
 
-  size_t SizeBytes() const override {
-    size_t payload = 33 + ContactsBytes(view);
-    for (const auto& [peer, objects] : index.peers) {
-      payload += 8 + 8 * objects.size();
-    }
-    for (const Op& op : ops) payload += 13 + 8 * op.objects.size();
-    return kHeaderBytes + payload;
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.U32(m.website);
+    v.U32(m.locality);
+    v.U32(m.instance);
+    v.U32(m.rank);
+    v.Bool(m.full);
+    v.U64(m.base_version);
+    v.U64(m.version);
+    v.List(m.view, kContactWalk);
+    v.List(m.index.peers, kIndexEntryWalk);
+    v.List(m.ops, [](auto& v, auto& op) {
+      v.Enum(op.kind, kRemovePeer, "bad replica-sync op kind");
+      v.U64(op.peer);
+      v.List(op.objects, kPackedWalk);
+    });
   }
 
   WebsiteId website = 0;
@@ -291,8 +367,13 @@ struct FlowerReplicaSyncMsg : Message {
   std::vector<Op> ops;
 };
 
-struct FlowerReplicaSyncReplyMsg : Message {
+struct FlowerReplicaSyncReplyMsg : WireMessage<FlowerReplicaSyncReplyMsg> {
   FlowerReplicaSyncReplyMsg() { type = kFlowerReplicaSyncReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.accepted);
+    v.U64(m.acked_version);
+  }
   /// False when the receiver could not apply a delta (version gap, unknown
   /// petal, replication disabled) — the primary resyncs with a snapshot.
   bool accepted = false;
@@ -302,13 +383,22 @@ struct FlowerReplicaSyncReplyMsg : Message {
 
 /// Directory-to-directory collaboration probe (§3.2): "do you know a
 /// provider for this object of our common website?"
-struct FlowerDirProbeMsg : Message {
+struct FlowerDirProbeMsg : WireMessage<FlowerDirProbeMsg> {
   FlowerDirProbeMsg() { type = kFlowerDirProbe; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+  }
   ObjectId object;
 };
 
-struct FlowerDirProbeReplyMsg : Message {
+struct FlowerDirProbeReplyMsg : WireMessage<FlowerDirProbeReplyMsg> {
   FlowerDirProbeReplyMsg() { type = kFlowerDirProbeReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_provider);
+    v.U64(m.provider);
+  }
   bool has_provider = false;
   PeerId provider = kInvalidPeer;
 };

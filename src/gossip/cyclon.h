@@ -24,18 +24,20 @@ inline bool IsGossipMessage(MessageType t) {
   return t >= kGossipMessageBase && t < kGossipMessageBase + 100;
 }
 
-struct GossipShuffleMsg : Message {
+struct GossipShuffleMsg : WireMessage<GossipShuffleMsg> {
   GossipShuffleMsg() { type = kGossipShuffle; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + ContactsBytes(contacts);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.contacts, kContactWalk);
   }
   std::vector<Contact> contacts;
 };
 
-struct GossipShuffleReplyMsg : Message {
+struct GossipShuffleReplyMsg : WireMessage<GossipShuffleReplyMsg> {
   GossipShuffleReplyMsg() { type = kGossipShuffleReply; }
-  size_t SizeBytes() const override {
-    return kHeaderBytes + ContactsBytes(contacts);
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.contacts, kContactWalk);
   }
   std::vector<Contact> contacts;
 };

@@ -19,12 +19,11 @@ struct Contact {
   uint32_t age = 0;
 };
 
-/// Modeled wire size of a contact list (8-byte peer + 4-byte age each) —
-/// the single source for every message estimate that ships contacts, kept
-/// in lockstep with the src/wire binary encoding.
-inline size_t ContactsBytes(const std::vector<Contact>& contacts) {
-  return 12 * contacts.size();
-}
+/// Wire layout of a Contact: peer u64, age u32.
+inline constexpr auto kContactWalk = [](auto& v, auto& c) {
+  v.U64(c.peer);
+  v.U32(c.age);
+};
 
 /// A partial view of a cluster: bounded or unbounded list of aged contacts.
 /// Flower-CDN content peers keep a view of their petal(ws, loc); the paper

@@ -194,6 +194,11 @@ bool HttpResponseParser::Next(HttpResponse* out) {
         sp1 + 1, sp2 == std::string_view::npos ? std::string_view::npos
                                                : sp2 - sp1 - 1);
     resp.status = 0;
+    // RFC 9112: status-code = 3DIGIT.
+    if (code.size() != 3) {
+      Fail("malformed status code");
+      return false;
+    }
     for (char ch : code) {
       if (ch < '0' || ch > '9') {
         Fail("malformed status code");

@@ -441,7 +441,7 @@ void WriteSweepJson(std::ostream& os, uint64_t base_seed,
                     bool include_trials, bool include_timing) {
   JsonWriter w(os);
   w.BeginObject();
-  w.Key("schema").Value("flowercdn-runner/v5");
+  w.Key("schema").Value("flowercdn-runner/v6");
   w.Key("base_seed").Value(base_seed);
   w.Key("cells").BeginArray();
   for (const CellResult& cell : cells) {
@@ -463,7 +463,6 @@ void WriteSweepJson(std::ostream& os, uint64_t base_seed,
         static_cast<uint64_t>(cell.config.mean_uptime / kMinute));
     w.Key("churn").Value(cell.config.churn_enabled);
     w.Key("scenario").Value(cell.config.chaos.name);
-    w.Key("wire_mode").Value(WireModeName(cell.config.wire_mode));
     w.Key("replication").Value(
         static_cast<uint64_t>(cell.config.flower.replication));
     w.Key("aggregate");

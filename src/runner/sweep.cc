@@ -121,6 +121,8 @@ Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
         Result<ScenarioScript> script =
             ScenarioScript::LoadFile(std::string(v));
         if (!script.ok()) return script.status();
+        FLOWERCDN_RETURN_NOT_OK(
+            script->CheckWebsites(base.catalog.num_websites));
         if (script->name.empty()) {
           // Label cells by the file stem when the scenario is anonymous.
           std::string_view stem = v;
@@ -131,21 +133,6 @@ Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
           script->name = std::string(stem);
         }
         sweep.scenarios.push_back(std::move(*script));
-      }
-      continue;
-    }
-
-    if (key == "wire") {
-      for (std::string_view v : values) {
-        if (v == "modeled") {
-          sweep.wire_modes.push_back(WireMode::kModeled);
-        } else if (v == "encoded") {
-          sweep.wire_modes.push_back(WireMode::kEncoded);
-        } else {
-          return Status::InvalidArgument("sweep: unknown wire mode '" +
-                                         std::string(v) +
-                                         "' (want modeled|encoded)");
-        }
       }
       continue;
     }
@@ -207,7 +194,7 @@ Result<SweepSpec> SweepSpec::Parse(std::string_view spec,
     } else {
       return Status::InvalidArgument(
           "sweep: unknown key '" + std::string(key) +
-          "' (want population|zipf|uptime-min|chaos|system|wire|replication|"
+          "' (want population|zipf|uptime-min|chaos|system|replication|"
           "trials|seed|hours)");
     }
   }
@@ -221,7 +208,6 @@ size_t SweepSpec::NumCells() const {
   if (!mean_uptimes.empty()) cells *= mean_uptimes.size();
   if (!scenarios.empty()) cells *= scenarios.size();
   cells *= systems.empty() ? 1 : systems.size();
-  if (!wire_modes.empty()) cells *= wire_modes.size();
   if (!replications.empty()) cells *= replications.size();
   return cells;
 }
@@ -242,66 +228,58 @@ std::vector<TrialJob> SweepSpec::Expand() const {
       scenarios.empty() ? std::vector<ScenarioScript>{base.chaos} : scenarios;
   std::vector<SystemChoice> kinds =
       systems.empty() ? std::vector<SystemChoice>{SystemChoice{}} : systems;
-  std::vector<WireMode> wires =
-      wire_modes.empty() ? std::vector<WireMode>{base.wire_mode} : wire_modes;
   std::vector<int> reps = replications.empty()
                               ? std::vector<int>{base.flower.replication}
                               : replications;
 
   std::vector<TrialJob> jobs;
   jobs.reserve(pops.size() * zipfs.size() * uptimes.size() * scripts.size() *
-               kinds.size() * wires.size() * reps.size() * trials);
+               kinds.size() * reps.size() * trials);
   size_t cell = 0;
   for (size_t population : pops) {
     for (double zipf : zipfs) {
       for (SimDuration uptime : uptimes) {
         for (const ScenarioScript& script : scripts) {
           for (const SystemChoice& sys : kinds) {
-            for (WireMode wire : wires) {
-              for (int replication : reps) {
-                std::string label = sys.name;
-                if (pops.size() > 1) {
-                  label += "/P=" + std::to_string(population);
-                }
-                if (zipfs.size() > 1) {
-                  label += "/zipf=" + FormatDouble(zipf, 2);
-                }
-                if (uptimes.size() > 1) {
-                  label += "/m=" + std::to_string(uptime / kMinute) + "min";
-                }
-                if (scripts.size() > 1) {
-                  label += "/chaos=" +
-                           (script.empty()
-                                ? std::string("none")
-                                : (script.name.empty()
-                                       ? std::string("scenario")
-                                       : script.name));
-                }
-                if (wires.size() > 1) {
-                  label += "/wire=" + std::string(WireModeName(wire));
-                }
-                if (reps.size() > 1) {
-                  label += "/k=" + std::to_string(replication);
-                }
-                for (size_t trial = 0; trial < trials; ++trial) {
-                  TrialJob job;
-                  job.config = base;
-                  job.config.target_population = population;
-                  job.config.catalog.zipf_alpha = zipf;
-                  job.config.mean_uptime = uptime;
-                  job.config.chaos = script;
-                  job.config.squirrel.mode = sys.squirrel_mode;
-                  job.config.wire_mode = wire;
-                  job.config.flower.replication = replication;
-                  job.config.seed = DeriveTrialSeed(base_seed, trial);
-                  job.kind = sys.kind;
-                  job.cell = cell;
-                  job.trial = trial;
-                  job.label = label;
-                  jobs.push_back(std::move(job));
-                }
-                ++cell;
+            for (int replication : reps) {
+              std::string label = sys.name;
+              if (pops.size() > 1) {
+                label += "/P=" + std::to_string(population);
               }
+              if (zipfs.size() > 1) {
+                label += "/zipf=" + FormatDouble(zipf, 2);
+              }
+              if (uptimes.size() > 1) {
+                label += "/m=" + std::to_string(uptime / kMinute) + "min";
+              }
+              if (scripts.size() > 1) {
+                label += "/chaos=" +
+                         (script.empty()
+                              ? std::string("none")
+                              : (script.name.empty()
+                                     ? std::string("scenario")
+                                     : script.name));
+              }
+              if (reps.size() > 1) {
+                label += "/k=" + std::to_string(replication);
+              }
+              for (size_t trial = 0; trial < trials; ++trial) {
+                TrialJob job;
+                job.config = base;
+                job.config.target_population = population;
+                job.config.catalog.zipf_alpha = zipf;
+                job.config.mean_uptime = uptime;
+                job.config.chaos = script;
+                job.config.squirrel.mode = sys.squirrel_mode;
+                job.config.flower.replication = replication;
+                job.config.seed = DeriveTrialSeed(base_seed, trial);
+                job.kind = sys.kind;
+                job.cell = cell;
+                job.trial = trial;
+                job.label = label;
+                jobs.push_back(std::move(job));
+              }
+              ++cell;
             }
           }
         }

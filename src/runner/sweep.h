@@ -52,17 +52,16 @@ struct SweepSpec {
   std::vector<SimDuration> mean_uptimes;     // churn rates (m, in ms)
   std::vector<ScenarioScript> scenarios;     // chaos scenarios (files/none)
   std::vector<SystemChoice> systems;         // default: flower only
-  std::vector<WireMode> wire_modes;          // traffic sizing backends
   std::vector<int> replications;             // directory replication factors
   size_t trials = 1;
   uint64_t base_seed = 42;
 
   /// Parses a compact sweep string of semicolon-separated `key=v1,v2,...`
   /// clauses onto `base`. Keys: population, zipf, uptime-min, chaos,
-  /// system, wire, replication, trials, seed, hours. `chaos` values are
-  /// scenario file paths (or the literal `none` for a fault-free cell);
-  /// `wire` values are modeled|encoded; `replication` values are total
-  /// directory copies (k >= 1; only Flower cells react). Example:
+  /// system, replication, trials, seed, hours. `chaos` values are
+  /// scenario file paths (or the literal `none` for a fault-free cell),
+  /// whose websites must lie in `base`'s catalog; `replication` values are
+  /// total directory copies (k >= 1; only Flower cells react). Example:
   ///   "population=2000,3000;system=flower,squirrel;trials=8"
   ///   "chaos=scenarios/dirkill.json;replication=1,3"
   /// Unknown keys, empty value lists and malformed numbers are errors.

@@ -1,9 +1,12 @@
 #ifndef FLOWERCDN_SIM_MESSAGE_H_
 #define FLOWERCDN_SIM_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "simcore/message_pool.h"
 #include "sim/types.h"
@@ -40,7 +43,7 @@ constexpr MessageType kContentMessageBase = 5000;
 /// gateway request's phases can be stitched back together across cluster
 /// ranks. All-zero means untraced — the default, and the only state the
 /// deterministic sim ever sees unless a collector is installed. Carried
-/// out-of-band: it does not contribute to SizeBytes() or the wire codec's
+/// out-of-band: it does not contribute to WireSize() or the wire codec's
 /// canonical message encoding (socket transports ship it in the frame
 /// header extension instead, see wire/frame.h).
 struct TraceContext {
@@ -48,6 +51,84 @@ struct TraceContext {
   uint64_t span_id = 0;
   bool active() const { return trace_id != 0; }
 };
+
+/// Length of the header every encoded message starts with: type u32,
+/// flags u8, src, dst and rpc_id u64 (layout in src/wire/codec.h).
+constexpr size_t kWireHeaderBytes = 29;
+
+/// What a field walk adds up to: an encoded length, and whether every
+/// value of the walked type has that length (no list or filter inside).
+struct WireShape {
+  size_t bytes = 0;
+  bool fixed = true;
+};
+
+/// The shape of a default-constructed `E` under `walk` — the width of
+/// every element when fixed, the minimum width otherwise.
+template <typename E, typename W>
+constexpr WireShape WireShapeOf(W walk);
+
+/// The element type of a list a walk visits.
+template <typename L>
+using WireElement = std::remove_cvref_t<decltype(*std::declval<L&>().begin())>;
+
+/// The size visitor of a field walk: adds up the encoded width of every
+/// field and writes nothing. A field walk lists a message's payload once,
+/// as calls on a visitor `v` — `v.Bool`, `v.U32`, `v.U64` (integers of
+/// that width), `v.Packed` (a value with Packed()/FromPacked(), 8 bytes),
+/// `v.Enum` (one byte with an upper bound), `v.List` (a u32 count, then
+/// each element through an element walk) and `v.Bloom` (a BloomFilter).
+/// src/wire binds the same walks to its writer and reader, so the
+/// accounted length is the encoded length by construction.
+class WireSizer {
+ public:
+  constexpr void Bool(bool) { shape_.bytes += 1; }
+  template <typename T>
+  constexpr void U32(const T&) { shape_.bytes += 4; }
+  template <typename T>
+  constexpr void U64(const T&) { shape_.bytes += 8; }
+  template <typename T>
+  constexpr void Packed(const T&) { shape_.bytes += 8; }
+  template <typename T>
+  constexpr void Enum(const T&, std::type_identity_t<T>, const char*) {
+    shape_.bytes += 1;
+  }
+  template <typename L, typename W>
+  constexpr void List(const L& list, W walk) {
+    shape_.bytes += 4;
+    shape_.fixed = false;
+    using E = WireElement<L>;
+    if constexpr (constexpr WireShape element = WireShapeOf<E>(W{});
+                  element.fixed) {
+      shape_.bytes += list.size() * element.bytes;
+    } else {
+      for (const E& e : list) walk(*this, e);
+    }
+  }
+  /// bit_count u64, num_hashes u32, inserted_count u64, then the words.
+  template <typename Filter>
+  constexpr void Bloom(const Filter& filter) {
+    shape_.bytes += 20 + 8 * filter.words().size();
+    shape_.fixed = false;
+  }
+
+  constexpr WireShape shape() const { return shape_; }
+
+ private:
+  WireShape shape_;
+};
+
+template <typename E, typename W>
+constexpr WireShape WireShapeOf(W walk) {
+  WireSizer sizer;
+  const E element{};
+  walk(sizer, element);
+  return sizer.shape();
+}
+
+/// Element walks shared by every list of plain 64-bit values.
+inline constexpr auto kU64Walk = [](auto& v, auto& x) { v.U64(x); };
+inline constexpr auto kPackedWalk = [](auto& v, auto& x) { v.Packed(x); };
 
 /// Base class of everything the simulated network transports. Concrete
 /// protocols subclass it with their payload fields. Routing metadata
@@ -66,13 +147,10 @@ struct Message {
     PooledFree(p, size);
   }
 
-  /// Estimated wire size in bytes (headers + payload) — drives the
-  /// network's traffic accounting. Subclasses add their payload on top of
-  /// the base header estimate.
-  virtual size_t SizeBytes() const { return kHeaderBytes; }
-
-  /// Rough transport+protocol header estimate per message.
-  static constexpr size_t kHeaderBytes = 48;
+  /// Encoded length in bytes, header included — the network's traffic
+  /// accounting. A message without a payload walk (a ping, a NACK) is the
+  /// header alone; WireMessage adds its walk's fields.
+  virtual size_t WireSize() const { return kWireHeaderBytes; }
 
   MessageType type = 0;
   PeerId src = kInvalidPeer;
@@ -83,6 +161,21 @@ struct Message {
   /// Trace context propagated from the sending peer's current activity
   /// (stamped by Network::Send when unset). Inert unless tracing is on.
   TraceContext trace;
+};
+
+/// A message with a payload. `T` lists its fields once, as
+///
+///     template <typename V, typename M>
+///     static void Walk(V& v, M& m);  // M is T or const T
+///
+/// which sizes it here and encodes and decodes it in src/wire.
+template <typename T>
+struct WireMessage : Message {
+  size_t WireSize() const final {
+    WireSizer sizer;
+    T::Walk(sizer, static_cast<const T&>(*this));
+    return kWireHeaderBytes + sizer.shape().bytes;
+  }
 };
 
 using MessagePtr = std::unique_ptr<Message>;

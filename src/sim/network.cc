@@ -8,16 +8,6 @@
 
 namespace flowercdn {
 
-const char* WireModeName(WireMode mode) {
-  switch (mode) {
-    case WireMode::kModeled:
-      return "modeled";
-    case WireMode::kEncoded:
-      return "encoded";
-  }
-  return "?";
-}
-
 Network::Network(Simulator* sim, Topology* topology)
     : sim_(sim),
       topology_(topology),
@@ -99,7 +89,7 @@ void Network::Send(PeerId src, PeerId dst, MessagePtr msg) {
   msg->dst = dst;
   if (!msg->trace.active()) msg->trace = current_trace_;
   ++messages_sent_;
-  size_t size = sizer_ != nullptr ? sizer_(*msg) : msg->SizeBytes();
+  size_t size = msg->WireSize();
   bytes_sent_ += size;
   TrafficBreakdown::Family* family = nullptr;
   if (msg->type == kTransportNack) {

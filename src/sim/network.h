@@ -17,15 +17,6 @@ namespace flowercdn {
 
 class Transport;
 
-/// How the network sizes a message for traffic accounting.
-///  * kModeled: the hand-maintained Message::SizeBytes() estimates (the
-///    historical behavior, and the default).
-///  * kEncoded: the actual length of the src/wire binary encoding,
-///    installed through Network::SetMessageSizer.
-enum class WireMode { kModeled, kEncoded };
-
-const char* WireModeName(WireMode mode);
-
 /// What the fault layer decided about one message about to enter the
 /// network. The default is a clean delivery.
 struct FaultDecision {
@@ -147,11 +138,6 @@ class Network {
     Deliver(dst, latency, accounted_bytes, std::move(msg));
   }
 
-  /// Overrides how messages are sized for traffic accounting (nullptr
-  /// restores Message::SizeBytes()). Used by --wire=encoded to charge
-  /// actual encoded lengths instead of the hand-maintained estimates.
-  void SetMessageSizer(size_t (*sizer)(const Message&)) { sizer_ = sizer; }
-
   Simulator* sim() { return sim_; }
   const Simulator* sim() const { return sim_; }
   Topology* topology() { return topology_; }
@@ -163,8 +149,9 @@ class Network {
   uint64_t bytes_sent() const { return bytes_sent_; }
 
   /// Traffic split by protocol family (message-type range). Each family
-  /// accounts both messages and bytes (headers included) so overhead can be
-  /// reported in the paper's bandwidth terms, not just message counts.
+  /// accounts both messages and encoded bytes (Message::WireSize(), headers
+  /// included) so overhead can be reported in the paper's bandwidth terms,
+  /// not just message counts.
   struct TrafficBreakdown {
     struct Family {
       uint64_t messages = 0;
@@ -176,9 +163,8 @@ class Network {
     Family squirrel;
     Family other;  // unregistered ranges, test traffic
     /// Transport-level NACKs (kTransportNack). Counted under their own
-    /// family — not `other` — so the message census stays comparable
-    /// between --wire=modeled and --wire=encoded runs and NACK storms are
-    /// visible in the overhead report.
+    /// family — not `other` — so NACK storms are visible in the overhead
+    /// report.
     Family nack;
     /// RPC refusals (kRpcRefused) from live peers that cannot serve the
     /// request. Their own family, so `nack` keeps meaning sends to dead
@@ -235,7 +221,6 @@ class Network {
   NetworkFaultHook* fault_hook_ = nullptr;
   std::unique_ptr<Transport> default_transport_;
   Transport* transport_ = nullptr;  // never null after construction
-  size_t (*sizer_)(const Message&) = nullptr;  // null -> SizeBytes()
   // Identity state in struct-of-arrays layout, indexed directly by PeerId
   // (identities are dense small integers — the experiment env numbers them
   // 1..universe). The alive/incarnation checks run on every delivery and

@@ -26,9 +26,9 @@ class Transport {
   /// simulation thread — or, if the backend cannot carry the message (send
   /// buffer exhausted, encoding oversized, write queue past its hard cap),
   /// account the loss with exactly one Network::NoteTransportDrop call
-  /// instead. `accounted_bytes` is the wire size the network charged at
-  /// send time (modeled or encoded, per the active sizer) and is reused
-  /// for drop accounting at delivery time.
+  /// instead. `accounted_bytes` is the encoded length the network charged
+  /// at send time (Message::WireSize()) and is reused for drop accounting
+  /// at delivery time.
   virtual void Carry(PeerId src, PeerId dst, SimDuration latency,
                      size_t accounted_bytes, MessagePtr msg) = 0;
 

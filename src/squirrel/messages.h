@@ -25,48 +25,73 @@ inline bool IsSquirrelMessage(MessageType t) {
 
 /// Client -> home node. Directory mode: "who recently downloaded this
 /// object?" Home-store mode: "serve me your stored copy."
-struct SquirrelQueryMsg : Message {
+struct SquirrelQueryMsg : WireMessage<SquirrelQueryMsg> {
   SquirrelQueryMsg() { type = kSquirrelQuery; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+  }
   ObjectId object;
 };
 
 /// Home node's answer. Directory mode: a random recent downloader, or
 /// none. Home-store mode: `served_directly` when the home itself holds a
 /// replica and ships it.
-struct SquirrelQueryReplyMsg : Message {
+struct SquirrelQueryReplyMsg : WireMessage<SquirrelQueryReplyMsg> {
   SquirrelQueryReplyMsg() { type = kSquirrelQueryReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_delegate);
+    v.U64(m.delegate);
+    v.Bool(m.served_directly);
+  }
   bool has_delegate = false;
   PeerId delegate = kInvalidPeer;
   bool served_directly = false;
 };
 
 /// Client -> delegate: "serve me the object."
-struct SquirrelFetchMsg : Message {
+struct SquirrelFetchMsg : WireMessage<SquirrelFetchMsg> {
   SquirrelFetchMsg() { type = kSquirrelFetch; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+  }
   ObjectId object;
 };
 
-struct SquirrelFetchReplyMsg : Message {
+struct SquirrelFetchReplyMsg : WireMessage<SquirrelFetchReplyMsg> {
   SquirrelFetchReplyMsg() { type = kSquirrelFetchReply; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Bool(m.has_object);
+  }
   bool has_object = false;
 };
 
 /// Client -> home node (one-way): "I now hold a copy; add me to the
 /// object's directory."
-struct SquirrelUpdateMsg : Message {
+struct SquirrelUpdateMsg : WireMessage<SquirrelUpdateMsg> {
   SquirrelUpdateMsg() { type = kSquirrelUpdate; }
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.Packed(m.object);
+  }
   ObjectId object;
 };
 
 /// Old home -> new home (one-way): directory entries whose keys moved to a
 /// freshly joined predecessor (Chord key transfer on join). Failures still
 /// lose the directory outright — the weakness the paper exposes.
-struct SquirrelHandoffMsg : Message {
+struct SquirrelHandoffMsg : WireMessage<SquirrelHandoffMsg> {
   SquirrelHandoffMsg() { type = kSquirrelHandoff; }
-  size_t SizeBytes() const override {
-    size_t bytes = kHeaderBytes;
-    for (const Entry& e : entries) bytes += 9 + 8 * e.delegates.size();
-    return bytes;
+  template <typename V, typename M>
+  static void Walk(V& v, M& m) {
+    v.List(m.entries, [](auto& v, auto& e) {
+      v.Packed(e.object);
+      v.Bool(e.stored_copy);
+      v.List(e.delegates, kU64Walk);
+    });
   }
   struct Entry {
     ObjectId object;

@@ -1,6 +1,7 @@
 #include "wire/codec.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "chord/messages.h"
@@ -12,66 +13,6 @@
 
 namespace flowercdn {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared sub-encodings. Each composite value has exactly one layout, reused
-// by every message that ships it (the per-type tables in docs/PROTOCOL.md
-// reference these by name).
-
-void WriteRingPeer(WireWriter& w, const RingPeer& p) {
-  w.U64(p.peer);
-  w.U64(p.id);
-}
-
-RingPeer ReadRingPeer(WireReader& r) {
-  RingPeer p;
-  p.peer = r.U64();
-  p.id = r.U64();
-  return p;
-}
-
-void WriteContact(WireWriter& w, const Contact& c) {
-  w.U64(c.peer);
-  w.U32(c.age);
-}
-
-Contact ReadContact(WireReader& r) {
-  Contact c;
-  c.peer = r.U64();
-  c.age = r.U32();
-  return c;
-}
-
-void WriteContacts(WireWriter& w, const std::vector<Contact>& contacts) {
-  w.U32(uint32_t(contacts.size()));
-  for (const Contact& c : contacts) WriteContact(w, c);
-}
-
-std::vector<Contact> ReadContacts(WireReader& r) {
-  size_t n = r.Count(kWireMaxElements, 12);
-  std::vector<Contact> contacts;
-  contacts.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) contacts.push_back(ReadContact(r));
-  return contacts;
-}
-
-void WriteObjectId(WireWriter& w, const ObjectId& o) { w.U64(o.Packed()); }
-
-ObjectId ReadObjectId(WireReader& r) { return ObjectId::FromPacked(r.U64()); }
-
-void WriteDirInfo(WireWriter& w, const DirInfo& d) {
-  w.U64(d.dir);
-  w.U32(uint32_t(d.instance));
-  w.U32(d.age);
-}
-
-DirInfo ReadDirInfo(WireReader& r) {
-  DirInfo d;
-  d.dir = r.U64();
-  d.instance = int(r.U32());
-  d.age = r.U32();
-  return d;
-}
 
 // Bloom layout: bit_count u64 | num_hashes u32 | inserted_count u64 |
 // words... — the word count is derived from bit_count, never trusted from
@@ -111,525 +52,97 @@ BloomFilter ReadBloom(WireReader& r) {
   return std::move(filter).value();
 }
 
-// ---------------------------------------------------------------------------
-// Per-type payload codecs. Encoders write fields in declaration order;
-// decoders mirror them exactly. A decoder reads through even after a
-// failure (the reader returns zeros) and the registry rejects the result,
-// so none of them needs per-field error plumbing.
+// The writer and reader visitors of the per-type field walks (`Walk` in
+// {chord,flower,squirrel}/messages.h and gossip/cyclon.h; WireSizer in
+// sim/message.h is the third visitor). Fields go out in walk order.
 
-// --- transport ---
+class FieldWriter {
+ public:
+  explicit FieldWriter(WireWriter& w) : w_(w) {}
 
-void EncodePayload(const TransportNackMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, TransportNackMsg&) {}
-void EncodePayload(const RpcRefusedMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, RpcRefusedMsg&) {}
-
-// --- chord ---
-
-void EncodePayload(const ChordFindSuccessorMsg& m, WireWriter& w) {
-  w.U64(m.key);
-  w.U64(m.origin);
-  w.U64(m.lookup_id);
-  w.U32(uint32_t(m.hops));
-}
-
-void DecodePayload(WireReader& r, ChordFindSuccessorMsg& m) {
-  m.key = r.U64();
-  m.origin = r.U64();
-  m.lookup_id = r.U64();
-  m.hops = int(r.U32());
-}
-
-void EncodePayload(const ChordForwardAckMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, ChordForwardAckMsg&) {}
-
-void EncodePayload(const ChordLookupResultMsg& m, WireWriter& w) {
-  w.U64(m.lookup_id);
-  WriteRingPeer(w, m.owner);
-  w.U32(uint32_t(m.hops));
-}
-
-void DecodePayload(WireReader& r, ChordLookupResultMsg& m) {
-  m.lookup_id = r.U64();
-  m.owner = ReadRingPeer(r);
-  m.hops = int(r.U32());
-}
-
-void EncodePayload(const ChordGetNeighborsMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, ChordGetNeighborsMsg&) {}
-
-void EncodePayload(const ChordNeighborsReplyMsg& m, WireWriter& w) {
-  w.Bool(m.has_predecessor);
-  WriteRingPeer(w, m.predecessor);
-  w.U32(uint32_t(m.successors.size()));
-  for (const RingPeer& p : m.successors) WriteRingPeer(w, p);
-}
-
-void DecodePayload(WireReader& r, ChordNeighborsReplyMsg& m) {
-  m.has_predecessor = r.Bool();
-  m.predecessor = ReadRingPeer(r);
-  size_t n = r.Count(kWireMaxElements, 16);
-  m.successors.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i)
-    m.successors.push_back(ReadRingPeer(r));
-}
-
-void EncodePayload(const ChordNotifyMsg& m, WireWriter& w) {
-  w.U64(m.notifier_id);
-}
-
-void DecodePayload(WireReader& r, ChordNotifyMsg& m) {
-  m.notifier_id = r.U64();
-}
-
-void EncodePayload(const ChordNotifyReplyMsg& m, WireWriter& w) {
-  w.Bool(m.duplicate_id);
-  w.Bool(m.has_predecessor);
-  WriteRingPeer(w, m.predecessor);
-}
-
-void DecodePayload(WireReader& r, ChordNotifyReplyMsg& m) {
-  m.duplicate_id = r.Bool();
-  m.has_predecessor = r.Bool();
-  m.predecessor = ReadRingPeer(r);
-}
-
-void EncodePayload(const ChordGetFingersMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, ChordGetFingersMsg&) {}
-
-void EncodePayload(const ChordFingersReplyMsg& m, WireWriter& w) {
-  w.U32(uint32_t(m.fingers.size()));
-  for (const RingPeer& p : m.fingers) WriteRingPeer(w, p);
-}
-
-void DecodePayload(WireReader& r, ChordFingersReplyMsg& m) {
-  size_t n = r.Count(kWireMaxElements, 16);
-  m.fingers.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) m.fingers.push_back(ReadRingPeer(r));
-}
-
-void EncodePayload(const ChordPingMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, ChordPingMsg&) {}
-
-void EncodePayload(const ChordPongMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, ChordPongMsg&) {}
-
-void EncodePayload(const ChordLeaveMsg& m, WireWriter& w) {
-  w.Bool(m.has_predecessor);
-  WriteRingPeer(w, m.predecessor);
-  w.U32(uint32_t(m.successors.size()));
-  for (const RingPeer& p : m.successors) WriteRingPeer(w, p);
-}
-
-void DecodePayload(WireReader& r, ChordLeaveMsg& m) {
-  m.has_predecessor = r.Bool();
-  m.predecessor = ReadRingPeer(r);
-  size_t n = r.Count(kWireMaxElements, 16);
-  m.successors.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i)
-    m.successors.push_back(ReadRingPeer(r));
-}
-
-// --- gossip ---
-
-void EncodePayload(const GossipShuffleMsg& m, WireWriter& w) {
-  WriteContacts(w, m.contacts);
-}
-
-void DecodePayload(WireReader& r, GossipShuffleMsg& m) {
-  m.contacts = ReadContacts(r);
-}
-
-void EncodePayload(const GossipShuffleReplyMsg& m, WireWriter& w) {
-  WriteContacts(w, m.contacts);
-}
-
-void DecodePayload(WireReader& r, GossipShuffleReplyMsg& m) {
-  m.contacts = ReadContacts(r);
-}
-
-// --- flower ---
-
-void EncodePayload(const FlowerDirQueryMsg& m, WireWriter& w) {
-  w.U32(m.website);
-  w.U32(uint32_t(m.locality));
-  w.Bool(m.has_object);
-  WriteObjectId(w, m.object);
-  w.Bool(m.wants_join);
-  w.U32(uint32_t(m.scan_hops));
-}
-
-void DecodePayload(WireReader& r, FlowerDirQueryMsg& m) {
-  m.website = r.U32();
-  m.locality = LocalityId(r.U32());
-  m.has_object = r.Bool();
-  m.object = ReadObjectId(r);
-  m.wants_join = r.Bool();
-  m.scan_hops = int(r.U32());
-}
-
-void EncodePayload(const FlowerDirQueryReplyMsg& m, WireWriter& w) {
-  w.U8(uint8_t(m.result));
-  w.U64(m.provider);
-  w.U64(m.forward_to);
-  w.Bool(m.admitted);
-  w.U32(uint32_t(m.instance));
-  WriteContacts(w, m.view_seed);
-}
-
-void DecodePayload(WireReader& r, FlowerDirQueryReplyMsg& m) {
-  uint8_t result = r.U8();
-  if (result > uint8_t(DirQueryResult::kForward)) {
-    r.Fail("bad DirQueryResult");
-    return;
+  void Bool(bool x) { w_.Bool(x); }
+  template <typename T>
+  void U32(const T& x) { w_.U32(uint32_t(x)); }
+  template <typename T>
+  void U64(const T& x) { w_.U64(uint64_t(x)); }
+  template <typename T>
+  void Packed(const T& x) { w_.U64(x.Packed()); }
+  template <typename T>
+  void Enum(const T& x, std::type_identity_t<T>, const char*) {
+    w_.U8(uint8_t(x));
   }
-  m.result = DirQueryResult(result);
-  m.provider = r.U64();
-  m.forward_to = r.U64();
-  m.admitted = r.Bool();
-  m.instance = int(r.U32());
-  m.view_seed = ReadContacts(r);
-}
-
-void EncodePayload(const FlowerFetchMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-}
-
-void DecodePayload(WireReader& r, FlowerFetchMsg& m) {
-  m.object = ReadObjectId(r);
-}
-
-void EncodePayload(const FlowerFetchReplyMsg& m, WireWriter& w) {
-  w.Bool(m.has_object);
-}
-
-void DecodePayload(WireReader& r, FlowerFetchReplyMsg& m) {
-  m.has_object = r.Bool();
-}
-
-void EncodePayload(const FlowerGossipMsg& m, WireWriter& w) {
-  WriteContacts(w, m.contacts);
-  WriteBloom(w, m.summary);
-  WriteDirInfo(w, m.dir_info);
-}
-
-void DecodePayload(WireReader& r, FlowerGossipMsg& m) {
-  m.contacts = ReadContacts(r);
-  m.summary = ReadBloom(r);
-  m.dir_info = ReadDirInfo(r);
-}
-
-void EncodePayload(const FlowerGossipReplyMsg& m, WireWriter& w) {
-  WriteContacts(w, m.contacts);
-  WriteBloom(w, m.summary);
-  WriteDirInfo(w, m.dir_info);
-}
-
-void DecodePayload(WireReader& r, FlowerGossipReplyMsg& m) {
-  m.contacts = ReadContacts(r);
-  m.summary = ReadBloom(r);
-  m.dir_info = ReadDirInfo(r);
-}
-
-void EncodePayload(const FlowerKeepaliveMsg&, WireWriter&) {}
-void DecodePayload(WireReader&, FlowerKeepaliveMsg&) {}
-
-void EncodePayload(const FlowerKeepaliveReplyMsg& m, WireWriter& w) {
-  w.Bool(m.accepted);
-  w.U32(uint32_t(m.instance));
-}
-
-void DecodePayload(WireReader& r, FlowerKeepaliveReplyMsg& m) {
-  m.accepted = r.Bool();
-  m.instance = int(r.U32());
-}
-
-void EncodePayload(const FlowerPushMsg& m, WireWriter& w) {
-  w.U32(uint32_t(m.objects.size()));
-  for (const ObjectId& o : m.objects) WriteObjectId(w, o);
-}
-
-void DecodePayload(WireReader& r, FlowerPushMsg& m) {
-  size_t n = r.Count(kWireMaxElements, 8);
-  m.objects.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) m.objects.push_back(ReadObjectId(r));
-}
-
-void EncodePayload(const FlowerPushReplyMsg& m, WireWriter& w) {
-  w.Bool(m.accepted);
-  w.U32(uint32_t(m.instance));
-}
-
-void DecodePayload(WireReader& r, FlowerPushReplyMsg& m) {
-  m.accepted = r.Bool();
-  m.instance = int(r.U32());
-}
-
-void EncodePayload(const FlowerPromoteMsg& m, WireWriter& w) {
-  w.U32(m.website);
-  w.U32(uint32_t(m.locality));
-  w.U32(uint32_t(m.new_instance));
-}
-
-void DecodePayload(WireReader& r, FlowerPromoteMsg& m) {
-  m.website = r.U32();
-  m.locality = LocalityId(r.U32());
-  m.new_instance = int(r.U32());
-}
-
-void EncodePayload(const FlowerDirHandoffMsg& m, WireWriter& w) {
-  w.U32(m.website);
-  w.U32(uint32_t(m.locality));
-  w.U32(uint32_t(m.instance));
-  WriteContacts(w, m.view);
-  w.U32(uint32_t(m.index.peers.size()));
-  for (const auto& [peer, objects] : m.index.peers) {
-    w.U64(peer);
-    w.U32(uint32_t(objects.size()));
-    for (const ObjectId& o : objects) WriteObjectId(w, o);
+  template <typename L, typename W>
+  void List(const L& list, W walk) {
+    w_.U32(uint32_t(list.size()));
+    for (const auto& e : list) walk(*this, e);
   }
-}
+  void Bloom(const BloomFilter& f) { WriteBloom(w_, f); }
 
-void DecodePayload(WireReader& r, FlowerDirHandoffMsg& m) {
-  m.website = r.U32();
-  m.locality = LocalityId(r.U32());
-  m.instance = int(r.U32());
-  m.view = ReadContacts(r);
-  size_t peers = r.Count(kWireMaxElements, 12);
-  m.index.peers.reserve(peers);
-  for (size_t i = 0; i < peers && r.ok(); ++i) {
-    PeerId peer = r.U64();
-    size_t objects = r.Count(kWireMaxElements, 8);
-    std::vector<ObjectId> ids;
-    ids.reserve(objects);
-    for (size_t j = 0; j < objects && r.ok(); ++j)
-      ids.push_back(ReadObjectId(r));
-    m.index.peers.emplace_back(peer, std::move(ids));
-  }
-}
+ private:
+  WireWriter& w_;
+};
 
-void EncodePayload(const FlowerDirProbeMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-}
+// Reads through even after a failure (the reader returns zeros and every
+// count is 0), so a walk needs no per-field error plumbing: the registry
+// rejects the result at the end.
+class FieldReader {
+ public:
+  explicit FieldReader(WireReader& r) : r_(r) {}
 
-void DecodePayload(WireReader& r, FlowerDirProbeMsg& m) {
-  m.object = ReadObjectId(r);
-}
-
-void EncodePayload(const FlowerDirProbeReplyMsg& m, WireWriter& w) {
-  w.Bool(m.has_provider);
-  w.U64(m.provider);
-}
-
-void DecodePayload(WireReader& r, FlowerDirProbeReplyMsg& m) {
-  m.has_provider = r.Bool();
-  m.provider = r.U64();
-}
-
-void EncodePayload(const FlowerForwardedQueryMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-  w.Bool(m.admitted);
-  w.U32(uint32_t(m.instance));
-  WriteContacts(w, m.view_seed);
-}
-
-void DecodePayload(WireReader& r, FlowerForwardedQueryMsg& m) {
-  m.object = ReadObjectId(r);
-  m.admitted = r.Bool();
-  m.instance = int(r.U32());
-  m.view_seed = ReadContacts(r);
-}
-
-void EncodePayload(const FlowerKeywordQueryMsg& m, WireWriter& w) {
-  w.U32(m.website);
-  w.U32(m.keyword);
-  w.U32(m.max_results);
-}
-
-void DecodePayload(WireReader& r, FlowerKeywordQueryMsg& m) {
-  m.website = r.U32();
-  m.keyword = r.U32();
-  m.max_results = r.U32();
-}
-
-void EncodePayload(const FlowerKeywordReplyMsg& m, WireWriter& w) {
-  w.Bool(m.accepted);
-  w.U32(uint32_t(m.matches.size()));
-  for (const auto& match : m.matches) {
-    WriteObjectId(w, match.object);
-    w.U64(match.provider);
-  }
-}
-
-void DecodePayload(WireReader& r, FlowerKeywordReplyMsg& m) {
-  m.accepted = r.Bool();
-  size_t n = r.Count(kWireMaxElements, 16);
-  m.matches.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    FlowerKeywordReplyMsg::Match match;
-    match.object = ReadObjectId(r);
-    match.provider = r.U64();
-    m.matches.push_back(match);
-  }
-}
-
-void EncodePayload(const FlowerReplicaSyncMsg& m, WireWriter& w) {
-  w.U32(m.website);
-  w.U32(uint32_t(m.locality));
-  w.U32(uint32_t(m.instance));
-  w.U32(m.rank);
-  w.Bool(m.full);
-  w.U64(m.base_version);
-  w.U64(m.version);
-  WriteContacts(w, m.view);
-  w.U32(uint32_t(m.index.peers.size()));
-  for (const auto& [peer, objects] : m.index.peers) {
-    w.U64(peer);
-    w.U32(uint32_t(objects.size()));
-    for (const ObjectId& o : objects) WriteObjectId(w, o);
-  }
-  w.U32(uint32_t(m.ops.size()));
-  for (const FlowerReplicaSyncMsg::Op& op : m.ops) {
-    w.U8(op.kind);
-    w.U64(op.peer);
-    w.U32(uint32_t(op.objects.size()));
-    for (const ObjectId& o : op.objects) WriteObjectId(w, o);
-  }
-}
-
-void DecodePayload(WireReader& r, FlowerReplicaSyncMsg& m) {
-  m.website = r.U32();
-  m.locality = LocalityId(r.U32());
-  m.instance = int(r.U32());
-  m.rank = r.U32();
-  m.full = r.Bool();
-  m.base_version = r.U64();
-  m.version = r.U64();
-  m.view = ReadContacts(r);
-  size_t peers = r.Count(kWireMaxElements, 12);
-  m.index.peers.reserve(peers);
-  for (size_t i = 0; i < peers && r.ok(); ++i) {
-    PeerId peer = r.U64();
-    size_t objects = r.Count(kWireMaxElements, 8);
-    std::vector<ObjectId> ids;
-    ids.reserve(objects);
-    for (size_t j = 0; j < objects && r.ok(); ++j)
-      ids.push_back(ReadObjectId(r));
-    m.index.peers.emplace_back(peer, std::move(ids));
-  }
-  size_t ops = r.Count(kWireMaxElements, 13);
-  m.ops.reserve(ops);
-  for (size_t i = 0; i < ops && r.ok(); ++i) {
-    FlowerReplicaSyncMsg::Op op;
-    op.kind = r.U8();
-    if (op.kind > FlowerReplicaSyncMsg::kRemovePeer) {
-      r.Fail("bad replica-sync op kind");
+  void Bool(bool& x) { x = r_.Bool(); }
+  template <typename T>
+  void U32(T& x) { x = T(r_.U32()); }
+  template <typename T>
+  void U64(T& x) { x = T(r_.U64()); }
+  template <typename T>
+  void Packed(T& x) { x = T::FromPacked(r_.U64()); }
+  template <typename T>
+  void Enum(T& x, std::type_identity_t<T> max, const char* error) {
+    uint8_t raw = r_.U8();
+    if (raw > uint8_t(max)) {
+      r_.Fail(error);
       return;
     }
-    op.peer = r.U64();
-    size_t objects = r.Count(kWireMaxElements, 8);
-    op.objects.reserve(objects);
-    for (size_t j = 0; j < objects && r.ok(); ++j)
-      op.objects.push_back(ReadObjectId(r));
-    m.ops.push_back(std::move(op));
+    x = T(raw);
   }
-}
-
-void EncodePayload(const FlowerReplicaSyncReplyMsg& m, WireWriter& w) {
-  w.Bool(m.accepted);
-  w.U64(m.acked_version);
-}
-
-void DecodePayload(WireReader& r, FlowerReplicaSyncReplyMsg& m) {
-  m.accepted = r.Bool();
-  m.acked_version = r.U64();
-}
-
-// --- squirrel ---
-
-void EncodePayload(const SquirrelQueryMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-}
-
-void DecodePayload(WireReader& r, SquirrelQueryMsg& m) {
-  m.object = ReadObjectId(r);
-}
-
-void EncodePayload(const SquirrelQueryReplyMsg& m, WireWriter& w) {
-  w.Bool(m.has_delegate);
-  w.U64(m.delegate);
-  w.Bool(m.served_directly);
-}
-
-void DecodePayload(WireReader& r, SquirrelQueryReplyMsg& m) {
-  m.has_delegate = r.Bool();
-  m.delegate = r.U64();
-  m.served_directly = r.Bool();
-}
-
-void EncodePayload(const SquirrelFetchMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-}
-
-void DecodePayload(WireReader& r, SquirrelFetchMsg& m) {
-  m.object = ReadObjectId(r);
-}
-
-void EncodePayload(const SquirrelFetchReplyMsg& m, WireWriter& w) {
-  w.Bool(m.has_object);
-}
-
-void DecodePayload(WireReader& r, SquirrelFetchReplyMsg& m) {
-  m.has_object = r.Bool();
-}
-
-void EncodePayload(const SquirrelUpdateMsg& m, WireWriter& w) {
-  WriteObjectId(w, m.object);
-}
-
-void DecodePayload(WireReader& r, SquirrelUpdateMsg& m) {
-  m.object = ReadObjectId(r);
-}
-
-void EncodePayload(const SquirrelHandoffMsg& m, WireWriter& w) {
-  w.U32(uint32_t(m.entries.size()));
-  for (const SquirrelHandoffMsg::Entry& e : m.entries) {
-    WriteObjectId(w, e.object);
-    w.Bool(e.stored_copy);
-    w.U32(uint32_t(e.delegates.size()));
-    for (PeerId d : e.delegates) w.U64(d);
+  /// The count is capped by the bytes left at the element walk's minimum
+  /// width, so a forged count cannot size an allocation.
+  template <typename L, typename W>
+  void List(L& list, W walk) {
+    using E = WireElement<L>;
+    size_t n = r_.Count(kWireMaxElements, WireShapeOf<E>(W{}).bytes);
+    list.reserve(n);
+    for (size_t i = 0; i < n && r_.ok(); ++i) {
+      E e{};
+      walk(*this, e);
+      list.push_back(std::move(e));
+    }
   }
-}
+  void Bloom(BloomFilter& f) { f = ReadBloom(r_); }
 
-void DecodePayload(WireReader& r, SquirrelHandoffMsg& m) {
-  size_t entries = r.Count(kWireMaxElements, 13);
-  m.entries.reserve(entries);
-  for (size_t i = 0; i < entries && r.ok(); ++i) {
-    SquirrelHandoffMsg::Entry e;
-    e.object = ReadObjectId(r);
-    e.stored_copy = r.Bool();
-    size_t delegates = r.Count(kWireMaxElements, 8);
-    e.delegates.reserve(delegates);
-    for (size_t j = 0; j < delegates && r.ok(); ++j)
-      e.delegates.push_back(r.U64());
-    m.entries.push_back(std::move(e));
-  }
-}
+ private:
+  WireReader& r_;
+};
 
-// ---------------------------------------------------------------------------
-// Registry machinery. MakeEntry<T> binds the overload pair above to the
-// type-erased Entry signature.
-
+// MakeEntry<T> binds the writer and reader to T's walk; a message type
+// without one (a ping, an ack, a NACK) has an empty payload.
 template <typename T>
 WireRegistry::Entry MakeEntry(const char* name) {
+  constexpr bool kHasWalk = std::is_base_of_v<WireMessage<T>, T>;
   WireRegistry::Entry entry;
   entry.name = name;
   entry.encode = [](const Message& msg, WireWriter& w) {
-    EncodePayload(MessageCast<T>(msg), w);
+    if constexpr (kHasWalk) {
+      FieldWriter v(w);
+      T::Walk(v, MessageCast<T>(msg));
+    }
   };
   entry.decode = [](WireReader& r) -> MessagePtr {
     auto msg = std::make_unique<T>();
-    DecodePayload(r, *msg);
+    if constexpr (kHasWalk) {
+      FieldReader v(r);
+      T::Walk(v, *msg);
+    }
     if (!r.ok()) return nullptr;
     return msg;
   };
@@ -792,19 +305,6 @@ Result<MessagePtr> WireDecode(const uint8_t* data, size_t size) {
   msg->rpc_id = rpc_id;
   msg->is_response = (flags & 1) != 0;
   return msg;
-}
-
-size_t WireEncodedSize(const Message& msg) {
-  // Unregistered types (the TrafficBreakdown `other` family: reserved
-  // ranges, test traffic) have no encoder; charge the modeled estimate so
-  // --wire=encoded accounts them instead of CHECK-failing in WireEncodeTo.
-  if (WireRegistry::Global().Find(msg.type) == nullptr) {
-    return msg.SizeBytes();
-  }
-  thread_local std::vector<uint8_t> scratch;
-  scratch.clear();
-  WireEncodeTo(msg, &scratch);
-  return scratch.size();
 }
 
 }  // namespace flowercdn

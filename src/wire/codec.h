@@ -11,21 +11,21 @@
 
 namespace flowercdn {
 
-/// Deterministic binary wire format for every protocol message
-/// (docs/PROTOCOL.md, "Wire format"). Fixed little-endian framing: a common
-/// 29-byte header
-///
-///     offset  size  field
-///          0     4  type (MessageType)
-///          4     1  flags (bit 0 = is_response; others must be zero)
-///          5     8  src PeerId
-///         13     8  dst PeerId
-///         21     8  rpc_id
-///
-/// followed by a per-type payload. Same message -> same bytes, on every
-/// platform: encode(decode(encode(m))) == encode(m) is a tested fixed
-/// point.
-constexpr size_t kWireHeaderBytes = 29;
+// Deterministic binary wire format for every protocol message
+// (docs/PROTOCOL.md, "Wire format"). Fixed little-endian framing: a common
+// 29-byte header
+//
+//     offset  size  field
+//          0     4  type (MessageType)
+//          4     1  flags (bit 0 = is_response; others must be zero)
+//          5     8  src PeerId
+//         13     8  dst PeerId
+//         21     8  rpc_id
+//
+// (kWireHeaderBytes, sim/message.h) followed by the payload the type's
+// field walk lists (WireMessage). Same message -> same bytes, on every
+// platform: encode(decode(encode(m))) == encode(m) is a tested fixed
+// point, and Message::WireSize() is the encoded length.
 
 /// Decode-side sanity caps. Real messages sit far below both; buffers that
 /// claim more are rejected before any allocation is sized from them.
@@ -33,8 +33,8 @@ constexpr size_t kWireMaxElements = 1 << 20;
 constexpr size_t kWireMaxBloomBits = 1 << 27;  // 16 MiB of filter
 
 /// Per-type payload codec registry. Every MessageType the simulator can
-/// send is registered here (codec.cc); the transport and the traffic
-/// accounting refuse unregistered types loudly rather than guessing.
+/// send is registered here (codec.cc); the transport refuses
+/// unregistered types loudly rather than guessing.
 class WireRegistry {
  public:
   using EncodeFn = void (*)(const Message& msg, WireWriter& w);
@@ -82,13 +82,6 @@ Result<MessagePtr> WireDecode(const uint8_t* data, size_t size);
 inline Result<MessagePtr> WireDecode(const std::vector<uint8_t>& buf) {
   return WireDecode(buf.data(), buf.size());
 }
-
-/// Actual encoded length of `msg` — the --wire=encoded traffic sizer
-/// (matches Network::SetMessageSizer's signature). Reuses a thread-local
-/// buffer so per-message accounting does not allocate. Unregistered types
-/// fall back to Message::SizeBytes() so `other`-family traffic is still
-/// accounted rather than crashing the run.
-size_t WireEncodedSize(const Message& msg);
 
 }  // namespace flowercdn
 

@@ -161,6 +161,73 @@ TEST(ScenarioScript, ParseRejectsInvalidRanges) {
   EXPECT_FALSE(r.ok()) << "parse must run Validate()";
 }
 
+// Scenario numbers follow the CLI's rules: times are finite minutes in
+// [0, kMaxScenarioMinutes], websites and localities non-negative integers.
+// Each of these used to run (or hit undefined behaviour) instead.
+Status ParseAction(const std::string& action) {
+  return ScenarioScript::ParseJson(R"({"actions": [)" + action + "]}")
+      .status();
+}
+
+TEST(ScenarioScript, TimeOutOfRangeRejected) {
+  // llround of 6e304 ms.
+  EXPECT_FALSE(ParseAction(R"({"type": "kill_directory", "t_min": 1e300,
+      "website": 0, "locality": 0})").ok());
+  // t1 - t0 overflowed the signed subtraction.
+  EXPECT_FALSE(ParseAction(R"({"type": "loss_ramp", "rate": 0.1,
+      "t0_min": -1e300, "t1_min": 10})").ok());
+  // Infinity parses as a number.
+  EXPECT_FALSE(ParseAction(R"({"type": "churn_spike", "factor": 2,
+      "t_min": 1, "duration_min": 1e400})").ok());
+  EXPECT_FALSE(ParseAction(R"({"type": "partition", "loc_a": 0, "loc_b": 1,
+      "t_min": -1, "duration_min": 10})").ok());
+  EXPECT_TRUE(ParseAction(R"({"type": "flash_crowd", "website": 0,
+      "multiplier": 2, "t_min": 1000000})").ok());
+  EXPECT_FALSE(ParseAction(R"({"type": "flash_crowd", "website": 0,
+      "multiplier": 2, "t_min": 1000001})").ok());
+}
+
+TEST(ScenarioScript, WebsiteMustBeNonNegativeInteger) {
+  // -1 used to run as website 4294967295, 2.7 as website 2.
+  Status negative = ParseAction(R"({"type": "kill_directory", "t_min": 1,
+      "website": -1, "locality": 0})");
+  EXPECT_FALSE(negative.ok());
+  EXPECT_NE(negative.message().find("\"website\" must be a non-negative "
+                                    "integer"),
+            std::string::npos)
+      << negative.message();
+  EXPECT_FALSE(ParseAction(R"({"type": "kill_directory", "t_min": 1,
+      "website": 2.7, "locality": 0})").ok());
+  EXPECT_FALSE(ParseAction(R"({"type": "flash_crowd", "website": 1e12,
+      "multiplier": 2, "t_min": 1})").ok());
+}
+
+TEST(ScenarioScript, LocalityMustBeNonNegativeInteger) {
+  EXPECT_FALSE(ParseAction(R"({"type": "kill_directory", "t_min": 1,
+      "website": 0, "locality": -1})").ok());
+  EXPECT_FALSE(ParseAction(R"({"type": "partition", "loc_a": 0.5,
+      "loc_b": 1, "t_min": 1, "duration_min": 1})").ok());
+  EXPECT_FALSE(ParseAction(R"({"type": "partition", "loc_a": 0,
+      "loc_b": 3e9, "t_min": 1, "duration_min": 1})").ok());
+}
+
+TEST(ScenarioScript, CheckWebsitesBindsToTheCatalog) {
+  ScenarioScript script;
+  script.AddKillDirectory(2, 0, kHour);
+  EXPECT_TRUE(script.CheckWebsites(3).ok());
+  EXPECT_FALSE(script.CheckWebsites(2).ok());
+
+  ScenarioScript crowd;
+  crowd.AddFlashCrowd(5, kHour, 2.0);
+  EXPECT_FALSE(crowd.CheckWebsites(5).ok());
+  EXPECT_TRUE(crowd.CheckWebsites(6).ok());
+
+  // Actions that name no website pass whatever their other fields hold.
+  ScenarioScript partition;
+  partition.AddPartition(0, 9, kHour, kMinute);
+  EXPECT_TRUE(partition.CheckWebsites(1).ok());
+}
+
 TEST(ScenarioScript, LoadFileMissingIsError) {
   Result<ScenarioScript> r =
       ScenarioScript::LoadFile("/nonexistent/scenario.json");

@@ -32,7 +32,6 @@ ExperimentConfig ClusterConfig() {
   config.catalog.objects_per_website = 30;
   config.topology.num_localities = 2;
   config.churn_enabled = false;
-  config.wire_mode = WireMode::kEncoded;
   return config;
 }
 

@@ -136,6 +136,26 @@ TEST(NetHttpTest, ResponseWithoutContentLengthFails) {
   EXPECT_TRUE(parser.failed());
 }
 
+// The status code is exactly three digits (RFC 9112). Ten digits used to
+// overflow the int accumulator; every other length fails the same way.
+TEST(NetHttpTest, StatusCodeMustBeThreeDigits) {
+  for (const char* line :
+       {"HTTP/1.1 2000000000 OK", "HTTP/1.1 9999999999 OK", "HTTP/1.1 20 OK",
+        "HTTP/1.1 2000 OK", "HTTP/1.1  OK", "HTTP/1.1 2x0 OK"}) {
+    HttpResponseParser parser;
+    Feed(&parser, std::string(line) + "\r\nContent-Length: 0\r\n\r\n");
+    HttpResponse resp;
+    EXPECT_FALSE(parser.Next(&resp)) << line;
+    EXPECT_TRUE(parser.failed()) << line;
+    EXPECT_EQ(parser.error(), "malformed status code") << line;
+  }
+  HttpResponseParser parser;
+  Feed(&parser, "HTTP/1.1 204\r\nContent-Length: 0\r\n\r\n");
+  HttpResponse resp;
+  ASSERT_TRUE(parser.Next(&resp));
+  EXPECT_EQ(resp.status, 204);
+}
+
 TEST(NetHttpTest, BuildRequestIsParseable) {
   std::string wire = BuildHttpRequest("/1/2", {{"Host", "bench"}});
   HttpRequestParser parser;

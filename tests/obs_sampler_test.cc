@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chord/messages.h"
+#include "gossip/cyclon.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
 #include "util/random.h"
@@ -84,12 +86,6 @@ TEST(OverlaySamplerTest, IdenticalRunsYieldIdenticalSamples) {
   }
 }
 
-struct SizedMsg : Message {
-  SizedMsg(MessageType t, size_t bytes) : bytes_(bytes) { type = t; }
-  size_t SizeBytes() const override { return bytes_; }
-  size_t bytes_;
-};
-
 class SinkNode : public SimNode {
  public:
   void HandleMessage(MessagePtr) override {}
@@ -110,11 +106,13 @@ TEST(TrafficSamplerTest, SnapshotsCumulativeCountersPerInterval) {
   sampler.Start();
 
   sim.Schedule(100, [&] {
-    net.Send(1, 2, std::make_unique<SizedMsg>(kChordMessageBase + 1, 100));
+    net.Send(1, 2, std::make_unique<ChordFindSuccessorMsg>());  // 29 + 28
   });
   sim.Schedule(1500, [&] {
-    net.Send(1, 2, std::make_unique<SizedMsg>(kGossipMessageBase + 1, 40));
-    net.Send(1, 2, std::make_unique<SizedMsg>(kChordMessageBase + 1, 60));
+    auto shuffle = std::make_unique<GossipShuffleMsg>();
+    shuffle->contacts.resize(1);
+    net.Send(1, 2, std::move(shuffle));                  // 29 + 4 + 12
+    net.Send(1, 2, std::make_unique<ChordNotifyMsg>());  // 29 + 8
   });
   sim.RunUntil(2000);
 
@@ -123,14 +121,14 @@ TEST(TrafficSamplerTest, SnapshotsCumulativeCountersPerInterval) {
   const auto& p1 = sampler.points()[1];
   EXPECT_EQ(p0.time, 1000);
   EXPECT_EQ(p0.traffic.chord.messages, 1u);
-  EXPECT_EQ(p0.traffic.chord.bytes, 100u);
+  EXPECT_EQ(p0.traffic.chord.bytes, 57u);
   EXPECT_EQ(p0.traffic.gossip.messages, 0u);
   EXPECT_EQ(p1.time, 2000);
   // Cumulative, not per-interval: consumers diff consecutive points.
   EXPECT_EQ(p1.traffic.chord.messages, 2u);
-  EXPECT_EQ(p1.traffic.chord.bytes, 160u);
-  EXPECT_EQ(p1.traffic.gossip.bytes, 40u);
-  EXPECT_EQ(p1.bytes_sent, 200u);
+  EXPECT_EQ(p1.traffic.chord.bytes, 57u + 37);
+  EXPECT_EQ(p1.traffic.gossip.bytes, 45u);
+  EXPECT_EQ(p1.bytes_sent, 57u + 37 + 45);
 }
 
 }  // namespace

@@ -175,6 +175,7 @@ TEST(SweepSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(SweepSpec::Parse("population=", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("population=abc", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("system=ipfs", base).ok());
+  EXPECT_FALSE(SweepSpec::Parse("wire=encoded", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("trials=0", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("trials=2,3", base).ok());
   EXPECT_FALSE(SweepSpec::Parse("uptime-min=0", base).ok());
@@ -295,7 +296,7 @@ TEST(JsonExportTest, SweepDocumentShape) {
   cell.aggregate = Aggregate(cell.trials);
 
   std::string json = SweepJsonString(42, {cell}, /*include_trials=*/true);
-  EXPECT_NE(json.find("\"schema\":\"flowercdn-runner/v5\""),
+  EXPECT_NE(json.find("\"schema\":\"flowercdn-runner/v6\""),
             std::string::npos);
   EXPECT_NE(json.find("\"base_seed\":42"), std::string::npos);
   EXPECT_NE(json.find("\"label\":\"flower\""), std::string::npos);
@@ -313,14 +314,14 @@ TEST(JsonExportTest, SweepDocumentShape) {
   EXPECT_NE(json.find("\"rpc_cancelled\":"), std::string::npos);
   EXPECT_NE(json.find("\"chaos\":{\"enabled\":false}"), std::string::npos);
   EXPECT_NE(json.find("\"scenario\":\"\""), std::string::npos);
-  // v4 additions: the cell's byte-accounting mode and a dedicated traffic
-  // family for transport NACKs.
-  EXPECT_NE(json.find("\"wire_mode\":\"modeled\""), std::string::npos);
+  // v4 addition: a dedicated traffic family for transport NACKs.
   EXPECT_NE(json.find("\"nack\":{"), std::string::npos);
   // Refusals from live peers have their own family beside the NACKs.
   EXPECT_NE(json.find("\"refused\":{"), std::string::npos);
   // v5 addition: the cell's directory replication factor.
   EXPECT_NE(json.find("\"replication\":1"), std::string::npos);
+  // v6: bytes are always encoded lengths; the cell names no sizing mode.
+  EXPECT_EQ(json.find("wire_mode"), std::string::npos);
 
   std::string no_trials = SweepJsonString(42, {cell}, false);
   EXPECT_EQ(no_trials.find("\"trial_results\""), std::string::npos);

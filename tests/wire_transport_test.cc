@@ -1,8 +1,7 @@
 // Transport-equivalence tests: the transport seam must be invisible to the
 // simulation. A run whose messages are framed, encoded and decoded between
 // send and delivery must produce bit-identical dynamics to the default
-// in-process delivery, and --wire=encoded must change only the byte
-// accounting, never the protocol behaviour.
+// in-process delivery.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +29,7 @@ struct RunOutcome {
   size_t final_population = 0;
 };
 
-ExperimentConfig SmallConfig(WireMode wire_mode) {
+ExperimentConfig SmallConfig() {
   ExperimentConfig config;
   config.target_population = 20;
   config.duration = 1 * kHour;
@@ -38,7 +37,6 @@ ExperimentConfig SmallConfig(WireMode wire_mode) {
   config.catalog.num_active = 2;
   config.catalog.objects_per_website = 30;
   config.topology.num_localities = 2;
-  config.wire_mode = wire_mode;
   return config;
 }
 
@@ -105,7 +103,7 @@ class CodecLoopbackTransport : public Transport {
 // same queries, same hits, same message/byte counters, same event count,
 // same final population.
 TEST(WireTransportTest, CodecLoopbackMatchesInProcessExactly) {
-  ExperimentConfig config = SmallConfig(WireMode::kEncoded);
+  ExperimentConfig config = SmallConfig();
 
   RunOutcome in_process = RunOnce(config);
 
@@ -127,23 +125,6 @@ TEST(WireTransportTest, CodecLoopbackMatchesInProcessExactly) {
   EXPECT_GT(codec.frames(), 0u);
   EXPECT_EQ(codec.frames(), in_process.messages_sent);
   EXPECT_GT(codec.frame_bytes(), 0u);
-}
-
-// Encoded sizing changes byte accounting only: the protocol's decisions
-// (queries issued, hits, messages exchanged, events) are unaffected.
-TEST(WireTransportTest, EncodedModeChangesBytesOnly) {
-  RunOutcome modeled = RunOnce(SmallConfig(WireMode::kModeled));
-  RunOutcome encoded = RunOnce(SmallConfig(WireMode::kEncoded));
-
-  EXPECT_EQ(encoded.queries, modeled.queries);
-  EXPECT_EQ(encoded.hits, modeled.hits);
-  EXPECT_EQ(encoded.messages_sent, modeled.messages_sent);
-  EXPECT_EQ(encoded.events_processed, modeled.events_processed);
-  EXPECT_EQ(encoded.final_population, modeled.final_population);
-
-  EXPECT_GT(modeled.bytes_sent, 0u);
-  EXPECT_GT(encoded.bytes_sent, 0u);
-  EXPECT_NE(encoded.bytes_sent, modeled.bytes_sent);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // NodeHost (src/net), in one of two modes:
 //
 //  * --transport=inproc (default): single process, in-process delivery,
-//    run as fast as the simulator goes with --wire=encoded byte accounting.
+//    run as fast as the simulator goes.
 //    CI's live-mode smoke test: exits 0 iff at least one client query was
 //    answered from the overlay.
 //  * --transport=tcp: one rank of a multi-process cluster. Peer identities
@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
   config.catalog.objects_per_website = 50;
   config.topology.num_localities = 2;
   config.churn_enabled = false;
-  config.wire_mode = WireMode::kEncoded;  // charge real encoded lengths
 
   NodeHost::Options host_options;
   host_options.transport = TransportKind::kInProcess;

@@ -36,9 +36,6 @@ void Usage(const char* argv0) {
                "  --localities=L        landmark localities      (default 6)\n"
                "  --uptime-min=M        mean session uptime      (default 60)\n"
                "  --zipf=ALPHA          object popularity skew   (default 0.8)\n"
-               "  --wire=modeled|encoded traffic sizing: SizeBytes()\n"
-               "                        estimates or actual src/wire encoded\n"
-               "                        lengths (default modeled)\n"
                "  --no-churn            sessions never fail; arrivals fill the\n"
                "                        population up to --population, then stop\n"
                "  --no-retain-cache     clear browser caches on re-join\n"
@@ -60,7 +57,7 @@ void Usage(const char* argv0) {
                "                        'population=2000,3000;system=flower,"
                "squirrel;trials=4'\n"
                "                        (keys: population zipf uptime-min "
-               "chaos system wire replication trials seed hours)\n"
+               "chaos system replication trials seed hours)\n"
                "  --json-out=PATH       write runner JSON (per-trial + "
                "aggregate)\n"
                "  --json-aggregate-only omit per-trial results from the JSON\n"
@@ -170,7 +167,6 @@ void PrintSingleRunTable(const CellResult& cell) {
   table.AddRow({"lookup p99 (ms)", FormatDouble(r.lookup_all.Quantile(0.99),
                                                 1)});
   table.AddRow({"messages sent", std::to_string(r.messages_sent)});
-  table.AddRow({"wire sizing", WireModeName(cell.config.wire_mode)});
   table.AddRow({"traffic (MB)",
                 FormatDouble(static_cast<double>(r.bytes_sent) / 1048576.0,
                              1)});
@@ -395,16 +391,6 @@ int main(int argc, char** argv) {
       config.mean_uptime = flag.Duration(kMinute);
     } else if (flag.Is("--zipf")) {
       config.catalog.zipf_alpha = flag.Decimal(0);
-    } else if (flag.Is("--wire")) {
-      std::string mode = flag.value;
-      if (mode == "modeled") {
-        config.wire_mode = WireMode::kModeled;
-      } else if (mode == "encoded") {
-        config.wire_mode = WireMode::kEncoded;
-      } else {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--no-churn") == 0) {
       config.churn_enabled = false;
     } else if (std::strcmp(arg, "--no-retain-cache") == 0) {
@@ -454,8 +440,11 @@ int main(int argc, char** argv) {
 
   if (!chaos_file.empty()) {
     Result<ScenarioScript> script = ScenarioScript::LoadFile(chaos_file);
-    if (!script.ok()) {
-      std::fprintf(stderr, "%s\n", script.status().ToString().c_str());
+    Status status = script.ok()
+                        ? script->CheckWebsites(config.catalog.num_websites)
+                        : script.status();
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 2;
     }
     config.chaos = std::move(*script);
