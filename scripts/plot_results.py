@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Plot flowercdn experiment results: CSV series written by
-`flowercdn-sim --csv=PREFIX`, or runner JSON written by
-`flowercdn-sim --json-out=FILE` (multi-trial sweeps, with error bars).
-With --tables, print the results of runner JSON as text tables instead
+"""Plot flowercdn experiment results: runner JSON written by
+`flowercdn-sim --json-out=FILE` (single trials, or multi-trial sweeps with
+error bars). With --tables, print the results as text tables instead
 (no matplotlib needed).
 
 Usage:
-    # Single runs, CSV series:
-    tools/flowercdn-sim --system=flower   --csv=flower   [options]
-    tools/flowercdn-sim --system=squirrel --csv=squirrel [options]
-    scripts/plot_results.py flower squirrel -o plots/
+    # Single runs:
+    tools/flowercdn-sim --system=flower   --json-out=flower.json   [options]
+    tools/flowercdn-sim --system=squirrel --json-out=squirrel.json [options]
+    scripts/plot_results.py flower.json squirrel.json -o plots/
 
     # Multi-trial sweep, one JSON document, 95% CI bands:
     tools/flowercdn-sim --sweep='system=flower,squirrel;trials=8' \\
@@ -19,9 +18,8 @@ Usage:
     # Text tables for every cell of one or more runner documents:
     scripts/plot_results.py --tables sweep.json [more.json ...]
 
-Arguments ending in .json are runner documents (every cell inside becomes
-one labeled curve, error-barred when it aggregates >1 trial); anything else
-is treated as a CSV prefix. Both kinds can be mixed in one invocation.
+Every argument is a runner document ending in .json; every cell inside
+becomes one labeled curve, error-barred when it aggregates >1 trial.
 
 Produces the paper's three figures:
   fig3_hit_ratio.png          cumulative hit ratio per hour
@@ -40,33 +38,9 @@ stem when several documents are given):
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-
-
-def read_csv(path):
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return rows
-
-
-def load_csv_run(prefix):
-    """One curve per CSV prefix (a single trial, no error bars)."""
-    ts = read_csv(prefix + ".timeseries.csv")
-    lookup = read_csv(prefix + ".lookup.csv")
-    transfer = read_csv(prefix + ".transfer.csv")
-    return {
-        "label": os.path.basename(prefix),
-        "hours": [int(r["hour"]) for r in ts],
-        "hit_ratio": [float(r["cumulative_ratio"]) for r in ts],
-        "hit_ratio_ci": None,
-        "lookup_edges": [float(r["latency_ms_upper"]) for r in lookup],
-        "lookup_cdf": [float(r["cdf_all"]) for r in lookup],
-        "transfer_edges": [float(r["distance_ms_upper"]) for r in transfer],
-        "transfer_cdf": [float(r["cdf_hits"]) for r in transfer],
-    }
 
 
 def histogram_cdf(hist):
@@ -254,18 +228,17 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("inputs", nargs="+",
-                        help="CSV prefixes (flowercdn-sim --csv=) and/or "
-                             "runner JSON files (--json-out=)")
+                        help="runner JSON files (flowercdn-sim --json-out=)")
     parser.add_argument("-o", "--outdir", default=".")
     parser.add_argument("--tables", action="store_true",
                         help="print text tables of runner JSON instead of "
                              "plotting")
     args = parser.parse_args()
 
+    not_json = [p for p in args.inputs if not p.endswith(".json")]
+    if not_json:
+        sys.exit(f"inputs must be runner JSON: {not_json[0]}")
     if args.tables:
-        not_json = [p for p in args.inputs if not p.endswith(".json")]
-        if not_json:
-            sys.exit(f"--tables reads runner JSON only: {not_json[0]}")
         print_tables(args.inputs)
         return
 
@@ -278,10 +251,7 @@ def main():
 
     runs = []
     for item in args.inputs:
-        if item.endswith(".json"):
-            runs.extend(load_json_runs(item))
-        else:
-            runs.append(load_csv_run(item))
+        runs.extend(load_json_runs(item))
     os.makedirs(args.outdir, exist_ok=True)
 
     # Fig. 3: cumulative hit ratio over time (shaded 95% CI band when the

@@ -7,6 +7,14 @@
 
 namespace flowercdn {
 
+namespace {
+
+/// Cadence of probe samples (the RecoveryProbe's default 15-minute window
+/// holds fifteen of them).
+constexpr SimDuration kProbePeriod = kMinute;
+
+}  // namespace
+
 ChaosEngine::ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
                          StatsRegistry* stats, Rng rng, ScenarioScript script,
                          ChaosHooks hooks, const Params& params)
@@ -17,8 +25,7 @@ ChaosEngine::ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
       script_(std::move(script)),
       hooks_(std::move(hooks)),
       params_(params),
-      injector_(network, rng, stats),
-      probe_(params.probe) {
+      injector_(network, rng, stats) {
   FLOWERCDN_CHECK(sim != nullptr);
   FLOWERCDN_CHECK(network != nullptr);
   FLOWERCDN_CHECK(stats != nullptr);
@@ -76,7 +83,7 @@ void ChaosEngine::SampleProbe() {
   stats_->Set("chaos.windowed_hit_ratio", probe_.WindowedRatio());
   stats_->Set("chaos.effective_loss_rate",
               injector_.EffectiveLossRate(sim_->now()));
-  sim_->Schedule(params_.probe_period, [this]() { SampleProbe(); });
+  sim_->Schedule(kProbePeriod, [this]() { SampleProbe(); });
 }
 
 void ChaosEngine::ExecuteAction(const ScenarioAction& action, size_t index) {

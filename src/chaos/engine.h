@@ -44,13 +44,10 @@ struct ChaosHooks {
 class ChaosEngine {
  public:
   struct Params {
-    /// Cadence of probe samples and directory-replacement polling.
-    SimDuration probe_period = kMinute;
-    /// Cadence of the directory-replacement poll alone. The default keeps
-    /// the historical one-minute measurement floor; experiments with
+    /// Cadence of the directory-replacement poll. The default keeps the
+    /// historical one-minute measurement floor; experiments with
     /// replicated directories lower it to resolve second-scale failover.
     SimDuration replacement_poll_period = kMinute;
-    RecoveryProbe::Params probe;
   };
 
   /// `churn` and any hook may be null; related actions degrade to counted
@@ -59,7 +56,7 @@ class ChaosEngine {
   ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
               StatsRegistry* stats, Rng rng, ScenarioScript script,
               ChaosHooks hooks, const Params& params);
-  /// Default Params (one-minute probe cadence, 15-minute window).
+  /// Default Params (one-minute replacement poll).
   ChaosEngine(Simulator* sim, Network* network, ChurnProcess* churn,
               StatsRegistry* stats, Rng rng, ScenarioScript script,
               ChaosHooks hooks);

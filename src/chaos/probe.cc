@@ -18,7 +18,7 @@ void RecoveryProbe::AddSample(SimTime t, uint64_t queries, uint64_t hits) {
     dip_min_ = ratio;
     dip_min_time_ = t;
   }
-  double floor = baseline_ - params_.tolerance;
+  double floor = baseline_ - kTolerance;
   if (!dipped_) {
     if (ratio < floor) dipped_ = true;
   } else if (!recovered_ && ratio >= floor) {

@@ -21,12 +21,13 @@ namespace flowercdn {
 /// construction.
 class RecoveryProbe {
  public:
+  /// The system counts as recovered when the windowed ratio climbs back
+  /// to baseline - kTolerance.
+  static constexpr double kTolerance = 0.05;
+
   struct Params {
     /// Trailing window of the hit-ratio estimate.
     SimDuration window = 15 * kMinute;
-    /// The system counts as recovered when the windowed ratio climbs back
-    /// to baseline - tolerance.
-    double tolerance = 0.05;
   };
 
   explicit RecoveryProbe(const Params& params) : params_(params) {}
@@ -50,7 +51,7 @@ class RecoveryProbe {
   double dip_min() const { return dip_min_; }
   SimTime dip_min_time() const { return dip_min_time_; }
   /// Time from the first fault until the windowed ratio returned to
-  /// baseline - tolerance after dipping below it. 0 when the ratio never
+  /// baseline - kTolerance after dipping below it. 0 when the ratio never
   /// dipped below; -1 when it dipped and had not recovered by the last
   /// sample.
   double recovery_ms() const;

@@ -7,6 +7,17 @@
 
 namespace flowercdn {
 
+namespace {
+
+/// Lookup attempts before reporting failure to the caller.
+constexpr int kMaxLookupAttempts = 3;
+/// Re-forward attempts per hop before giving up on a stuck query.
+constexpr int kMaxForwardAttempts = 3;
+/// Safety valve against routing loops in a corrupted ring.
+constexpr int kMaxLookupHops = 96;
+
+}  // namespace
+
 ChordNode::ChordNode(Network* network, PeerId self, ChordId id,
                      const Params& params)
     : network_(network),
@@ -14,7 +25,7 @@ ChordNode::ChordNode(Network* network, PeerId self, ChordId id,
       id_(id),
       params_(params),
       rpc_(network, self),
-      fingers_(id, params.finger_count) {
+      fingers_(id, kFingerCount) {
   FLOWERCDN_CHECK(params.successor_list_size >= 1);
 }
 
@@ -149,7 +160,7 @@ void ChordNode::LookupVia(PeerId via, ChordId key, LookupCallback cb) {
                .router = this,
                .attempt_timeout = params_.lookup_timeout,
                .ack_timeout = params_.rpc_timeout,
-               .max_attempts = params_.max_lookup_attempts},
+               .max_attempts = kMaxLookupAttempts},
               std::move(cb));
 }
 
@@ -161,7 +172,7 @@ bool ChordNode::RouteOwnLookup(ChordId key, uint64_t lookup_id) {
 
 void ChordNode::ProcessLookupStep(ChordId key, PeerId origin,
                                   uint64_t lookup_id, int hops) {
-  if (hops > params_.max_lookup_hops) {
+  if (hops > kMaxLookupHops) {
     FLOWERCDN_LOG(kDebug) << "dropping looping lookup for key " << key;
     return;  // origin recovers via its timeout
   }
@@ -217,7 +228,7 @@ void ChordNode::ForwardLookup(ChordId key, PeerId origin, uint64_t lookup_id,
                 const Status& status, MessagePtr) {
               if (status.ok()) return;  // hop acked; query is on its way
               RemoveDeadPeer(next_peer);
-              if (attempt < params_.max_forward_attempts) {
+              if (attempt < kMaxForwardAttempts) {
                 ForwardLookup(key, origin, lookup_id, hops, attempt + 1);
               }
             });
@@ -242,7 +253,7 @@ void ChordNode::SendLookupResult(PeerId origin, uint64_t lookup_id,
 void ChordNode::ScheduleStabilize() {
   if (stabilize_scheduled_) return;
   stabilize_scheduled_ = true;
-  network_->SchedulePeer(self_, incarnation_, params_.stabilize_period,
+  network_->SchedulePeer(self_, incarnation_, kStabilizePeriod,
                          [this]() {
                            stabilize_scheduled_ = false;
                            if (state_ != State::kActive) return;
@@ -254,19 +265,17 @@ void ChordNode::ScheduleStabilize() {
 void ChordNode::StabilizeRound() {
   ++stabilize_rounds_;
   ProbeSuccessor();
-  if (params_.predecessor_check_stride > 0 &&
-      stabilize_rounds_ % params_.predecessor_check_stride == 0) {
+  if (stabilize_rounds_ % kPredecessorCheckStride == 0) {
     // A predecessor that probed or notified us within the check window is
     // alive; in a converged ring it probes us every round.
     const bool heard =
         predecessor_.has_value() &&
         predecessor_->peer == pred_contact_peer_ &&
         network_->sim()->now() - pred_contact_at_ <
-            params_.predecessor_check_stride * params_.stabilize_period;
+            kPredecessorCheckStride * kStabilizePeriod;
     if (!heard) CheckPredecessor();
   }
-  if (params_.finger_fix_stride > 0 &&
-      stabilize_rounds_ % params_.finger_fix_stride == 0) {
+  if (stabilize_rounds_ % kFingerFixStride == 0) {
     FixNextFinger();
   }
 }

@@ -43,11 +43,21 @@ namespace flowercdn {
 /// HandleMessage().
 class ChordNode {
  public:
+  /// Period of the stabilization timer (the Chord paper's recommended
+  /// order of magnitude; successor-change-triggered probes make the ring
+  /// converge much faster than this between periods).
+  static constexpr SimDuration kStabilizePeriod = 30 * kSecond;
+  /// Number of (top) fingers maintained; lower fingers collapse onto the
+  /// successor for any realistic population.
+  static constexpr int kFingerCount = 20;
+  /// Fix one finger every this many stabilize rounds (a finger whose
+  /// target the successor list covers is taken from the list instead).
+  static constexpr int kFingerFixStride = 2;
+  /// Ping the predecessor every this many stabilize rounds, unless it
+  /// probed or notified us within the last this many periods.
+  static constexpr int kPredecessorCheckStride = 2;
+
   struct Params {
-    /// Period of the stabilization timer (the Chord paper's recommended
-    /// order of magnitude; successor-change-triggered probes make the ring
-    /// converge much faster than this between periods).
-    SimDuration stabilize_period = 30 * kSecond;
     /// Timeout of one control RPC (ack, neighbors probe, notify...). It is
     /// below the default topology's worst round trip (2 x 500 ms): a
     /// lookup hop whose ack is late is re-forwarded, a hedge against slow
@@ -56,22 +66,7 @@ class ChordNode {
     SimDuration rpc_timeout = 800 * kMillisecond;
     /// End-to-end deadline for one lookup attempt.
     SimDuration lookup_timeout = 6 * kSecond;
-    /// Lookup attempts before reporting failure to the caller.
-    int max_lookup_attempts = 3;
-    /// Re-forward attempts per hop before giving up on a stuck query.
-    int max_forward_attempts = 3;
     int successor_list_size = 8;
-    /// Number of (top) fingers maintained; lower fingers collapse onto the
-    /// successor for any realistic population.
-    int finger_count = 20;
-    /// Fix one finger every this many stabilize rounds (a finger whose
-    /// target the successor list covers is taken from the list instead).
-    int finger_fix_stride = 2;
-    /// Ping the predecessor every this many stabilize rounds, unless it
-    /// probed or notified us within the last this many periods.
-    int predecessor_check_stride = 2;
-    /// Safety valve against routing loops in a corrupted ring.
-    int max_lookup_hops = 96;
   };
 
   enum class State { kIdle, kJoining, kActive };

@@ -60,7 +60,6 @@ double FlowerPetalMaintenanceRate(SimDuration gossip_period) {
 
 double ChordMaintenanceRate(const ChordNode::Params& params,
                             size_t ring_size) {
-  FLOWERCDN_CHECK(params.stabilize_period > 0);
   // A converged ring sends no notify (the successor already names its
   // prober as predecessor) and no predecessor ping (the predecessor's own
   // probe proves it alive every round). Each round is one neighbors probe
@@ -68,14 +67,14 @@ double ChordMaintenanceRate(const ChordNode::Params& params,
   double per_round = 2.0;
   const size_t others = ring_size > 0 ? ring_size - 1 : 0;
   const size_t listed = static_cast<size_t>(params.successor_list_size);
-  if (params.finger_fix_stride > 0 && others > listed) {
+  if (others > listed) {
     // Round-robin finger fixes, one per stride rounds. Finger j's target
     // lies 2^(64-F+j) clockwise, past X ~ Binomial(N-1, 2^(j-F)) nodes.
     // A target within the successor list (X < S) is taken from the list,
     // and one past every other node (X = N-1) is our own; the rest cost a
     // lookup of hops forwards + hops acks + 1 result, with one hop into
     // the range and, as in ExpectedChordHops, half of log2(m) more.
-    const int fingers = params.finger_count;
+    const int fingers = ChordNode::kFingerCount;
     const double n = static_cast<double>(others);
     double lookup_msgs = 0.0;
     for (int j = 0; j < fingers; ++j) {
@@ -93,9 +92,10 @@ double ChordMaintenanceRate(const ChordNode::Params& params,
       const double hops = 1.0 + std::max(0.0, 0.5 * std::log2(m));
       lookup_msgs += past_list * (2.0 * hops + 1.0);
     }
-    per_round += lookup_msgs / fingers / params.finger_fix_stride;
+    per_round += lookup_msgs / fingers / ChordNode::kFingerFixStride;
   }
-  return per_round / (static_cast<double>(params.stabilize_period) / kSecond);
+  return per_round /
+         (static_cast<double>(ChordNode::kStabilizePeriod) / kSecond);
 }
 
 }  // namespace analysis

@@ -5,14 +5,11 @@
 
 #include "chaos/scenario.h"
 #include "flower/params.h"
-#include "metrics/metrics.h"
 #include "sim/churn.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "squirrel/squirrel_peer.h"
-#include "storage/origin.h"
 #include "storage/website.h"
-#include "storage/workload.h"
 
 namespace flowercdn {
 
@@ -44,9 +41,6 @@ struct ExperimentConfig {
   /// not pin this down; true models a persistent browser cache (and is
   /// identical for both systems).
   bool retain_cache_on_rejoin = true;
-  /// Gap between consecutive initial directory-peer launches (bounds the
-  /// join storm while the initial D-ring assembles).
-  SimDuration initial_join_stagger = 20;
 
   /// Period of the overlay-state / traffic samplers (and the bucket width
   /// of the stats registry's per-time series). Paper-style reporting uses
@@ -55,15 +49,9 @@ struct ExperimentConfig {
   /// When true, every client query records per-phase spans into a
   /// TraceCollector (exportable as Chrome trace-event JSON).
   bool collect_traces = false;
-  /// Span-storage cap of the trace collector (histograms keep counting
-  /// past it).
-  size_t trace_max_queries = 200000;
 
   Topology::Params topology;
   WebsiteCatalog::Params catalog;
-  QueryWorkload::Params workload;
-  OriginServers::Params origin;
-  MetricsCollector::Params metrics;
 
   FlowerParams flower;
   SquirrelPeer::Params squirrel;

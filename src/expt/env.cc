@@ -23,14 +23,13 @@ ExperimentEnv::ExperimentEnv(const ExperimentConfig& config)
       topology_(config.topology),
       network_(&sim_, &topology_),
       catalog_(config.catalog),
-      workload_(&catalog_, config.workload),
-      origins_(&topology_, config.catalog.num_websites, config.origin,
+      workload_(&catalog_),
+      origins_(&topology_, config.catalog.num_websites,
                root_rng_.Fork("origins")),
-      metrics_(config.metrics),
       churn_(&sim_, root_rng_.Fork("churn"), MakeChurnParams(config)),
       stats_([this] { return sim_.now(); }, config.stats_interval) {
   if (config_.collect_traces) {
-    trace_ = std::make_shared<TraceCollector>(config_.trace_max_queries);
+    trace_ = std::make_shared<TraceCollector>();
   }
   const size_t universe = config_.UniverseSize();
   const int k = config_.topology.num_localities;

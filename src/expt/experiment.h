@@ -42,10 +42,10 @@ struct ExperimentResult {
   double mean_established_lookup_ms = 0;
 
   // Distributions (Figs. 4, 5).
-  Histogram lookup_all{50.0, 60};
-  Histogram lookup_hits{50.0, 60};
-  Histogram transfer_all{20.0, 30};
-  Histogram transfer_hits{20.0, 30};
+  Histogram lookup_all{kLookupBucketMs, kLookupBuckets};
+  Histogram lookup_hits{kLookupBucketMs, kLookupBuckets};
+  Histogram transfer_all{kTransferBucketMs, kTransferBuckets};
+  Histogram transfer_hits{kTransferBucketMs, kTransferBuckets};
 
   // Hit ratio over time (Fig. 3).
   std::vector<MetricsCollector::TimePoint> time_series;

@@ -27,7 +27,7 @@ FlowerSystem::FlowerSystem(ExperimentEnv* env, const FlowerParams& params)
       params_(params),
       keyspace_(env->config().catalog.num_websites,
                 env->config().topology.num_localities,
-                params.max_instances),
+                kMaxDirectoryInstances),
       ctx_(MakeFlowerContext(env, &keyspace_, &params_)),
       rng_(env->MakeRng("flower-system")),
       sessions_(env),

@@ -22,6 +22,10 @@ inline std::optional<PeerId> KnownPeer(PeerId bootstrap) {
   return bootstrap;
 }
 
+/// Gap between consecutive initial directory-peer launches (bounds the
+/// join storm while the initial D-ring assembles).
+constexpr SimDuration kInitialJoinStagger = 20;
+
 /// The live sessions of one driver over an ExperimentEnv's identity
 /// universe (paper §6.1), at most one per identity. FlowerSystem,
 /// SquirrelSystem and NodeHost each own one; churn, bootstrap choice and
@@ -69,7 +73,7 @@ class SessionHost {
   }
 
   /// Schedules launch(peer, create_ring) for identity i+1 at
-  /// i * initial_join_stagger, for each of the first k*|W| identities that
+  /// i * kInitialJoinStagger, for each of the first k*|W| identities that
   /// `owned` accepts; create_ring is true only for identity 1. Skipped
   /// identities keep their slot, so every cluster rank agrees on launch
   /// times. Returns k*|W|.
@@ -83,7 +87,7 @@ class SessionHost {
       if (!owned(peer)) continue;
       bool create_ring = i == 0;
       env_->sim().Schedule(
-          static_cast<SimDuration>(i) * config.initial_join_stagger,
+          static_cast<SimDuration>(i) * kInitialJoinStagger,
           [launch, peer, create_ring]() { launch(peer, create_ring); });
     }
     return initial;

@@ -7,6 +7,50 @@
 
 namespace flowercdn {
 
+namespace {
+
+/// Directory-view entries whose age exceeds this many gossip rounds
+/// without a keepalive/push/gossip touch are treated as expired.
+constexpr uint32_t kViewEntryExpiryRounds = 2;
+
+/// Contacts shipped per petal gossip exchange.
+constexpr size_t kGossipFanout = 4;
+
+/// View subset a directory peer hands to a newly admitted content peer so
+/// it can bootstrap its own petal view (paper §4).
+constexpr size_t kViewSeedSize = 8;
+
+/// Safety bound on the PetalUp sequential scan of directory instances.
+constexpr int kMaxScanHops = 16;
+
+/// Contacts probed (sequentially) per query based on gossip summaries
+/// before falling back to the directory.
+constexpr int kMaxSummaryProbes = 2;
+
+/// False-positive rate of the Bloom content summaries.
+constexpr double kSummaryFpRate = 0.02;
+
+/// D-ring lookup attempts of a new client before giving up on the P2P
+/// system for this query.
+constexpr int kMaxClientLookupAttempts = 3;
+
+/// Cadence of replica-sync messages (delta or full snapshot) from a
+/// directory primary to its successor replicas. Only meaningful with
+/// replication >= 2.
+constexpr SimDuration kReplicaSyncPeriod = 15 * kSecond;
+
+/// A replica holder presumes its primary dead after this many missed
+/// sync periods (plus its 0-based replica rank, staggering failover so
+/// the first live successor acts first).
+constexpr int kReplicaFailoverMisses = 2;
+
+/// Cap on buffered index-delta operations per primary. A replica whose
+/// acknowledged version falls behind the trimmed log is resynced with a
+/// full snapshot (anti-entropy) instead of deltas.
+constexpr size_t kReplicaMaxDeltaOps = 256;
+
+}  // namespace
+
 const char* FlowerRoleName(FlowerRole role) {
   switch (role) {
     case FlowerRole::kClient:
@@ -185,7 +229,7 @@ void FlowerPeer::StartAsDirectory(int instance,
         }
         // Initial setup should not race; retry once through any live member.
         ctx_->network->SchedulePeer(
-            self_, incarnation_, ctx_->params->join_retry_delay,
+            self_, incarnation_, kJoinRetryDelay,
             [this, instance]() {
               auto settle = [this](bool held) {
                 if (held) {
@@ -340,7 +384,7 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
     if (q.has_object) ResolveAtOrigin(q);
     if (role_ == FlowerRole::kClient) {
       ctx_->network->SchedulePeer(self_, incarnation_,
-                                 ctx_->params->join_retry_delay, [this]() {
+                                 kJoinRetryDelay, [this]() {
                                    if (role_ == FlowerRole::kClient) {
                                      ResolveViaDRing(PetalJoinRequest());
                                    }
@@ -359,7 +403,7 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
                   status.ok() ? owner.peer : bootstrap, hops, status.ok());
         if (!status.ok()) {
           ctx_->stats->Add("flower.dring_resolve_failures");
-          if (q.dring_attempts < ctx_->params->max_client_lookup_attempts) {
+          if (q.dring_attempts < kMaxClientLookupAttempts) {
             ResolveViaDRing(q);
           } else if (q.has_object) {
             ResolveAtOrigin(q);
@@ -390,7 +434,7 @@ void FlowerPeer::SendDirQuery(PeerId dir, QueryState q, bool wants_join) {
                 ctx_->stats->Add("flower.dir_query_timeouts");
                 if (role_ == FlowerRole::kClient) {
                   if (q.dring_attempts <
-                      ctx_->params->max_client_lookup_attempts) {
+                      kMaxClientLookupAttempts) {
                     ResolveViaDRing(q);
                   } else if (q.has_object) {
                     ResolveAtOrigin(q);
@@ -440,7 +484,7 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
     case DirQueryResult::kForward:
       ++q.scan_hops;
       if (reply.forward_to == kInvalidPeer ||
-          q.scan_hops > ctx_->params->max_scan_hops) {
+          q.scan_hops > kMaxScanHops) {
         if (q.has_object) ResolveAtOrigin(q);
         return;
       }
@@ -476,8 +520,8 @@ void FlowerPeer::ResolveAsContentPeer(QueryState q) {
   }
   rng_.Shuffle(candidates);
   if (candidates.size() >
-      static_cast<size_t>(ctx_->params->max_summary_probes)) {
-    candidates.resize(ctx_->params->max_summary_probes);
+      static_cast<size_t>(kMaxSummaryProbes)) {
+    candidates.resize(kMaxSummaryProbes);
   }
   TrySummaryCandidates(std::move(q), std::move(candidates), 0);
 }
@@ -675,9 +719,9 @@ void FlowerPeer::GossipRound() {
   if (!partner.has_value()) return;
   PeerId q = partner->peer;
   auto msg = std::make_unique<FlowerGossipMsg>();
-  msg->contacts = view_.RandomSubset(ctx_->params->gossip_fanout - 1, rng_, q);
+  msg->contacts = view_.RandomSubset(kGossipFanout - 1, rng_, q);
   msg->contacts.push_back(Contact{self_, 0});
-  msg->summary = store_->BuildSummary(ctx_->params->summary_fp_rate);
+  msg->summary = store_->BuildSummary(kSummaryFpRate);
   msg->dir_info = dir_info_;
   rpc_.Call(q, std::move(msg), ctx_->params->rpc_timeout,
             [this, q](const Status& status, MessagePtr resp) {
@@ -731,7 +775,7 @@ void FlowerPeer::KeepaliveRound() {
 void FlowerPeer::MaybePush() {
   if (role_ != FlowerRole::kContentPeer) return;
   if (push_in_flight_) return;
-  if (store_->ChangeFraction() < ctx_->params->push_threshold) return;
+  if (store_->ChangeFraction() < kPushThreshold) return;
   DoPush();
 }
 
@@ -803,8 +847,8 @@ void FlowerPeer::OnDirectoryUnreachable() {
     // claim past the failover window; if no heir appeared by then (petal
     // had no live replica), the classic claim still repairs the petal.
     SimDuration grace =
-        static_cast<SimDuration>(ctx_->params->replica_failover_misses + 2) *
-        ctx_->params->replica_sync_period;
+        static_cast<SimDuration>(kReplicaFailoverMisses + 2) *
+        kReplicaSyncPeriod;
     int instance = dir_info_.instance;
     ctx_->network->SchedulePeer(
         self_, incarnation_, grace, [this, instance]() {
@@ -910,7 +954,7 @@ void FlowerPeer::BecomeDirectory(int instance) {
   ScheduleDirectoryMaintenance();
   if (ReplicationActive()) {
     ResetReplicaSource();
-    SimDuration period = ctx_->params->replica_sync_period;
+    SimDuration period = kReplicaSyncPeriod;
     ScheduleReplicaSync(period / 2 +
                         static_cast<SimDuration>(rng_.NextBounded(period / 2 +
                                                                   1)));
@@ -935,7 +979,7 @@ void FlowerPeer::DirectoryMaintenanceRound() {
   // Expire content peers that stopped sending keepalives/pushes (§5.1).
   std::vector<PeerId> expired;
   for (const Contact& c : view_.contacts()) {
-    if (c.age > ctx_->params->view_entry_expiry_rounds) {
+    if (c.age > kViewEntryExpiryRounds) {
       expired.push_back(c.peer);
     }
   }
@@ -968,7 +1012,7 @@ void FlowerPeer::OnDirQuery(MessagePtr msg) {
   bool overloaded = view_.size() >= ctx_->params->max_directory_load;
   if (overloaded && !member && ctx_->params->petalup_enabled) {
     std::optional<PeerId> next = NextInstancePeer();
-    if (next.has_value() && req.scan_hops < ctx_->params->max_scan_hops) {
+    if (next.has_value() && req.scan_hops < kMaxScanHops) {
       reply->result = DirQueryResult::kForward;
       reply->forward_to = *next;
       rpc_.Respond(req, std::move(reply));
@@ -989,7 +1033,7 @@ void FlowerPeer::OnDirQuery(MessagePtr msg) {
                                     : std::nullopt);
     reply->admitted = true;
     reply->view_seed =
-        view_.RandomSubset(ctx_->params->view_seed_size, rng_, req.src);
+        view_.RandomSubset(kViewSeedSize, rng_, req.src);
   } else if (member) {
     view_.Upsert(Contact{req.src, 0});
     if (req.has_object) {
@@ -1170,8 +1214,8 @@ void FlowerPeer::OnGossip(const Message& req) {
   const auto& m = MessageCast<FlowerGossipMsg>(req);
   auto reply = std::make_unique<FlowerGossipReplyMsg>();
   reply->contacts =
-      view_.RandomSubset(ctx_->params->gossip_fanout, rng_, m.src);
-  reply->summary = store_->BuildSummary(ctx_->params->summary_fp_rate);
+      view_.RandomSubset(kGossipFanout, rng_, m.src);
+  reply->summary = store_->BuildSummary(kSummaryFpRate);
   reply->dir_info = dir_info_;
   rpc_.Respond(req, std::move(reply));
   MergeGossip(m.src, m.contacts, m.summary, m.dir_info);
@@ -1363,7 +1407,7 @@ void FlowerPeer::AppendReplicaOp(FlowerReplicaSyncMsg::Op op) {
   ops.push_back(ReplicaOp{dir_->replica_version, std::move(op)});
   // Bounded log: replicas that fall further behind than the cap resync
   // with a full snapshot instead.
-  while (ops.size() > ctx_->params->replica_max_delta_ops) ops.pop_front();
+  while (ops.size() > kReplicaMaxDeltaOps) ops.pop_front();
 }
 
 void FlowerPeer::ResetReplicaSource() {
@@ -1381,7 +1425,7 @@ void FlowerPeer::ScheduleReplicaSync(SimDuration delay) {
     dir_->replica_sync_scheduled = false;
     if (role_ != FlowerRole::kDirectoryPeer || !ReplicationActive()) return;
     ReplicaSyncRound();
-    ScheduleReplicaSync(ctx_->params->replica_sync_period);
+    ScheduleReplicaSync(kReplicaSyncPeriod);
   });
 }
 
@@ -1526,7 +1570,7 @@ void FlowerPeer::ScheduleReplicaMonitor() {
   if (dir_->replica_monitor_scheduled) return;
   dir_->replica_monitor_scheduled = true;
   ctx_->network->SchedulePeer(
-      self_, incarnation_, ctx_->params->replica_sync_period, [this]() {
+      self_, incarnation_, kReplicaSyncPeriod, [this]() {
         dir_->replica_monitor_scheduled = false;
         if (!ReplicationActive()) return;
         ReplicaMonitorRound();
@@ -1536,7 +1580,7 @@ void FlowerPeer::ScheduleReplicaMonitor() {
 
 void FlowerPeer::ReplicaMonitorRound() {
   SimTime now = ctx_->network->sim()->now();
-  SimDuration period = ctx_->params->replica_sync_period;
+  SimDuration period = kReplicaSyncPeriod;
   // Sorted key pass: handover messages must fire in a deterministic order,
   // and entries may be erased while iterating.
   std::vector<ChordId> keys;
@@ -1548,10 +1592,10 @@ void FlowerPeer::ReplicaMonitorRound() {
     if (it == dir_->replicas.end()) continue;
     ReplicaState& state = it->second;
     // Rank-staggered failover window: rank 1 acts after
-    // `replica_failover_misses` silent periods, rank 2 one period later...
+    // `kReplicaFailoverMisses` silent periods, rank 2 one period later...
     // so replicas do not race each other to install an heir.
     SimDuration timeout =
-        (ctx_->params->replica_failover_misses +
+        (kReplicaFailoverMisses +
          static_cast<SimDuration>(state.rank) - 1) *
         period;
     SimDuration silent = now - state.last_sync;
@@ -1609,14 +1653,14 @@ bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
     return false;
   }
   SimTime now = ctx_->network->sim()->now();
-  SimDuration period = ctx_->params->replica_sync_period;
+  SimDuration period = kReplicaSyncPeriod;
   for (int inst = 0; inst < ctx_->keyspace->max_instances(); ++inst) {
     auto it = dir_->replicas.find(
         ctx_->keyspace->IdOf(req.website, req.locality, inst));
     if (it == dir_->replicas.end()) continue;
     const ReplicaState& state = it->second;
     SimDuration timeout =
-        (ctx_->params->replica_failover_misses +
+        (kReplicaFailoverMisses +
          static_cast<SimDuration>(state.rank) - 1) *
         period;
     // Stale replicas must not answer — beyond the failover window a

@@ -104,7 +104,7 @@ class FlowerPeer : public SimNode {
   /// seed the initial D-ring population. The first such peer creates the
   /// ring (`bootstrap` empty); the rest join through any existing member.
   /// The session counts as a directory while its join is in flight. A
-  /// failed join is retried once, after `join_retry_delay`, through a fresh
+  /// failed join is retried once, after `kJoinRetryDelay`, through a fresh
   /// bootstrap pick. If that fails too the session is a *stranded seed*
   /// (counted as `flower.claim.seed_stranded`): it keeps the directory role
   /// with an idle ring node, so it never claims, rebuilds, registers or

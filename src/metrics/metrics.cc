@@ -1,17 +1,6 @@
 #include "metrics/metrics.h"
 
-#include "util/logging.h"
-
 namespace flowercdn {
-
-MetricsCollector::MetricsCollector(const Params& params)
-    : params_(params),
-      lookup_all_(params.lookup_bucket_ms, params.lookup_buckets),
-      lookup_hits_(params.lookup_bucket_ms, params.lookup_buckets),
-      transfer_all_(params.transfer_bucket_ms, params.transfer_buckets),
-      transfer_hits_(params.transfer_bucket_ms, params.transfer_buckets) {
-  FLOWERCDN_CHECK(params.time_bucket > 0);
-}
 
 void MetricsCollector::RecordQuery(const QueryRecord& record) {
   ++total_queries_;
@@ -27,12 +16,12 @@ void MetricsCollector::RecordQuery(const QueryRecord& record) {
     lookup_hits_.Add(record.lookup_latency_ms);
     transfer_hits_.Add(record.transfer_distance_ms);
   }
-  size_t idx = static_cast<size_t>(record.issued_at / params_.time_bucket);
+  size_t idx = static_cast<size_t>(record.issued_at / kHitRatioWindow);
   if (idx >= buckets_.size()) {
     size_t old = buckets_.size();
     buckets_.resize(idx + 1);
     for (size_t i = old; i < buckets_.size(); ++i) {
-      buckets_[i].bucket_start = static_cast<SimTime>(i) * params_.time_bucket;
+      buckets_[i].bucket_start = static_cast<SimTime>(i) * kHitRatioWindow;
     }
   }
   ++buckets_[idx].queries;

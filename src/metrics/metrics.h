@@ -27,23 +27,22 @@ struct QueryRecord {
   bool from_new_client = false;
 };
 
+/// Window of the hit-ratio time series (Fig. 3).
+constexpr SimDuration kHitRatioWindow = kHour;
+/// Lookup-latency histogram geometry (Fig. 4): 60 buckets of 50 ms cover
+/// 0..3000 ms, plus overflow.
+constexpr double kLookupBucketMs = 50.0;
+constexpr size_t kLookupBuckets = 60;
+/// Transfer-distance histogram geometry (Fig. 5): 30 buckets of 20 ms
+/// cover 0..600 ms, plus overflow.
+constexpr double kTransferBucketMs = 20.0;
+constexpr size_t kTransferBuckets = 30;
+
 /// Accumulates query records into the paper's three metrics: overall and
 /// windowed hit ratio (Fig. 3), lookup-latency distribution (Fig. 4) and
 /// transfer-distance distribution (Fig. 5), plus the Table 2 summary row.
 class MetricsCollector {
  public:
-  struct Params {
-    /// Window of the hit-ratio time series.
-    SimDuration time_bucket = kHour;
-    double lookup_bucket_ms = 50.0;
-    size_t lookup_buckets = 60;  // covers 0..3000 ms + overflow
-    double transfer_bucket_ms = 20.0;
-    size_t transfer_buckets = 30;  // covers 0..600 ms + overflow
-  };
-
-  MetricsCollector() : MetricsCollector(Params{}) {}
-  explicit MetricsCollector(const Params& params);
-
   void RecordQuery(const QueryRecord& record);
 
   // --- Aggregates ----------------------------------------------------------
@@ -85,20 +84,17 @@ class MetricsCollector {
   /// paper's Fig. 3 plots.
   std::vector<double> CumulativeHitRatioSeries() const;
 
-  const Params& params() const { return params_; }
-
  private:
-  Params params_;
   uint64_t total_queries_ = 0;
   uint64_t hits_ = 0;
   uint64_t new_client_queries_ = 0;
   uint64_t new_client_hits_ = 0;
   double new_client_lookup_sum_ = 0;
-  Histogram lookup_all_;
-  Histogram lookup_hits_;
-  Histogram transfer_all_;
-  Histogram transfer_hits_;
-  std::vector<TimePoint> buckets_;  // indexed by issued_at / time_bucket
+  Histogram lookup_all_{kLookupBucketMs, kLookupBuckets};
+  Histogram lookup_hits_{kLookupBucketMs, kLookupBuckets};
+  Histogram transfer_all_{kTransferBucketMs, kTransferBuckets};
+  Histogram transfer_hits_{kTransferBucketMs, kTransferBuckets};
+  std::vector<TimePoint> buckets_;  // indexed by issued_at / kHitRatioWindow
 };
 
 }  // namespace flowercdn

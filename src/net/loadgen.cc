@@ -17,6 +17,14 @@
 
 namespace flowercdn {
 
+namespace {
+
+/// Open loop: arrivals past this many queued requests are dropped and
+/// counted in Report::backlog_dropped.
+constexpr size_t kMaxBacklog = 100000;
+
+}  // namespace
+
 // --- LoadGenerator ------------------------------------------------------------
 
 LoadGenerator::LoadGenerator(Options options)
@@ -247,7 +255,7 @@ LoadGenerator::Report LoadGenerator::Run() {
     if (open_loop) {
       while (next_arrival_us <= now_us) {
         next_arrival_us += gap_us;
-        if (backlog_.size() >= options_.max_backlog) {
+        if (backlog_.size() >= kMaxBacklog) {
           ++report_.backlog_dropped;
           continue;
         }

@@ -39,7 +39,6 @@ class LoadGenerator {
     int num_websites = 6;
     int objects_per_website = 80;
     double zipf_alpha = 0.8;
-    size_t max_backlog = 100000;
   };
 
   struct Report {
@@ -49,7 +48,7 @@ class LoadGenerator {
     uint64_t responses_error = 0;
     uint64_t parse_errors = 0;
     uint64_t connect_failures = 0;
-    uint64_t backlog_dropped = 0;  // open loop: arrivals past max_backlog
+    uint64_t backlog_dropped = 0;  // open loop: arrivals past the backlog cap
     double qps = 0;              // responses_ok / duration_s
     uint64_t served_petal = 0;
     uint64_t served_directory = 0;

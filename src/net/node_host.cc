@@ -51,7 +51,7 @@ NodeHost::NodeHost(ExperimentEnv* env, const FlowerParams& params,
       options_(std::move(options)),
       keyspace_(env->config().catalog.num_websites,
                 env->config().topology.num_localities,
-                params.max_instances),
+                kMaxDirectoryInstances),
       ctx_(MakeFlowerContext(env, &keyspace_, &params_)),
       sessions_(env) {
   FLOWERCDN_CHECK(!options_.members.empty()) << "empty cluster";
@@ -161,7 +161,7 @@ bool NodeHost::Setup() {
   // The rest of the population joins as clients, spread over a window
   // after the directory launch completes.
   SimDuration dir_window = static_cast<SimDuration>(initial_directories_) *
-                               config.initial_join_stagger +
+                               kInitialJoinStagger +
                            1;
   size_t num_clients = population - initial_directories_;
   for (size_t i = 0; i < num_clients; ++i) {

@@ -22,6 +22,11 @@ namespace flowercdn {
 
 namespace {
 
+/// Reconnect backoff: first retry after kReconnectInitialMs, doubling up
+/// to kReconnectMaxMs.
+constexpr int kReconnectInitialMs = 50;
+constexpr int kReconnectMaxMs = 2000;
+
 int MakeNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) return -1;
@@ -129,7 +134,7 @@ void TcpTransport::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto [it, inserted] =
-        inbound_.emplace(fd, InConn(options_.max_frame_payload));
+        inbound_.emplace(fd, InConn());
     FLOWERCDN_CHECK(inserted);
     it->second.fd = fd;
     it->second.last_activity = ++use_clock_;
@@ -361,8 +366,8 @@ void TcpTransport::Disconnect(int rank, const char* why) {
   c.want_writable = false;
   c.state = OutConn::State::kBackoff;
   c.backoff_ms = c.backoff_ms == 0
-                     ? options_.reconnect_initial_ms
-                     : std::min(c.backoff_ms * 2, options_.reconnect_max_ms);
+                     ? kReconnectInitialMs
+                     : std::min(c.backoff_ms * 2, kReconnectMaxMs);
   c.next_attempt_ms = MonotonicMillis() + c.backoff_ms;
   FLOWERCDN_LOG(kInfo) << "tcp: rank " << rank << " unreachable (" << why
                        << "); retry in " << c.backoff_ms << " ms, "

@@ -70,12 +70,6 @@ class TcpTransport : public Transport {
     size_t queue_hard_cap = 64u << 20;
     /// Cap on concurrently accepted inbound connections.
     size_t max_accepted = 128;
-    /// Reconnect backoff: first retry after `reconnect_initial_ms`,
-    /// doubling up to `reconnect_max_ms`.
-    int reconnect_initial_ms = 50;
-    int reconnect_max_ms = 2000;
-    /// Decode-side cap on one frame's payload (oversized-claim rejection).
-    size_t max_frame_payload = kMaxFramePayload;
   };
 
   /// Maps a peer identity to the rank that hosts it. Must be a pure
@@ -147,9 +141,8 @@ class TcpTransport : public Transport {
 
   struct InConn {
     int fd = -1;
-    FrameAssembler assembler;
+    FrameAssembler assembler;    // caps one payload at kMaxFramePayload
     uint64_t last_activity = 0;  // use_clock_ stamp for LRU eviction
-    explicit InConn(size_t max_payload) : assembler(max_payload) {}
   };
 
   OutConn& Out(int rank);

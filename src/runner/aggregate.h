@@ -81,10 +81,10 @@ struct AggregateResult {
   MetricSummary chaos_injected_drops;
 
   // Pooled distributions (Figs. 4, 5): bucket counts summed across trials.
-  Histogram lookup_all{50.0, 60};
-  Histogram lookup_hits{50.0, 60};
-  Histogram transfer_all{20.0, 30};
-  Histogram transfer_hits{20.0, 30};
+  Histogram lookup_all{kLookupBucketMs, kLookupBuckets};
+  Histogram lookup_hits{kLookupBucketMs, kLookupBuckets};
+  Histogram transfer_all{kTransferBucketMs, kTransferBuckets};
+  Histogram transfer_hits{kTransferBucketMs, kTransferBuckets};
 
   // Fig. 3 with error bars: cumulative hit ratio per hour, summarized
   // pointwise across trials (entry h covers hour h+1).

@@ -12,6 +12,12 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// Milliseconds of one-way latency per plane unit of distance.
+constexpr double kLatencyPerUnitMs = 110.0;
+
+/// Relative amplitude of the deterministic per-pair jitter.
+constexpr double kJitter = 0.2;
+
 double Distance(const Coord& a, const Coord& b) {
   double dx = a.x - b.x;
   double dy = a.y - b.y;
@@ -37,13 +43,11 @@ double PairJitter(const Coord& a, const Coord& b, double j) {
 
 Topology::Topology(const Params& params) : params_(params) {
   FLOWERCDN_CHECK(params_.num_localities >= 1);
-  FLOWERCDN_CHECK(params_.min_latency_ms >= 0);
-  FLOWERCDN_CHECK(params_.max_latency_ms >= params_.min_latency_ms);
   landmarks_.reserve(params_.num_localities);
   for (int i = 0; i < params_.num_localities; ++i) {
     double angle = 2.0 * kPi * i / params_.num_localities;
-    landmarks_.push_back(Coord{params_.landmark_radius * std::cos(angle),
-                               params_.landmark_radius * std::sin(angle)});
+    landmarks_.push_back(Coord{kLandmarkRadius * std::cos(angle),
+                               kLandmarkRadius * std::sin(angle)});
   }
 }
 
@@ -75,10 +79,9 @@ LocalityId Topology::LocalityOf(const Coord& c) const {
 
 double Topology::LatencyMs(const Coord& a, const Coord& b) const {
   if (a.x == b.x && a.y == b.y) return 0.0;
-  double base =
-      params_.min_latency_ms + params_.latency_per_unit_ms * Distance(a, b);
-  if (params_.jitter > 0) base *= PairJitter(a, b, params_.jitter);
-  return std::clamp(base, params_.min_latency_ms, params_.max_latency_ms);
+  double base = kMinLatencyMs + kLatencyPerUnitMs * Distance(a, b);
+  base *= PairJitter(a, b, kJitter);
+  return std::clamp(base, kMinLatencyMs, kMaxLatencyMs);
 }
 
 }  // namespace flowercdn

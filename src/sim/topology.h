@@ -27,36 +27,35 @@ using LocalityId = int;
 ///  * k landmark points are placed evenly on a circle;
 ///  * a peer of locality `loc` is placed with Gaussian scatter around
 ///    landmark `loc`, so LocalityOf(coord) (nearest landmark) recovers it;
-///  * pairwise latency = min_latency + latency_per_unit * distance,
-///    multiplied by a deterministic per-pair jitter, clamped to
-///    [min_latency, max_latency].
+///  * pairwise latency = kMinLatencyMs + 110 ms per plane unit of
+///    distance, multiplied by a deterministic per-pair jitter of up to
+///    ±20%, clamped to [kMinLatencyMs, kMaxLatencyMs].
 ///
 /// Default constants are calibrated so that a random cross-network pair
 /// averages ~165 ms (the Squirrel transfer distance the paper reports)
 /// while intra-locality pairs average a few tens of ms.
 class Topology {
  public:
+  /// Link latency bounds (Table 1: 10-500 ms).
+  static constexpr double kMinLatencyMs = 10.0;
+  static constexpr double kMaxLatencyMs = 500.0;
+  /// Radius of the landmark circle in plane units.
+  static constexpr double kLandmarkRadius = 1.0;
+
   struct Params {
+    /// k (Table 1: 6).
     int num_localities = 6;
-    double min_latency_ms = 10.0;
-    double max_latency_ms = 500.0;
-    /// Radius of the landmark circle in plane units.
-    double landmark_radius = 1.0;
     /// Std-dev of peer scatter around its landmark. Calibrated (together
-    /// with latency_per_unit_ms) so intra-locality pairs average ~90 ms and
-    /// inter-locality pairs ~180 ms — matching the paper's reported Flower
-    /// (~92 ms) and Squirrel (~165 ms) transfer distances at P=3000.
+    /// with the 110 ms per plane unit in topology.cc) so intra-locality
+    /// pairs average ~90 ms and inter-locality pairs ~180 ms — matching the
+    /// paper's reported Flower (~92 ms) and Squirrel (~165 ms) transfer
+    /// distances at P=3000.
     double cluster_stddev = 0.35;
-    /// Milliseconds of one-way latency per plane unit of distance.
-    double latency_per_unit_ms = 110.0;
-    /// Relative amplitude of the deterministic per-pair jitter (0 = none).
-    double jitter = 0.2;
   };
 
   explicit Topology(const Params& params);
 
   int num_localities() const { return params_.num_localities; }
-  const Params& params() const { return params_; }
 
   /// Deterministically samples a coordinate near landmark `loc` using the
   /// caller's RNG stream.
@@ -66,7 +65,7 @@ class Topology {
   LocalityId LocalityOf(const Coord& c) const;
 
   /// One-way latency between two coordinates, in milliseconds. Symmetric;
-  /// zero only for identical points... never below min_latency for
+  /// zero only for identical points... never below kMinLatencyMs for
   /// distinct endpoints.
   double LatencyMs(const Coord& a, const Coord& b) const;
 

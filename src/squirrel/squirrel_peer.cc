@@ -11,6 +11,12 @@ namespace flowercdn {
 
 namespace {
 
+/// Directory capacity per object (most recent downloaders).
+constexpr size_t kMaxDelegates = 4;
+/// Delay between failed bootstrap attempts.
+constexpr SimDuration kJoinRetryDelay = 30 * kSecond;
+constexpr int kMaxJoinAttempts = 5;
+
 /// A peer's ring position is a stable function of its identity, so a
 /// re-joining peer reclaims the same position.
 ChordId SquirrelRingId(PeerId peer) {
@@ -79,12 +85,12 @@ void SquirrelPeer::TryJoin(PeerId bootstrap) {
       StartQuerying();
       return;
     }
-    if (join_attempts_ >= params_.max_join_attempts) {
+    if (join_attempts_ >= kMaxJoinAttempts) {
       FLOWERCDN_LOG(kDebug) << "squirrel peer " << self_
                             << " exhausted join attempts";
       return;  // stranded until it churns out
     }
-    ctx_.network->SchedulePeer(self_, incarnation_, params_.join_retry_delay,
+    ctx_.network->SchedulePeer(self_, incarnation_, kJoinRetryDelay,
                                [this]() {
                                  PeerId next = ctx_.pick_bootstrap
                                                    ? ctx_.pick_bootstrap(self_)
@@ -340,7 +346,7 @@ void SquirrelPeer::OnHandoff(const Message& msg) {
         delegates.push_back(p);
       }
     }
-    while (delegates.size() > static_cast<size_t>(params_.max_delegates)) {
+    while (delegates.size() > kMaxDelegates) {
       delegates.pop_back();
     }
   }
@@ -368,7 +374,7 @@ void SquirrelPeer::AddDelegate(const ObjectId& object, PeerId downloader) {
   auto it = std::find(delegates.begin(), delegates.end(), downloader);
   if (it != delegates.end()) delegates.erase(it);
   delegates.push_front(downloader);
-  while (delegates.size() > static_cast<size_t>(params_.max_delegates)) {
+  while (delegates.size() > kMaxDelegates) {
     delegates.pop_back();
   }
 }

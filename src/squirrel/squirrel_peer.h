@@ -61,11 +61,6 @@ class SquirrelPeer : public SimNode {
     ChordNode::Params chord;
     SquirrelMode mode = SquirrelMode::kDirectory;
     SimDuration rpc_timeout = 800 * kMillisecond;
-    /// Directory capacity per object (most recent downloaders).
-    int max_delegates = 4;
-    /// Delay between failed bootstrap attempts.
-    SimDuration join_retry_delay = 30 * kSecond;
-    int max_join_attempts = 5;
   };
 
   /// `store` is the identity's persistent browser cache (survives churn);

@@ -16,14 +16,7 @@ namespace flowercdn {
 /// fixed server-side overhead.
 class OriginServers {
  public:
-  struct Params {
-    /// Server processing overhead added to the network RTT on each fetch,
-    /// modeling the overloaded origin the paper's introduction motivates.
-    double server_overhead_ms = 300.0;
-  };
-
-  OriginServers(const Topology* topology, int num_websites,
-                const Params& params, Rng rng);
+  OriginServers(const Topology* topology, int num_websites, Rng rng);
 
   /// Network distance (one-way latency) between a client and the origin of
   /// `ws` — the "transfer distance" of a query served by the origin.
@@ -34,11 +27,9 @@ class OriginServers {
   double FetchLatencyMs(const Coord& client, WebsiteId ws) const;
 
   const Coord& CoordOf(WebsiteId ws) const { return coords_[ws]; }
-  const Params& params() const { return params_; }
 
  private:
   const Topology* topology_;
-  Params params_;
   std::vector<Coord> coords_;
 };
 

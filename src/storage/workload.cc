@@ -7,11 +7,17 @@
 
 namespace flowercdn {
 
-QueryWorkload::QueryWorkload(const WebsiteCatalog* catalog,
-                             const Params& params)
-    : catalog_(catalog), params_(params) {
+namespace {
+
+/// Attempts at drawing an object absent from the local store before
+/// concluding the peer has nothing left to ask for.
+constexpr int kMaxSampleAttempts = 64;
+
+}  // namespace
+
+QueryWorkload::QueryWorkload(const WebsiteCatalog* catalog)
+    : catalog_(catalog) {
   FLOWERCDN_CHECK(catalog != nullptr);
-  FLOWERCDN_CHECK(params.mean_query_gap > 0);
 }
 
 std::optional<ObjectId> QueryWorkload::NextQuery(WebsiteId ws,
@@ -20,7 +26,7 @@ std::optional<ObjectId> QueryWorkload::NextQuery(WebsiteId ws,
   // Rejection-sample the Zipf law against the local cache. The cache is
   // tiny relative to the 500-object site in all paper configurations, so
   // this nearly always succeeds in a few draws.
-  for (int attempt = 0; attempt < params_.max_sample_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxSampleAttempts; ++attempt) {
     ObjectId candidate = catalog_->SampleObject(ws, rng);
     if (!store.Contains(candidate)) return candidate;
   }
@@ -34,7 +40,7 @@ std::optional<ObjectId> QueryWorkload::NextQuery(WebsiteId ws,
 }
 
 SimDuration QueryWorkload::NextQueryGap(WebsiteId ws, Rng& rng) const {
-  double gap = rng.Exponential(static_cast<double>(params_.mean_query_gap));
+  double gap = rng.Exponential(static_cast<double>(kMeanQueryGap));
   auto it = rate_multiplier_.find(ws);
   if (it != rate_multiplier_.end()) gap /= it->second;
   return std::max<SimDuration>(static_cast<SimDuration>(std::llround(gap)),

@@ -12,21 +12,16 @@
 namespace flowercdn {
 
 /// Query workload of the paper's evaluation (§6.1): a peer interested in an
-/// active website submits one query every `mean_query_gap` on average from
+/// active website submits one query every `kMeanQueryGap` on average from
 /// arrival until failure, always for an object it does not hold locally
 /// ("a peer only poses queries for objects unavailable in its local
 /// storage; it never issues the same query more than once").
 class QueryWorkload {
  public:
-  struct Params {
-    /// Mean gap between two queries of one peer (Table 1: 1 query / 6 min).
-    SimDuration mean_query_gap = 6 * kMinute;
-    /// Attempts at drawing an object absent from the local store before
-    /// concluding the peer has nothing left to ask for.
-    int max_sample_attempts = 64;
-  };
+  /// Mean gap between two queries of one peer (Table 1: 1 query / 6 min).
+  static constexpr SimDuration kMeanQueryGap = 6 * kMinute;
 
-  QueryWorkload(const WebsiteCatalog* catalog, const Params& params);
+  explicit QueryWorkload(const WebsiteCatalog* catalog);
 
   /// Draws the next query of a peer interested in `ws`, skipping objects in
   /// `store`. Returns nullopt when the peer's interest set is (practically)
@@ -45,11 +40,8 @@ class QueryWorkload {
   void SetRateMultiplier(WebsiteId ws, double m);
   double rate_multiplier(WebsiteId ws) const;
 
-  const Params& params() const { return params_; }
-
  private:
   const WebsiteCatalog* catalog_;
-  Params params_;
   std::unordered_map<WebsiteId, double> rate_multiplier_;
 };
 

@@ -53,9 +53,6 @@ class BloomFilter {
   /// Fraction of set bits — a saturation indicator.
   double FillRatio() const;
 
-  /// Approximate in-memory size in bytes (what gossip would transfer).
-  size_t SizeBytes() const { return bits_.size() * sizeof(uint64_t); }
-
   /// The raw bit-array words, for wire encoding. (bit_count + 63) / 64
   /// entries; empty for the default filter.
   const std::vector<uint64_t>& words() const { return bits_; }

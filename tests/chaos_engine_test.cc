@@ -194,7 +194,6 @@ TEST_F(ChaosEngineTest, BaseFaultsInstalledOnStart) {
 TEST(RecoveryProbe, BaselineFrozenAtEventAndRecoveryMeasured) {
   RecoveryProbe::Params params;
   params.window = 10 * kMinute;
-  params.tolerance = 0.05;
   RecoveryProbe probe(params);
 
   // Warmup at a steady 80% ratio.
@@ -213,7 +212,7 @@ TEST(RecoveryProbe, BaselineFrozenAtEventAndRecoveryMeasured) {
     hits += 2;
     probe.AddSample(t, queries, hits);
   }
-  EXPECT_LT(probe.dip_min(), 0.8 - params.tolerance);
+  EXPECT_LT(probe.dip_min(), 0.8 - RecoveryProbe::kTolerance);
   EXPECT_LT(probe.recovery_ms(), 0) << "not yet recovered";
 
   // ...then climbs back to 90% until the window is clean again.

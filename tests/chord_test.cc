@@ -355,14 +355,14 @@ TEST_F(ChordRingTest, SteadyRingSendsWhatTheModelPredicts) {
   const int n = 20;
   BuildRing(n);
   const ChordNode::Params params;
-  const int rounds = params.finger_count * params.finger_fix_stride;
+  const int rounds = ChordNode::kFingerCount * ChordNode::kFingerFixStride;
   const uint64_t before = network_.traffic().chord.messages;
-  sim_.RunUntil(sim_.now() + rounds * params.stabilize_period);
+  sim_.RunUntil(sim_.now() + rounds * ChordNode::kStabilizePeriod);
   const double sent =
       static_cast<double>(network_.traffic().chord.messages - before);
   const double model = analysis::ChordMaintenanceRate(params, n) * n *
                        rounds *
-                       (static_cast<double>(params.stabilize_period) /
+                       (static_cast<double>(ChordNode::kStabilizePeriod) /
                         kSecond);
   EXPECT_NEAR(sent / model, 1.0, 0.15)
       << "sent " << sent << " Chord messages, model predicts " << model;
@@ -372,11 +372,11 @@ TEST_F(ChordRingTest, SteadyRingSendsNoPredecessorPing) {
   // Each node's predecessor probes it every round, which proves the
   // predecessor alive: a converged ring never pings one.
   BuildRing(20);
-  const ChordNode::Params params;
   RecordingHook hook;
   network_.SetFaultHook(&hook);
-  sim_.RunUntil(sim_.now() + params.finger_count * params.finger_fix_stride *
-                                 params.stabilize_period);
+  sim_.RunUntil(sim_.now() + ChordNode::kFingerCount *
+                                 ChordNode::kFingerFixStride *
+                                 ChordNode::kStabilizePeriod);
   network_.SetFaultHook(nullptr);
   EXPECT_GT(hook.sent[kChordGetNeighbors], 0u);
   EXPECT_EQ(hook.sent[kChordPing], 0u);
@@ -480,8 +480,8 @@ TEST_F(ChordRingTest, SilentCrashedPredecessorIsStillCleared) {
   network_.SetFaultHook(&hook);
   network_.Detach(pred);
   const SimTime deadline =
-      sim_.now() + 2 * params.predecessor_check_stride *
-                       params.stabilize_period +
+      sim_.now() + 2 * ChordNode::kPredecessorCheckStride *
+                       ChordNode::kStabilizePeriod +
       params.rpc_timeout;
   auto holds_crashed = [&]() {
     return node.predecessor().has_value() && node.predecessor()->peer == pred;
@@ -510,8 +510,8 @@ TEST_F(ChordRingTest, PredecessorThatLeftQuietlyIsCleared) {
   network_.SetFaultHook(&hook);
   hosts_[pred - 1]->chord().Leave();  // peer i + 1 is hosts_[i]
   const SimTime deadline =
-      sim_.now() + 2 * params.predecessor_check_stride *
-                       params.stabilize_period +
+      sim_.now() + 2 * ChordNode::kPredecessorCheckStride *
+                       ChordNode::kStabilizePeriod +
       params.rpc_timeout;
   auto holds_leaver = [&]() {
     return node.predecessor().has_value() && node.predecessor()->peer == pred;

@@ -10,8 +10,8 @@ namespace {
 TEST(ConfigDefaultsTest, MatchTable1) {
   ExperimentConfig config;
   // Latency (ms): 10 - 500.
-  EXPECT_DOUBLE_EQ(config.topology.min_latency_ms, 10.0);
-  EXPECT_DOUBLE_EQ(config.topology.max_latency_ms, 500.0);
+  EXPECT_DOUBLE_EQ(Topology::kMinLatencyMs, 10.0);
+  EXPECT_DOUBLE_EQ(Topology::kMaxLatencyMs, 500.0);
   // Nb of localities (k): 6.
   EXPECT_EQ(config.topology.num_localities, 6);
   // Nb of websites |W|: 100, 6 active.
@@ -25,9 +25,9 @@ TEST(ConfigDefaultsTest, MatchTable1) {
   // Total network size: P * 1.3.
   EXPECT_DOUBLE_EQ(config.universe_factor, 1.3);
   // Query rate: 1 query every 6 min.
-  EXPECT_EQ(config.workload.mean_query_gap, 6 * kMinute);
+  EXPECT_EQ(QueryWorkload::kMeanQueryGap, 6 * kMinute);
   // Push threshold: 0.5.
-  EXPECT_DOUBLE_EQ(config.flower.push_threshold, 0.5);
+  EXPECT_DOUBLE_EQ(kPushThreshold, 0.5);
   // Gossip/keepalive period: 1 hour.
   EXPECT_EQ(config.flower.gossip_period, kHour);
   // Experiment length: 24 hours.

@@ -29,11 +29,10 @@ class FlowerPeerHarness : public ::testing::Test {
       : topology_(Topology::Params{}),
         network_(&sim_, &topology_),
         catalog_(MakeCatalogParams()),
-        workload_(&catalog_, QueryWorkload::Params{}),
-        origins_(&topology_, catalog_.num_websites(),
-                 OriginServers::Params{}, Rng(91)),
+        workload_(&catalog_),
+        origins_(&topology_, catalog_.num_websites(), Rng(91)),
         keyspace_(catalog_.num_websites(), topology_.num_localities(),
-                  params_.max_instances) {
+                  kMaxDirectoryInstances) {
     ctx_.network = &network_;
     ctx_.metrics = &metrics_;
     ctx_.catalog = &catalog_;
@@ -310,7 +309,7 @@ TEST_F(FlowerPeerHarness, SeededDirectoryRetriesThroughALivePick) {
   seed->StartAsDirectory(0, PeerId{99});
   // The session counts as a directory while its join is in flight.
   EXPECT_EQ(seed->role(), FlowerRole::kDirectoryPeer);
-  sim_.RunUntil(start + params_.join_retry_delay);
+  sim_.RunUntil(start + kJoinRetryDelay);
   ASSERT_NE(seed->chord(), nullptr);
   EXPECT_FALSE(seed->chord()->active());
   EXPECT_EQ(directory_registry_.size(), 1u);

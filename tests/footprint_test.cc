@@ -83,11 +83,10 @@ class FootprintTest : public ::testing::Test {
       : topology_(Topology::Params{}),
         network_(&sim_, &topology_),
         catalog_(MakeCatalogParams()),
-        workload_(&catalog_, QueryWorkload::Params{}),
-        origins_(&topology_, catalog_.num_websites(),
-                 OriginServers::Params{}, Rng(91)),
+        workload_(&catalog_),
+        origins_(&topology_, catalog_.num_websites(), Rng(91)),
         keyspace_(catalog_.num_websites(), topology_.num_localities(),
-                  params_.max_instances) {
+                  kMaxDirectoryInstances) {
     ctx_.network = &network_;
     ctx_.metrics = &metrics_;
     ctx_.catalog = &catalog_;

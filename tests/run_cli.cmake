@@ -2,11 +2,14 @@
 # that drive a tool from the outside:
 #
 #   cmake -DEXPECT_EXIT=2 [-DEXPECT_MATCH=regex] [-DEXPECT_STDOUT=file]
+#         [-DOUTPUT_FILE=file -DEXPECT_OUTPUT_FILE=file]
 #         -P run_cli.cmake -- program args...
 #
 # EXPECT_EXIT is the required exit status; EXPECT_MATCH must match the
 # program's standard output; EXPECT_STDOUT names a file whose contents
-# the standard output must equal byte for byte.
+# the standard output must equal byte for byte. OUTPUT_FILE names a file
+# the program writes (removed before the run); its contents must equal
+# EXPECT_OUTPUT_FILE's byte for byte.
 set(command)
 set(in_command OFF)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -18,6 +21,9 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
+if(DEFINED OUTPUT_FILE)
+  file(REMOVE "${OUTPUT_FILE}")
+endif()
 execute_process(COMMAND ${command}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
@@ -34,5 +40,13 @@ if(DEFINED EXPECT_STDOUT)
   if(NOT out STREQUAL want)
     message(FATAL_ERROR
             "stdout differs from ${EXPECT_STDOUT}; got:\n${out}")
+  endif()
+endif()
+if(DEFINED OUTPUT_FILE)
+  file(READ "${OUTPUT_FILE}" got)
+  file(READ "${EXPECT_OUTPUT_FILE}" want)
+  if(NOT got STREQUAL want)
+    message(FATAL_ERROR
+            "${OUTPUT_FILE} differs from ${EXPECT_OUTPUT_FILE}")
   endif()
 endif()

@@ -123,7 +123,7 @@ TEST(SessionHostTest, InitialLaunchHonorsTheOwnerFilter) {
     if (!owned(peer)) continue;
     expected.emplace_back(
         peer, peer == 1,
-        static_cast<SimTime>(peer - 1) * config.initial_join_stagger);
+        static_cast<SimTime>(peer - 1) * kInitialJoinStagger);
   }
   EXPECT_EQ(launched, expected);
 }

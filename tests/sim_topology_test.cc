@@ -43,8 +43,8 @@ TEST(TopologyTest, LatencyWithinConfiguredBounds) {
     Coord b{rng.UniformDouble(-1.5, 1.5), rng.UniformDouble(-1.5, 1.5)};
     if (a.x == b.x && a.y == b.y) continue;
     double l = topo.LatencyMs(a, b);
-    EXPECT_GE(l, topo.params().min_latency_ms);
-    EXPECT_LE(l, topo.params().max_latency_ms);
+    EXPECT_GE(l, Topology::kMinLatencyMs);
+    EXPECT_LE(l, Topology::kMaxLatencyMs);
   }
 }
 

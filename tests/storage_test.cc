@@ -114,7 +114,7 @@ TEST(ContentStoreTest, ObjectListsByWebsite) {
 
 TEST(QueryWorkloadTest, NeverReturnsCachedObjects) {
   WebsiteCatalog catalog(WebsiteCatalog::Params{});
-  QueryWorkload workload(&catalog, QueryWorkload::Params{});
+  QueryWorkload workload(&catalog);
   ContentStore store;
   Rng rng(7);
   for (int i = 0; i < 300; ++i) {
@@ -132,7 +132,7 @@ TEST(QueryWorkloadTest, ExhaustedInterestReturnsNothing) {
   cp.num_active = 1;
   cp.objects_per_website = 5;
   WebsiteCatalog catalog(cp);
-  QueryWorkload workload(&catalog, QueryWorkload::Params{});
+  QueryWorkload workload(&catalog);
   ContentStore store;
   Rng rng(9);
   for (int i = 0; i < 5; ++i) {
@@ -145,9 +145,7 @@ TEST(QueryWorkloadTest, ExhaustedInterestReturnsNothing) {
 
 TEST(QueryWorkloadTest, GapsAreExponentialWithConfiguredMean) {
   WebsiteCatalog catalog(WebsiteCatalog::Params{});
-  QueryWorkload::Params wp;
-  wp.mean_query_gap = 6 * kMinute;
-  QueryWorkload workload(&catalog, wp);
+  QueryWorkload workload(&catalog);
   Rng rng(11);
   double sum = 0;
   const int kDraws = 50000;
@@ -162,9 +160,7 @@ TEST(QueryWorkloadTest, GapsAreExponentialWithConfiguredMean) {
 
 TEST(OriginServersTest, FetchCostsRoundTripPlusOverhead) {
   Topology topo(Topology::Params{});
-  OriginServers::Params params;
-  params.server_overhead_ms = 300;
-  OriginServers origins(&topo, 10, params, Rng(13));
+  OriginServers origins(&topo, 10, Rng(13));
   Coord client{0.0, 0.0};
   for (WebsiteId ws = 0; ws < 10; ++ws) {
     double distance = origins.DistanceMs(client, ws);
@@ -176,7 +172,7 @@ TEST(OriginServersTest, FetchCostsRoundTripPlusOverhead) {
 
 TEST(OriginServersTest, OriginsAreSpreadOut) {
   Topology topo(Topology::Params{});
-  OriginServers origins(&topo, 50, OriginServers::Params{}, Rng(17));
+  OriginServers origins(&topo, 50, Rng(17));
   std::unordered_set<double> xs;
   for (WebsiteId ws = 0; ws < 50; ++ws) xs.insert(origins.CoordOf(ws).x);
   EXPECT_GT(xs.size(), 45u);

@@ -92,12 +92,5 @@ TEST(BloomFilterTest, FillRatioGrowsWithInsertions) {
   EXPECT_LT(prev, 1.0);
 }
 
-TEST(BloomFilterTest, SizeBytesIsReasonable) {
-  // ~2% fp => ~8.1 bits/key.
-  BloomFilter a(1000, 0.02);
-  EXPECT_GT(a.SizeBytes(), 800u);
-  EXPECT_LT(a.SizeBytes(), 2000u);
-}
-
 }  // namespace
 }  // namespace flowercdn

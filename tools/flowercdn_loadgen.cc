@@ -6,11 +6,11 @@
 // `loadgen` record of BENCH_live.json (schema in EXPERIMENTS.md).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "flags.h"
 #include "net/loadgen.h"
 #include "util/table_printer.h"
 
@@ -34,30 +34,6 @@ void Usage(const char* argv0) {
       "  --json-out=PATH    write the report as JSON\n"
       "  --quiet            suppress the table\n",
       argv0);
-}
-
-bool ParseTargets(const char* spec, std::vector<ClusterMember>* out) {
-  out->clear();
-  std::string s(spec);
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    std::string entry = s.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    size_t colon = entry.rfind(':');
-    if (entry.empty() || colon == std::string::npos || colon == 0) {
-      return false;
-    }
-    ClusterMember member;
-    member.host = entry.substr(0, colon);
-    long port = atol(entry.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return false;
-    member.port = static_cast<uint16_t>(port);
-    out->push_back(member);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !out->empty();
 }
 
 bool WriteJson(const std::string& path, const LoadGenerator::Report& r) {
@@ -115,29 +91,27 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--targets=", 10) == 0) {
-      if (!ParseTargets(arg + 10, &options.targets)) {
-        std::fprintf(stderr, "bad --targets spec\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--connections=", 14) == 0) {
-      options.connections = static_cast<size_t>(atoll(arg + 14));
-    } else if (std::strncmp(arg, "--duration-s=", 13) == 0) {
-      options.duration_s = atof(arg + 13);
-    } else if (std::strncmp(arg, "--warmup-s=", 11) == 0) {
-      options.warmup_s = atof(arg + 11);
-    } else if (std::strncmp(arg, "--qps=", 6) == 0) {
-      options.open_loop_qps = atof(arg + 6);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      options.seed = static_cast<uint64_t>(atoll(arg + 7));
-    } else if (std::strncmp(arg, "--websites=", 11) == 0) {
-      options.num_websites = atoi(arg + 11);
-    } else if (std::strncmp(arg, "--objects=", 10) == 0) {
-      options.objects_per_website = atoi(arg + 10);
-    } else if (std::strncmp(arg, "--zipf=", 7) == 0) {
-      options.zipf_alpha = atof(arg + 7);
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      json_out = arg + 11;
+    Flag flag{arg};
+    if (flag.Is("--targets")) {
+      options.targets = flag.HostPorts(1);
+    } else if (flag.Is("--connections")) {
+      options.connections = flag.Whole(1);
+    } else if (flag.Is("--duration-s")) {
+      options.duration_s = flag.Positive();
+    } else if (flag.Is("--warmup-s")) {
+      options.warmup_s = flag.Decimal(0);
+    } else if (flag.Is("--qps")) {
+      options.open_loop_qps = flag.Decimal(0);
+    } else if (flag.Is("--seed")) {
+      options.seed = flag.Whole(0, UINT64_MAX);
+    } else if (flag.Is("--websites")) {
+      options.num_websites = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--objects")) {
+      options.objects_per_website = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--zipf")) {
+      options.zipf_alpha = flag.Decimal(0);
+    } else if (flag.Is("--json-out")) {
+      json_out = flag.value;
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else {

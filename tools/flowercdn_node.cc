@@ -17,16 +17,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "expt/env.h"
+#include "flags.h"
 #include "net/clock.h"
 #include "net/node_host.h"
-#include "runner/sweep.h"
 #include "sim/types.h"
 #include "util/table_printer.h"
 
@@ -71,44 +69,6 @@ volatile sig_atomic_t g_stop_requested = 0;
 
 void OnStopSignal(int) { g_stop_requested = 1; }
 
-/// Parses a --hours/--minutes value (positive decimal) into `*out`; prints
-/// a one-line error and returns false otherwise.
-bool ParseDurationFlag(const char* flag, const char* value, SimDuration unit,
-                       SimDuration* out) {
-  Result<SimDuration> duration = ParseDuration(value, unit);
-  if (!duration.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flag,
-                 duration.status().message().c_str());
-    return false;
-  }
-  *out = *duration;
-  return true;
-}
-
-bool ParseCluster(const char* spec, std::vector<ClusterMember>* out) {
-  out->clear();
-  std::string s(spec);
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    std::string entry = s.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    size_t colon = entry.rfind(':');
-    if (entry.empty() || colon == std::string::npos || colon == 0) {
-      return false;
-    }
-    ClusterMember member;
-    member.host = entry.substr(0, colon);
-    long port = atol(entry.c_str() + colon + 1);
-    if (port < 0 || port > 65535) return false;
-    member.port = static_cast<uint16_t>(port);
-    out->push_back(member);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,70 +99,61 @@ int main(int argc, char** argv) {
   uint16_t admin_port = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--transport=", 12) == 0) {
-      const char* v = arg + 12;
-      if (std::strcmp(v, "tcp") == 0) {
+    Flag flag{arg};
+    if (flag.Is("--transport")) {
+      if (std::strcmp(flag.value, "tcp") == 0) {
         host_options.transport = TransportKind::kTcp;
-      } else if (std::strcmp(v, "inproc") == 0) {
+      } else if (std::strcmp(flag.value, "inproc") == 0) {
         host_options.transport = TransportKind::kInProcess;
       } else {
         Usage(argv[0]);
         return 2;
       }
-    } else if (std::strncmp(arg, "--population=", 13) == 0) {
-      config.target_population = static_cast<size_t>(atoll(arg + 13));
-    } else if (std::strncmp(arg, "--hours=", 8) == 0) {
-      if (!ParseDurationFlag("--hours", arg + 8, kHour, &config.duration)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--minutes=", 10) == 0) {
-      if (!ParseDurationFlag("--minutes", arg + 10, kMinute,
-                             &config.duration)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      config.seed = static_cast<uint64_t>(atoll(arg + 7));
-    } else if (std::strncmp(arg, "--websites=", 11) == 0) {
-      config.catalog.num_websites = atoi(arg + 11);
-    } else if (std::strncmp(arg, "--objects=", 10) == 0) {
-      config.catalog.objects_per_website = atoi(arg + 10);
-    } else if (std::strncmp(arg, "--localities=", 13) == 0) {
-      config.topology.num_localities = atoi(arg + 13);
-    } else if (std::strncmp(arg, "--rank=", 7) == 0) {
-      host_options.rank = atoi(arg + 7);
-    } else if (std::strncmp(arg, "--cluster=", 10) == 0) {
-      if (!ParseCluster(arg + 10, &host_options.members)) {
-        std::fprintf(stderr, "bad --cluster spec\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--gateway-port=", 15) == 0) {
+    } else if (flag.Is("--population")) {
+      config.target_population = flag.Whole(1);
+    } else if (flag.Is("--hours")) {
+      config.duration = flag.Duration(kHour);
+    } else if (flag.Is("--minutes")) {
+      config.duration = flag.Duration(kMinute);
+    } else if (flag.Is("--seed")) {
+      config.seed = flag.Whole(0, UINT64_MAX);
+    } else if (flag.Is("--websites")) {
+      config.catalog.num_websites = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--objects")) {
+      config.catalog.objects_per_website = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--localities")) {
+      config.topology.num_localities = static_cast<int>(flag.Whole(1));
+    } else if (flag.Is("--rank")) {
+      host_options.rank = static_cast<int>(flag.Whole(0));
+    } else if (flag.Is("--cluster")) {
+      host_options.members = flag.HostPorts(0);
+    } else if (flag.Is("--gateway-port")) {
       want_gateway = true;
-      gateway_port = static_cast<uint16_t>(atoi(arg + 15));
+      gateway_port = static_cast<uint16_t>(flag.Whole(0, UINT16_MAX));
     } else if (std::strcmp(arg, "--gateway") == 0) {
       want_gateway = true;
-    } else if (std::strncmp(arg, "--time-scale=", 13) == 0) {
-      host_options.time_scale = atof(arg + 13);
-    } else if (std::strncmp(arg, "--partition=", 12) == 0) {
-      const char* v = arg + 12;
-      if (std::strcmp(v, "hash") == 0) {
+    } else if (flag.Is("--time-scale")) {
+      host_options.time_scale = flag.Positive();
+    } else if (flag.Is("--partition")) {
+      if (std::strcmp(flag.value, "hash") == 0) {
         host_options.partition = PartitionScheme::kHash;
-      } else if (std::strcmp(v, "locality") == 0) {
+      } else if (std::strcmp(flag.value, "locality") == 0) {
         host_options.partition = PartitionScheme::kLocality;
       } else {
         Usage(argv[0]);
         return 2;
       }
-    } else if (std::strncmp(arg, "--stats-out=", 12) == 0) {
-      stats_out = arg + 12;
-    } else if (std::strncmp(arg, "--admin-port=", 13) == 0) {
+    } else if (flag.Is("--stats-out")) {
+      stats_out = flag.value;
+    } else if (flag.Is("--admin-port")) {
       want_admin = true;
-      admin_port = static_cast<uint16_t>(atoi(arg + 13));
-    } else if (std::strncmp(arg, "--stats-interval=", 17) == 0) {
-      host_options.stats_interval_s = atof(arg + 17);
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_out = arg + 12;
-    } else if (std::strncmp(arg, "--slow-request-ms=", 18) == 0) {
-      host_options.gateway.slow_request_ms = atof(arg + 18);
+      admin_port = static_cast<uint16_t>(flag.Whole(0, UINT16_MAX));
+    } else if (flag.Is("--stats-interval")) {
+      host_options.stats_interval_s = flag.Decimal(0);
+    } else if (flag.Is("--trace-out")) {
+      trace_out = flag.value;
+    } else if (flag.Is("--slow-request-ms")) {
+      host_options.gateway.slow_request_ms = flag.Decimal(0);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else {
@@ -210,6 +161,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (static_cast<size_t>(host_options.rank) >= host_options.members.size()) {
+    std::fprintf(stderr, "--rank: %d is outside the %zu-rank --cluster\n",
+                 host_options.rank, host_options.members.size());
+    return 2;
+  }
+  // The catalog allows no more active websites than websites.
+  config.catalog.num_active =
+      std::min(config.catalog.num_active, config.catalog.num_websites);
 
   const bool cluster = host_options.transport == TransportKind::kTcp;
   if (cluster) {

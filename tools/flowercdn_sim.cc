@@ -1,19 +1,17 @@
 // flowercdn_sim — command-line front end for the simulation library: run
 // any (system, configuration) deployment — or a whole sweep of them, in
 // parallel, with repeated trials — print the paper's metrics with error
-// bars, and export CSV series or runner JSON for plotting.
+// bars, and export runner JSON for plotting.
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "chaos/scenario.h"
 #include "expt/experiment.h"
+#include "flags.h"
 #include "runner/json_export.h"
 #include "runner/sweep.h"
 #include "runner/trial_runner.h"
@@ -71,80 +69,8 @@ void Usage(const char* argv0) {
                "                        Perfetto; single-trial runs only)\n"
                "  --stats-interval=MIN  overlay/traffic sampling period in\n"
                "                        simulated minutes (default 60)\n"
-               "  --csv=PREFIX          write PREFIX.{timeseries,lookup,"
-               "transfer}.csv\n"
-               "                        (single-trial runs only)\n"
                "  --quiet               suppress progress output\n",
                argv0);
-}
-
-/// One command-line argument. `Is("--name")` matches `--name=value`; the
-/// typed getters then parse the value with the sweep parser's number rules
-/// and, on a bad or out-of-range value, print a one-line error and exit 2.
-struct Flag {
-  const char* arg;
-  const char* name = nullptr;
-  const char* value = nullptr;
-
-  bool Is(const char* flag) {
-    size_t len = std::strlen(flag);
-    if (std::strncmp(arg, flag, len) != 0 || arg[len] != '=') return false;
-    name = flag;
-    value = arg + len + 1;
-    return true;
-  }
-
-  template <typename T>
-  T OrExit(Result<T> parsed) const {
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name,
-                   parsed.status().message().c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
-
-  uint64_t Whole(uint64_t lo, uint64_t hi = INT_MAX) const {
-    return OrExit(ParseWhole(value, lo, hi));
-  }
-  double Decimal(double lo) const { return OrExit(ParseDecimal(value, lo)); }
-  SimDuration Duration(SimDuration unit) const {
-    return OrExit(ParseDuration(value, unit));
-  }
-};
-
-void WriteCsv(const std::string& prefix, const ExperimentResult& r) {
-  {
-    std::ofstream out(prefix + ".timeseries.csv");
-    out << "hour,queries,hits,window_ratio,cumulative_ratio\n";
-    auto cumulative = r.cumulative_hit_ratio;
-    for (size_t i = 0; i < r.time_series.size(); ++i) {
-      const auto& b = r.time_series[i];
-      out << (i + 1) << "," << b.queries << "," << b.hits << ","
-          << b.WindowRatio() << ","
-          << (i < cumulative.size() ? cumulative[i] : 0.0) << "\n";
-    }
-  }
-  {
-    std::ofstream out(prefix + ".lookup.csv");
-    out << "latency_ms_upper,cdf_all,cdf_hits\n";
-    auto all = r.lookup_all.Cdf();
-    auto hits = r.lookup_hits.Cdf();
-    for (size_t i = 0; i < all.size() && i < hits.size(); ++i) {
-      out << all[i].upper_edge << "," << all[i].cumulative_fraction << ","
-          << hits[i].cumulative_fraction << "\n";
-    }
-  }
-  {
-    std::ofstream out(prefix + ".transfer.csv");
-    out << "distance_ms_upper,cdf_all,cdf_hits\n";
-    auto all = r.transfer_all.Cdf();
-    auto hits = r.transfer_hits.Cdf();
-    for (size_t i = 0; i < all.size() && i < hits.size(); ++i) {
-      out << all[i].upper_edge << "," << all[i].cumulative_fraction << ","
-          << hits[i].cumulative_fraction << "\n";
-    }
-  }
 }
 
 /// The original one-run report, unchanged for single-trial invocations.
@@ -353,7 +279,6 @@ void PrintAggregateChaosTable(const std::vector<CellResult>& cells) {
 int main(int argc, char** argv) {
   ExperimentConfig config;
   std::string system_name = "flower";
-  std::string csv_prefix;
   std::string sweep_spec;
   std::string chaos_file;
   std::string json_out;
@@ -423,8 +348,6 @@ int main(int argc, char** argv) {
       json_include_trials = false;
     } else if (std::strcmp(arg, "--json-timing") == 0) {
       json_timing = true;
-    } else if (flag.Is("--csv")) {
-      csv_prefix = flag.value;
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else {
@@ -487,12 +410,6 @@ int main(int argc, char** argv) {
     if (cells[0].trials[0].chaos.enabled) {
       PrintChaosSummary(cells[0].trials[0].chaos);
     }
-    if (!csv_prefix.empty()) {
-      WriteCsv(csv_prefix, cells[0].trials[0]);
-      std::printf("\nCSV series written to %s.{timeseries,lookup,transfer}"
-                  ".csv\n",
-                  csv_prefix.c_str());
-    }
     const ExperimentResult& r = cells[0].trials[0];
     if (r.trace != nullptr) {
       PrintPhaseBreakdown(*r.trace);
@@ -512,11 +429,6 @@ int main(int argc, char** argv) {
   } else {
     PrintAggregateTable(cells);
     PrintAggregateChaosTable(cells);
-    if (!csv_prefix.empty()) {
-      std::fprintf(stderr,
-                   "--csv applies to single-trial runs; use --json-out for "
-                   "sweeps\n");
-    }
     if (!trace_out.empty()) {
       std::fprintf(stderr,
                    "--trace-out applies to single-trial runs only; no trace "
