@@ -10,9 +10,10 @@
 //    mallinfo2: the heap grown over set-up and run, divided by the
 //    sessions alive at the end).
 //
-// Writes BENCH_kernel.json (schema flowercdn-kernel-bench/v1, documented in
-// EXPERIMENTS.md) with --json-out; --quick shrinks the grid to seconds for
-// CI smoke runs.
+// Writes BENCH_kernel.json (schema flowercdn-kernel-bench/v2, documented in
+// EXPERIMENTS.md) with --json-out, headed by the run's envelope: date,
+// commit, nproc, CPU, build type and command line. --quick shrinks the grid
+// to seconds for CI smoke runs.
 
 #include <malloc.h>
 
@@ -20,9 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "expt/experiment.h"
@@ -110,6 +113,41 @@ TrialPoint RunTrial(size_t population, SimDuration duration, uint64_t seed) {
   return p;
 }
 
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+// The checkout this binary was built from, "-dirty" when it has changes.
+std::string SourceCommit() {
+  std::string commit;
+  if (FILE* git = popen("git -C '" FLOWERCDN_SOURCE_DIR
+                        "' describe --always --dirty 2>/dev/null",
+                        "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) commit = buf;
+    pclose(git);
+  }
+  while (!commit.empty() && commit.back() == '\n') commit.pop_back();
+  return commit.empty() ? "unknown (not a git checkout)" : commit;
+}
+
+std::string UtcDate() {
+  std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -172,9 +210,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
       return 1;
     }
+    std::string command = argv[0];
+    for (int i = 1; i < argc; ++i) command += std::string(" ") + argv[i];
     JsonWriter w(out);
     w.BeginObject();
-    w.Key("schema").Value("flowercdn-kernel-bench/v1");
+    w.Key("schema").Value("flowercdn-kernel-bench/v2");
+    w.Key("date").Value(UtcDate());
+    w.Key("commit").Value(SourceCommit());
+    w.Key("nproc").Value(
+        static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    w.Key("cpu").Value(CpuModel());
+    w.Key("build_type").Value(FLOWERCDN_BUILD_TYPE);
+    w.Key("command").Value(command);
     w.Key("bench").Value("src/simcore event-kernel throughput");
     w.Key("quick").Value(quick);
     w.Key("micro").BeginArray();
@@ -197,6 +244,7 @@ int main(int argc, char** argv) {
       w.Key("seconds_per_trial").Value(p.result.wall_seconds);
       w.Key("events_processed").Value(p.result.events_processed);
       w.Key("events_cancelled").Value(p.result.events_cancelled);
+      w.Key("events_pending_peak").Value(p.result.events_pending_peak);
       w.Key("events_per_wall_second").Value(p.result.EventsPerWallSecond());
       w.Key("heap_bytes_per_session").Value(p.heap_bytes_per_session);
       w.EndObject();

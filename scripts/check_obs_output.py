@@ -26,8 +26,10 @@ Validates that
     every counter must be monotone between them.
 
   * a BENCH_kernel.json from bench/kernel_throughput follows the
-    flowercdn-kernel-bench/v1 schema: ladder-queue rows with positive
-    throughput everywhere, and a positive heap_bytes_per_session per trial.
+    flowercdn-kernel-bench/v2 schema: the run envelope (date, commit,
+    nproc, cpu, build_type, command), ladder-queue rows with positive
+    throughput everywhere, and a positive heap_bytes_per_session and
+    events_pending_peak per trial.
 
   * with --max-events-over-median FACTOR, no trial of a runner JSON cell
     retires more than FACTOR times the median events_processed of the
@@ -190,12 +192,15 @@ def check_chaos(trial, where):
 
 def check_trial(trial, where):
     # v4 kernel accounting: every trial reports how many events the
-    # scheduler retired and how many cancellations it absorbed.
-    for key in ("events_processed", "events_cancelled"):
+    # scheduler retired and how many cancellations it absorbed, and (v6)
+    # the most event nodes it held at once.
+    for key in ("events_processed", "events_cancelled", "events_pending_peak"):
         require(isinstance(trial.get(key), int) and trial[key] >= 0,
                 f"runner: {where} {key} must be a non-negative int")
     require(trial["events_processed"] > 0,
             f"runner: {where} trial retired no events at all")
+    require(trial["events_pending_peak"] > 0,
+            f"runner: {where} trial never held a pending event")
 
     overhead = trial.get("overhead")
     require(isinstance(overhead, dict), f'runner: {where} lacks "overhead"')
@@ -346,13 +351,18 @@ def check_runner(path, expect_chaos=False, max_events_over_median=None):
 
 
 def check_kernel(path):
-    """Validates BENCH_kernel.json (schema flowercdn-kernel-bench/v1, written
+    """Validates BENCH_kernel.json (schema flowercdn-kernel-bench/v2, written
     by bench/kernel_throughput --json-out)."""
     with open(path) as f:
         doc = json.load(f)
-    require(doc.get("schema") == "flowercdn-kernel-bench/v1",
+    require(doc.get("schema") == "flowercdn-kernel-bench/v2",
             f"kernel: schema is {doc.get('schema')!r}, "
-            f"want flowercdn-kernel-bench/v1")
+            f"want flowercdn-kernel-bench/v2")
+    for key in ("date", "commit", "cpu", "build_type", "command"):
+        require(isinstance(doc.get(key), str) and doc[key],
+                f"kernel: envelope lacks {key!r}")
+    require(isinstance(doc.get("nproc"), int) and doc["nproc"] > 0,
+            "kernel: envelope lacks a positive 'nproc'")
     micro = doc.get("micro")
     require(isinstance(micro, list) and micro, 'kernel: no "micro" entries')
     for i, m in enumerate(micro):
@@ -371,8 +381,8 @@ def check_kernel(path):
                 f"kernel: trial {i} has kernel {t.get('kernel')!r}")
         for key in ("population", "simulated_hours", "wall_seconds",
                     "seconds_per_trial", "events_processed",
-                    "events_cancelled", "events_per_wall_second",
-                    "heap_bytes_per_session"):
+                    "events_cancelled", "events_pending_peak",
+                    "events_per_wall_second", "heap_bytes_per_session"):
             require(key in t, f"kernel: trial {i} lacks {key!r}")
         require(t["population"] > 0 and t["simulated_hours"] > 0,
                 f"kernel: trial {i} workload malformed")
@@ -381,6 +391,8 @@ def check_kernel(path):
                 f"kernel: trial {i} measured no throughput")
         require(t["heap_bytes_per_session"] > 0,
                 f"kernel: trial {i} measured no heap per session")
+        require(t["events_pending_peak"] > 0,
+                f"kernel: trial {i} reports no pending-event peak")
     print(f"check_obs_output: kernel OK ({len(micro)} micro entries, "
           f"{len(trials)} trials)")
 

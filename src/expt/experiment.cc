@@ -125,6 +125,7 @@ ExperimentResult RunExperiment(
   result.final_population = env.network().alive_count();
   result.events_processed = env.sim().events_processed();
   result.events_cancelled = env.sim().events_cancelled();
+  result.events_pending_peak = env.sim().pending_events_peak();
 
   if (flower != nullptr) {
     result.flower_stats = flower->ComputeStats();

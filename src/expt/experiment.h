@@ -61,6 +61,8 @@ struct ExperimentResult {
   size_t final_population = 0;
   uint64_t events_processed = 0;
   uint64_t events_cancelled = 0;
+  /// The event slab's high-water mark (Simulator::pending_events_peak).
+  uint64_t events_pending_peak = 0;
 
   // --- Kernel timing (nondeterministic; never in default JSON) --------------
   /// Wall-clock seconds from environment construction to the last event.

@@ -1,6 +1,7 @@
 #include "flower/flower_peer.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/logging.h"
@@ -345,12 +346,11 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
   q.object = object;
   q.has_object = true;
   q.t0 = ctx_->network->sim()->now();
-  q.external_id = next_external_id_++;
   if (external_queries_ == nullptr) {
-    external_queries_ = std::make_unique<
-        std::unordered_map<uint64_t, ExternalQueryCallback>>();
+    external_queries_ = std::make_unique<ExternalQueries>();
   }
-  external_queries_->emplace(q.external_id, std::move(cb));
+  q.external_id = external_queries_->next_id++;
+  external_queries_->pending.emplace(q.external_id, std::move(cb));
   if (ctx_->trace != nullptr) {
     q.trace_id = ctx_->trace->BeginQuery(self_, object.website, object.object,
                                         q.t0, /*from_new_client=*/role_ ==
@@ -666,10 +666,10 @@ void FlowerPeer::FinishQuery(const QueryState& q, bool hit,
     // Externally submitted (gateway) query: report the outcome to the
     // driver instead of pacing the workload loop.
     // Only QueryExternal sets external_id, and it allocates the map.
-    auto it = external_queries_->find(q.external_id);
-    if (it != external_queries_->end()) {
+    auto it = external_queries_->pending.find(q.external_id);
+    if (it != external_queries_->pending.end()) {
       ExternalQueryCallback cb = std::move(it->second);
-      external_queries_->erase(it);
+      external_queries_->pending.erase(it);
       cb(hit, hit ? q.source : ServedSource::kOrigin,
          record.lookup_latency_ms);
     }
@@ -689,26 +689,18 @@ void FlowerPeer::BecomeContentPeer(const DirInfo& info,
   if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
   // Desynchronize periodic rounds across the petal.
   SimDuration period = ctx_->params->gossip_period;
-  ScheduleGossip(period / 2 +
-                 static_cast<SimDuration>(rng_.NextBounded(period / 2 + 1)));
-  ScheduleKeepalive(period / 2 +
-                    static_cast<SimDuration>(rng_.NextBounded(period / 2 + 1)));
+  auto first_delay = [this, period] {
+    return period / 2 +
+           static_cast<SimDuration>(rng_.NextBounded(period / 2 + 1));
+  };
+  ArmRound(kGossipRound, first_delay());  // draws gossip's, then keepalive's
+  ArmRound(kKeepaliveRound, first_delay());
+  ArmRoundTimer();
   // Register retained cache content with the directory right away — this is
   // what lets a replacement directory rebuild its index quickly.
   if (!store_->empty()) {
     DoPush();
   }
-}
-
-void FlowerPeer::ScheduleGossip(SimDuration delay) {
-  if (gossip_scheduled_) return;
-  gossip_scheduled_ = true;
-  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
-    gossip_scheduled_ = false;
-    if (role_ != FlowerRole::kContentPeer) return;
-    GossipRound();
-    ScheduleGossip(ctx_->params->gossip_period);
-  });
 }
 
 void FlowerPeer::GossipRound() {
@@ -734,17 +726,6 @@ void FlowerPeer::GossipRound() {
               const auto& reply = MessageCast<FlowerGossipReplyMsg>(*resp);
               MergeGossip(q, reply.contacts, reply.summary, reply.dir_info);
             });
-}
-
-void FlowerPeer::ScheduleKeepalive(SimDuration delay) {
-  if (keepalive_scheduled_) return;
-  keepalive_scheduled_ = true;
-  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
-    keepalive_scheduled_ = false;
-    if (role_ != FlowerRole::kContentPeer) return;
-    KeepaliveRound();
-    ScheduleKeepalive(ctx_->params->gossip_period);
-  });
 }
 
 void FlowerPeer::KeepaliveRound() {
@@ -934,8 +915,9 @@ void FlowerPeer::DemoteToContentPeer() {
   dir_info_.dir = kInvalidPeer;
   dir_info_.age = 0;
   if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
-  ScheduleGossip(ctx_->params->gossip_period);
-  ScheduleKeepalive(ctx_->params->gossip_period / 2);
+  ArmRound(kGossipRound, ctx_->params->gossip_period);
+  ArmRound(kKeepaliveRound, ctx_->params->gossip_period / 2);
+  ArmRoundTimer();
 }
 
 // --- Directory-peer machinery ----------------------------------------------------
@@ -946,12 +928,14 @@ void FlowerPeer::BecomeDirectory(int instance) {
   dir_info_.dir = self_;
   dir_info_.instance = instance;
   dir_info_.age = 0;
-  EnsureDirectoryState().index.Clear();
-  promotion_triggered_at_ = -1;
+  DirectoryState& dir = EnsureDirectoryState();
+  dir.index.Clear();
+  dir.promotion_triggered_at = -1;
   // The old content-peer view and summaries are deliberately retained: a
   // fresh directory answers its first queries from gossip-learned summaries
   // while pushes rebuild the index (§5.2.2, §4).
-  ScheduleDirectoryMaintenance();
+  ArmRound(kMaintenanceRound, ctx_->params->gossip_period);
+  ArmRoundTimer();
   if (ReplicationActive()) {
     ResetReplicaSource();
     SimDuration period = kReplicaSyncPeriod;
@@ -960,18 +944,6 @@ void FlowerPeer::BecomeDirectory(int instance) {
                                                                   1)));
   }
   if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
-}
-
-void FlowerPeer::ScheduleDirectoryMaintenance() {
-  if (dir_maintenance_scheduled_) return;
-  dir_maintenance_scheduled_ = true;
-  ctx_->network->SchedulePeer(self_, incarnation_, ctx_->params->gossip_period,
-                             [this]() {
-                               dir_maintenance_scheduled_ = false;
-                               if (role_ != FlowerRole::kDirectoryPeer) return;
-                               DirectoryMaintenanceRound();
-                               ScheduleDirectoryMaintenance();
-                             });
 }
 
 void FlowerPeer::DirectoryMaintenanceRound() {
@@ -1161,13 +1133,13 @@ std::optional<PeerId> FlowerPeer::SameWebsiteNeighborDir() const {
 
 void FlowerPeer::TriggerPromotion() {
   SimTime now = ctx_->network->sim()->now();
-  if (promotion_triggered_at_ >= 0 &&
-      now - promotion_triggered_at_ < ctx_->params->gossip_period) {
+  SimTime& triggered_at = dir_->promotion_triggered_at;
+  if (triggered_at >= 0 && now - triggered_at < ctx_->params->gossip_period) {
     return;  // a promotion is already underway
   }
   std::optional<Contact> candidate = view_.Random(rng_);
   if (!candidate.has_value()) return;
-  promotion_triggered_at_ = now;
+  triggered_at = now;
   ctx_->stats->Add("flower.promotions");
   auto msg = std::make_unique<FlowerPromoteMsg>();
   msg->website = website_;
@@ -1343,6 +1315,61 @@ void FlowerPeer::OnDirHandoff(const Message& msg) {
   if (!eligible_role) return;
   if (m.website != website_ || m.locality != locality_) return;
   AttemptDirectoryClaim(m.instance, m);
+}
+
+// --- Session round timer -----------------------------------------------------
+
+void FlowerPeer::ArmRound(Round round, SimDuration delay) {
+  if (round_due_[round] != kNotDue) return;  // already due
+  SimTime due = ctx_->network->sim()->now() + delay;
+  FLOWERCDN_CHECK(due >= 0 && due < kNotDue)
+      << "round due at " << due << " ms does not fit 32 bits";
+  round_due_[round] = static_cast<uint32_t>(due);
+}
+
+void FlowerPeer::ArmRoundTimer() {
+  uint32_t due =
+      *std::min_element(std::begin(round_due_), std::end(round_due_));
+  if (due >= round_timer_at_) return;
+  const bool queued = due == superseded_timer_at_;
+  if (round_timer_at_ != kNotDue) {
+    // The later event stays queued; OnRoundTimer finds it superseded.
+    superseded_timer_at_ = round_timer_at_;
+  } else if (queued) {
+    superseded_timer_at_ = kNotDue;
+  }
+  round_timer_at_ = due;
+  if (queued) return;
+  ctx_->network->SchedulePeer(self_, incarnation_,
+                             due - ctx_->network->sim()->now(),
+                             [this, due]() { OnRoundTimer(due); });
+}
+
+void FlowerPeer::OnRoundTimer(uint32_t armed) {
+  if (armed != round_timer_at_) {  // superseded
+    if (armed == superseded_timer_at_) superseded_timer_at_ = kNotDue;
+    return;
+  }
+  // round_timer_at_ stays `armed` while the rounds run, so what they arm
+  // (always later than now) pushes no event; the timer re-arms once below.
+  const SimDuration period = ctx_->params->gossip_period;
+  for (Round round : {kGossipRound, kKeepaliveRound, kMaintenanceRound}) {
+    if (round_due_[round] != armed) continue;
+    round_due_[round] = kNotDue;
+    FlowerRole role = round == kMaintenanceRound ? FlowerRole::kDirectoryPeer
+                                                 : FlowerRole::kContentPeer;
+    if (role_ != role) continue;
+    if (round == kGossipRound) {
+      GossipRound();
+    } else if (round == kKeepaliveRound) {
+      KeepaliveRound();
+    } else {
+      DirectoryMaintenanceRound();
+    }
+    ArmRound(round, period);
+  }
+  round_timer_at_ = kNotDue;
+  ArmRoundTimer();
 }
 
 // --- Directory replication -----------------------------------------------------

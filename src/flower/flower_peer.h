@@ -1,6 +1,7 @@
 #ifndef FLOWERCDN_FLOWER_FLOWER_PEER_H_
 #define FLOWERCDN_FLOWER_FLOWER_PEER_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -175,6 +176,9 @@ class FlowerPeer : public SimNode {
                                      int instance = 0) const;
 
  private:
+  // Drives the role transitions directly to pin the round timer.
+  friend class FlowerRoundsTest;
+
   /// In-flight resolution state of one client/content-peer query.
   struct QueryState {
     ObjectId object;
@@ -236,9 +240,7 @@ class FlowerPeer : public SimNode {
   // --- Content-peer machinery --------------------------------------------------
   void BecomeContentPeer(const DirInfo& info,
                          const std::vector<Contact>& view_seed);
-  void ScheduleGossip(SimDuration delay);
   void GossipRound();
-  void ScheduleKeepalive(SimDuration delay);
   void KeepaliveRound();
   void MaybePush();
   void DoPush();
@@ -266,7 +268,6 @@ class FlowerPeer : public SimNode {
 
   // --- Directory-peer machinery -------------------------------------------------
   void BecomeDirectory(int instance);
-  void ScheduleDirectoryMaintenance();
   void DirectoryMaintenanceRound();
   void OnDirQuery(MessagePtr msg);
   std::optional<PeerId> FindProviderLocally(const ObjectId& object,
@@ -284,6 +285,29 @@ class FlowerPeer : public SimNode {
   void OnKeywordQuery(const Message& req);
   void OnDirProbe(const Message& req);
   void OnDirHandoff(const Message& msg);
+
+  // --- Session round timer ---------------------------------------------------
+  /// The periodic rounds of a session, in the order one firing of the round
+  /// timer runs them. Gossip and keepalive are content-peer rounds,
+  /// maintenance a directory round; a round due in the other role does
+  /// nothing and is not re-armed.
+  enum Round : uint8_t { kGossipRound, kKeepaliveRound, kMaintenanceRound,
+                         kRoundCount };
+  /// "No due time" in round_due_ and the round-timer times.
+  static constexpr uint32_t kNotDue = UINT32_MAX;
+
+  /// Makes `round` due `delay` from now unless it is already due. The
+  /// caller then calls ArmRoundTimer.
+  void ArmRound(Round round, SimDuration delay);
+  /// Arms the round timer at the earliest due time unless it is armed no
+  /// later: reuses the superseded event when it is queued at that time,
+  /// else pushes one.
+  void ArmRoundTimer();
+  /// The round-timer event armed at `armed`: a superseded one (the timer
+  /// was re-armed since) does nothing; the current one runs every round due
+  /// now, re-arms each round that ran, then re-arms itself at the earliest
+  /// due time left.
+  void OnRoundTimer(uint32_t armed);
 
   // --- Directory replication (replication >= 2) --------------------------------
   /// Replica state this peer holds for a *foreign* petal, fed by the
@@ -325,6 +349,9 @@ class FlowerPeer : public SimNode {
     std::unordered_map<PeerId, uint64_t> replica_acks;
     bool replica_sync_scheduled = false;
     bool replica_monitor_scheduled = false;
+    // When this directory last sent a PetalUp promotion; -1 when it has not
+    // since it took the role (TriggerPromotion sends one per gossip period).
+    SimTime promotion_triggered_at = -1;
     // Replica side, keyed by the petal's D-ring position id.
     std::unordered_map<ChordId, ReplicaState> replicas;
   };
@@ -360,6 +387,9 @@ class FlowerPeer : public SimNode {
   Rng rng_;
 
   FlowerRole role_ = FlowerRole::kClient;
+  bool querying_ = false;
+  bool claim_in_progress_ = false;
+  bool push_in_flight_ = false;
   int instance_ = 0;
   std::unique_ptr<ChordNode> chord_;
   // The session's calls, and its D-ring lookups while outside the ring.
@@ -380,19 +410,22 @@ class FlowerPeer : public SimNode {
   // index; a client or content peer pays only this null pointer.
   std::unique_ptr<DirectoryState> dir_;
 
-  /// In-flight QueryExternal callbacks, keyed by QueryState::external_id;
-  /// allocated by the first QueryExternal and then kept, like summaries_.
-  std::unique_ptr<std::unordered_map<uint64_t, ExternalQueryCallback>>
-      external_queries_;
-  uint64_t next_external_id_ = 1;
+  /// In-flight QueryExternal callbacks, keyed by QueryState::external_id,
+  /// and the next id to hand out.
+  struct ExternalQueries {
+    std::unordered_map<uint64_t, ExternalQueryCallback> pending;
+    uint64_t next_id = 1;
+  };
+  /// Allocated by the first QueryExternal and then kept, like summaries_.
+  std::unique_ptr<ExternalQueries> external_queries_;
 
-  bool querying_ = false;
-  bool gossip_scheduled_ = false;
-  bool keepalive_scheduled_ = false;
-  bool dir_maintenance_scheduled_ = false;
-  bool claim_in_progress_ = false;
-  bool push_in_flight_ = false;
-  SimTime promotion_triggered_at_ = -1;
+  // The round timer, in simulated milliseconds (kNotDue: none; 32 bits hold
+  // 49 days, ArmRound checks the fit): each round's due time, the time of
+  // the current round-timer event, and that of the last event it
+  // superseded while that one is still queued.
+  uint32_t round_due_[kRoundCount] = {kNotDue, kNotDue, kNotDue};
+  uint32_t round_timer_at_ = kNotDue;
+  uint32_t superseded_timer_at_ = kNotDue;
 };
 
 }  // namespace flowercdn

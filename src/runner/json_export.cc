@@ -337,6 +337,7 @@ void WriteTrial(JsonWriter& w, const ExperimentResult& r, uint64_t seed,
   w.Key("final_population").Value(static_cast<uint64_t>(r.final_population));
   w.Key("events_processed").Value(r.events_processed);
   w.Key("events_cancelled").Value(r.events_cancelled);
+  w.Key("events_pending_peak").Value(r.events_pending_peak);
   if (include_timing) {
     // Nondeterministic block, emitted only on request (--json-timing):
     // wall time varies run to run, and the runner's byte-identical

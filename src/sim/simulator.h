@@ -89,6 +89,11 @@ class Simulator {
   /// Number of events currently pending.
   size_t pending_events() const { return queue_.Size(); }
 
+  /// Most event nodes the scheduler ever held at once (pending events plus
+  /// cancelled ones not yet reclaimed): what the event slab costs, at 64 B
+  /// a node.
+  size_t pending_events_peak() const { return queue_.slots_peak(); }
+
  private:
   /// Advances the clock to `event` and runs it unless its guard fails.
   void Dispatch(FiredEvent& event);

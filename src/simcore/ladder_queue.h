@@ -84,6 +84,11 @@ class LadderQueue {
   /// run, so it is safe to export in deterministic output.
   uint64_t cancelled_total() const { return cancelled_total_; }
 
+  /// Most event nodes ever in use at once: the slab's high-water mark,
+  /// which counts cancelled nodes not yet reclaimed too. The slab reuses a
+  /// freed node before it takes a new one, so this is the slab's size.
+  size_t slots_peak() const { return arena_.size(); }
+
  private:
   static constexpr int kLevels = 8;
   static constexpr int kSlotBits = 8;
@@ -91,11 +96,12 @@ class LadderQueue {
   static constexpr uint32_t kBitmapWords = kSlotsPerLevel / 64;
   static constexpr uint32_t kNil = 0xffffffffu;
 
-  // One cache line per pending event (a 100k-peer trial holds about 250k):
-  // 32 bytes of header and the 32-byte EventFn. The guard's peer is stored
-  // in 32 bits (Network::SchedulePeer checks that it fits), and an empty
-  // `fn` marks a cancelled node: Push never stores an empty one, and only
-  // Cancel and firing empty it. Public so tests can pin its size.
+  // One cache line per pending event (a 100k-peer trial holds about 160k
+  // at its peak, `slots_peak`): 32 bytes of header and the 32-byte
+  // EventFn. The guard's peer is stored in 32 bits (Network::SchedulePeer
+  // checks that it fits), and an empty `fn` marks a cancelled node: Push
+  // never stores an empty one, and only Cancel and firing empty it. Public
+  // so tests can pin its size.
  public:
   struct alignas(64) Node {
     SimTime when = 0;

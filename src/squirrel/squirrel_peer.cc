@@ -16,6 +16,9 @@ constexpr size_t kMaxDelegates = 4;
 /// Delay between failed bootstrap attempts.
 constexpr SimDuration kJoinRetryDelay = 30 * kSecond;
 constexpr int kMaxJoinAttempts = 5;
+/// Timeout of one home-node query or delegate fetch: the same budget as
+/// the ring's control RPCs (ChordNode::Params::rpc_timeout).
+constexpr SimDuration kRpcTimeout = 800 * kMillisecond;
 
 /// A peer's ring position is a stable function of its identity, so a
 /// re-joining peer reclaims the same position.
@@ -56,7 +59,7 @@ SquirrelPeer::SquirrelPeer(const SquirrelContext& ctx, PeerId self,
       store_(store),
       rng_(rng),
       params_(params),
-      chord_(ctx.network, self, SquirrelRingId(self), params.chord),
+      chord_(ctx.network, self, SquirrelRingId(self), ChordNode::Params{}),
       rpc_(ctx.network, self) {
   FLOWERCDN_CHECK(ctx.stats != nullptr);
   FLOWERCDN_CHECK(store != nullptr);
@@ -178,7 +181,7 @@ void SquirrelPeer::AskHome(const ObjectId& object, SimTime t0,
                            RingPeer home) {
   auto msg = std::make_unique<SquirrelQueryMsg>();
   msg->object = object;
-  rpc_.Call(home.peer, std::move(msg), params_.rpc_timeout,
+  rpc_.Call(home.peer, std::move(msg), kRpcTimeout,
             [this, object, t0, home](const Status& status, MessagePtr resp) {
               if (!status.ok()) {
                 // Home died between lookup and query.
@@ -214,7 +217,7 @@ void SquirrelPeer::FetchFromDelegate(const ObjectId& object, SimTime t0,
   }
   auto msg = std::make_unique<SquirrelFetchMsg>();
   msg->object = object;
-  rpc_.Call(delegate, std::move(msg), params_.rpc_timeout,
+  rpc_.Call(delegate, std::move(msg), kRpcTimeout,
             [this, object, t0, home_peer, delegate, resolved_at](
                 const Status& status, MessagePtr resp) {
               bool served = status.ok() &&

@@ -58,9 +58,7 @@ struct SquirrelContext {
 class SquirrelPeer : public SimNode {
  public:
   struct Params {
-    ChordNode::Params chord;
     SquirrelMode mode = SquirrelMode::kDirectory;
-    SimDuration rpc_timeout = 800 * kMillisecond;
   };
 
   /// `store` is the identity's persistent browser cache (survives churn);

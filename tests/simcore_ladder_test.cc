@@ -229,6 +229,32 @@ TEST(LadderQueueTest, PopUntilStopsAtTheDeadline) {
   EXPECT_TRUE(q.Empty());
 }
 
+TEST(LadderQueueTest, SlotsPeakIsTheHighWaterMark) {
+  // Push N, pop M, push K: the slab reuses the M freed nodes before it
+  // grows, so the peak is max(N, N - M + K).
+  auto peak_after = [](int n, int m, int k) {
+    LadderQueue q;
+    for (int i = 0; i < n; ++i) q.Push(10 + i, [] {}, EventGuard{});
+    FiredEvent ev;
+    for (int i = 0; i < m; ++i) EXPECT_TRUE(q.Pop(&ev));
+    for (int i = 0; i < k; ++i) q.Push(1000 + i, [] {}, EventGuard{});
+    EXPECT_EQ(q.Size(), static_cast<size_t>(n - m + k));
+    return q.slots_peak();
+  };
+  EXPECT_EQ(peak_after(0, 0, 0), 0u);
+  EXPECT_EQ(peak_after(10, 4, 3), 10u);  // refill below the old peak
+  EXPECT_EQ(peak_after(10, 4, 4), 10u);
+  EXPECT_EQ(peak_after(10, 4, 9), 15u);  // grows past it
+  EXPECT_EQ(peak_after(10, 10, 25), 25u);
+  // A cancelled node holds its slot until the wheel reaches it.
+  LadderQueue q;
+  EventId id = q.Push(5, [] {}, EventGuard{});
+  q.Cancel(id);
+  q.Push(6, [] {}, EventGuard{});
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.slots_peak(), 2u);
+}
+
 TEST(LadderQueueTest, CancelledEarlyEventsReclaim) {
   LadderQueue q;
   q.Push(100000, [] {}, EventGuard{});

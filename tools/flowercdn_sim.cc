@@ -125,6 +125,8 @@ void PrintSingleRunTable(const CellResult& cell) {
   table.AddRow({"churn failures", std::to_string(r.churn_failures)});
   table.AddRow({"sim events", std::to_string(r.events_processed)});
   table.AddRow({"sim events cancelled", std::to_string(r.events_cancelled)});
+  table.AddRow({"sim events pending (peak)",
+                std::to_string(r.events_pending_peak)});
   table.AddRow({"trial wall (s)", FormatDouble(r.wall_seconds, 2)});
   table.AddRow({"events/sec (wall)",
                 FormatDouble(r.EventsPerWallSecond(), 0)});
