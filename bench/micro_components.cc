@@ -1,11 +1,12 @@
-// Google-benchmark micro benchmarks of the substrate components: RNG/Zipf
-// sampling, Bloom summaries, Chord id math, D-ring key management, and
-// end-to-end simulation event rate.
+// Google-benchmark micro benchmarks of the substrate components: event
+// dispatch, RNG/Zipf sampling, Bloom summaries, Chord id math and D-ring key
+// management. Whole trials are timed by perfbench and kernel_throughput.
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "chord/id.h"
-#include "expt/experiment.h"
 #include "flower/dring.h"
 #include "sim/simulator.h"
 #include "storage/content_store.h"
@@ -96,25 +97,6 @@ void BM_DRingPositionInverse(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(keyspace.PositionOf(id));
 }
 BENCHMARK(BM_DRingPositionInverse);
-
-/// End-to-end simulation throughput: a small Flower-CDN deployment, one
-/// simulated hour per iteration; reports simulated events per second.
-void BM_EndToEndSimulatedHour(benchmark::State& state) {
-  uint64_t total_events = 0;
-  for (auto _ : state) {
-    ExperimentConfig config;
-    config.seed = 42;
-    config.target_population = 300;
-    config.duration = kHour;
-    config.catalog.num_websites = 20;
-    config.catalog.num_active = 3;
-    ExperimentResult r = RunExperiment(config, SystemKind::kFlowerCdn);
-    total_events += r.events_processed;
-    benchmark::DoNotOptimize(r.hit_ratio);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(total_events));
-}
-BENCHMARK(BM_EndToEndSimulatedHour)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace flowercdn

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json_string.h"
 #include "util/logging.h"
 
 namespace flowercdn {
@@ -19,7 +20,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Minimal JSON reader — just enough for the scenario schema (objects,
-// arrays, strings without escapes beyond \" \\ \/ \n \t, numbers, bools).
+// arrays, strings with the escapes \" \\ \/ \n \t and ASCII \uXXXX,
+// numbers, bools).
 // Kept private to this translation unit; the rest of the codebase only
 // *writes* JSON.
 // ---------------------------------------------------------------------------
@@ -142,6 +144,10 @@ class JsonParser {
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return value;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return Error("raw control character in string");
+      }
       if (c == '\\') {
         if (pos_ >= text_.size()) break;
         char esc = text_[pos_++];
@@ -151,6 +157,9 @@ class JsonParser {
           case '/': value.string.push_back('/'); break;
           case 'n': value.string.push_back('\n'); break;
           case 't': value.string.push_back('\t'); break;
+          case 'u':
+            FLOWERCDN_RETURN_NOT_OK(ParseUnicodeEscape(&value.string));
+            break;
           default:
             return Error(std::string("unsupported escape '\\") + esc + "'");
         }
@@ -159,6 +168,21 @@ class JsonParser {
       }
     }
     return Error("unterminated string");
+  }
+
+  // The four hex digits after "\u": an ASCII character, which covers the
+  // control characters WriteJsonString escapes this way.
+  Status ParseUnicodeEscape(std::string* out) {
+    unsigned code = 0;
+    const char* digits = text_.data() + pos_;
+    if (text_.size() - pos_ < 4 ||
+        std::from_chars(digits, digits + 4, code, 16).ptr != digits + 4) {
+      return Error("malformed \\u escape");
+    }
+    if (code >= 0x80) return Error("unsupported non-ASCII \\u escape");
+    pos_ += 4;
+    out->push_back(static_cast<char>(code));
+    return Status::OK();
   }
 
   Result<JsonValue> ParseBool() {
@@ -222,15 +246,6 @@ std::string FormatDouble(double v) {
   auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   FLOWERCDN_CHECK(ec == std::errc());
   return std::string(buf, end);
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 double MsToMin(double ms) { return ms / static_cast<double>(kMinute); }
@@ -504,7 +519,8 @@ Status ScenarioScript::CheckWebsites(int num_websites) const {
 
 std::string ScenarioScript::ToJson() const {
   std::ostringstream out;
-  out << "{\n  \"name\": \"" << EscapeJson(name) << "\"";
+  out << "{\n  \"name\": ";
+  WriteJsonString(out, name);
   if (loss_rate != 0) out << ",\n  \"loss_rate\": " << FormatDouble(loss_rate);
   if (delay_jitter_ms != 0) {
     out << ",\n  \"delay_jitter_ms\": " << FormatDouble(delay_jitter_ms);

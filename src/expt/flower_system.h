@@ -82,8 +82,8 @@ class FlowerSystem {
   /// The live directory of petal (ws, loc, instance), if any.
   FlowerPeer* FindDirectory(WebsiteId ws, LocalityId loc, int instance = 0);
 
-  /// Kills a specific peer immediately (failure injection for tests and
-  /// the maintenance-recovery bench). No-op if offline.
+  /// Kills a specific peer immediately (failure injection for tests).
+  /// No-op if offline.
   void InjectFailure(PeerId peer);
 
   /// Chaos-engine hooks: whether petal (ws, loc) has a live primary

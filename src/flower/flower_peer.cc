@@ -85,8 +85,7 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
       locality_(locality),
       store_(store),
       rng_(rng),
-      rpc_(ctx.network, self),
-      view_(/*capacity=*/0) {
+      rpc_(ctx.network, self) {
   FLOWERCDN_CHECK(ctx.network != nullptr);
   FLOWERCDN_CHECK(ctx.params != nullptr);
   FLOWERCDN_CHECK(ctx.keyspace != nullptr);
@@ -298,31 +297,9 @@ void FlowerPeer::IssueQuery() {
   std::optional<ObjectId> object =
       ctx_->workload->NextQuery(website_, *store_, rng_);
   if (!object.has_value()) return;  // interest set exhausted
-  ctx_->stats->Add("flower.queries_issued");
   QueryState q;
   q.object = *object;
-  q.has_object = true;
-  q.t0 = ctx_->network->sim()->now();
-  if (ctx_->trace != nullptr) {
-    q.trace_id =
-        ctx_->trace->BeginQuery(self_, q.object.website, q.object.object, q.t0,
-                               /*from_new_client=*/role_ ==
-                                   FlowerRole::kClient);
-    q.tctx.trace_id = ctx_->trace->DistributedIdOf(q.trace_id);
-    q.tctx.span_id = q.tctx.trace_id;
-  }
-  switch (role_) {
-    case FlowerRole::kClient:
-      q.via_dring = true;
-      ResolveViaDRing(q);
-      break;
-    case FlowerRole::kContentPeer:
-      ResolveAsContentPeer(q);
-      break;
-    case FlowerRole::kDirectoryPeer:
-      ResolveAsDirectory(q);
-      break;
-  }
+  StartQuery(q);
 }
 
 void FlowerPeer::QueryExternal(const ObjectId& object,
@@ -341,20 +318,25 @@ void FlowerPeer::QueryExternal(const ObjectId& object,
     cb(/*hit=*/true, ServedSource::kPetal, /*latency_ms=*/0);
     return;
   }
-  ctx_->stats->Add("flower.queries_issued");
-  QueryState q;
-  q.object = object;
-  q.has_object = true;
-  q.t0 = ctx_->network->sim()->now();
   if (external_queries_ == nullptr) {
     external_queries_ = std::make_unique<ExternalQueries>();
   }
+  QueryState q;
+  q.object = object;
   q.external_id = external_queries_->next_id++;
   external_queries_->pending.emplace(q.external_id, std::move(cb));
+  StartQuery(q);
+}
+
+void FlowerPeer::StartQuery(QueryState q) {
+  ctx_->stats->Add("flower.queries_issued");
+  q.has_object = true;
+  q.t0 = ctx_->network->sim()->now();
   if (ctx_->trace != nullptr) {
-    q.trace_id = ctx_->trace->BeginQuery(self_, object.website, object.object,
-                                        q.t0, /*from_new_client=*/role_ ==
-                                            FlowerRole::kClient);
+    q.trace_id =
+        ctx_->trace->BeginQuery(self_, q.object.website, q.object.object, q.t0,
+                               /*from_new_client=*/role_ ==
+                                   FlowerRole::kClient);
     q.tctx.trace_id = ctx_->trace->DistributedIdOf(q.trace_id);
     q.tctx.span_id = q.tctx.trace_id;
   }
@@ -1725,9 +1707,6 @@ const char* HandleEventName(const Message& msg) {
   if (msg.type == kRpcRefused) return "handle_refused";
   if (msg.type >= kChordMessageBase && msg.type < kChordMessageBase + 100) {
     return msg.is_response ? "handle_chord_resp" : "handle_chord";
-  }
-  if (msg.type >= kGossipMessageBase && msg.type < kGossipMessageBase + 100) {
-    return msg.is_response ? "handle_gossip_resp" : "handle_gossip";
   }
   if (msg.type >= kFlowerMessageBase && msg.type < kFlowerMessageBase + 100) {
     return msg.is_response ? "handle_flower_resp" : "handle_flower";

@@ -221,6 +221,9 @@ class FlowerPeer : public SimNode {
   void ScheduleNextQuery();
   QueryState PetalJoinRequest() const;
   void IssueQuery();
+  /// Counts, traces and dispatches by role a query for `q.object` (and
+  /// `q.external_id`, if set) issued now.
+  void StartQuery(QueryState q);
   void ResolveViaDRing(QueryState q);
   void SendDirQuery(PeerId dir, QueryState q, bool wants_join);
   void HandleDirReply(QueryState q, PeerId dir, PeerId responder,

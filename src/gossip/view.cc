@@ -19,15 +19,6 @@ void PeerView::Upsert(Contact contact) {
       return;
     }
   }
-  if (capacity_ > 0 && contacts_.size() >= capacity_) {
-    // Evict the oldest entry if it is staler than the newcomer.
-    auto oldest = std::max_element(
-        contacts_.begin(), contacts_.end(),
-        [](const Contact& a, const Contact& b) { return a.age < b.age; });
-    if (oldest == contacts_.end() || oldest->age < contact.age) return;
-    *oldest = contact;
-    return;
-  }
   contacts_.push_back(contact);
 }
 

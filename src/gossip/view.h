@@ -25,24 +25,19 @@ inline constexpr auto kContactWalk = [](auto& v, auto& c) {
   v.U32(c.age);
 };
 
-/// A partial view of a cluster: bounded or unbounded list of aged contacts.
+/// A partial view of a cluster: an unbounded list of aged contacts.
 /// Flower-CDN content peers keep a view of their petal(ws, loc); the paper
 /// leaves views unbounded (they "never surpass 30" in the petal sizes
-/// simulated) but the structure supports a cap for PetalUp-scale petals.
+/// simulated).
 class PeerView {
  public:
-  /// `capacity` == 0 means unbounded (the paper's configuration).
-  explicit PeerView(size_t capacity = 0) : capacity_(capacity) {}
-
   size_t size() const { return contacts_.size(); }
   bool empty() const { return contacts_.empty(); }
-  size_t capacity() const { return capacity_; }
   const std::vector<Contact>& contacts() const { return contacts_; }
 
   bool Contains(PeerId peer) const;
 
   /// Inserts or refreshes a contact; keeps the smaller age on refresh.
-  /// When full, evicts the oldest contact if it is older than `contact`.
   void Upsert(Contact contact);
 
   /// Removes a peer; returns true if it was present.
@@ -69,7 +64,6 @@ class PeerView {
   void Clear() { contacts_.clear(); }
 
  private:
-  size_t capacity_;
   std::vector<Contact> contacts_;
 };
 

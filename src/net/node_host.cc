@@ -74,16 +74,8 @@ NodeHost::~NodeHost() {
 }
 
 int NodeHost::OwnerOf(PeerId peer) const {
-  size_t w = options_.members.size();
-  if (w == 1) return 0;
-  switch (options_.partition) {
-    case PartitionScheme::kHash:
-      return static_cast<int>(Mix64(peer) % w);
-    case PartitionScheme::kLocality:
-      return static_cast<int>(
-          static_cast<size_t>(env_->identity(peer).locality) % w);
-  }
-  return 0;
+  return static_cast<int>(static_cast<size_t>(env_->identity(peer).locality) %
+                          options_.members.size());
 }
 
 size_t NodeHost::hosted_directories() const {

@@ -24,16 +24,6 @@ namespace flowercdn {
 /// Which backend carries protocol messages out of this process.
 enum class TransportKind { kInProcess, kTcp };
 
-/// How peer identities are assigned to cluster ranks. Every rank computes
-/// the same assignment from the shared config, so there is no membership
-/// protocol — ownership is a pure function.
-///  * kHash: owner = Mix64(peer) % world. Even spread; most petal traffic
-///    crosses rank boundaries.
-///  * kLocality: owner = locality % world. Petals (which are per-locality)
-///    stay rank-local, so only D-ring routing and cross-locality lookups
-///    hit the sockets — the deployment-shaped choice.
-enum class PartitionScheme { kHash, kLocality };
-
 /// One process of a (possibly multi-process) live deployment, hosting many
 /// virtual Flower-CDN peers on a single event loop. The simulator remains
 /// the scheduler — protocol timers and deliveries are simulated events —
@@ -57,7 +47,6 @@ class NodeHost {
     /// member means single-process.
     std::vector<ClusterMember> members{ClusterMember{}};
     TransportKind transport = TransportKind::kInProcess;
-    PartitionScheme partition = PartitionScheme::kHash;
     /// Simulated ms advanced per wall ms in RunPaced (20 => 1 sim-hour
     /// takes 3 wall-minutes).
     double time_scale = 1.0;
@@ -108,6 +97,10 @@ class NodeHost {
   /// gateway when enabled.
   bool Setup();
 
+  /// The rank that hosts `peer`: its locality % world. Every rank computes
+  /// it from the shared config, so there is no membership protocol, and a
+  /// petal (one website in one locality) stays on one rank: only D-ring
+  /// routing and cross-locality lookups cross the sockets.
   int OwnerOf(PeerId peer) const;
   size_t world() const { return options_.members.size(); }
   int rank() const { return options_.rank; }

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "runner/seed.h"
+#include "util/json_string.h"
 #include "util/logging.h"
 
 namespace flowercdn {
@@ -50,7 +51,7 @@ JsonWriter& JsonWriter::EndArray() {
 
 JsonWriter& JsonWriter::Key(std::string_view key) {
   Separate();
-  EmitString(key);
+  WriteJsonString(os_, key);
   after_key_ = true;
   os_ << ':';
   return *this;
@@ -58,37 +59,8 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 
 JsonWriter& JsonWriter::Value(std::string_view s) {
   Separate();
-  EmitString(s);
+  WriteJsonString(os_, s);
   return *this;
-}
-
-void JsonWriter::EmitString(std::string_view s) {
-  os_ << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os_ << "\\\"";
-        break;
-      case '\\':
-        os_ << "\\\\";
-        break;
-      case '\n':
-        os_ << "\\n";
-        break;
-      case '\t':
-        os_ << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os_ << buf;
-        } else {
-          os_ << c;
-        }
-    }
-  }
-  os_ << '"';
 }
 
 JsonWriter& JsonWriter::Value(double v) {

@@ -39,7 +39,6 @@ class JsonWriter {
 
  private:
   void Separate();
-  void EmitString(std::string_view s);
 
   std::ostream& os_;
   // One entry per open scope: number of elements written so far.

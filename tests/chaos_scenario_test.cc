@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace flowercdn {
 namespace {
 
@@ -75,37 +78,62 @@ TEST(ScenarioScript, ParseJsonFullSchema) {
   EXPECT_EQ(s.actions[4].duration, 60 * kMinute);
 }
 
+// Every control character below 0x20, which JSON forbids raw in a string.
+std::string AllControlCharacters() {
+  std::string s;
+  for (char c = 1; c < 0x20; ++c) s.push_back(c);
+  return s;
+}
+
 TEST(ScenarioScript, ToJsonRoundTrips) {
-  ScenarioScript script;
-  script.name = "round-trip";
-  script.loss_rate = 0.015;
-  script.delay_jitter_ms = 25;
-  script.AddKillDirectory(3, 2, 6 * kHour)
-      .AddPartition(0, 4, 7 * kHour, 45 * kMinute)
-      .AddLossRamp(0.03, 8 * kHour, 9 * kHour)
-      .AddChurnSpike(1.5, 2 * kHour, 30 * kMinute)
-      .AddFlashCrowd(1, 3 * kHour, 8.0, 20 * kMinute);
-  Result<ScenarioScript> back = ScenarioScript::ParseJson(script.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->name, script.name);
-  EXPECT_DOUBLE_EQ(back->loss_rate, script.loss_rate);
-  EXPECT_DOUBLE_EQ(back->delay_jitter_ms, script.delay_jitter_ms);
-  EXPECT_DOUBLE_EQ(back->duplicate_rate, script.duplicate_rate);
-  ASSERT_EQ(back->actions.size(), script.actions.size());
-  for (size_t i = 0; i < script.actions.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(back->actions[i].type, script.actions[i].type);
-    EXPECT_EQ(back->actions[i].t, script.actions[i].t);
-    EXPECT_EQ(back->actions[i].duration, script.actions[i].duration);
-    EXPECT_EQ(back->actions[i].website, script.actions[i].website);
-    EXPECT_EQ(back->actions[i].loc_a, script.actions[i].loc_a);
-    EXPECT_EQ(back->actions[i].loc_b, script.actions[i].loc_b);
-    EXPECT_DOUBLE_EQ(back->actions[i].rate, script.actions[i].rate);
-    EXPECT_DOUBLE_EQ(back->actions[i].factor, script.actions[i].factor);
+  for (const std::string& name :
+       {std::string("round-trip"), std::string("a\nb\tc"),
+        std::string("quote \" and backslash \\"), AllControlCharacters()}) {
+    SCOPED_TRACE(name);
+    ScenarioScript script;
+    script.name = name;
+    script.loss_rate = 0.015;
+    script.delay_jitter_ms = 25;
+    script.AddKillDirectory(3, 2, 6 * kHour)
+        .AddPartition(0, 4, 7 * kHour, 45 * kMinute)
+        .AddLossRamp(0.03, 8 * kHour, 9 * kHour)
+        .AddChurnSpike(1.5, 2 * kHour, 30 * kMinute)
+        .AddFlashCrowd(1, 3 * kHour, 8.0, 20 * kMinute);
+    const std::string json = script.ToJson();
+    // The writer emits valid JSON: no raw control character in a string.
+    // The only ones outside strings are the layout's newlines, as many as
+    // a script with a plain name has.
+    for (char c : json) {
+      EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+          << "raw control character " << static_cast<int>(c);
+    }
+    ScenarioScript plain = script;
+    plain.name = "plain";
+    const std::string plain_json = plain.ToJson();
+    EXPECT_EQ(std::count(json.begin(), json.end(), '\n'),
+              std::count(plain_json.begin(), plain_json.end(), '\n'));
+    Result<ScenarioScript> back = ScenarioScript::ParseJson(json);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->name, script.name);
+    EXPECT_DOUBLE_EQ(back->loss_rate, script.loss_rate);
+    EXPECT_DOUBLE_EQ(back->delay_jitter_ms, script.delay_jitter_ms);
+    EXPECT_DOUBLE_EQ(back->duplicate_rate, script.duplicate_rate);
+    ASSERT_EQ(back->actions.size(), script.actions.size());
+    for (size_t i = 0; i < script.actions.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(back->actions[i].type, script.actions[i].type);
+      EXPECT_EQ(back->actions[i].t, script.actions[i].t);
+      EXPECT_EQ(back->actions[i].duration, script.actions[i].duration);
+      EXPECT_EQ(back->actions[i].website, script.actions[i].website);
+      EXPECT_EQ(back->actions[i].loc_a, script.actions[i].loc_a);
+      EXPECT_EQ(back->actions[i].loc_b, script.actions[i].loc_b);
+      EXPECT_DOUBLE_EQ(back->actions[i].rate, script.actions[i].rate);
+      EXPECT_DOUBLE_EQ(back->actions[i].factor, script.actions[i].factor);
+    }
+    // Canonical form is a fixed point: serialize(parse(serialize(x))) is
+    // byte-identical — the CI determinism check depends on this.
+    EXPECT_EQ(back->ToJson(), json);
   }
-  // Canonical form is a fixed point: serialize(parse(serialize(x))) is
-  // byte-identical — the CI determinism check depends on this.
-  EXPECT_EQ(back->ToJson(), script.ToJson());
 }
 
 TEST(ScenarioScript, UnknownTopLevelKeyRejected) {
@@ -132,6 +160,13 @@ TEST(ScenarioScript, MalformedJsonRejected) {
   EXPECT_FALSE(ScenarioScript::ParseJson("{").ok());
   EXPECT_FALSE(ScenarioScript::ParseJson(R"({"name": "x"} trailing)").ok());
   EXPECT_FALSE(ScenarioScript::ParseJson(R"({"name": 5})").ok());
+  // JSON forbids raw control characters in a string; \u escapes are four
+  // hex digits of an ASCII character.
+  EXPECT_FALSE(ScenarioScript::ParseJson("{\"name\": \"a\nb\"}").ok());
+  EXPECT_FALSE(ScenarioScript::ParseJson("{\"name\": \"a\tb\"}").ok());
+  EXPECT_FALSE(ScenarioScript::ParseJson(R"({"name": "\u00"})").ok());
+  EXPECT_FALSE(ScenarioScript::ParseJson(R"({"name": "\u00zz"})").ok());
+  EXPECT_FALSE(ScenarioScript::ParseJson(R"({"name": "\u00e9"})").ok());
 }
 
 TEST(ScenarioScript, ValidateRejectsOutOfRangeRates) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "expt/env.h"
 #include "expt/flower_system.h"
 
@@ -160,6 +162,61 @@ TEST_F(FlowerMaintenanceTest, QueriesKeepResolvingThroughFailures) {
   // warmup; the invariant is robustness, not a specific ratio).
   EXPECT_GT(metrics.HitRatio(), 0.3);
 }
+
+// The paper's §5 ablation: a petal's directory fails, a content peer
+// replaces it, and pushes and gossip rebuild its index. The parameter is
+// the gossip/keepalive period in minutes (Table 1: 60). Failure is detected
+// by queries and keepalives, so replacement takes minutes at every period.
+class DirectoryRecoveryTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DirectoryRecoveryTest, ReplacesTheDirectoryAndRebuildsItsIndex) {
+  constexpr SimTime kKillAt = 4 * kHour;
+  ExperimentConfig config;
+  config.seed = 42;
+  config.target_population = 40;
+  config.universe_factor = 1.0;
+  config.topology.num_localities = 1;
+  config.catalog.num_websites = 1;
+  config.catalog.num_active = 1;
+  config.catalog.objects_per_website = 120;
+  config.mean_uptime = 100000 * kHour;  // failures only by injection
+  config.arrival_rate_override_per_ms = 40.0 / kHour;
+  config.flower.gossip_period = GetParam() * kMinute;
+  config.flower.max_directory_load = 200;  // keep one instance
+  ExperimentEnv env(config);
+  FlowerSystem system(&env, config.flower);
+  system.Setup();
+  env.sim().RunUntil(kKillAt);
+
+  FlowerPeer* dir = system.FindDirectory(0, 0);
+  ASSERT_NE(dir, nullptr);
+  const size_t entries_before = dir->index().num_entries();
+  ASSERT_GT(entries_before, 0u);
+  ASSERT_TRUE(system.KillDirectory(0, 0));
+
+  int replaced_min = -1;
+  int rebuilt_min = -1;
+  for (int minute = 1; minute <= 30 && rebuilt_min < 0; ++minute) {
+    env.sim().RunUntil(kKillAt + minute * kMinute);
+    FlowerPeer* replacement = system.FindDirectory(0, 0);
+    if (replacement == nullptr) continue;
+    if (replaced_min < 0) replaced_min = minute;
+    if (replacement->index().num_entries() >= entries_before / 2) {
+      rebuilt_min = minute;
+    }
+  }
+  EXPECT_GE(replaced_min, 1) << "no replacement within 30 min";
+  EXPECT_LE(replaced_min, 5);
+  EXPECT_GE(rebuilt_min, 1)
+      << "the index did not regain half of its " << entries_before
+      << " entries within 30 min";
+}
+
+INSTANTIATE_TEST_SUITE_P(GossipPeriods, DirectoryRecoveryTest,
+                         ::testing::Values(10, 30, 60, 120),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "min";
+                         });
 
 }  // namespace
 }  // namespace flowercdn

@@ -187,7 +187,7 @@ TEST(FootprintSizeTest, SessionObjectFitsItsBudget) {
   // ring member, its ChordNode's. D-ring lookups are ids awaited on the
   // session's endpoint. The gossip-summary and external-query maps are
   // pointers until first used.
-  EXPECT_LE(sizeof(FlowerPeer), 232u);
+  EXPECT_LE(sizeof(FlowerPeer), 224u);
   // The calls themselves live in the Network's table.
   EXPECT_LE(sizeof(RpcEndpoint), 32u);
 }

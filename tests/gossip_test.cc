@@ -1,15 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <queue>
 #include <unordered_set>
-#include <vector>
 
-#include "gossip/cyclon.h"
 #include "gossip/view.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
-#include "sim/topology.h"
 
 namespace flowercdn {
 namespace {
@@ -54,19 +47,6 @@ TEST(PeerViewTest, OldestFindsMaxAge) {
   EXPECT_EQ(view.Oldest()->peer, 2u);
 }
 
-TEST(PeerViewTest, CapacityEvictsOldestForYounger) {
-  PeerView view(2);
-  view.Upsert({1, 5});
-  view.Upsert({2, 3});
-  view.Upsert({3, 1});  // evicts peer 1 (oldest)
-  EXPECT_EQ(view.size(), 2u);
-  EXPECT_FALSE(view.Contains(1));
-  EXPECT_TRUE(view.Contains(3));
-  // An older newcomer is rejected.
-  view.Upsert({4, 99});
-  EXPECT_FALSE(view.Contains(4));
-}
-
 TEST(PeerViewTest, RandomSubsetExcludesAndBounds) {
   PeerView view;
   for (PeerId p = 1; p <= 10; ++p) view.Upsert({p, 0});
@@ -86,126 +66,6 @@ TEST(PeerViewTest, MergeSkipsSelf) {
   view.Merge({{1, 0}, {2, 0}, {7, 0}}, /*self=*/7);
   EXPECT_EQ(view.size(), 2u);
   EXPECT_FALSE(view.Contains(7));
-}
-
-// --- Cyclon overlay -----------------------------------------------------------
-
-class CyclonOverlayTest : public ::testing::Test {
- protected:
-  CyclonOverlayTest()
-      : topology_(Topology::Params{}), network_(&sim_, &topology_) {}
-
-  void Build(int n, const CyclonNode::Params& params) {
-    Rng rng(17);
-    for (int i = 0; i < n; ++i) {
-      PeerId p = static_cast<PeerId>(i + 1);
-      network_.RegisterIdentity(p, topology_.PlaceInLocality(i % 6, rng));
-      hosts_.push_back(std::make_unique<CyclonHost>(
-          &network_, p, Rng(1000 + i), params));
-    }
-    // Ring-shaped bootstrap graph.
-    for (int i = 0; i < n; ++i) {
-      hosts_[i]->cyclon().AddNeighbor(static_cast<PeerId>((i + 1) % n + 1));
-      hosts_[i]->cyclon().AddNeighbor(static_cast<PeerId>((i + 2) % n + 1));
-    }
-    for (int i = 0; i < n; ++i) {
-      PeerId p = static_cast<PeerId>(i + 1);
-      Incarnation inc = network_.Attach(p, hosts_[i].get());
-      hosts_[i]->cyclon().Start(inc);
-    }
-  }
-
-  /// Is the directed knows-graph weakly connected over live nodes?
-  bool Connected() {
-    std::vector<std::vector<int>> adj(hosts_.size());
-    for (size_t i = 0; i < hosts_.size(); ++i) {
-      if (!network_.IsAlive(static_cast<PeerId>(i + 1))) continue;
-      for (const Contact& c : hosts_[i]->cyclon().view().contacts()) {
-        if (!network_.IsAlive(c.peer)) continue;
-        adj[i].push_back(static_cast<int>(c.peer - 1));
-        adj[c.peer - 1].push_back(static_cast<int>(i));
-      }
-    }
-    int start = -1, live = 0;
-    for (size_t i = 0; i < hosts_.size(); ++i) {
-      if (network_.IsAlive(static_cast<PeerId>(i + 1))) {
-        if (start < 0) start = static_cast<int>(i);
-        ++live;
-      }
-    }
-    if (live == 0) return true;
-    std::vector<bool> seen(hosts_.size(), false);
-    std::queue<int> frontier;
-    frontier.push(start);
-    seen[start] = true;
-    int reached = 1;
-    while (!frontier.empty()) {
-      int v = frontier.front();
-      frontier.pop();
-      for (int w : adj[v]) {
-        if (!seen[w] && network_.IsAlive(static_cast<PeerId>(w + 1))) {
-          seen[w] = true;
-          ++reached;
-          frontier.push(w);
-        }
-      }
-    }
-    return reached == live;
-  }
-
-  Simulator sim_;
-  Topology topology_;
-  Network network_;
-  std::vector<std::unique_ptr<CyclonHost>> hosts_;
-};
-
-TEST_F(CyclonOverlayTest, ShufflesFillViewsAndStayConnected) {
-  CyclonNode::Params params;
-  params.view_size = 8;
-  params.shuffle_length = 4;
-  params.period = 10 * kSecond;
-  Build(40, params);
-  sim_.RunUntil(5 * kMinute);
-  size_t total = 0;
-  for (auto& h : hosts_) {
-    EXPECT_GE(h->cyclon().view().size(), 4u);
-    EXPECT_LE(h->cyclon().view().size(), params.view_size);
-    EXPECT_GT(h->cyclon().shuffles_initiated(), 10u);
-    total += h->cyclon().view().size();
-  }
-  EXPECT_GT(total, 40u * 6);
-  EXPECT_TRUE(Connected());
-}
-
-TEST_F(CyclonOverlayTest, DeadPeersGetExpelledFromViews) {
-  CyclonNode::Params params;
-  params.view_size = 8;
-  params.shuffle_length = 4;
-  params.period = 10 * kSecond;
-  Build(40, params);
-  sim_.RunUntil(2 * kMinute);
-  // Kill a quarter of the overlay.
-  for (int i = 0; i < 10; ++i) network_.Detach(static_cast<PeerId>(i + 1));
-  sim_.RunUntil(sim_.now() + 10 * kMinute);
-  for (size_t i = 10; i < hosts_.size(); ++i) {
-    for (const Contact& c : hosts_[i]->cyclon().view().contacts()) {
-      EXPECT_TRUE(network_.IsAlive(c.peer))
-          << "live view still points at dead peer " << c.peer;
-    }
-  }
-  EXPECT_TRUE(Connected());
-}
-
-TEST_F(CyclonOverlayTest, SelfNeverInOwnView) {
-  CyclonNode::Params params;
-  params.view_size = 6;
-  params.shuffle_length = 3;
-  Build(20, params);
-  sim_.RunUntil(5 * kMinute);
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    EXPECT_FALSE(
-        hosts_[i]->cyclon().view().Contains(static_cast<PeerId>(i + 1)));
-  }
 }
 
 }  // namespace

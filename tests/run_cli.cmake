@@ -1,12 +1,14 @@
 # Runs one command-line program and checks how it ends, for CTest cases
 # that drive a tool from the outside:
 #
-#   cmake -DEXPECT_EXIT=2 [-DEXPECT_MATCH=regex] [-DEXPECT_STDOUT=file]
+#   cmake -DEXPECT_EXIT=2 [-DEXPECT_MATCH=regex] [-DEXPECT_NO_MATCH=regex]
+#         [-DEXPECT_STDOUT=file]
 #         [-DOUTPUT_FILE=file -DEXPECT_OUTPUT_FILE=file]
 #         -P run_cli.cmake -- program args...
 #
 # EXPECT_EXIT is the required exit status; EXPECT_MATCH must match the
-# program's standard output; EXPECT_STDOUT names a file whose contents
+# program's standard output and EXPECT_NO_MATCH must not; EXPECT_STDOUT
+# names a file whose contents
 # the standard output must equal byte for byte. OUTPUT_FILE names a file
 # the program writes (removed before the run); its contents must equal
 # EXPECT_OUTPUT_FILE's byte for byte.
@@ -34,6 +36,9 @@ if(NOT status STREQUAL EXPECT_EXIT)
 endif()
 if(DEFINED EXPECT_MATCH AND NOT out MATCHES "${EXPECT_MATCH}")
   message(FATAL_ERROR "stdout does not match '${EXPECT_MATCH}':\n${out}")
+endif()
+if(DEFINED EXPECT_NO_MATCH AND out MATCHES "${EXPECT_NO_MATCH}")
+  message(FATAL_ERROR "stdout matches '${EXPECT_NO_MATCH}':\n${out}")
 endif()
 if(DEFINED EXPECT_STDOUT)
   file(READ "${EXPECT_STDOUT}" want)

@@ -51,7 +51,6 @@ void Usage(const char* argv0) {
       "  --gateway-port=P   HTTP gateway port, 0=auto  (default: no gateway)\n"
       "  --gateway          enable gateway on an auto port\n"
       "  --time-scale=X     sim-ms per wall-ms         (default 20)\n"
-      "  --partition=S      hash | locality            (default locality)\n"
       "  --stats-out=PATH   write node stats JSON on exit\n"
       "observability:\n"
       "  --admin-port=P     dedicated /metrics /statusz /healthz listener\n"
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
 
   NodeHost::Options host_options;
   host_options.transport = TransportKind::kInProcess;
-  host_options.partition = PartitionScheme::kLocality;
   host_options.time_scale = 20.0;
 
   bool quiet = false;
@@ -134,15 +132,6 @@ int main(int argc, char** argv) {
       want_gateway = true;
     } else if (flag.Is("--time-scale")) {
       host_options.time_scale = flag.Positive();
-    } else if (flag.Is("--partition")) {
-      if (std::strcmp(flag.value, "hash") == 0) {
-        host_options.partition = PartitionScheme::kHash;
-      } else if (std::strcmp(flag.value, "locality") == 0) {
-        host_options.partition = PartitionScheme::kLocality;
-      } else {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (flag.Is("--stats-out")) {
       stats_out = flag.value;
     } else if (flag.Is("--admin-port")) {
