@@ -324,6 +324,30 @@ def check_runner(path, expect_chaos=False, max_events_over_median=None):
                     (isinstance(lat, dict) and lat.get("n", 0) >= 1),
                     f"runner: cell {ci} aggregate replacement_latency_ms "
                     f"must be null or a summary with n >= 1, got {lat!r}")
+            # The mean averages replaced kills only; the counts beside it
+            # say how many kills of a live directory never recovered.
+            counts = {}
+            for key in ("kills_replaced", "kills_unreplaced"):
+                counts[key] = agg_chaos.get(key)
+                require(isinstance(counts[key], int) and counts[key] >= 0,
+                        f"runner: cell {ci} aggregate chaos.{key} must be "
+                        f"an int >= 0, got {counts[key]!r}")
+            require((lat is None) == (counts["kills_replaced"] == 0),
+                    f"runner: cell {ci} aggregate replacement_latency_ms is "
+                    f"{lat!r} but kills_replaced is "
+                    f"{counts['kills_replaced']}")
+            trials = cell.get("trial_results", [])
+            if trials:
+                kills = [k for t in trials
+                         for k in t["chaos"].get("directory_kills", [])
+                         if k["had_directory"]]
+                replaced = sum(k["replacement_latency_ms"] >= 0
+                               for k in kills)
+                require(counts["kills_replaced"] == replaced and
+                        counts["kills_unreplaced"] == len(kills) - replaced,
+                        f"runner: cell {ci} aggregate kill counts "
+                        f"{counts} disagree with the trials' "
+                        f"{replaced} of {len(kills)} replaced")
         for hist in ("lookup_all", "lookup_hits"):
             h = cell["aggregate"]["histograms"][hist]
             require("p99" in h, f"runner: cell {ci} {hist} lacks p99")

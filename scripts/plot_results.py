@@ -28,8 +28,9 @@ Produces the paper's three figures:
 
 --tables prints four tables, one column per cell (prefixed with the file
 stem when several documents are given):
-  1. every aggregate metric and chaos metric as mean ±95% CI, plus the
-     trial mean of the flower.collaboration_hits counter;
+  1. every aggregate metric and chaos metric as mean ±95% CI (the chaos
+     kill counts as totals over trials), plus the trial mean of the
+     flower.collaboration_hits counter;
   2. trial-mean messages and MB per traffic family, bytes per peer per
      second and messages per query;
   3. cumulative hit ratio per hour;
@@ -107,9 +108,12 @@ def fmt(value, ci=None, n=1):
 
 
 def fmt_summary(summary):
-    """A runner MetricSummary as 'mean ±ci95'; '-' when absent or null."""
+    """A runner MetricSummary as 'mean ±ci95'; '-' when absent or null; a
+    count over all trials (chaos.kills_replaced) as itself."""
     if summary is None:
         return "-"
+    if isinstance(summary, int):
+        return str(summary)
     return fmt(summary["mean"], summary["ci95"], summary["n"])
 
 

@@ -38,9 +38,9 @@ ExperimentEnv::ExperimentEnv(const ExperimentConfig& config)
   Rng assignment = root_rng_.Fork("assignment");
 
   identities_.reserve(universe);
+  network_.ReserveIdentities(static_cast<PeerId>(universe));
   for (size_t i = 0; i < universe; ++i) {
     Identity identity;
-    identity.id = static_cast<PeerId>(i + 1);
     if (i < static_cast<size_t>(num_websites) * k) {
       // One identity per (website, locality): the initial D-ring seeds.
       identity.website = static_cast<WebsiteId>(i / k);
@@ -52,7 +52,7 @@ ExperimentEnv::ExperimentEnv(const ExperimentConfig& config)
           static_cast<LocalityId>(assignment.NextBounded(k));
     }
     Coord coord = topology_.PlaceInLocality(identity.locality, placement);
-    network_.RegisterIdentity(identity.id, coord);
+    network_.RegisterIdentity(static_cast<PeerId>(i + 1), coord);
     identities_.push_back(std::move(identity));
   }
 }

@@ -31,8 +31,8 @@ namespace flowercdn {
 /// (ws, loc) in Flower-CDN runs (and is an ordinary peer in Squirrel runs).
 class ExperimentEnv {
  public:
+  /// Identity `id` is identities()[id - 1].
   struct Identity {
-    PeerId id = kInvalidPeer;
     WebsiteId website = 0;
     LocalityId locality = 0;
     ContentStore store;  // persists across sessions (browser cache)

@@ -123,8 +123,11 @@ AggregateResult Aggregate(const std::vector<ExperimentResult>& trials) {
           if (kill.replacement_latency_ms >= 0) {
             sum += kill.replacement_latency_ms;
             ++replaced;
+          } else if (kill.had_directory) {
+            ++agg.chaos_kills_unreplaced;
           }
         }
+        agg.chaos_kills_replaced += replaced;
         if (replaced > 0) {
           replacement_samples.push_back(sum / static_cast<double>(replaced));
         }

@@ -70,6 +70,11 @@ struct AggregateResult {
   /// contribute no sample, so n == 0 (JSON null) when nothing was ever
   /// replaced — never a fake 0 ms.
   MetricSummary chaos_replacement_latency_ms;
+  /// Kills of a live directory over all trials: replaced before the run
+  /// ended, and not. The latency above averages the replaced ones only, so
+  /// these counts are reported beside it.
+  uint64_t chaos_kills_replaced = 0;
+  uint64_t chaos_kills_unreplaced = 0;
   /// Per trial: baseline windowed hit ratio minus the dip minimum.
   MetricSummary chaos_hit_ratio_dip;
   /// Per trial: hit-ratio recovery time (-1 = dipped but never recovered).

@@ -375,6 +375,8 @@ void WriteAggregate(JsonWriter& w, const AggregateResult& a) {
     } else {
       WriteSummary(w, a.chaos_replacement_latency_ms);
     }
+    w.Key("kills_replaced").Value(a.chaos_kills_replaced);
+    w.Key("kills_unreplaced").Value(a.chaos_kills_unreplaced);
     const Named chaos_metrics[] = {
         {"hit_ratio_dip", a.chaos_hit_ratio_dip},
         {"recovery_ms", a.chaos_recovery_ms},

@@ -26,26 +26,34 @@ void Network::SetTransport(Transport* transport) {
 
 Transport* Network::transport() const { return transport_; }
 
+void Network::ReserveIdentities(PeerId max_peer) {
+  const size_t n = static_cast<size_t>(max_peer) + 1;
+  points_.reserve(n);
+  nodes_.reserve(n);
+  incarnations_.reserve(n);
+  registered_.reserve(n);
+}
+
 void Network::RegisterIdentity(PeerId peer, Coord coord) {
   FLOWERCDN_CHECK(peer != kInvalidPeer);
   FLOWERCDN_CHECK(!Registered(peer))
       << "identity " << peer << " already registered";
   if (peer >= registered_.size()) {
     const size_t n = static_cast<size_t>(peer) + 1;
-    coords_.resize(n);
+    points_.resize(n);
     nodes_.resize(n, nullptr);
     incarnations_.resize(n, 0);
     registered_.resize(n, 0);
   }
   registered_[peer] = 1;
-  coords_[peer] = coord;
+  points_[peer] = Point{coord, Topology::PointKey(coord)};
 }
 
 bool Network::HasIdentity(PeerId peer) const { return Registered(peer); }
 
 Coord Network::CoordOf(PeerId peer) const {
   FLOWERCDN_CHECK(Registered(peer)) << "unknown identity " << peer;
-  return coords_[peer];
+  return points_[peer].coord;
 }
 
 LocalityId Network::LocalityOf(PeerId peer) const {
@@ -54,7 +62,11 @@ LocalityId Network::LocalityOf(PeerId peer) const {
 
 double Network::LatencyMs(PeerId a, PeerId b) const {
   if (a == b) return 0.0;
-  return topology_->LatencyMs(CoordOf(a), CoordOf(b));
+  FLOWERCDN_CHECK(Registered(a)) << "unknown identity " << a;
+  FLOWERCDN_CHECK(Registered(b)) << "unknown identity " << b;
+  const Point& pa = points_[a];
+  const Point& pb = points_[b];
+  return topology_->LatencyMs(pa.coord, pa.key, pb.coord, pb.key);
 }
 
 Incarnation Network::Attach(PeerId peer, SimNode* node) {

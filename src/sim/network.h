@@ -55,7 +55,11 @@ class Network {
   // An identity (PeerId + coordinate) persists across sessions; the paper's
   // churn model cycles a universe of 1.3*P identities through join/fail.
 
-  /// Registers a peer identity with its (fixed) coordinate.
+  /// Reserves room for identities 1..`max_peer`, so registering them
+  /// allocates each identity array once.
+  void ReserveIdentities(PeerId max_peer);
+  /// Registers a peer identity with its (fixed) coordinate, and computes
+  /// the coordinate's Topology::PointKey once for every later LatencyMs.
   void RegisterIdentity(PeerId peer, Coord coord);
   bool HasIdentity(PeerId peer) const;
   Coord CoordOf(PeerId peer) const;
@@ -226,7 +230,11 @@ class Network {
   // 1..universe). The alive/incarnation checks run on every delivery and
   // every guarded timer, so each check touching one flat array instead of
   // a hash bucket chain is a measurable kernel win.
-  std::vector<Coord> coords_;
+  struct Point {
+    Coord coord;
+    uint64_t key = 0;  // Topology::PointKey(coord)
+  };
+  std::vector<Point> points_;
   std::vector<SimNode*> nodes_;        // non-null iff alive
   std::vector<Incarnation> incarnations_;
   std::vector<uint8_t> registered_;

@@ -25,17 +25,12 @@ double Distance(const Coord& a, const Coord& b) {
 }
 
 /// Deterministic, symmetric jitter factor in [1-j, 1+j] for a pair of
-/// (quantized) coordinates. Hash-derived so no RNG state is consumed and
-/// latency(a,b) is stable across calls and runs.
-double PairJitter(const Coord& a, const Coord& b, double j) {
-  auto q = [](double v) -> uint64_t {
-    return static_cast<uint64_t>(static_cast<int64_t>(v * 4096.0));
-  };
-  uint64_t ha = HashCombine(q(a.x), q(a.y));
-  uint64_t hb = HashCombine(q(b.x), q(b.y));
-  if (ha > hb) std::swap(ha, hb);  // symmetry
+/// endpoint keys (Topology::PointKey). Hash-derived so no RNG state is
+/// consumed and latency(a,b) is stable across calls and runs.
+double PairJitter(uint64_t ka, uint64_t kb, double j) {
+  if (ka > kb) std::swap(ka, kb);  // symmetry
   double unit =
-      static_cast<double>(HashCombine(ha, hb) >> 11) * 0x1.0p-53;  // [0,1)
+      static_cast<double>(HashCombine(ka, kb) >> 11) * 0x1.0p-53;  // [0,1)
   return 1.0 - j + 2.0 * j * unit;
 }
 
@@ -77,10 +72,18 @@ LocalityId Topology::LocalityOf(const Coord& c) const {
   return best;
 }
 
-double Topology::LatencyMs(const Coord& a, const Coord& b) const {
+uint64_t Topology::PointKey(const Coord& c) {
+  auto q = [](double v) -> uint64_t {
+    return static_cast<uint64_t>(static_cast<int64_t>(v * 4096.0));
+  };
+  return HashCombine(q(c.x), q(c.y));
+}
+
+double Topology::LatencyMs(const Coord& a, uint64_t key_a, const Coord& b,
+                           uint64_t key_b) const {
   if (a.x == b.x && a.y == b.y) return 0.0;
   double base = kMinLatencyMs + kLatencyPerUnitMs * Distance(a, b);
-  base *= PairJitter(a, b, kJitter);
+  base *= PairJitter(key_a, key_b, kJitter);
   return std::clamp(base, kMinLatencyMs, kMaxLatencyMs);
 }
 

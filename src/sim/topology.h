@@ -29,7 +29,11 @@ using LocalityId = int;
 ///    landmark `loc`, so LocalityOf(coord) (nearest landmark) recovers it;
 ///  * pairwise latency = kMinLatencyMs + 110 ms per plane unit of
 ///    distance, multiplied by a deterministic per-pair jitter of up to
-///    ±20%, clamped to [kMinLatencyMs, kMaxLatencyMs].
+///    ±20%, clamped to [kMinLatencyMs, kMaxLatencyMs]. The jitter is a
+///    mix of the two endpoints' keys (PointKey: a hash of the quantized
+///    coordinate), so it consumes no RNG state. A key depends on one
+///    endpoint only, so Network computes it once, when it registers an
+///    identity, and each message pays only the pair mix.
 ///
 /// Default constants are calibrated so that a random cross-network pair
 /// averages ~165 ms (the Squirrel transfer distance the paper reports)
@@ -64,10 +68,20 @@ class Topology {
   /// Nearest-landmark classification (the landmark technique).
   LocalityId LocalityOf(const Coord& c) const;
 
+  /// One endpoint's half of the per-pair jitter: a hash of its coordinate
+  /// quantized to 1/4096 plane unit.
+  static uint64_t PointKey(const Coord& c);
+
   /// One-way latency between two coordinates, in milliseconds. Symmetric;
   /// zero only for identical points... never below kMinLatencyMs for
   /// distinct endpoints.
-  double LatencyMs(const Coord& a, const Coord& b) const;
+  double LatencyMs(const Coord& a, const Coord& b) const {
+    return LatencyMs(a, PointKey(a), b, PointKey(b));
+  }
+  /// The same latency, given each endpoint's PointKey (which the caller
+  /// computed once and must pass unchanged).
+  double LatencyMs(const Coord& a, uint64_t key_a, const Coord& b,
+                   uint64_t key_b) const;
 
   /// Landmark coordinate of a locality.
   Coord landmark(LocalityId loc) const { return landmarks_[loc]; }

@@ -13,17 +13,4 @@ uint64_t Hash64(std::string_view bytes) {
   return Mix64(h);
 }
 
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 }  // namespace flowercdn

@@ -201,7 +201,7 @@ TEST(FootprintSizeTest, PendingEventIsOneCacheLine) {
 TEST(FootprintSizeTest, IdentityWithAnEmptyCacheFitsItsBudget) {
   // An identity that never cached an object holds no hash set.
   EXPECT_LE(sizeof(ContentStore), 16u);
-  EXPECT_LE(sizeof(ExperimentEnv::Identity), 32u);
+  EXPECT_LE(sizeof(ExperimentEnv::Identity), 24u);
 }
 
 struct PingMsg : Message {

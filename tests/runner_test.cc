@@ -134,6 +134,41 @@ TEST(AggregateTest, SingleTrialHasNoSpread) {
   EXPECT_DOUBLE_EQ(agg.hit_ratio.ci95_half, 0.0);
 }
 
+// Kills that are never replaced must stay visible beside the mean latency,
+// which averages only the replaced ones: trial a replaces 2 of 3 kills
+// (60 s and 120 s), trial b none of 1, and a kill of a petal that had no
+// directory counts in neither column.
+TEST(AggregateTest, ChaosCountsUnreplacedKills) {
+  auto kill = [](bool had_directory, double latency_ms) {
+    ChaosReport::DirectoryKill k;
+    k.had_directory = had_directory;
+    k.replacement_latency_ms = latency_ms;
+    return k;
+  };
+  ExperimentResult a = FakeResult(0.4, 100, {0.1});
+  a.chaos.enabled = true;
+  a.chaos.directory_kills = {kill(true, 60000), kill(true, -1),
+                             kill(true, 120000), kill(false, -1)};
+  ExperimentResult b = FakeResult(0.6, 200, {0.3});
+  b.chaos.enabled = true;
+  b.chaos.directory_kills = {kill(true, -1)};
+
+  AggregateResult agg = Aggregate({a, b});
+  EXPECT_EQ(agg.chaos_kills_replaced, 2u);
+  EXPECT_EQ(agg.chaos_kills_unreplaced, 2u);
+  // One sample: trial a's mean over its replaced kills; b adds none.
+  EXPECT_EQ(agg.chaos_replacement_latency_ms.n, 1u);
+  EXPECT_DOUBLE_EQ(agg.chaos_replacement_latency_ms.mean, 90000.0);
+
+  CellResult cell;
+  cell.label = "flower/faults";
+  cell.trials = {a, b};
+  cell.aggregate = agg;
+  std::string json = SweepJsonString(42, {cell}, /*include_trials=*/false);
+  EXPECT_NE(json.find("\"kills_replaced\":2,\"kills_unreplaced\":2,"),
+            std::string::npos);
+}
+
 // --- SweepSpec -------------------------------------------------------------
 
 TEST(SweepSpecTest, ParsesFullSpec) {
@@ -348,7 +383,9 @@ TEST(JsonExportTest, UnreplacedKillExportsNullLatency) {
 
   EXPECT_EQ(cell.aggregate.chaos_replacement_latency_ms.n, 0u);
   std::string json = SweepJsonString(42, {cell}, /*include_trials=*/false);
-  EXPECT_NE(json.find("\"replacement_latency_ms\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"replacement_latency_ms\":null,\"kills_replaced\":0,"
+                      "\"kills_unreplaced\":1,"),
+            std::string::npos);
 
   // And once a kill IS replaced, the summary carries the real latency.
   cell.trials[0].chaos.directory_kills[0].replacement_latency_ms = 30000.0;

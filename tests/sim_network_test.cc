@@ -137,6 +137,41 @@ TEST_F(NetworkTest, LocalityExposedPerIdentity) {
   EXPECT_EQ(network_.LatencyMs(1, 1), 0.0);
 }
 
+// The keys stored at registration give exactly the topology's latency of
+// the two coordinates, for a reserved universe and for the fixture's.
+TEST(NetworkLatencyTest, IdentityLatencyIsTopologyLatency) {
+  Simulator sim;
+  Topology topology(Topology::Params{});
+  Network network(&sim, &topology);
+  constexpr PeerId kIdentities = 200;
+  network.ReserveIdentities(kIdentities);
+  Rng rng(7);
+  for (PeerId p = 1; p <= kIdentities; ++p) {
+    network.RegisterIdentity(
+        p, topology.PlaceInLocality(static_cast<int>(p % 6), rng));
+  }
+  for (PeerId p = 1; p <= kIdentities; ++p) {
+    EXPECT_EQ(network.LatencyMs(p, p), 0.0);
+    for (PeerId q = 1; q <= kIdentities; q += 7) {
+      if (q == p) continue;
+      double want =
+          topology.LatencyMs(network.CoordOf(p), network.CoordOf(q));
+      ASSERT_EQ(network.LatencyMs(p, q), want) << p << "->" << q;
+      ASSERT_EQ(network.LatencyMs(q, p), want) << q << "->" << p;
+    }
+  }
+}
+
+TEST(NetworkLatencyDeathTest, UnknownIdentityIsFatalAtEitherEnd) {
+  Simulator sim;
+  Topology topology(Topology::Params{});
+  Network network(&sim, &topology);
+  Rng rng(1);
+  network.RegisterIdentity(1, topology.PlaceInLocality(0, rng));
+  EXPECT_DEATH(network.LatencyMs(1, 2), "unknown identity 2");
+  EXPECT_DEATH(network.LatencyMs(2, 1), "unknown identity 2");
+}
+
 // --- RPC endpoint ------------------------------------------------------------
 
 class EchoNode : public SimNode {

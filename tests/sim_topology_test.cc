@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace flowercdn {
@@ -53,6 +57,54 @@ TEST(TopologyTest, LatencyIsDeterministic) {
   Coord a{0.1, 0.2}, b{-0.7, 0.5};
   double first = topo.LatencyMs(a, b);
   for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(topo.LatencyMs(a, b), first);
+}
+
+// Known values, printed with %a from the model as first written (each
+// endpoint's jitter key rebuilt on every call): the keyed form must not
+// move a single bit.
+TEST(TopologyTest, LatencyMatchesKnownValues) {
+  Topology topo(DefaultParams());
+  struct Case {
+    Coord a, b;
+    double want;
+  };
+  const Case cases[] = {
+      // Intra-locality: both near landmark 0 at (1, 0).
+      {{0.9, 0.1}, {1.1, -0.2}, 0x1.abd8e89cb811dp+5},
+      // Inter-locality: landmark 0 to near landmark 2.
+      {{1.0, 0.0}, {-0.5, 0.866}, 0x1.8ac96ad519dbp+7},
+      {{0.25, -0.5}, {-0.75, 0.25}, 0x1.61ebb38a4360bp+7},
+      // Clamped at kMinLatencyMs: 1 ms plane gap, jitter below 1.
+      {{0.5, 0.5}, {0.501, 0.5}, 10.0},
+      // Clamped at kMaxLatencyMs: 6 plane units apart.
+      {{-3.0, 0.0}, {3.0, 0.0}, 500.0},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(topo.LatencyMs(c.a, c.b), c.want) << c.a.x << "," << c.a.y;
+    EXPECT_EQ(topo.LatencyMs(c.b, c.a), c.want) << c.a.x << "," << c.a.y;
+  }
+}
+
+// The keyed overload is the same function: for 10k placed pairs it returns
+// LatencyMs(a, b) bit for bit, and the bits of all 10k latencies fold to
+// the digest the first-written model printed for this draw.
+TEST(TopologyTest, KeyedLatencyIsBitIdentical) {
+  Topology topo(DefaultParams());
+  Rng rng(2026);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 10000; ++i) {
+    Coord a = topo.PlaceInLocality(static_cast<int>(rng.NextBounded(6)), rng);
+    Coord b = topo.PlaceInLocality(static_cast<int>(rng.NextBounded(6)), rng);
+    double plain = topo.LatencyMs(a, b);
+    double keyed =
+        topo.LatencyMs(a, Topology::PointKey(a), b, Topology::PointKey(b));
+    uint64_t plain_bits, keyed_bits;
+    std::memcpy(&plain_bits, &plain, sizeof plain);
+    std::memcpy(&keyed_bits, &keyed, sizeof keyed);
+    ASSERT_EQ(keyed_bits, plain_bits) << "pair " << i;
+    digest = HashCombine(digest, plain_bits);
+  }
+  EXPECT_EQ(digest, 0x96d40f01ab18b6c7ULL);
 }
 
 // Placement must land a peer in the locality it was placed into (modulo the

@@ -248,15 +248,20 @@ void PrintAggregateChaosTable(const std::vector<CellResult>& cells) {
   for (const CellResult& cell : cells) any |= cell.aggregate.chaos_enabled;
   if (!any) return;
   std::printf("\nChaos recovery (mean ±95%% CI over trials):\n");
-  TablePrinter table({"configuration", "replace_min", "hit_dip",
+  TablePrinter table({"configuration", "replaced", "replace_min", "hit_dip",
                       "recovery_min", "succ_during", "succ_after",
                       "inj_drops"});
   for (const CellResult& cell : cells) {
     const AggregateResult& a = cell.aggregate;
     if (!a.chaos_enabled) {
-      table.AddRow({cell.label, "-", "-", "-", "-", "-", "-"});
+      table.AddRow({cell.label, "-", "-", "-", "-", "-", "-", "-"});
       continue;
     }
+    // Kills of a live directory replaced / all of them: replace_min
+    // averages the replaced ones only.
+    std::string replaced =
+        std::to_string(a.chaos_kills_replaced) + "/" +
+        std::to_string(a.chaos_kills_replaced + a.chaos_kills_unreplaced);
     MetricSummary replace_min = a.chaos_replacement_latency_ms;
     replace_min.mean /= 60000.0;
     replace_min.ci95_half /= 60000.0;
@@ -266,7 +271,7 @@ void PrintAggregateChaosTable(const std::vector<CellResult>& cells) {
     MetricSummary recovery_min = a.chaos_recovery_ms;
     recovery_min.mean /= 60000.0;
     recovery_min.ci95_half /= 60000.0;
-    table.AddRow({cell.label, replace_str,
+    table.AddRow({cell.label, replaced, replace_str,
                   PlusMinus(a.chaos_hit_ratio_dip, 3),
                   PlusMinus(recovery_min, 1),
                   PlusMinus(a.chaos_success_during_partition, 3),
