@@ -634,8 +634,8 @@ void ChordNode::OnNotify(const Message& req) {
 void ChordNode::OnGetFingers(const Message& req) {
   auto reply = std::make_unique<ChordFingersReplyMsg>();
   for (int j = 0; j < fingers_.size(); ++j) {
-    if (fingers_.entry(j).has_value()) {
-      reply->fingers.push_back(*fingers_.entry(j));
+    if (std::optional<RingPeer> e = fingers_.entry(j)) {
+      reply->fingers.push_back(*e);
     }
   }
   for (const RingPeer& s : successors_) reply->fingers.push_back(s);

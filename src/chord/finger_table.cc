@@ -6,16 +6,17 @@ namespace flowercdn {
 
 FingerTable::FingerTable(ChordId self, int count) : self_(self) {
   FLOWERCDN_CHECK(count >= 1 && count <= 64);
-  const int low_bit = 64 - count;
-  targets_.reserve(count);
-  for (int j = 0; j < count; ++j) {
-    targets_.push_back(self_ + (ChordId{1} << (low_bit + j)));  // modular add
-  }
   entries_.resize(count);
 }
 
+void FingerTable::Set(int j, RingPeer peer) {
+  FLOWERCDN_CHECK(peer.peer != kInvalidPeer);
+  entries_[j] = peer;
+  ++version_;
+}
+
 void FingerTable::ClearAll() {
-  for (auto& e : entries_) e.reset();
+  for (RingPeer& e : entries_) e = RingPeer{};
   ++version_;
 }
 
@@ -35,7 +36,7 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
   // clockwise of a target wraps round to the nearest candidate.
   size_t cursor = nearest;
   for (int j = 0; j < size(); ++j) {
-    const ChordId reach = targets_[j] - self_;  // modular
+    const ChordId reach = Reach(j);
     while (cursor < by_distance.size() &&
            (skip(by_distance[cursor]) ||
             RingDistance(self_, by_distance[cursor].id) < reach)) {
@@ -45,10 +46,10 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
     const RingPeer& best = by_distance[cursor < by_distance.size()
                                            ? cursor
                                            : nearest];
-    auto& current = entries_[j];
-    if (!current.has_value() ||
-        RingDistance(targets_[j], best.id) <
-            RingDistance(targets_[j], current->id)) {
+    RingPeer& current = entries_[j];
+    const ChordId target = self_ + reach;
+    if (current.peer == kInvalidPeer ||
+        RingDistance(target, best.id) < RingDistance(target, current.id)) {
       current = best;
       ++version_;
     }
@@ -56,9 +57,11 @@ void FingerTable::OfferSorted(std::span<const RingPeer> by_distance,
 }
 
 void FingerTable::FillHoles(ChordId from, const RingPeer& owner) {
+  FLOWERCDN_CHECK(owner.peer != kInvalidPeer);
   const ChordId span = RingDistance(from, owner.id);
   for (int j = 0; j < size(); ++j) {
-    if (!entries_[j].has_value() && RingDistance(from, targets_[j]) <= span) {
+    if (entries_[j].peer == kInvalidPeer &&
+        RingDistance(from, TargetOf(j)) <= span) {
       entries_[j] = owner;
       ++version_;
     }
@@ -66,10 +69,11 @@ void FingerTable::FillHoles(ChordId from, const RingPeer& owner) {
 }
 
 int FingerTable::RemovePeer(PeerId peer) {
+  if (peer == kInvalidPeer) return 0;
   int removed = 0;
-  for (auto& e : entries_) {
-    if (e.has_value() && e->peer == peer) {
-      e.reset();
+  for (RingPeer& e : entries_) {
+    if (e.peer == peer) {
+      e = RingPeer{};
       ++removed;
     }
   }
@@ -79,8 +83,8 @@ int FingerTable::RemovePeer(PeerId peer) {
 
 std::optional<RingPeer> FingerTable::ClosestPreceding(ChordId key) const {
   for (int j = size() - 1; j >= 0; --j) {
-    const auto& e = entries_[j];
-    if (e.has_value() && InIntervalOpenOpen(e->id, self_, key)) {
+    const RingPeer& e = entries_[j];
+    if (e.peer != kInvalidPeer && InIntervalOpenOpen(e.id, self_, key)) {
       return e;
     }
   }
@@ -89,7 +93,7 @@ std::optional<RingPeer> FingerTable::ClosestPreceding(ChordId key) const {
 
 int FingerTable::populated() const {
   int n = 0;
-  for (const auto& e : entries_) n += e.has_value() ? 1 : 0;
+  for (const RingPeer& e : entries_) n += e.peer != kInvalidPeer ? 1 : 0;
   return n;
 }
 

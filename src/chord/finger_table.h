@@ -14,6 +14,10 @@ namespace flowercdn {
 /// at successor(self + 2^(64 - count + j)): we only keep the top `count`
 /// fingers because for realistic ring populations (<= a few million nodes)
 /// all lower fingers collapse onto the immediate successor.
+///
+/// Every D-ring member keeps a table for its whole session, so the table
+/// is one array of `count` RingPeers (16 B each) in which kInvalidPeer
+/// marks an empty slot, and the targets are computed, not stored.
 class FingerTable {
  public:
   /// `count` in [1, 64].
@@ -21,23 +25,26 @@ class FingerTable {
 
   int size() const { return static_cast<int>(entries_.size()); }
 
-  /// Ring point finger j aims at. Precomputed at construction — this sits
-  /// on the stabilization and lookup hot paths, called ~100M times per
-  /// long trial.
-  ChordId TargetOf(int j) const { return targets_[j]; }
+  /// Ring point finger j aims at: a shift and an add, cheap enough for
+  /// the stabilization and lookup hot paths.
+  ChordId TargetOf(int j) const {
+    return self_ + Reach(j);  // modular add
+  }
 
-  const std::optional<RingPeer>& entry(int j) const { return entries_[j]; }
+  /// Finger j; empty when the slot holds none.
+  std::optional<RingPeer> entry(int j) const {
+    if (entries_[j].peer == kInvalidPeer) return std::nullopt;
+    return entries_[j];
+  }
 
   /// Bumped by every write to an entry, so a caller can tell that the
   /// table has not changed since it last looked.
   uint64_t version() const { return version_; }
 
-  void Set(int j, RingPeer peer) {
-    entries_[j] = peer;
-    ++version_;
-  }
+  /// `peer` must not be kInvalidPeer (that is Clear).
+  void Set(int j, RingPeer peer);
   void Clear(int j) {
-    entries_[j].reset();
+    entries_[j] = RingPeer{};
     ++version_;
   }
   void ClearAll();
@@ -74,9 +81,11 @@ class FingerTable {
   int populated() const;
 
  private:
+  /// Clockwise distance from self to TargetOf(j): 2^(64 - count + j).
+  ChordId Reach(int j) const { return ChordId{1} << (64 - size() + j); }
+
   ChordId self_;
-  std::vector<ChordId> targets_;  // targets_[j] = self + 2^(64 - count + j)
-  std::vector<std::optional<RingPeer>> entries_;
+  std::vector<RingPeer> entries_;  // kInvalidPeer: empty slot
   uint64_t version_ = 0;
 };
 

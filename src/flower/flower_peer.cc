@@ -80,7 +80,6 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
                        WebsiteId website, LocalityId locality,
                        ContentStore* store, Rng rng)
     : ctx_(&ctx),
-      self_(self),
       website_(website),
       locality_(locality),
       store_(store),
@@ -105,29 +104,28 @@ FlowerPeer::FlowerPeer(const FlowerContext& ctx, PeerId self,
 // --- Common plumbing ---------------------------------------------------------
 
 void FlowerPeer::Attach() {
-  incarnation_ = ctx_->network->Attach(self_, this);
-  rpc_.Bind(incarnation_);
+  rpc_.Bind(ctx_->network->Attach(self(), this));
 }
 
 ChordNode* FlowerPeer::EnsureChord(ChordId ring_id) {
   if (chord_ != nullptr) {
     if (chord_->id() == ring_id) return chord_.get();
     if (chord_->state() != ChordNode::State::kIdle) {
-      FLOWERCDN_LOG(kWarning) << "peer " << self_
+      FLOWERCDN_LOG(kWarning) << "peer " << self()
                               << ": chord busy, cannot retarget ring id";
       return nullptr;
     }
   }
-  chord_ = std::make_unique<ChordNode>(ctx_->network, self_, ring_id,
+  chord_ = std::make_unique<ChordNode>(ctx_->network, self(), ring_id,
                                        ctx_->params->chord);
-  chord_->Bind(incarnation_);
+  chord_->Bind(rpc_.incarnation());
   chord_->on_duplicate_id = [this]() {
     ctx_->stats->Add("flower.claim.duplicate_demotions");
     DemoteToContentPeer();
   };
   chord_->on_ring_broken = [this]() {
     // Rebuild asynchronously: we may be deep inside chord internals.
-    ctx_->network->SchedulePeer(self_, incarnation_, 1,
+    ctx_->network->SchedulePeer(self(), rpc_.incarnation(), 1,
                                [this]() { RejoinBrokenRing(); });
   };
   return chord_.get();
@@ -182,7 +180,7 @@ void FlowerPeer::EnterPosition(int instance, PeerId bootstrap,
 }
 
 PeerId FlowerPeer::PickBootstrap() {
-  return ctx_->pick_dring_bootstrap ? ctx_->pick_dring_bootstrap(self_)
+  return ctx_->pick_dring_bootstrap ? ctx_->pick_dring_bootstrap(self())
                                    : kInvalidPeer;
 }
 
@@ -198,7 +196,7 @@ void FlowerPeer::TraceSpan(uint64_t trace_id, QueryPhase phase, SimTime start,
 void FlowerPeer::StartAsClient() {
   Attach();
   role_ = FlowerRole::kClient;
-  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  if (ctx_->on_role_change) ctx_->on_role_change(self(), role_);
   if (ctx_->catalog->IsActive(website_)) {
     // The first query doubles as the petal-admission request.
     StartQueryingIfActive();
@@ -208,7 +206,7 @@ void FlowerPeer::StartAsClient() {
     // its arrival", §6.1) and take part in maintenance.
     SimDuration delay = 1 + static_cast<SimDuration>(
                                 rng_.NextBounded(30 * kSecond));
-    ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
+    ctx_->network->SchedulePeer(self(), rpc_.incarnation(), delay, [this]() {
       if (role_ == FlowerRole::kClient) ResolveViaDRing(PetalJoinRequest());
     });
   }
@@ -229,7 +227,7 @@ void FlowerPeer::StartAsDirectory(int instance,
         }
         // Initial setup should not race; retry once through any live member.
         ctx_->network->SchedulePeer(
-            self_, incarnation_, kJoinRetryDelay,
+            self(), rpc_.incarnation(), kJoinRetryDelay,
             [this, instance]() {
               auto settle = [this](bool held) {
                 if (held) {
@@ -253,18 +251,18 @@ void FlowerPeer::LeaveGracefully() {
   if (role_ == FlowerRole::kDirectoryPeer) {
     // §5.2.2: transfer a copy of view and directory-index to the successor
     // content peer before departing.
-    std::optional<Contact> heir;
-    for (const Contact& c : view_.contacts()) {
-      if (!heir.has_value() || c.age < heir->age) heir = c;
+    const PeerView::Entry* heir = nullptr;
+    for (const PeerView::Entry& c : view_.entries()) {
+      if (heir == nullptr || c.age < heir->age) heir = &c;
     }
-    if (heir.has_value()) {
+    if (heir != nullptr) {
       auto handoff = std::make_unique<FlowerDirHandoffMsg>();
       handoff->website = website_;
       handoff->locality = locality_;
       handoff->instance = instance_;
-      handoff->view = view_.contacts();
+      handoff->view = view_.ToContacts();
       handoff->index = dir_->index.TakeSnapshot();
-      ctx_->network->Send(self_, heir->peer, std::move(handoff));
+      ctx_->network->Send(self(), heir->peer, std::move(handoff));
     }
     if (chord_ != nullptr) chord_->Leave();
   }
@@ -282,7 +280,7 @@ void FlowerPeer::StartQueryingIfActive() {
 
 void FlowerPeer::ScheduleNextQuery() {
   SimDuration gap = ctx_->workload->NextQueryGap(website_, rng_);
-  ctx_->network->SchedulePeer(self_, incarnation_, gap,
+  ctx_->network->SchedulePeer(self(), rpc_.incarnation(), gap,
                              [this]() { IssueQuery(); });
 }
 
@@ -334,7 +332,7 @@ void FlowerPeer::StartQuery(QueryState q) {
   q.t0 = ctx_->network->sim()->now();
   if (ctx_->trace != nullptr) {
     q.trace_id =
-        ctx_->trace->BeginQuery(self_, q.object.website, q.object.object, q.t0,
+        ctx_->trace->BeginQuery(self(), q.object.website, q.object.object, q.t0,
                                /*from_new_client=*/role_ ==
                                    FlowerRole::kClient);
     q.tctx.trace_id = ctx_->trace->DistributedIdOf(q.trace_id);
@@ -365,7 +363,7 @@ void FlowerPeer::ResolveViaDRing(QueryState q) {
     // petal admission later.
     if (q.has_object) ResolveAtOrigin(q);
     if (role_ == FlowerRole::kClient) {
-      ctx_->network->SchedulePeer(self_, incarnation_,
+      ctx_->network->SchedulePeer(self(), rpc_.incarnation(),
                                  kJoinRetryDelay, [this]() {
                                    if (role_ == FlowerRole::kClient) {
                                      ResolveViaDRing(PetalJoinRequest());
@@ -454,7 +452,7 @@ void FlowerPeer::HandleDirReply(QueryState q, PeerId dir, PeerId responder,
         // §3.2): the object is already on its way — done.
         q.source = ServedSource::kDirectory;
         FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
-                    ctx_->network->LatencyMs(self_, reply.provider));
+                    ctx_->network->LatencyMs(self(), reply.provider));
         return;
       }
       FetchFrom(reply.provider, q);
@@ -493,7 +491,7 @@ void FlowerPeer::ResolveAsContentPeer(QueryState q) {
   uint64_t packed = q.object.Packed();
   std::vector<PeerId> candidates;
   if (summaries_ != nullptr) {
-    for (const Contact& c : view_.contacts()) {
+    for (const PeerView::Entry& c : view_.entries()) {
       auto it = summaries_->find(c.peer);
       if (it != summaries_->end() && it->second.MayContain(packed)) {
         candidates.push_back(c.peer);
@@ -532,7 +530,7 @@ void FlowerPeer::TrySummaryCandidates(QueryState q,
                 ctx_->stats->Add("flower.summary_hits");
                 q.source = ServedSource::kPetal;
                 FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
-                            ctx_->network->LatencyMs(self_, provider));
+                            ctx_->network->LatencyMs(self(), provider));
                 return;
               }
               if (!status.ok()) {
@@ -556,8 +554,8 @@ void FlowerPeer::AskOwnDirectory(QueryState q) {
 
 void FlowerPeer::ResolveAsDirectory(QueryState q) {
   NetworkTraceScope trace_scope(ctx_->network, q.tctx);
-  std::optional<PeerId> provider = FindProviderLocally(q.object, self_);
-  if (provider.has_value() && *provider != self_) {
+  std::optional<PeerId> provider = FindProviderLocally(q.object, self());
+  if (provider.has_value() && *provider != self()) {
     FetchFrom(*provider, q);
     return;
   }
@@ -576,7 +574,7 @@ void FlowerPeer::ResolveAsDirectory(QueryState q) {
                   if (status.ok()) {
                     const auto& reply =
                         MessageCast<FlowerDirProbeReplyMsg>(*resp);
-                    if (reply.has_provider && reply.provider != self_) {
+                    if (reply.has_provider && reply.provider != self()) {
                       ctx_->stats->Add("flower.collaboration_hits");
                       FetchFrom(reply.provider, q);
                       return;
@@ -591,7 +589,7 @@ void FlowerPeer::ResolveAsDirectory(QueryState q) {
 }
 
 void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
-  if (provider == kInvalidPeer || provider == self_) {
+  if (provider == kInvalidPeer || provider == self()) {
     ResolveAtOrigin(q);
     return;
   }
@@ -610,7 +608,7 @@ void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
               if (served) {
                 q.source = ServedSource::kDirectory;
                 FinishQuery(q, /*hit=*/true, ctx_->network->sim()->now(),
-                            ctx_->network->LatencyMs(self_, provider));
+                            ctx_->network->LatencyMs(self(), provider));
               } else {
                 ResolveAtOrigin(q);
               }
@@ -619,7 +617,7 @@ void FlowerPeer::FetchFrom(PeerId provider, QueryState q) {
 
 void FlowerPeer::ResolveAtOrigin(QueryState q) {
   if (!q.has_object) return;
-  Coord here = ctx_->network->CoordOf(self_);
+  Coord here = ctx_->network->CoordOf(self());
   double distance = ctx_->origins->DistanceMs(here, q.object.website);
   // Origin fetch is modeled as pure distance, not simulated time — the span
   // is zero-length and marks when the overlay gave up.
@@ -667,8 +665,8 @@ void FlowerPeer::BecomeContentPeer(const DirInfo& info,
   role_ = FlowerRole::kContentPeer;
   dir_info_ = info;
   dir_info_.age = 0;
-  view_.Merge(view_seed, self_);
-  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  view_.Merge(view_seed, self());
+  if (ctx_->on_role_change) ctx_->on_role_change(self(), role_);
   // Desynchronize periodic rounds across the petal.
   SimDuration period = ctx_->params->gossip_period;
   auto first_delay = [this, period] {
@@ -694,7 +692,7 @@ void FlowerPeer::GossipRound() {
   PeerId q = partner->peer;
   auto msg = std::make_unique<FlowerGossipMsg>();
   msg->contacts = view_.RandomSubset(kGossipFanout - 1, rng_, q);
-  msg->contacts.push_back(Contact{self_, 0});
+  msg->contacts.push_back(Contact{self(), 0});
   msg->summary = store_->BuildSummary(kSummaryFpRate);
   msg->dir_info = dir_info_;
   rpc_.Call(q, std::move(msg), ctx_->params->rpc_timeout,
@@ -771,7 +769,7 @@ void FlowerPeer::MergeGossip(PeerId from, const std::vector<Contact>& contacts,
                              const BloomFilter& summary,
                              const DirInfo& their_info) {
   if (role_ == FlowerRole::kContentPeer) {
-    view_.Merge(contacts, self_);
+    view_.Merge(contacts, self());
     view_.Upsert(Contact{from, 0});
   } else if (view_.Contains(from)) {
     view_.Upsert(Contact{from, 0});
@@ -814,7 +812,7 @@ void FlowerPeer::OnDirectoryUnreachable() {
         kReplicaSyncPeriod;
     int instance = dir_info_.instance;
     ctx_->network->SchedulePeer(
-        self_, incarnation_, grace, [this, instance]() {
+        self(), rpc_.incarnation(), grace, [this, instance]() {
           if (role_ == FlowerRole::kDirectoryPeer) return;
           if (dir_info_.dir != kInvalidPeer) return;  // repaired meanwhile
           AttemptDirectoryClaim(instance);
@@ -843,7 +841,7 @@ void FlowerPeer::AttemptDirectoryClaim(
     ctx_->stats->Add("flower.claim.joined");
     if (handoff.has_value()) {
       dir_->index.Restore(handoff->index);
-      view_.Merge(handoff->view, self_);
+      view_.Merge(handoff->view, self());
     }
   };
   PeerId bootstrap = PickBootstrap();
@@ -861,12 +859,12 @@ void FlowerPeer::AttemptDirectoryClaim(
       [this, instance, target, settle = std::move(settle)](
           const Status& status, RingPeer owner, int /*hops*/) mutable {
         bool held_by_other =
-            status.ok() && owner.id == target && owner.peer != self_;
+            status.ok() && owner.id == target && owner.peer != self();
         // Vacant: join through the answering (live) directory peer.
         // EnsureChord runs before the owner checks, even when they end the
         // claim.
         bool vacant = status.ok() && !held_by_other &&
-                      EnsureChord(target) != nullptr && owner.peer != self_ &&
+                      EnsureChord(target) != nullptr && owner.peer != self() &&
                       owner.peer != kInvalidPeer;
         if (vacant) {
           EnterPosition(instance, owner.peer, std::move(settle));
@@ -896,7 +894,7 @@ void FlowerPeer::DemoteToContentPeer() {
   ResetReplicaSource();
   dir_info_.dir = kInvalidPeer;
   dir_info_.age = 0;
-  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  if (ctx_->on_role_change) ctx_->on_role_change(self(), role_);
   ArmRound(kGossipRound, ctx_->params->gossip_period);
   ArmRound(kKeepaliveRound, ctx_->params->gossip_period / 2);
   ArmRoundTimer();
@@ -907,7 +905,7 @@ void FlowerPeer::DemoteToContentPeer() {
 void FlowerPeer::BecomeDirectory(int instance) {
   role_ = FlowerRole::kDirectoryPeer;
   instance_ = instance;
-  dir_info_.dir = self_;
+  dir_info_.dir = self();
   dir_info_.instance = instance;
   dir_info_.age = 0;
   DirectoryState& dir = EnsureDirectoryState();
@@ -925,14 +923,14 @@ void FlowerPeer::BecomeDirectory(int instance) {
                         static_cast<SimDuration>(rng_.NextBounded(period / 2 +
                                                                   1)));
   }
-  if (ctx_->on_role_change) ctx_->on_role_change(self_, role_);
+  if (ctx_->on_role_change) ctx_->on_role_change(self(), role_);
 }
 
 void FlowerPeer::DirectoryMaintenanceRound() {
   view_.AgeAll();
   // Expire content peers that stopped sending keepalives/pushes (§5.1).
   std::vector<PeerId> expired;
-  for (const Contact& c : view_.contacts()) {
+  for (const PeerView::Entry& c : view_.entries()) {
     if (c.age > kViewEntryExpiryRounds) {
       expired.push_back(c.peer);
     }
@@ -1002,10 +1000,10 @@ void FlowerPeer::OnDirQuery(MessagePtr msg) {
   }
   std::optional<PeerId> provider = FindProviderLocally(req.object, req.src);
   if (provider.has_value()) {
-    if (*provider == self_) {
+    if (*provider == self()) {
       // We hold the object ourselves: confirm possession directly.
       reply->result = DirQueryResult::kProvider;
-      reply->provider = self_;
+      reply->provider = self();
       rpc_.Respond(req, std::move(reply));
       return;
     }
@@ -1054,15 +1052,15 @@ void FlowerPeer::OnDirQuery(MessagePtr msg) {
 
 std::optional<PeerId> FlowerPeer::FindProviderLocally(const ObjectId& object,
                                                       PeerId exclude) {
-  if (store_->Contains(object) && self_ != exclude) {
+  if (store_->Contains(object) && self() != exclude) {
     // Directory peers cache content like everyone else and may serve it.
-    return self_;
+    return self();
   }
   const std::vector<PeerId>& providers = dir_->index.Providers(object);
   std::vector<PeerId> eligible;
   eligible.reserve(providers.size());
   for (PeerId p : providers) {
-    if (p != exclude && p != self_) eligible.push_back(p);
+    if (p != exclude && p != self()) eligible.push_back(p);
   }
   if (!eligible.empty()) return eligible[rng_.Index(eligible.size())];
   // A freshly promoted/replacement directory can still answer from the
@@ -1089,7 +1087,7 @@ std::optional<PeerId> FlowerPeer::NextInstancePeer() const {
     return std::nullopt;
   }
   std::optional<RingPeer> succ = chord_->successor();
-  if (!succ.has_value() || succ->peer == self_) return std::nullopt;
+  if (!succ.has_value() || succ->peer == self()) return std::nullopt;
   if (succ->id != ctx_->keyspace->IdOf(website_, locality_, instance_ + 1)) {
     return std::nullopt;
   }
@@ -1099,7 +1097,7 @@ std::optional<PeerId> FlowerPeer::NextInstancePeer() const {
 std::optional<PeerId> FlowerPeer::SameWebsiteNeighborDir() const {
   if (chord_ == nullptr) return std::nullopt;
   auto is_same_site_dir = [this](const std::optional<RingPeer>& p) {
-    if (!p.has_value() || p->peer == self_ || p->peer == kInvalidPeer) {
+    if (!p.has_value() || p->peer == self() || p->peer == kInvalidPeer) {
       return false;
     }
     std::optional<DRingKeyspace::Position> pos =
@@ -1127,7 +1125,7 @@ void FlowerPeer::TriggerPromotion() {
   msg->website = website_;
   msg->locality = locality_;
   msg->new_instance = instance_ + 1;
-  ctx_->network->Send(self_, candidate->peer, std::move(msg));
+  ctx_->network->Send(self(), candidate->peer, std::move(msg));
   // §4: "the replacing content peer is removed from the directory-index."
   dir_->index.RemovePeer(candidate->peer);
   ReplicaRecordRemove(candidate->peer);
@@ -1192,7 +1190,7 @@ void FlowerPeer::OnForwardedQuery(const Message& req) {
   reply->view_seed = m.view_seed;
   if (store_->Contains(m.object)) {
     reply->result = DirQueryResult::kProvider;
-    reply->provider = self_;
+    reply->provider = self();
   } else {
     reply->result = DirQueryResult::kMiss;  // stale index entry
   }
@@ -1226,7 +1224,7 @@ std::vector<FlowerPeer::KeywordMatch> FlowerPeer::ResolveKeywordLocally(
           break;
         }
       }
-      if (!already) matches.push_back(KeywordMatch{object, self_});
+      if (!already) matches.push_back(KeywordMatch{object, self()});
     }
   }
   return matches;
@@ -1322,7 +1320,7 @@ void FlowerPeer::ArmRoundTimer() {
   }
   round_timer_at_ = due;
   if (queued) return;
-  ctx_->network->SchedulePeer(self_, incarnation_,
+  ctx_->network->SchedulePeer(self(), rpc_.incarnation(),
                              due - ctx_->network->sim()->now(),
                              [this, due]() { OnRoundTimer(due); });
 }
@@ -1411,7 +1409,10 @@ void FlowerPeer::ReplicaRecordRemove(PeerId peer) {
 }
 
 void FlowerPeer::AppendReplicaOp(FlowerReplicaSyncMsg::Op op) {
-  std::deque<ReplicaOp>& ops = dir_->replica_ops;
+  if (dir_->replica_ops == nullptr) {
+    dir_->replica_ops = std::make_unique<std::deque<ReplicaOp>>();
+  }
+  std::deque<ReplicaOp>& ops = *dir_->replica_ops;
   ++dir_->replica_version;
   ops.push_back(ReplicaOp{dir_->replica_version, std::move(op)});
   // Bounded log: replicas that fall further behind than the cap resync
@@ -1423,14 +1424,14 @@ void FlowerPeer::ResetReplicaSource() {
   // The replica version is deliberately NOT reset: it stays monotonic across
   // role flaps of this peer, so a replica can never confuse a new
   // directory term with an older one.
-  dir_->replica_ops.clear();
+  dir_->replica_ops.reset();
   dir_->replica_acks.clear();
 }
 
 void FlowerPeer::ScheduleReplicaSync(SimDuration delay) {
   if (dir_->replica_sync_scheduled) return;
   dir_->replica_sync_scheduled = true;
-  ctx_->network->SchedulePeer(self_, incarnation_, delay, [this]() {
+  ctx_->network->SchedulePeer(self(), rpc_.incarnation(), delay, [this]() {
     dir_->replica_sync_scheduled = false;
     if (role_ != FlowerRole::kDirectoryPeer || !ReplicationActive()) return;
     ReplicaSyncRound();
@@ -1454,7 +1455,8 @@ void FlowerPeer::ReplicaSyncRound() {
     min_acked = std::min(
         min_acked, it == dir.replica_acks.end() ? uint64_t{0} : it->second);
   }
-  std::deque<ReplicaOp>& ops = dir.replica_ops;
+  if (dir.replica_ops == nullptr) return;
+  std::deque<ReplicaOp>& ops = *dir.replica_ops;
   while (!ops.empty() && ops.front().version <= min_acked) ops.pop_front();
 }
 
@@ -1466,21 +1468,23 @@ void FlowerPeer::SendReplicaSync(PeerId target, uint32_t rank) {
   msg->rank = rank;
   const DirectoryState& dir = *dir_;
   msg->version = dir.replica_version;
-  msg->view = view_.contacts();
+  msg->view = view_.ToContacts();
   auto ack_it = dir.replica_acks.find(target);
   // A delta only applies if the replica's acknowledged version is still
   // covered by the op log; otherwise (new replica, missed syncs, log
   // trimmed past it) fall back to full-snapshot anti-entropy.
+  const bool no_ops = dir.replica_ops == nullptr || dir.replica_ops->empty();
   bool delta_ok =
       ack_it != dir.replica_acks.end() &&
       ack_it->second <= dir.replica_version &&
-      (dir.replica_ops.empty()
-           ? ack_it->second == dir.replica_version
-           : dir.replica_ops.front().version <= ack_it->second + 1);
+      (no_ops ? ack_it->second == dir.replica_version
+              : dir.replica_ops->front().version <= ack_it->second + 1);
   if (delta_ok) {
     msg->base_version = ack_it->second;
-    for (const ReplicaOp& logged : dir.replica_ops) {
-      if (logged.version > ack_it->second) msg->ops.push_back(logged.op);
+    if (!no_ops) {
+      for (const ReplicaOp& logged : *dir.replica_ops) {
+        if (logged.version > ack_it->second) msg->ops.push_back(logged.op);
+      }
     }
   } else {
     msg->full = true;
@@ -1579,7 +1583,7 @@ void FlowerPeer::ScheduleReplicaMonitor() {
   if (dir_->replica_monitor_scheduled) return;
   dir_->replica_monitor_scheduled = true;
   ctx_->network->SchedulePeer(
-      self_, incarnation_, kReplicaSyncPeriod, [this]() {
+      self(), rpc_.incarnation(), kReplicaSyncPeriod, [this]() {
         dir_->replica_monitor_scheduled = false;
         if (!ReplicationActive()) return;
         ReplicaMonitorRound();
@@ -1627,7 +1631,7 @@ void FlowerPeer::InitiateReplicaHandover(ReplicaState& state) {
   std::vector<Contact> eligible;
   eligible.reserve(state.view.size());
   for (const Contact& c : state.view) {
-    if (c.peer == self_ || c.peer == state.primary ||
+    if (c.peer == self() || c.peer == state.primary ||
         c.peer == kInvalidPeer) {
       continue;
     }
@@ -1653,7 +1657,7 @@ void FlowerPeer::InitiateReplicaHandover(ReplicaState& state) {
   handoff->instance = state.instance;
   handoff->view = state.view;
   handoff->index = state.index.TakeSnapshot();
-  ctx_->network->Send(self_, heir.peer, std::move(handoff));
+  ctx_->network->Send(self(), heir.peer, std::move(handoff));
 }
 
 bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
@@ -1683,7 +1687,7 @@ bool FlowerPeer::TryAnswerFromReplica(const FlowerDirQueryMsg& req,
       std::vector<PeerId> eligible;
       eligible.reserve(providers.size());
       for (PeerId p : providers) {
-        if (p != req.src && p != self_) eligible.push_back(p);
+        if (p != req.src && p != self()) eligible.push_back(p);
       }
       if (!eligible.empty()) {
         reply->result = DirQueryResult::kProvider;
@@ -1723,7 +1727,7 @@ void FlowerPeer::HandleMessage(MessagePtr msg) {
     // instant carrying the distributed trace id so the merged cluster
     // trace shows this rank's participation.
     ctx_->trace->AddRemoteSpan(msg->trace.trace_id, HandleEventName(*msg),
-                              ctx_->network->sim()->now(), self_, msg->src);
+                              ctx_->network->sim()->now(), self(), msg->src);
   }
   if (ClaimLookupResult(&rpc_, msg)) return;
   if (chord_ != nullptr && chord_->HandleMessage(msg)) return;

@@ -154,7 +154,7 @@ class FlowerPeer : public SimNode {
                                                   uint32_t max_results);
 
   // --- Introspection ---------------------------------------------------------
-  PeerId self() const { return self_; }
+  PeerId self() const { return rpc_.self(); }
   WebsiteId website() const { return website_; }
   LocalityId locality() const { return locality_; }
   FlowerRole role() const { return role_; }
@@ -348,7 +348,9 @@ class FlowerPeer : public SimNode {
     DirectoryIndex index;
     // Primary side: mutation log + periodic sync to D-ring successors.
     uint64_t replica_version = 0;
-    std::deque<ReplicaOp> replica_ops;  // version-ascending, bounded
+    // Version-ascending and bounded; allocated by the first logged op, so
+    // only at replication >= 2, and dropped by ResetReplicaSource.
+    std::unique_ptr<std::deque<ReplicaOp>> replica_ops;
     std::unordered_map<PeerId, uint64_t> replica_acks;
     bool replica_sync_scheduled = false;
     bool replica_monitor_scheduled = false;
@@ -383,7 +385,6 @@ class FlowerPeer : public SimNode {
                             FlowerDirQueryReplyMsg* reply);
 
   const FlowerContext* ctx_;
-  PeerId self_;
   WebsiteId website_;
   LocalityId locality_;
   ContentStore* store_;
@@ -396,8 +397,8 @@ class FlowerPeer : public SimNode {
   int instance_ = 0;
   std::unique_ptr<ChordNode> chord_;
   // The session's calls, and its D-ring lookups while outside the ring.
+  // It also holds the session's identity: self() and its incarnation.
   RpcEndpoint rpc_;
-  Incarnation incarnation_ = 0;
 
   PeerView view_;  // petal view (unbounded, per Table 1)
   // Gossiped content summaries of petal neighbours. Most sessions never
@@ -408,9 +409,9 @@ class FlowerPeer : public SimNode {
   DirInfo dir_info_;
   // Directory index and replication state. Replication (k >= 2) costs
   // nothing at the default k=1: no replica event is ever scheduled and no
-  // op is logged, so a directory peer pays sizeof(DirectoryState), the
-  // 576 B an empty libstdc++ deque allocates for the op log, and its
-  // index; a client or content peer pays only this null pointer.
+  // op is logged, so a directory peer pays sizeof(DirectoryState) and its
+  // index (the op log is never allocated); a client or content peer pays
+  // only this null pointer.
   std::unique_ptr<DirectoryState> dir_;
 
   /// In-flight QueryExternal callbacks, keyed by QueryState::external_id,

@@ -1,57 +1,75 @@
 #include "gossip/view.h"
 
 #include <algorithm>
+#include <limits>
+
+#include "util/logging.h"
 
 namespace flowercdn {
 
+namespace {
+
+Contact ToContact(const PeerView::Entry& e) { return Contact{e.peer, e.age}; }
+
+}  // namespace
+
+std::vector<Contact> PeerView::ToContacts() const {
+  std::vector<Contact> out;
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) out.push_back(ToContact(e));
+  return out;
+}
+
 bool PeerView::Contains(PeerId peer) const {
-  for (const Contact& c : contacts_) {
-    if (c.peer == peer) return true;
+  for (const Entry& e : entries_) {
+    if (e.peer == peer) return true;
   }
   return false;
 }
 
 void PeerView::Upsert(Contact contact) {
   if (contact.peer == kInvalidPeer) return;
-  for (Contact& c : contacts_) {
-    if (c.peer == contact.peer) {
-      c.age = std::min(c.age, contact.age);
+  FLOWERCDN_CHECK(contact.peer <= std::numeric_limits<uint32_t>::max())
+      << "peer " << contact.peer << " does not fit a view entry";
+  for (Entry& e : entries_) {
+    if (e.peer == contact.peer) {
+      e.age = std::min(e.age, contact.age);
       return;
     }
   }
-  contacts_.push_back(contact);
+  entries_.push_back(Entry{static_cast<uint32_t>(contact.peer), contact.age});
 }
 
 bool PeerView::Remove(PeerId peer) {
-  auto it = std::remove_if(contacts_.begin(), contacts_.end(),
-                           [peer](const Contact& c) { return c.peer == peer; });
-  bool removed = it != contacts_.end();
-  contacts_.erase(it, contacts_.end());
+  auto it = std::remove_if(entries_.begin(), entries_.end(),
+                           [peer](const Entry& e) { return e.peer == peer; });
+  bool removed = it != entries_.end();
+  entries_.erase(it, entries_.end());
   return removed;
 }
 
 void PeerView::AgeAll() {
-  for (Contact& c : contacts_) ++c.age;
+  for (Entry& e : entries_) ++e.age;
 }
 
 std::optional<Contact> PeerView::Oldest() const {
-  if (contacts_.empty()) return std::nullopt;
-  return *std::max_element(
-      contacts_.begin(), contacts_.end(),
-      [](const Contact& a, const Contact& b) { return a.age < b.age; });
+  if (entries_.empty()) return std::nullopt;
+  return ToContact(*std::max_element(
+      entries_.begin(), entries_.end(),
+      [](const Entry& a, const Entry& b) { return a.age < b.age; }));
 }
 
 std::optional<Contact> PeerView::Random(Rng& rng) const {
-  if (contacts_.empty()) return std::nullopt;
-  return contacts_[rng.Index(contacts_.size())];
+  if (entries_.empty()) return std::nullopt;
+  return ToContact(entries_[rng.Index(entries_.size())]);
 }
 
 std::vector<Contact> PeerView::RandomSubset(size_t n, Rng& rng,
                                             PeerId exclude) const {
   std::vector<Contact> pool;
-  pool.reserve(contacts_.size());
-  for (const Contact& c : contacts_) {
-    if (c.peer != exclude) pool.push_back(c);
+  pool.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    if (e.peer != exclude) pool.push_back(ToContact(e));
   }
   rng.Shuffle(pool);
   if (pool.size() > n) pool.resize(n);

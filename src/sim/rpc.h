@@ -162,6 +162,8 @@ class RpcEndpoint {
   size_t pending_calls() const { return count_; }
   size_t awaited() const { return awaited_; }
   PeerId self() const { return self_; }
+  /// The incarnation last bound, 0 before the first Bind().
+  Incarnation incarnation() const { return incarnation_; }
   Network* network() const { return network_; }
 
  private:

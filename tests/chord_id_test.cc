@@ -115,6 +115,15 @@ TEST(FingerTableTest, SetAndRemovePeer) {
   EXPECT_EQ(fingers.populated(), 1);
   EXPECT_FALSE(fingers.entry(0).has_value());
   EXPECT_TRUE(fingers.entry(5).has_value());
+  // kInvalidPeer marks an empty slot; it is never an entry to remove.
+  EXPECT_EQ(fingers.RemovePeer(kInvalidPeer), 0);
+  EXPECT_EQ(fingers.populated(), 1);
+}
+
+TEST(FingerTableDeathTest, SetOfTheEmptyMarkerDies) {
+  FingerTable fingers(0, 8);
+  EXPECT_DEATH(fingers.Set(0, RingPeer{kInvalidPeer, 1}),
+               "Check failed: peer.peer != kInvalidPeer");
 }
 
 TEST(FingerTableTest, ClosestPrecedingScansHighToLow) {

@@ -1,8 +1,9 @@
 // Deterministic cost budgets. A trial's wall time is too noisy to gate a
 // change on, but the work it does is exactly repeatable: events, cancelled
 // events, the event slab's peak, messages and bytes per traffic family,
-// and heap allocations. tests/golden/cost_budget.json holds a budget for
-// each count of two trials, flowercdn-sim's
+// heap allocations and the peak of live heap bytes.
+// tests/golden/cost_budget.json holds a budget for each count of two
+// trials, flowercdn-sim's
 //
 //   --population=2000 --hours=24 --seed=42      (trial 0)
 //   --population=100000 --hours=1 --seed=1      (trial 0)
@@ -13,12 +14,15 @@
 // count that rose and says why.
 //
 // A counting global operator new sees every allocation RunExperiment
-// makes in a fresh process. Sanitizer builds keep their own allocator and
-// turn off the message pool, so they skip that column.
+// makes in a fresh process, and the peak of the bytes it requested that
+// were live at once. Sanitizer builds keep their own allocator and turn
+// off the message pool, so they skip those two columns.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,47 +50,80 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+// Bytes requested through operator new and not yet deleted, and the
+// highest that has reached since the last reset.
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
 
 }  // namespace
 
 #ifndef FLOWERCDN_TEST_SANITIZED
 namespace {
 
-void* CountedAlloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+// Each block carries its requested size in a header ahead of it, so that
+// an unsized delete can take it off the live bytes. The header is as long
+// as the block's alignment, so the block keeps it.
+constexpr std::size_t kMinHeader = alignof(std::max_align_t);
+
+std::size_t HeaderFor(std::size_t align) {
+  return std::max(align, kMinHeader);
 }
 
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+void* CountedAlloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
+  const std::size_t header = HeaderFor(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
+  void* block = align <= kMinHeader
+                    ? std::malloc(header + size)
+                    : std::aligned_alloc(
+                          align, header + (size + align - 1) / align * align);
+  if (block == nullptr) throw std::bad_alloc();
+  char* p = static_cast<char*>(block) + header;
+  reinterpret_cast<std::size_t*>(p)[-1] = size;
+  const int64_t live =
+      g_live_bytes.fetch_add(static_cast<int64_t>(size),
+                             std::memory_order_relaxed) +
+      static_cast<int64_t>(size);
+  int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p, std::size_t align) noexcept {
+  if (p == nullptr) return;
+  const std::size_t size = reinterpret_cast<std::size_t*>(p)[-1];
+  g_live_bytes.fetch_sub(static_cast<int64_t>(size),
+                         std::memory_order_relaxed);
+  std::free(static_cast<char*>(p) - HeaderFor(align));
 }
 
 }  // namespace
 
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, align);
+  return CountedAlloc(size, static_cast<std::size_t>(align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, align);
+  return CountedAlloc(size, static_cast<std::size_t>(align));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { CountedFree(p, 0); }
+void operator delete[](void* p) noexcept { CountedFree(p, 0); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p, 0); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p, 0); }
+void operator delete(void* p, std::align_val_t align) noexcept {
+  CountedFree(p, static_cast<std::size_t>(align));
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+void operator delete[](void* p, std::align_val_t align) noexcept {
+  CountedFree(p, static_cast<std::size_t>(align));
+}
+void operator delete(void* p, std::size_t, std::align_val_t align) noexcept {
+  CountedFree(p, static_cast<std::size_t>(align));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t align) noexcept {
+  CountedFree(p, static_cast<std::size_t>(align));
 }
 #endif  // FLOWERCDN_TEST_SANITIZED
 
@@ -137,10 +174,11 @@ std::vector<BudgetRun> LoadBudget() {
   return runs;
 }
 
-/// Every count of one trial, keyed as in the budget file. Allocations are
-/// counted only for the first trial of the process: later ones reuse what
-/// the first left behind (the message pool's slabs, lazily built tables),
-/// so ctest runs each budget in a process of its own.
+/// Every count of one trial, keyed as in the budget file. Allocations and
+/// the heap peak are counted only for the first trial of the process:
+/// later ones reuse what the first left behind (the message pool's slabs,
+/// lazily built tables), so ctest runs each budget in a process of its
+/// own.
 std::map<std::string, uint64_t> MeasureCounts(const BudgetRun& run) {
   static bool first_trial = true;
   ExperimentConfig config;
@@ -149,8 +187,12 @@ std::map<std::string, uint64_t> MeasureCounts(const BudgetRun& run) {
   config.seed = DeriveTrialSeed(run.seed, 0);  // flowercdn-sim's trial 0
 
   const uint64_t allocations_before = g_allocations.load();
+  const int64_t live_before = g_live_bytes.load();
+  g_peak_bytes.store(live_before);
   ExperimentResult r = RunExperiment(config, SystemKind::kFlowerCdn);
   const uint64_t allocations = g_allocations.load() - allocations_before;
+  const auto heap_peak_bytes =
+      static_cast<uint64_t>(g_peak_bytes.load() - live_before);
 
   std::map<std::string, uint64_t> counts = {
       {"events", r.events_processed},
@@ -174,9 +216,14 @@ std::map<std::string, uint64_t> MeasureCounts(const BudgetRun& run) {
     counts[std::string("bytes.") + family] = f->bytes;
   }
 #ifndef FLOWERCDN_TEST_SANITIZED
-  if (first_trial) counts["allocations"] = allocations;
+  if (first_trial) {
+    counts["allocations"] = allocations;
+    counts["heap_peak_bytes"] = heap_peak_bytes;
+  }
 #else
+  (void)first_trial;
   (void)allocations;
+  (void)heap_peak_bytes;
 #endif
   first_trial = false;
   return counts;
@@ -214,7 +261,9 @@ TEST_P(CostBudgetTest, CountsStayWithinBudget) {
   }
   // A budget without a measured count is a typo or a count that is gone.
   for (const auto& [name, budget] : run->budget) {
-    if (name == "allocations") continue;  // not always measured
+    if (name == "allocations" || name == "heap_peak_bytes") {
+      continue;  // not always measured
+    }
     EXPECT_TRUE(counts.count(name)) << run->name << ": budget for unknown "
                                     << name;
   }

@@ -124,7 +124,7 @@ class FlowerRoundsTest : public ::testing::Test {
 
   /// Age of `peer` in `of`'s view, or -1 when it is not there.
   static int ViewAge(const FlowerPeer& of, PeerId peer) {
-    for (const Contact& c : of.view().contacts()) {
+    for (const PeerView::Entry& c : of.view().entries()) {
       if (c.peer == peer) return static_cast<int>(c.age);
     }
     return -1;

@@ -153,14 +153,28 @@ TEST_F(FootprintTest, ClientAttachAllocatesOnlyTheSession) {
 
 TEST_F(FootprintTest, DirectoryAttachAllocatesItsState) {
   // The counterpart of the client case, and proof the counter sees the
-  // session's own allocations: a directory builds its Chord node and its
-  // directory state on top of the session object.
+  // session's own allocations: a directory that creates its ring position
+  // makes exactly five, the session object, its directory state, its
+  // Chord node, the node's finger array and its one-entry successor list.
+  // At replication=1 the state holds no replica op log.
+  ASSERT_EQ(params_.replication, 1);
+  // Off the fixture directory's timer grid, so that the new session's
+  // first timers join no batch the event queue is already serving.
+  sim_.RunUntil(sim_.now() + 1);
   AllocationWindow window;
   std::unique_ptr<FlowerPeer> dir = Make(3);
-  dir->StartAsDirectory(0, PeerId{1});
+  dir->StartAsDirectory(1, std::nullopt);
   window.Stop();
-  EXPECT_GT(window.allocations(), 2u);
-  EXPECT_GT(window.bytes(), sizeof(FlowerPeer) + sizeof(ChordNode));
+  ASSERT_EQ(dir->role(), FlowerRole::kDirectoryPeer);
+  // DirectoryState: the index's two maps and entry count, the replica
+  // acks and replicas maps (56 B each in libstdc++), the op log's null
+  // pointer, the replica version, the two scheduled flags (padded) and the
+  // last promotion time.
+  constexpr size_t kDirectoryStateBytes = 4 * 56 + 8 + 8 + 8 + 8 + 8;
+  EXPECT_EQ(window.allocations(), 5u);
+  EXPECT_EQ(window.bytes(),
+            sizeof(FlowerPeer) + kDirectoryStateBytes + sizeof(ChordNode) +
+                ChordNode::kFingerCount * sizeof(RingPeer) + sizeof(RingPeer));
 }
 
 TEST_F(FootprintTest, ContentPeerHoldsASummaryMapOnlyOnceItStoresOne) {
@@ -185,9 +199,10 @@ TEST_F(FootprintTest, ContentPeerHoldsASummaryMapOnlyOnceItStoresOne) {
 TEST(FootprintSizeTest, SessionObjectFitsItsBudget) {
   // Two endpoints' worth of RPC state: the session's own and, while it is a
   // ring member, its ChordNode's. D-ring lookups are ids awaited on the
-  // session's endpoint. The gossip-summary and external-query maps are
-  // pointers until first used.
-  EXPECT_LE(sizeof(FlowerPeer), 224u);
+  // session's endpoint, which also holds the session's id and incarnation.
+  // The gossip-summary and external-query maps are pointers until first
+  // used.
+  EXPECT_LE(sizeof(FlowerPeer), 208u);
   // The calls themselves live in the Network's table.
   EXPECT_LE(sizeof(RpcEndpoint), 32u);
 }
